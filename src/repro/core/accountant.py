@@ -17,6 +17,7 @@ temporal-coordination modes, where an application's instantaneous draw is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
@@ -83,9 +84,15 @@ class Accountant:
         return list(self._log)
 
     def notify_cap_change(self, new_cap_w: float) -> CapChangeEvent:
-        """E1 message: the server's budget changed."""
-        if new_cap_w <= 0:
-            raise ConfigurationError("power cap must be positive")
+        """E1 message: the server's budget changed.
+
+        Raises:
+            ConfigurationError: unless ``new_cap_w`` is finite and positive.
+        """
+        if not (math.isfinite(new_cap_w) and new_cap_w > 0):
+            raise ConfigurationError(
+                f"cap must be finite and positive, got {new_cap_w!r}"
+            )
         self._p_cap_w = new_cap_w
         event = CapChangeEvent(time_s=self._server.now_s, new_cap_w=new_cap_w)
         self._log.append(event)

@@ -216,57 +216,59 @@ class PowerAllocator:
         Raises:
             PowerBudgetError: when exclusion is disabled and the budget
                 cannot host every application simultaneously.
-            ConfigurationError: on an empty candidate map or a non-positive
-                weight.
+            ConfigurationError: on an empty candidate map, a non-finite
+                budget or a non-positive weight.
         """
         if not candidates:
             raise ConfigurationError("no applications to allocate power to")
+        if not math.isfinite(budget_w):
+            raise ConfigurationError(f"budget must be finite, got {budget_w!r}")
         names = sorted(candidates)
         weight_of = self._check_weights(names, weights)
         budget = max(0.0, budget_w)
         steps = int(math.floor(budget / self._grain_w))
 
-        # Per-app options: (grid cost, utility, knob index); option index 0
-        # is always "excluded".
-        options: dict[str, list[tuple[int, float, int | None]]] = {}
+        # Per-app options as aligned arrays (grid cost, utility, knob index)
+        # over the Pareto frontier points that fit; option 0 is always
+        # "excluded" (cost 0, utility 0, knob index -1).
+        options: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         for name in names:
             cset = candidates[name]
-            opts: list[tuple[int, float, int | None]] = [(0, 0.0, None)]
-            for idx in pareto_envelope(cset):
-                cost = int(math.ceil(cset.power_w[idx] / self._grain_w - 1e-9))
-                if cost <= steps:
-                    utility = float(cset.perf[idx] / cset.perf_nocap)
-                    if weight_of is not None:
-                        utility *= weight_of[name]
-                    # A tiny inclusion bonus breaks ties toward running the
-                    # app rather than idling it for equal objective value.
-                    opts.append((cost, utility + 1e-9, idx))
-            options[name] = opts
-            if len(opts) == 1 and not self._allow_exclusion:
+            frontier = np.array(pareto_envelope(cset), dtype=np.intp)
+            cost = np.ceil(cset.power_w[frontier] / self._grain_w - 1e-9)
+            fits = cost <= steps
+            frontier = frontier[fits]
+            if frontier.size == 0 and not self._allow_exclusion:
                 raise PowerBudgetError(
                     f"budget {budget_w:.2f} W cannot host {name!r} "
                     f"(cheapest config needs {cset.min_power_w:.2f} W) and "
                     "exclusion is disabled"
                 )
+            utility = cset.perf[frontier] / cset.perf_nocap
+            if weight_of is not None:
+                utility = utility * weight_of[name]
+            # A tiny inclusion bonus breaks ties toward running the app
+            # rather than idling it for equal objective value.
+            options.append((
+                np.concatenate(([0], cost[fits].astype(np.intp))),
+                np.concatenate(([0.0], utility + 1e-9)),
+                np.concatenate(([-1], frontier)),
+            ))
 
-        # DP over apps x budget grid, tracking the chosen option per cell.
-        neg_inf = -np.inf
+        # DP over apps x budget grid, one max-plus pass per app: row k of
+        # ``shifted`` is the running value moved right by option k's cost
+        # plus its utility (-inf where it does not fit). The first maximum
+        # of each column is the option a sequential strict-">" scan over
+        # the options would keep.
+        columns = np.arange(steps + 1)
+        unreachable = np.full(steps + 1, -np.inf)
         value = np.zeros(steps + 1)
-        choice = np.zeros((len(names), steps + 1), dtype=int)
-        for i, name in enumerate(names):
-            new_value = np.full(steps + 1, neg_inf)
-            for opt_idx, (cost, utility, _) in enumerate(options[name]):
-                if cost > steps:
-                    continue
-                shifted = np.full(steps + 1, neg_inf)
-                if cost == 0:
-                    shifted = value + utility
-                else:
-                    shifted[cost:] = value[: steps + 1 - cost] + utility
-                better = shifted > new_value
-                new_value = np.where(better, shifted, new_value)
-                choice[i][better] = opt_idx
-            value = new_value
+        choice = np.empty((len(names), steps + 1), dtype=np.intp)
+        for i, (cost, utility, _) in enumerate(options):
+            padded = np.concatenate((unreachable, value))
+            shifted = padded[(steps + 1 - cost)[:, None] + columns] + utility[:, None]
+            choice[i] = shifted.argmax(axis=0)
+            value = shifted[choice[i], columns]
 
         best_w = int(np.argmax(value))
         objective = float(value[best_w])
@@ -276,10 +278,11 @@ class PowerAllocator:
         w = best_w
         for i in range(len(names) - 1, -1, -1):
             name = names[i]
-            opt_idx = int(choice[i][w])
-            cost, utility, knob_idx = options[name][opt_idx]
+            cost, _, knob_index = options[i]
+            opt_idx = choice[i, w]
+            knob_idx = int(knob_index[opt_idx])
             cset = candidates[name]
-            if knob_idx is None:
+            if knob_idx < 0:
                 min_idx = int(np.argmin(cset.power_w))
                 apps[name] = AppAllocation(
                     app=name,
@@ -301,7 +304,7 @@ class PowerAllocator:
                     power_w=float(cset.power_w[knob_idx]),
                     relative_perf=float(cset.perf[knob_idx] / cset.perf_nocap),
                 )
-            w -= cost
+            w -= int(cost[opt_idx])
         dp_result = Allocation(budget_w=budget_w, apps=apps, objective=objective)
         fair = self.allocate_fair(candidates, budget_w, weights=weights)
         if fair.excluded and not self._allow_exclusion:

@@ -782,7 +782,9 @@ class PowerMediator:
                     p_cap_w=self._effective_cap_w(),
                     oracle={n: self._oracle[n] for n in planned},
                     estimates={n: self._estimates[n] for n in planned},
-                    population=self._get_population(),
+                    population=(
+                        self._get_population() if policy.needs_population else None
+                    ),
                     battery=battery,
                     trust_weights=self._trust.weights() or None,
                 )

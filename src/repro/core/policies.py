@@ -31,6 +31,7 @@ estimates (what aware policies believe), and the population-average surface.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,8 +87,10 @@ class PolicyContext:
     trust_weights: dict[str, float] | None = None
 
     def __post_init__(self) -> None:
-        if self.p_cap_w <= 0:
-            raise ConfigurationError("p_cap_w must be positive")
+        if not (math.isfinite(self.p_cap_w) and self.p_cap_w > 0):
+            raise ConfigurationError(
+                f"cap must be finite and positive, got {self.p_cap_w!r}"
+            )
         if set(self.oracle) != set(self.estimates):
             raise ConfigurationError("oracle and estimates must cover the same apps")
 
@@ -178,6 +181,8 @@ class Policy(abc.ABC):
     needs_learning: bool = False
     #: Whether the policy may schedule the battery.
     uses_esd: bool = False
+    #: Whether the policy reads ``PolicyContext.population``.
+    needs_population: bool = False
 
     @abc.abstractmethod
     def plan(self, ctx: PolicyContext) -> AllocationPlan:
@@ -340,6 +345,7 @@ class ServerResAwarePolicy(Policy):
     name = "server+res-aware"
     needs_learning = False
     uses_esd = False
+    needs_population = True
 
     def plan(self, ctx: PolicyContext) -> AllocationPlan:
         if ctx.population is None:

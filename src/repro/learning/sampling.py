@@ -39,9 +39,19 @@ class Sampler(abc.ABC):
         Raises:
             ConfigurationError: unless ``0 < fraction <= 1``.
         """
-        if not 0.0 < fraction <= 1.0:
-            raise ConfigurationError(f"fraction must be in (0, 1], got {fraction}")
-        return max(1, int(round(fraction * len(config.knob_space()))))
+        _check_fraction(fraction)
+        # The knob space is the product of the three axes; count it without
+        # building its KnobSettings.
+        space_size = (
+            len(config.frequencies_ghz) * len(config.core_counts) * len(config.dram_powers_w)
+        )
+        return max(1, int(round(fraction * space_size)))
+
+
+def _check_fraction(fraction: float) -> None:
+    """Raise unless ``0 < fraction <= 1``."""
+    if not 0.0 < fraction <= 1.0:
+        raise ConfigurationError(f"fraction must be in (0, 1], got {fraction}")
 
 
 def sampler_spec(sampler: Sampler) -> dict:
@@ -109,7 +119,7 @@ class RandomSampler(Sampler):
     def __init__(self, fraction: float, *, seed: int = 0) -> None:
         self._fraction = fraction
         self._seed = seed
-        Sampler.budget_from_fraction(ServerConfig(), fraction)  # validate early
+        _check_fraction(fraction)
 
     @property
     def fraction(self) -> float:
@@ -147,7 +157,7 @@ class StratifiedSampler(Sampler):
     def __init__(self, fraction: float, *, seed: int = 0) -> None:
         self._fraction = fraction
         self._seed = seed
-        Sampler.budget_from_fraction(ServerConfig(), fraction)  # validate early
+        _check_fraction(fraction)
 
     @property
     def fraction(self) -> float:
@@ -219,7 +229,7 @@ class AdaptiveSampler(Sampler):
         self._fraction = fraction
         self._seed = seed
         self._bootstrap_fraction = bootstrap_fraction
-        Sampler.budget_from_fraction(ServerConfig(), fraction)  # validate early
+        _check_fraction(fraction)
 
     @property
     def fraction(self) -> float:

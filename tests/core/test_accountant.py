@@ -63,6 +63,12 @@ class TestMessages:
         with pytest.raises(ConfigurationError):
             accountant.notify_cap_change(0.0)
 
+    @pytest.mark.parametrize("cap", [float("nan"), float("inf"), -float("inf"), 0.0])
+    def test_non_finite_or_non_positive_cap_rejected(self, accountant, cap):
+        with pytest.raises(ConfigurationError, match="cap must be finite and positive"):
+            accountant.notify_cap_change(cap)
+        assert accountant.event_log == []
+
     def test_arrival_logged(self, accountant, kmeans):
         event = accountant.notify_arrival(kmeans)
         assert isinstance(event, ArrivalEvent)

@@ -57,6 +57,11 @@ class TestFeasibility:
         with pytest.raises(ConfigurationError):
             PowerAllocator(grain_w=0.0)
 
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_budget_rejected(self, csets, budget):
+        with pytest.raises(ConfigurationError, match="budget must be finite"):
+            PowerAllocator().allocate(pair(csets, "pagerank", "kmeans"), budget)
+
 
 class TestOptimality:
     def test_beats_or_matches_fair_split(self, csets):

@@ -70,6 +70,21 @@ class TestCapChange(object):
         for record in mediator.timeline:
             assert record.wall_w <= record.p_cap_w + 1e-6
 
+    @pytest.mark.parametrize("cap", [float("nan"), float("inf"), -float("inf"), 0.0])
+    def test_non_finite_or_non_positive_cap_rejected(self, make_mediator, kmeans, cap):
+        mediator = make_mediator()
+        mediator.add_application(kmeans, skip_overhead=True)
+        plan = mediator.coordinator.plan
+        with pytest.raises(ConfigurationError, match="cap must be finite and positive"):
+            mediator.set_power_cap(cap)
+        assert mediator.p_cap_w == 100.0
+        assert mediator.coordinator.plan is plan
+
+    @pytest.mark.parametrize("cap", [float("nan"), float("inf"), -float("inf"), 0.0])
+    def test_constructor_rejects_non_finite_or_non_positive_cap(self, make_mediator, cap):
+        with pytest.raises(ConfigurationError, match="cap must be finite and positive"):
+            make_mediator(cap=cap)
+
     def test_cap_raise_restores_space_mode(self, make_mediator, kmeans, pagerank):
         mediator = make_mediator(cap=80.0)
         mediator.add_application(pagerank, skip_overhead=True)
@@ -77,6 +92,27 @@ class TestCapChange(object):
         assert mediator.coordinator.plan.mode is CoordinationMode.TIME
         mediator.set_power_cap(110.0)
         assert mediator.coordinator.plan.mode is CoordinationMode.SPACE
+
+
+class TestPopulationView:
+    @pytest.mark.parametrize(
+        ("policy", "builds"), [("app+res-aware", False), ("server+res-aware", True)]
+    )
+    def test_built_only_for_a_policy_that_reads_it(
+        self, make_mediator, kmeans, monkeypatch, policy, builds
+    ):
+        built = []
+        original = PowerMediator._get_population
+
+        def recording(mediator):
+            built.append(mediator)
+            return original(mediator)
+
+        monkeypatch.setattr(PowerMediator, "_get_population", recording)
+        mediator = make_mediator(policy=policy)
+        mediator.add_application(kmeans, skip_overhead=True)
+        mediator.set_power_cap(90.0)
+        assert bool(built) is builds
 
 
 class TestArrival:

@@ -159,6 +159,12 @@ class TestModeSelection:
         with pytest.raises(ConfigurationError):
             AppResEsdAwarePolicy().plan(ctx)
 
+    @pytest.mark.parametrize("cap", [float("nan"), float("inf"), -float("inf"), 0.0])
+    def test_context_rejects_non_finite_or_non_positive_cap(self, config, oracle_sets, cap):
+        subset = {n: oracle_sets[n] for n in get_mix(10).names()}
+        with pytest.raises(ConfigurationError, match="cap must be finite and positive"):
+            PolicyContext(config=config, p_cap_w=cap, oracle=subset, estimates=subset)
+
     def test_server_res_requires_population(self, config, oracle_sets):
         mix = get_mix(10)
         subset = {n: oracle_sets[n] for n in mix.names()}

@@ -3,7 +3,13 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.learning.sampling import RandomSampler, Sampler, StratifiedSampler
+from repro.learning.sampling import (
+    AdaptiveSampler,
+    RandomSampler,
+    Sampler,
+    StratifiedSampler,
+)
+from repro.server.config import ServerConfig
 
 
 class TestBudget:
@@ -17,6 +23,23 @@ class TestBudget:
     def test_invalid_fraction_rejected(self, config, fraction):
         with pytest.raises(ConfigurationError):
             Sampler.budget_from_fraction(config, fraction)
+
+    @pytest.mark.parametrize(
+        "narrow",
+        [{}, {"cores_min": 2, "cores_max": 4}, {"freq_max_ghz": 1.6, "dram_power_max_w": 8.0}],
+    )
+    def test_budget_counts_the_knob_space(self, narrow):
+        config = ServerConfig(**narrow)
+        for fraction in (0.0001, 0.1, 0.37, 1.0):
+            assert Sampler.budget_from_fraction(config, fraction) == max(
+                1, int(round(fraction * len(config.knob_space())))
+            )
+
+    @pytest.mark.parametrize("sampler", [RandomSampler, StratifiedSampler, AdaptiveSampler])
+    @pytest.mark.parametrize("fraction", [0.0, 1.0001, -0.5, float("nan")])
+    def test_samplers_reject_fraction_at_construction(self, sampler, fraction):
+        with pytest.raises(ConfigurationError, match=r"fraction must be in \(0, 1\]"):
+            sampler(fraction)
 
 
 class TestRandomSampler:

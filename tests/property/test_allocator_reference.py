@@ -1,0 +1,269 @@
+"""Hypothesis: the one-pass max-plus knapsack equals the per-option loop.
+
+``reference_allocate`` and ``reference_envelope`` are the allocator's
+earlier implementation, kept here verbatim in substance as the reference:
+a Python loop over every Pareto option of every app, each option scanned
+into the DP row with a strict ``>``, and an envelope scan over numpy
+scalars. ``PowerAllocator.allocate`` and ``pareto_envelope`` must
+reproduce them exactly - same choices, same objective bits, same errors -
+on the inputs where ties decide the answer: equal grid costs, equal
+performance and performance equal to within the envelope's 1e-12
+tolerance, budgets of zero, below one grain, and above every demand.
+"""
+
+import math
+
+import hypothesis.strategies as st
+import numpy as np
+from hypothesis import example, given, settings
+
+from repro.core.allocator import Allocation, AppAllocation, PowerAllocator
+from repro.core.utility import CandidateSet, pareto_envelope
+from repro.errors import PowerBudgetError
+from repro.server.config import KnobSetting, ServerConfig
+from repro.server.power_model import PowerModel
+from repro.workloads.catalog import CATALOG
+
+
+def reference_envelope(candidates: CandidateSet) -> list[int]:
+    """The envelope scan over numpy scalars."""
+    order = np.lexsort((-candidates.perf, candidates.power_w))
+    frontier: list[int] = []
+    best_perf = -np.inf
+    for idx in order:
+        perf = candidates.perf[idx]
+        if perf > best_perf + 1e-12:
+            frontier.append(int(idx))
+            best_perf = perf
+    return frontier
+
+
+def reference_allocate(
+    candidates: dict[str, CandidateSet],
+    budget_w: float,
+    *,
+    grain_w: float = 0.25,
+    allow_exclusion: bool = True,
+    weights: dict[str, float] | None = None,
+) -> Allocation:
+    """The knapsack DP with one masked update per option."""
+    allocator = PowerAllocator(grain_w=grain_w, allow_exclusion=allow_exclusion)
+    names = sorted(candidates)
+    weight_of = allocator._check_weights(names, weights)  # noqa: SLF001
+    budget = max(0.0, budget_w)
+    steps = int(math.floor(budget / grain_w))
+
+    options: dict[str, list[tuple[int, float, int | None]]] = {}
+    for name in names:
+        cset = candidates[name]
+        opts: list[tuple[int, float, int | None]] = [(0, 0.0, None)]
+        for idx in reference_envelope(cset):
+            cost = int(math.ceil(cset.power_w[idx] / grain_w - 1e-9))
+            if cost <= steps:
+                utility = float(cset.perf[idx] / cset.perf_nocap)
+                if weight_of is not None:
+                    utility *= weight_of[name]
+                opts.append((cost, utility + 1e-9, idx))
+        options[name] = opts
+        if len(opts) == 1 and not allow_exclusion:
+            raise PowerBudgetError(
+                f"budget {budget_w:.2f} W cannot host {name!r} "
+                f"(cheapest config needs {cset.min_power_w:.2f} W) and "
+                "exclusion is disabled"
+            )
+
+    neg_inf = -np.inf
+    value = np.zeros(steps + 1)
+    choice = np.zeros((len(names), steps + 1), dtype=int)
+    for i, name in enumerate(names):
+        new_value = np.full(steps + 1, neg_inf)
+        for opt_idx, (cost, utility, _) in enumerate(options[name]):
+            if cost > steps:
+                continue
+            shifted = np.full(steps + 1, neg_inf)
+            if cost == 0:
+                shifted = value + utility
+            else:
+                shifted[cost:] = value[: steps + 1 - cost] + utility
+            better = shifted > new_value
+            new_value = np.where(better, shifted, new_value)
+            choice[i][better] = opt_idx
+        value = new_value
+
+    best_w = int(np.argmax(value))
+    objective = float(value[best_w])
+
+    apps: dict[str, AppAllocation] = {}
+    w = best_w
+    for i in range(len(names) - 1, -1, -1):
+        name = names[i]
+        opt_idx = int(choice[i][w])
+        cost, utility, knob_idx = options[name][opt_idx]
+        cset = candidates[name]
+        if knob_idx is None:
+            min_idx = int(np.argmin(cset.power_w))
+            apps[name] = AppAllocation(
+                app=name,
+                excluded=True,
+                knob=cset.knobs[min_idx],
+                power_w=0.0,
+                relative_perf=0.0,
+            )
+            if not allow_exclusion:
+                raise PowerBudgetError(
+                    f"budget {budget_w:.2f} W cannot host all of {names} "
+                    "simultaneously and exclusion is disabled"
+                )
+        else:
+            apps[name] = AppAllocation(
+                app=name,
+                excluded=False,
+                knob=cset.knobs[knob_idx],
+                power_w=float(cset.power_w[knob_idx]),
+                relative_perf=float(cset.perf[knob_idx] / cset.perf_nocap),
+            )
+        w -= cost
+    dp_result = Allocation(budget_w=budget_w, apps=apps, objective=objective)
+    fair = allocator.allocate_fair(candidates, budget_w, weights=weights)
+    if fair.excluded and not allow_exclusion:
+        return dp_result
+    return dp_result if dp_result.objective >= fair.objective else fair
+
+
+def outcome(solve) -> tuple:
+    """A solve's result as comparable data: the allocation or the error."""
+    try:
+        return ("allocation", solve().to_dict())
+    except PowerBudgetError as exc:
+        return ("refused", str(exc))
+
+
+_CONFIG = ServerConfig()
+_CATALOG_SETS = {
+    name: CandidateSet.from_models(profile, _CONFIG, power_model=PowerModel(_CONFIG))
+    for name, profile in CATALOG.items()
+}
+
+# Synthetic sets. Powers come from a small per-set pool, so exact power
+# ties are common; on-grid pool values tie on grid cost exactly and
+# off-grid ones round up onto shared cells. Performance is a pooled level
+# plus a jitter at and around the envelope's 1e-12 tolerance. Apps often
+# share one response curve: the DP sums of two such clones tie exactly
+# (addition commutes), which is where the first-maximum rule decides.
+_POWERS = st.one_of(
+    st.integers(min_value=0, max_value=120).map(lambda k: k * 0.25),
+    st.floats(min_value=0.0, max_value=30.0, allow_nan=False),
+)
+_PERF_LEVELS = st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0])
+_JITTER = st.sampled_from([0.0, 0.0, 0.0, 4e-13, 1e-12, -1e-12, 3e-12])
+
+
+def curve_set(app: str, power: list[float], perf: list[float], nocap: float) -> CandidateSet:
+    """A synthetic candidate set with distinct knobs."""
+    return CandidateSet(
+        app=app,
+        knobs=tuple(KnobSetting(1.0 + 0.1 * i, 1 + i % 6, 1.0 + i % 8) for i in range(len(power))),
+        power_w=np.array(power),
+        perf=np.array(perf),
+        perf_nocap=nocap,
+    )
+
+
+#: Two clones whose best plan splits the budget 1 W / 3 W: the DP cell at
+#: 4 W ties exactly between "first app cheap" and "first app dear".
+_CLONE_TIE = (
+    {name: curve_set(name, [1.0, 3.0], [0.5, 1.0], 1.0) for name in ("a", "b")},
+    4.0,
+    0.25,
+    True,
+    None,
+)
+
+
+@st.composite
+def curves(draw) -> tuple[list[float], list[float], float]:
+    """One response curve: (power, perf, perf_nocap)."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    power_pool = draw(st.lists(_POWERS, min_size=1, max_size=5))
+    perf_pool = draw(st.lists(_PERF_LEVELS, min_size=1, max_size=4))
+    power = [draw(st.sampled_from(power_pool)) for _ in range(n)]
+    perf = [draw(st.sampled_from(perf_pool)) + draw(_JITTER) for _ in range(n)]
+    if draw(st.booleans()):
+        # Perf rising with power: most points land on the frontier.
+        power, perf = sorted(power), sorted(perf)
+    return power, perf, draw(st.sampled_from([max(perf), 3.0]))
+
+
+@st.composite
+def problems(draw) -> tuple:
+    names = [f"app{i}" for i in range(draw(st.integers(min_value=1, max_value=4)))]
+    shared = draw(st.lists(curves(), min_size=1, max_size=len(names)))
+    candidates = {name: curve_set(name, *draw(st.sampled_from(shared))) for name in names}
+    grain = draw(st.sampled_from([0.25, 0.25, 0.1, 1.0]))
+    above_all = sum(c.max_power_w for c in candidates.values()) + 1.0
+    budget = draw(
+        st.one_of(
+            st.just(0.0),
+            st.floats(min_value=0.0, max_value=grain, exclude_max=True),
+            st.floats(min_value=-5.0, max_value=above_all, allow_nan=False),
+            st.just(above_all),
+        )
+    )
+    weights = draw(
+        st.none()
+        | st.dictionaries(
+            st.sampled_from(names), st.floats(min_value=0.05, max_value=1.0)
+        )
+    )
+    return candidates, budget, grain, draw(st.booleans()), weights
+
+
+class TestMatchesLoopReference:
+    @given(problem=problems())
+    @example(problem=_CLONE_TIE)
+    @settings(max_examples=200, deadline=None)
+    def test_synthetic_sets(self, problem):
+        candidates, budget, grain, allow_exclusion, weights = problem
+        for cset in candidates.values():
+            assert pareto_envelope(cset) == reference_envelope(cset)
+        allocator = PowerAllocator(grain_w=grain, allow_exclusion=allow_exclusion)
+        assert outcome(
+            lambda: allocator.allocate(candidates, budget, weights=weights)
+        ) == outcome(
+            lambda: reference_allocate(
+                candidates,
+                budget,
+                grain_w=grain,
+                allow_exclusion=allow_exclusion,
+                weights=weights,
+            )
+        )
+
+    @given(
+        apps=st.lists(st.sampled_from(sorted(CATALOG)), min_size=1, max_size=4, unique=True),
+        budget=st.one_of(
+            st.just(0.0),
+            st.just(0.2),
+            st.floats(min_value=0.0, max_value=70.0, allow_nan=False),
+            st.just(200.0),
+        ),
+        weighted=st.booleans(),
+        allow_exclusion=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_catalog_sets(self, apps, budget, weighted, allow_exclusion):
+        candidates = {name: _CATALOG_SETS[name] for name in apps}
+        weights = {apps[0]: 0.4} if weighted else None
+        allocator = PowerAllocator(allow_exclusion=allow_exclusion)
+        assert outcome(
+            lambda: allocator.allocate(candidates, budget, weights=weights)
+        ) == outcome(
+            lambda: reference_allocate(
+                candidates, budget, allow_exclusion=allow_exclusion, weights=weights
+            )
+        )
+
+    def test_catalog_envelopes(self):
+        for cset in _CATALOG_SETS.values():
+            assert pareto_envelope(cset) == reference_envelope(cset)
+
