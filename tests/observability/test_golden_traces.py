@@ -2,6 +2,8 @@
 coordination regime) must replay to their recorded content hashes - once
 under the scalar reference engine and once under the vector fast path,
 whose specs record the *same* hashes (the engines are bit-identical).
+Each regime is pinned twice more with learning on (oracle estimates off),
+so the corpus -> ALS -> fold-in path is covered by a committed hash too.
 
 When a change intentionally moves behaviour, regenerate the file and review
 its diff::
@@ -23,10 +25,17 @@ SPECS = load_specs(GOLDEN)
 
 def test_golden_file_pins_all_three_regimes():
     for engine in ("scalar", "vector"):
-        regimes = {spec.regime for spec in SPECS if spec.engine == engine}
-        assert regimes == {"space", "time", "esd"}, (
-            f"the {engine} engine must pin all three Table II regimes"
-        )
+        for oracle in (True, False):
+            regimes = {
+                spec.regime
+                for spec in SPECS
+                if spec.engine == engine and spec.use_oracle_estimates == oracle
+            }
+            route = "oracle" if oracle else "learned"
+            assert regimes == {"space", "time", "esd"}, (
+                f"the {engine} engine must pin all three Table II regimes "
+                f"on the {route} route"
+            )
     assert all(spec.trace_hash for spec in SPECS), (
         "golden file has unrecorded specs; run the regen command in this "
         "module's docstring"
@@ -35,17 +44,21 @@ def test_golden_file_pins_all_three_regimes():
 
 def test_vector_specs_record_the_scalar_hashes():
     """The equivalence contract, expressed in the golden file itself: every
-    vector spec pins the exact hash its scalar twin pins."""
-    scalar = {
-        (s.mix_id, s.policy, s.p_cap_w, s.seed): s.trace_hash
-        for s in SPECS
-        if s.engine == "scalar"
-    }
+    vector spec pins the exact hash its scalar twin pins. A learned spec and
+    its oracle twin differ only in ``use_oracle_estimates``, so that field is
+    part of the key."""
+
+    def twin_key(s: GoldenSpec) -> tuple:
+        return (s.mix_id, s.policy, s.p_cap_w, s.seed, s.use_oracle_estimates)
+
+    scalar = {twin_key(s): s.trace_hash for s in SPECS if s.engine == "scalar"}
+    assert len(scalar) == sum(s.engine == "scalar" for s in SPECS), (
+        "two scalar specs share a twin key"
+    )
     vector = [s for s in SPECS if s.engine == "vector"]
     assert vector, "golden file lost its vector specs"
     for spec in vector:
-        key = (spec.mix_id, spec.policy, spec.p_cap_w, spec.seed)
-        assert spec.trace_hash == scalar[key], (
+        assert spec.trace_hash == scalar[twin_key(spec)], (
             f"{spec.name}: vector hash diverged from its scalar twin - the "
             "engines are no longer bit-identical"
         )
