@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.engine.surface import grid_for
 from repro.errors import ConfigurationError
 from repro.server.config import KnobSetting, ServerConfig
 from repro.server.perf_model import PerformanceModel
@@ -83,7 +84,7 @@ class CandidateSet:
                 perf=surface.rate.copy(),
                 perf_nocap=float(surface.peak_rate),
             )
-        knobs = tuple(config.knob_space())
+        knobs = grid_for(config).knobs
         power = np.array([power_model.app_power_w(profile, k) for k in knobs])
         perf = np.array([perf_model.rate(profile, k) for k in knobs])
         return cls(
@@ -107,11 +108,11 @@ class CandidateSet:
         ``perf_nocap`` is taken as the estimate at the uncapped knob (which
         the stratified sampler always measures, so it is typically exact).
         """
-        knobs = tuple(config.knob_space())
+        grid = grid_for(config)
+        knobs = grid.knobs
         if len(power_w) != len(knobs) or len(perf) != len(knobs):
             raise ConfigurationError("estimate arrays must cover the knob space")
-        nocap_idx = knobs.index(config.max_knob)
-        nocap = float(perf[nocap_idx])
+        nocap = float(perf[grid.max_index])
         if nocap <= 0:
             raise ConfigurationError(f"estimated uncapped performance of {app!r} is zero")
         return cls(

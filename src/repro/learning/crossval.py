@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.engine.surface import grid_for
 from repro.errors import ConfigurationError, LearningError
 from repro.learning.collaborative import CollaborativeEstimator
 from repro.learning.matrix import PreferenceMatrix
@@ -84,23 +85,34 @@ def build_exhaustive_corpus(
     This is the "previously seen applications" store: on the paper's system
     it accretes over time; experiments bootstrap it by exhaustive offline
     profiling, optionally with measurement noise.
+
+    The exhaustive profile of an app is its response surface
+    (:mod:`repro.engine.surface`): the whole knob space characterized once
+    per (config, profile), cached, and bitwise equal to the scalar models.
+    Noise, when asked for, is drawn knob by knob in column order - power
+    draw first, then perf draw - so a seed reproduces one exact corpus.
     """
     if not profiles:
         raise ConfigurationError("need at least one profile")
-    perf_model = PerformanceModel(config)
-    power_model = PowerModel(config, perf_model)
+    grid = grid_for(config)
     rng = np.random.default_rng(seed)
     corpus = PreferenceMatrix(config)
     for profile in profiles:
-        corpus.add_app(profile.name)
-        for knob in config.knob_space():
-            power = power_model.app_power_w(profile, knob)
-            perf = perf_model.rate(profile, knob)
-            if power_noise_std_w > 0:
-                power = max(0.0, power + float(rng.normal(0.0, power_noise_std_w)))
-            if perf_noise_relative_std > 0:
-                perf = max(0.0, perf * (1.0 + float(rng.normal(0.0, perf_noise_relative_std))))
-            corpus.observe(profile.name, knob, power_w=power, perf=perf)
+        surface = grid.surface(profile)
+        power, perf = surface.app_power_w, surface.rate
+        if power_noise_std_w > 0 or perf_noise_relative_std > 0:
+            power, perf = power.tolist(), perf.tolist()
+            for j in range(len(power)):
+                if power_noise_std_w > 0:
+                    power[j] = max(
+                        0.0, power[j] + float(rng.normal(0.0, power_noise_std_w))
+                    )
+                if perf_noise_relative_std > 0:
+                    perf[j] = max(
+                        0.0,
+                        perf[j] * (1.0 + float(rng.normal(0.0, perf_noise_relative_std))),
+                    )
+        corpus.add_row(profile.name, power_w=power, perf=perf)
     return corpus
 
 
@@ -163,8 +175,8 @@ def calibrate_sampling_fraction(
         raise ConfigurationError("need at least one fraction to evaluate")
     perf_model = PerformanceModel(config)
     power_model = PowerModel(config, perf_model)
+    # Noise-free, so each row is also the held-out app's true surface.
     corpus = build_exhaustive_corpus(config, profiles)
-    space = config.knob_space()
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(profiles))
     fold_of = {profiles[int(idx)].name: i % folds for i, idx in enumerate(order)}
@@ -184,11 +196,9 @@ def calibrate_sampling_fraction(
                 continue
             train = PreferenceMatrix(config)
             for name in train_names:
-                train.add_app(name)
-                power_row = corpus.power_row(name)
-                perf_row = corpus.perf_row(name)
-                for j, knob in enumerate(space):
-                    train.observe(name, knob, power_w=power_row[j], perf=perf_row[j])
+                train.add_row(
+                    name, power_w=corpus.power_row(name), perf=corpus.perf_row(name)
+                )
             estimator = CollaborativeEstimator(rank=rank, seed=seed + fold)
             estimator.train(train)
             for name in test_names:
@@ -207,10 +217,8 @@ def calibrate_sampling_fraction(
                     )
                     sampled[knob] = (power, perf)
                 estimate = estimator.estimate(train, sampled)
-                true_power = np.array(
-                    [power_model.app_power_w(profile, k) for k in space]
-                )
-                true_perf = np.array([perf_model.rate(profile, k) for k in space])
+                true_power = corpus.power_row(name)
+                true_perf = corpus.perf_row(name)
                 chosen = _best_under_budget(estimate.power_w, estimate.perf, budget_w)
                 oracle = _best_under_budget(true_power, true_perf, budget_w)
                 power_ratios.append(true_power[chosen] / budget_w)

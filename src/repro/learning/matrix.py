@@ -9,17 +9,28 @@ column corresponds to the power allocation knob setting" - Section III-A.
 performance in work/s) and NaN marking the unobserved entries. The column
 order is the canonical knob-space order of
 :meth:`repro.server.config.ServerConfig.knob_space`, which is stable across
-runs so matrices can be persisted and compared.
+runs so matrices can be persisted and compared; the columns are read from
+the config's shared :class:`~repro.engine.surface.ConfigGrid` rather than
+enumerated again per matrix.
+
+Every stored observation is finite and non-negative; NaN is reserved for
+"unobserved", so a NaN or infinite measurement is rejected on the way in
+(:meth:`PreferenceMatrix.observe`, :meth:`PreferenceMatrix.add_row`) and on
+:meth:`PreferenceMatrix.load`.
 """
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
 
+from repro.engine.surface import grid_for
 from repro.errors import ConfigurationError, LearningError
 from repro.server.config import KnobSetting, ServerConfig
+
+_BAD_OBSERVATION = "observations must be finite and non-negative"
 
 
 class PreferenceMatrix:
@@ -31,10 +42,11 @@ class PreferenceMatrix:
 
     def __init__(self, config: ServerConfig) -> None:
         self._config = config
-        self._columns: list[KnobSetting] = config.knob_space()
-        self._column_index: dict[KnobSetting, int] = {
-            knob: i for i, knob in enumerate(self._columns)
-        }
+        grid = grid_for(config)
+        self._columns: tuple[KnobSetting, ...] = grid.knobs
+        # Shared with the grid (and every other matrix on this config):
+        # read-only here.
+        self._column_index: dict[KnobSetting, int] = grid.index
         self._rows: list[str] = []
         self._row_index: dict[str, int] = {}
         self._power = np.empty((0, len(self._columns)))
@@ -90,6 +102,32 @@ class PreferenceMatrix:
         self._power = np.vstack([self._power, blank])
         self._perf = np.vstack([self._perf, blank])
 
+    def add_row(self, app: str, *, power_w: np.ndarray, perf: np.ndarray) -> None:
+        """Add a fully observed row: one value per column, in column order.
+
+        The bulk form of :meth:`add_app` followed by one :meth:`observe` per
+        column, validated up front so a rejected row leaves the matrix as
+        it was.
+
+        Raises:
+            LearningError: if the app already has a row, or a plane does
+                not hold exactly one value per column.
+            ConfigurationError: for non-finite or negative observations.
+        """
+        power_w = np.asarray(power_w, dtype=np.float64)
+        perf = np.asarray(perf, dtype=np.float64)
+        for plane in (power_w, perf):
+            if plane.shape != (self.n_columns,):
+                raise LearningError(
+                    f"row of {app!r} must hold {self.n_columns} values, "
+                    f"got shape {plane.shape}"
+                )
+            if not (np.isfinite(plane) & (plane >= 0)).all():
+                raise ConfigurationError(_BAD_OBSERVATION)
+        self.add_app(app)
+        self._power[-1] = power_w
+        self._perf[-1] = perf
+
     def observe(
         self, app: str, knob: KnobSetting, *, power_w: float, perf: float
     ) -> None:
@@ -97,10 +135,10 @@ class PreferenceMatrix:
 
         Raises:
             LearningError: for unknown apps/knobs.
-            ConfigurationError: for negative observations.
+            ConfigurationError: for non-finite or negative observations.
         """
-        if power_w < 0 or perf < 0:
-            raise ConfigurationError("observations must be non-negative")
+        if not (math.isfinite(power_w) and math.isfinite(perf)) or power_w < 0 or perf < 0:
+            raise ConfigurationError(_BAD_OBSERVATION)
         row = self._row_of(app)
         col = self.column_of(knob)
         self._power[row, col] = power_w
@@ -160,7 +198,7 @@ class PreferenceMatrix:
         )
         np.savez(
             path,
-            apps=np.array(self._rows, dtype=object),
+            apps=np.array(self._rows, dtype=str),
             power=self._power,
             perf=self._perf,
             knob_signature=signature,
@@ -170,23 +208,51 @@ class PreferenceMatrix:
     def load(cls, path: str | os.PathLike, config: ServerConfig) -> "PreferenceMatrix":
         """Load a matrix persisted by :meth:`save`.
 
+        The file is read without unpickling (``allow_pickle=False``), so a
+        corpus from elsewhere cannot run code, and every array is checked
+        before it is adopted.
+
         Raises:
             LearningError: when the stored knob space does not match
-                ``config`` (the matrix belongs to different hardware).
+                ``config`` (the matrix belongs to different hardware), when
+                the file holds object arrays or misses an array, when a
+                plane's shape is not ``(len(apps), n_columns)``, or when it
+                holds a value that is neither NaN (unobserved) nor finite
+                and non-negative.
         """
-        with np.load(path, allow_pickle=True) as data:
-            matrix = cls(config)
-            signature = np.array(
-                [(k.freq_ghz, k.cores, k.dram_power_w) for k in matrix._columns]
+        matrix = cls(config)
+        try:
+            with np.load(path, allow_pickle=False) as data:
+                apps = data["apps"]
+                power = data["power"]
+                perf = data["perf"]
+                stored_signature = data["knob_signature"]
+        except (KeyError, ValueError) as exc:
+            raise LearningError(f"{path}: not a stored preference matrix: {exc}") from None
+        signature = np.array(
+            [(k.freq_ghz, k.cores, k.dram_power_w) for k in matrix._columns]
+        )
+        if stored_signature.shape != signature.shape or not np.allclose(
+            stored_signature, signature
+        ):
+            raise LearningError(
+                "stored knob space does not match this server configuration"
             )
-            if data["knob_signature"].shape != signature.shape or not np.allclose(
-                data["knob_signature"], signature
-            ):
+        if apps.ndim != 1 or apps.dtype.kind != "U":
+            raise LearningError(f"{path}: app names must be a 1-D string array")
+        for name, plane in (("power", power), ("perf", perf)):
+            if plane.dtype.kind != "f" or plane.shape != (len(apps), matrix.n_columns):
                 raise LearningError(
-                    "stored knob space does not match this server configuration"
+                    f"{path}: {name} plane must be a float array of shape "
+                    f"{(len(apps), matrix.n_columns)}, got {plane.dtype} {plane.shape}"
                 )
-            for app in data["apps"]:
-                matrix.add_app(str(app))
-            matrix._power = data["power"].copy()
-            matrix._perf = data["perf"].copy()
+            if not (np.isnan(plane) | (np.isfinite(plane) & (plane >= 0))).all():
+                raise LearningError(
+                    f"{path}: {name} plane holds a value that is neither NaN "
+                    "nor finite and non-negative"
+                )
+        for app in apps.tolist():
+            matrix.add_app(app)
+        matrix._power = power.astype(np.float64)
+        matrix._perf = perf.astype(np.float64)
         return matrix

@@ -21,6 +21,7 @@ import abc
 
 import numpy as np
 
+from repro.engine.surface import grid_for
 from repro.errors import ConfigurationError
 from repro.server.config import KnobSetting, ServerConfig
 
@@ -126,7 +127,7 @@ class RandomSampler(Sampler):
         return self._fraction
 
     def select(self, config: ServerConfig) -> list[KnobSetting]:
-        space = config.knob_space()
+        space = grid_for(config).knobs
         budget = self.budget_from_fraction(config, self._fraction)
         rng = np.random.default_rng(self._seed)
         indices = rng.choice(len(space), size=budget, replace=False)
@@ -164,7 +165,7 @@ class StratifiedSampler(Sampler):
         return self._fraction
 
     def select(self, config: ServerConfig) -> list[KnobSetting]:
-        space = config.knob_space()
+        space = grid_for(config).knobs
         budget = self.budget_from_fraction(config, self._fraction)
         deterministic: list[KnobSetting] = [config.max_knob, config.min_knob]
         fmax, nmax, mmax = (
@@ -264,15 +265,15 @@ class AdaptiveSampler(Sampler):
 
         if not estimator.is_trained:
             raise LearningError("adaptive sampling needs a trained estimator")
+        space = grid_for(config).knobs
         budget = self.budget_from_fraction(config, self._fraction)
         bootstrap_budget = max(2, int(round(budget * self._bootstrap_fraction)))
-        bootstrap_fraction = bootstrap_budget / len(config.knob_space())
+        bootstrap_fraction = bootstrap_budget / len(space)
         plan = StratifiedSampler(bootstrap_fraction, seed=self._seed).select(config)
         samples: dict[KnobSetting, tuple[float, float]] = {
             knob: measure(knob) for knob in plan[:bootstrap_budget]
         }
         rng = np.random.default_rng(self._seed + 1)
-        space = config.knob_space()
         while len(samples) < budget:
             measured = list(samples)
             if len(measured) < 4:

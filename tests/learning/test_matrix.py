@@ -91,3 +91,62 @@ class TestMasks:
         row = matrix.power_row("a")
         row[:] = 0.0
         assert matrix.power_row("a")[matrix.column_of(config.max_knob)] == 5.0
+
+
+class TestValidation:
+    """NaN means "unobserved", so no measurement may be NaN, infinite or
+    negative."""
+
+    @pytest.mark.parametrize(
+        "power_w, perf",
+        [(float("nan"), 1.0), (1.0, float("nan")), (float("inf"), 1.0), (1.0, float("inf"))],
+    )
+    def test_non_finite_observation_rejected(self, matrix, config, power_w, perf):
+        matrix.add_app("a")
+        with pytest.raises(ConfigurationError, match="finite and non-negative"):
+            matrix.observe("a", config.max_knob, power_w=power_w, perf=perf)
+        assert matrix.row_observation_count("a") == 0
+
+
+class TestAddRow:
+    def test_equals_add_app_then_observe(self, matrix, config):
+        power = np.linspace(5.0, 30.0, matrix.n_columns)
+        perf = np.linspace(0.1, 2.0, matrix.n_columns)
+        matrix.add_row("a", power_w=power, perf=perf)
+        cellwise = PreferenceMatrix(config)
+        cellwise.add_app("a")
+        for j, knob in enumerate(config.knob_space()):
+            cellwise.observe("a", knob, power_w=power[j], perf=perf[j])
+        assert np.array_equal(matrix.power_rows(), cellwise.power_rows())
+        assert np.array_equal(matrix.perf_rows(), cellwise.perf_rows())
+        assert matrix.density() == 1.0
+
+    def test_row_is_copied(self, matrix):
+        power = np.ones(matrix.n_columns)
+        matrix.add_row("a", power_w=power, perf=np.ones(matrix.n_columns))
+        power[:] = 9.0
+        assert (matrix.power_row("a") == 1.0).all()
+
+    def test_duplicate_app_rejected(self, matrix):
+        ones = np.ones(matrix.n_columns)
+        matrix.add_row("a", power_w=ones, perf=ones)
+        with pytest.raises(LearningError, match="already has a row"):
+            matrix.add_row("a", power_w=ones, perf=ones)
+
+    @pytest.mark.parametrize("plane", ["power_w", "perf"])
+    def test_wrong_length_rejected(self, matrix, plane):
+        rows = {"power_w": np.ones(matrix.n_columns), "perf": np.ones(matrix.n_columns)}
+        rows[plane] = rows[plane][:-1]
+        with pytest.raises(LearningError, match="must hold"):
+            matrix.add_row("a", **rows)
+        assert matrix.apps == []
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("plane", ["power_w", "perf"])
+    def test_bad_value_rejected_and_matrix_unchanged(self, matrix, plane, bad):
+        rows = {"power_w": np.ones(matrix.n_columns), "perf": np.ones(matrix.n_columns)}
+        rows[plane][17] = bad
+        with pytest.raises(ConfigurationError, match="finite and non-negative"):
+            matrix.add_row("a", **rows)
+        assert matrix.apps == []
+        assert matrix.power_rows().shape == (0, matrix.n_columns)
