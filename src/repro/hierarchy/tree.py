@@ -26,6 +26,7 @@ string form (``"2.0"``) is the CLI / fault-plan spelling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,7 +130,7 @@ class TreeSpec:
 
     @property
     def n_leaves(self) -> int:
-        return int(np.prod(self.fanouts))
+        return math.prod(self.fanouts)
 
     def to_dict(self) -> dict:
         return {
@@ -232,16 +233,18 @@ class TreeTopology:
         return sorted(p for p in self.safe_caps_w if len(p) == self.depth)
 
     def leaf_index(self, path: Path) -> int:
-        """Flat leaf id (row-major over the fanouts) of a leaf path."""
-        if len(path) != self.depth:
+        """Flat leaf id (row-major over the fanouts) of a leaf path.
+
+        Raises:
+            ConfigurationError: for any path that is not a leaf of this
+                tree - an out-of-range index would otherwise alias another
+                leaf (or, negative, the end of a cap row).
+        """
+        if len(path) != self.depth or not self.exists(path):
             raise ConfigurationError(
-                f"{format_path(path)} is not a leaf path"
+                f"{format_path(path)} is not a leaf path of this tree"
             )
-        index = 0
-        for level, part in enumerate(path):
-            stride = int(np.prod(self.spec.fanouts[level + 1 :], initial=1))
-            index += part * stride
-        return index
+        return self._row_major(path)
 
     def leaves_under(self, path: Path) -> range:
         """Flat leaf ids inside the subtree rooted at ``path``."""
@@ -249,13 +252,16 @@ class TreeTopology:
             raise ConfigurationError(
                 f"node {format_path(path)} does not exist in this tree"
             )
-        stride = int(np.prod(self.spec.fanouts[len(path) :], initial=1))
-        start = 0
-        for level, part in enumerate(path):
-            start += part * int(
-                np.prod(self.spec.fanouts[level + 1 :], initial=1)
-            )
+        stride = math.prod(self.spec.fanouts[len(path) :])
+        start = self._row_major(path) * stride
         return range(start, start + stride)
+
+    def _row_major(self, path: Path) -> int:
+        """Index of ``path`` among the nodes of its level, row-major."""
+        index = 0
+        for part, fanout in zip(path, self.spec.fanouts):
+            index = index * fanout + part
+        return index
 
 
 # -------------------------------------------------------- failure domains

@@ -99,6 +99,33 @@ class TestTopology:
         assert [topo.leaf_index(p) for p in topo.leaf_paths()] == list(range(6))
         assert topo.leaf_index((1, 2)) == 5
 
+    @pytest.mark.parametrize(
+        "path",
+        [
+            (0, 4),  # would alias leaf (1, 1)
+            (5, 0),  # past the last leaf
+            (-1, 2),  # would index the end of a cap row
+            (1,),  # interior, not a leaf
+            (0, 1, 0),  # deeper than the tree
+        ],
+    )
+    def test_leaf_index_rejects_paths_the_tree_lacks(self, path):
+        topo = topology(fanouts=(2, 3))
+        with pytest.raises(ConfigurationError, match="not a leaf path"):
+            topo.leaf_index(path)
+
+    def test_leaf_index_and_leaves_under_agree_on_a_deep_tree(self):
+        topo = topology(fanouts=(3, 2, 4), budget_w=2400.0)
+        ids = [topo.leaf_index(p) for p in topo.leaf_paths()]
+        assert ids == list(range(topo.n_leaves))
+        for path in topo.safe_caps_w:
+            under = [
+                topo.leaf_index(leaf)
+                for leaf in topo.leaf_paths()
+                if leaf[: len(path)] == path
+            ]
+            assert topo.leaves_under(path) == range(under[0], under[-1] + 1)
+
     def test_leaves_under_subtree(self):
         topo = topology(fanouts=(2, 3))
         assert topo.leaves_under((1,)) == range(3, 6)
