@@ -497,7 +497,7 @@ class PowerMediator:
 
     # ---------------------------------------------------------- persistence
 
-    def state_dict(self) -> dict:
+    def state_dict(self, *, timeline_from: int = 0) -> dict:
         """Snapshot every piece of mutable mediation state.
 
         Together with the constructor recipe (server config, policy name,
@@ -509,7 +509,17 @@ class PowerMediator:
         in full. Derived artifacts (corpus, trained estimator, population
         view, fallback policy) are deliberately absent - they are
         deterministic functions of the recipe and rebuild lazily.
+
+        Args:
+            timeline_from: Leave the first ``timeline_from`` timeline
+                records out of the snapshot, for a caller that already
+                holds them (the service's append-only timeline log). The
+                snapshot restores only once they are put back in front.
         """
+        if not 0 <= timeline_from <= len(self._timeline):
+            raise ValueError(
+                f"timeline_from must be in [0, {len(self._timeline)}], got {timeline_from}"
+            )
         esd = self._coordinator.esd_controller
         return {
             "rng": self._rng.bit_generator.state,
@@ -535,7 +545,7 @@ class PowerMediator:
             },
             "estimates": {name: cs.to_dict() for name, cs in self._estimates.items()},
             "oracle": {name: cs.to_dict() for name, cs in self._oracle.items()},
-            "timeline": [_tick_record_to_dict(r) for r in self._timeline],
+            "timeline": [_tick_record_to_dict(r) for r in self._timeline[timeline_from:]],
             "calibration_pending_s": self._calibration_pending_s,
             "coordinator": self._coordinator.state_dict(),
             "esd_controller": None if esd is None else esd.state_dict(),

@@ -107,17 +107,18 @@ class StreamingTraceBus(TraceBus):
         for event in self._events:
             if evicted >= excess:
                 break
+            line = None
             if not event.is_meta:
                 if event.seq >= self._seal_mark:
                     break  # still truncatable; must stay in memory
                 # Prefix eviction in storage order keeps sealed seqs contiguous.
                 assert event.seq == self._sealed_through
-                self._sealed_digest.update(canonical_line(event).encode("utf-8"))
-                self._sealed_digest.update(b"\n")
+                line = canonical_line(event) + "\n"
+                self._sealed_digest.update(line.encode("utf-8"))
                 self._sealed_through = event.seq + 1
             if self._sink is not None:
                 try:
-                    self._sink.write(canonical_line(event) + "\n")
+                    self._sink.write(line or (canonical_line(event) + "\n"))
                 except OSError as exc:
                     raise TraceError(f"cannot write trace sink: {exc}") from None
             evicted += 1

@@ -340,22 +340,27 @@ def write_trace(path: str | os.PathLike, source: TraceBus | Iterable[TraceEvent]
 
 
 def read_trace(path: str | os.PathLike) -> list[TraceEvent]:
-    """Parse a JSONL trace file; raises one-line :class:`TraceError` on damage."""
+    """Parse a JSONL trace file; raises one-line :class:`TraceError` on damage.
+
+    Lines are parsed as they are read, so the file's text is never held
+    alongside the events it decodes to.
+    """
+    events: list[TraceEvent] = []
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
+            for index, line in enumerate(handle):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    doc = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise TraceError(
+                        f"{path}: line {index + 1} is not valid JSON: {exc.msg}"
+                    ) from exc
+                events.append(TraceEvent.from_dict(doc, path=f"{path}: line {index + 1}"))
     except OSError as exc:
         raise TraceError(f"cannot read trace {path}: {exc.strerror or exc}") from exc
-    events: list[TraceEvent] = []
-    for index, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceError(f"{path}: line {index + 1} is not valid JSON: {exc.msg}") from exc
-        events.append(TraceEvent.from_dict(doc, path=f"{path}: line {index + 1}"))
     return events
 
 

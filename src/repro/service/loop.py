@@ -18,10 +18,12 @@ traffic. Each sim-time tick executes a fixed pipeline:
    mediator, and acknowledged to its client;
 6. **mediate** - one mediator tick (allocation, actuation, accounting);
 7. **publish** - completion deliveries and periodic telemetry broadcasts;
-8. **durability** - the tick is journaled; on the checkpoint cadence a
-   service checkpoint (mediator recipe + state, population cursor, ingest
-   buffer, sessions, pending offers, metrics) lands atomically, its journal
-   marker is fsynced, and retention compacts everything behind it.
+8. **durability** - the tick is journaled; on the checkpoint cadence the
+   timeline records since the last checkpoint are appended to the timeline
+   log and fsynced, a service checkpoint (mediator recipe + the rest of its
+   state, population cursor, ingest buffer, sessions, pending offers,
+   metrics, and the count of log records it covers) lands atomically, its
+   journal marker is fsynced, and retention compacts everything behind it.
 
 **Crash model.** A :class:`ServiceKilled` raised by the kill hook destroys
 the in-flight process state; the journal keeps only what was fsynced (a
@@ -83,7 +85,17 @@ __all__ = ["MediatorService", "ServiceConfig", "ServiceKilled"]
 SERVICE_CHECKPOINT_SCHEMA = "repro-service-checkpoint"
 
 #: Service checkpoint format version; bump on incompatible layout changes.
-SERVICE_CHECKPOINT_VERSION = 1
+#: Version 2 keeps the mediator timeline out of the document: it lives in
+#: the append-only :data:`TIMELINE_LOG`, and the document records how many
+#: of the log's records it covers.
+SERVICE_CHECKPOINT_VERSION = 2
+
+#: The mediator timeline's log in the checkpoint directory: one
+#: ``TickRecord`` JSON line each, appended at every checkpoint and never
+#: pruned (the timeline is what the cap-invariant audit reads).
+TIMELINE_LOG = "timeline.jsonl"
+
+_LINE_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 class ServiceKilled(ReproError):
@@ -212,7 +224,8 @@ class MediatorService:
     Args:
         config: The run's :class:`ServiceConfig`.
         workdir: Durability root; the journal lands in ``workdir/journal``
-            and service checkpoints in ``workdir/checkpoints``.
+            and service checkpoints, with their timeline log, in
+            ``workdir/checkpoints``.
         churn: Optional deterministic churn schedule - any object with
             ``at(tick) -> list[("connect" | "disconnect", client)]``. Must
             be a pure function of the tick so crash re-execution
@@ -243,6 +256,14 @@ class MediatorService:
         self._journal_dir = self._workdir / "journal"
         self._checkpoint_dir = self._workdir / "checkpoints"
         self._checkpoint_dir.mkdir(parents=True, exist_ok=True)
+        self._timeline_log = self._checkpoint_dir / TIMELINE_LOG
+        try:
+            self._timeline_log.write_bytes(b"")
+        except OSError as exc:
+            raise CheckpointError(
+                f"cannot create timeline log {self._timeline_log}: {exc}"
+            ) from None
+        self._timeline_logged = 0  # mediator timeline records in the log
         self._churn = churn
         self._tick_hook = tick_hook
         self._tear_bytes = tear_journal_bytes_on_crash
@@ -613,13 +634,29 @@ class MediatorService:
 
     def _checkpoint(self) -> None:
         assert self._journal is not None
+        # The timeline grows with the run, so it is appended, not rewritten:
+        # only the records since the last checkpoint are encoded, and they
+        # are durable before the document that counts them.
+        state = self._mediator.state_dict(timeline_from=self._timeline_logged)
+        new_records = state.pop("timeline")
+        try:
+            with open(self._timeline_log, "a", encoding="utf-8") as handle:
+                handle.writelines(_LINE_ENCODER.encode(r) + "\n" for r in new_records)
+                handle.flush()
+                os.fsync(handle.fileno())
+        except OSError as exc:
+            raise CheckpointError(
+                f"cannot append to timeline log {self._timeline_log}: {exc}"
+            ) from None
+        self._timeline_logged += len(new_records)
         doc = {
             "schema": SERVICE_CHECKPOINT_SCHEMA,
             "version": SERVICE_CHECKPOINT_VERSION,
             "tick": self._tick,
             "sim_time_s": self._mediator.server.now_s,
             "mediator_recipe": self._recipe.to_dict(),
-            "mediator_state": self._mediator.state_dict(),
+            "mediator_state": state,
+            "timeline_records": self._timeline_logged,
             "population": self._population.state_dict(),
             "ingest": self._ingest.state_dict(),
             "sessions": self._sessions.state_dict(),
@@ -634,7 +671,7 @@ class MediatorService:
         tmp = path.with_name(path.name + ".tmp")
         try:
             with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(doc, handle)
+                handle.write(json.dumps(doc))
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp, path)
@@ -693,12 +730,15 @@ class MediatorService:
                 "cannot recover"
             )
         doc = self._read_service_checkpoint(self._checkpoint_dir / marker["path"])
+        self._timeline_logged = doc["timeline_records"]
+        state = doc["mediator_state"]
+        state["timeline"] = self._read_timeline_log(self._timeline_logged)
 
         # Restore every piece of deterministic state at the checkpoint tick.
         recipe = RunRecipe.from_dict(doc["mediator_recipe"], where="checkpoint.recipe")
         mediator = recipe.build()
         try:
-            mediator.load_state_dict(doc["mediator_state"])
+            mediator.load_state_dict(state)
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise CheckpointError(
                 f"checkpoint.mediator_state: does not match its recipe "
@@ -758,6 +798,36 @@ class MediatorService:
         self._checkpoint()  # forward progress: repeated crashes never loop
         self._retention.prune_checkpoints(self._checkpoint_dir)
 
+    def _read_timeline_log(self, covered: int) -> list[dict]:
+        """The first ``covered`` records of the timeline log, cutting the log
+        after them: whatever follows was appended by a checkpoint that never
+        became durable, and appending resumes from the cut."""
+        log = self._timeline_log
+        records: list[dict] = []
+        try:
+            with open(log, "rb") as handle:
+                for number in range(1, covered + 1):
+                    line = handle.readline()
+                    if not line.endswith(b"\n"):
+                        raise CheckpointError(
+                            f"{log}: holds {number - 1} whole records, the "
+                            f"checkpoint covers {covered}"
+                        )
+                    try:
+                        record = json.loads(line)
+                    except ValueError as exc:
+                        raise CheckpointError(
+                            f"{log}: line {number} is not valid JSON ({exc})"
+                        ) from None
+                    if not isinstance(record, dict):
+                        raise CheckpointError(f"{log}: line {number} is not a JSON object")
+                    records.append(record)
+                end = handle.tell()
+            os.truncate(log, end)
+        except OSError as exc:
+            raise CheckpointError(f"cannot read timeline log {log}: {exc}") from None
+        return records
+
     def _read_service_checkpoint(self, path: Path) -> dict:
         try:
             text = path.read_text(encoding="utf-8")
@@ -775,5 +845,10 @@ class MediatorService:
             raise CheckpointError(
                 f"{path}: service checkpoint version {doc.get('version')!r} is not "
                 f"supported (this build reads version {SERVICE_CHECKPOINT_VERSION})"
+            )
+        covered = doc.get("timeline_records")
+        if not isinstance(covered, int) or covered < 0:
+            raise CheckpointError(
+                f"{path}: no count of {TIMELINE_LOG} records (timeline_records)"
             )
         return doc

@@ -1,7 +1,7 @@
 """Retention: bounded memory and disk for an indefinitely running service.
 
 Three things grow without bound in a naive service: the in-memory trace,
-the on-disk journal, and the checkpoint directory. The
+the on-disk journal, and the checkpoint documents. The
 :class:`RetentionManager` compacts all three on a fixed tick cadence, and
 the bound it enforces is always anchored to the **latest durable
 checkpoint** - nothing a future recovery could still need is ever evicted:
@@ -18,6 +18,11 @@ checkpoint** - nothing a future recovery could still need is ever evicted:
 
 Footprints are published as ``service.retention.*`` gauges so a soak can
 assert boundedness instead of trusting it.
+
+One store is deliberately left to grow with the run: the mediator's
+timeline, in memory and in the checkpoints' ``timeline.jsonl`` log, gains
+one record a tick and is never pruned, because it is the record
+:func:`~repro.core.simulation.verify_cap_invariant` audits.
 """
 
 from __future__ import annotations

@@ -86,6 +86,17 @@ def test_checkpoint_document_is_pure_json(tmp_path, stream, kmeans):
     assert rebuilt.timeline[-1] == direct.timeline[-1]
 
 
+def test_state_dict_can_leave_out_a_timeline_prefix(stream, kmeans):
+    _, mediator = _started_mediator(stream, kmeans)
+    full = mediator.state_dict()
+    assert len(full["timeline"]) == 15
+    for k in (0, 7, 15):
+        assert mediator.state_dict(timeline_from=k) == {**full, "timeline": full["timeline"][k:]}
+    for k in (-1, 16):
+        with pytest.raises(ValueError, match="timeline_from"):
+            mediator.state_dict(timeline_from=k)
+
+
 def test_filenames_sort_chronologically(tmp_path, stream, kmeans):
     recipe, mediator = _started_mediator(stream, kmeans, ticks=5)
     first = write_checkpoint(tmp_path, mediator, recipe)

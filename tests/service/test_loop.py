@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import CheckpointError, ConfigurationError
 from repro.persistence.segments import read_segmented
 from repro.service import MediatorService, ServiceConfig, ServiceKilled
+from repro.service.loop import TIMELINE_LOG
 from repro.workloads import BurstWindow
 
 # The small, fast recipe lives in the shared ``service_cfg`` fixture
@@ -84,34 +87,164 @@ def test_journal_records_the_command_stream(service_cfg, tmp_path):
     assert indices == sorted(indices)
 
 
-def test_kill_and_warm_restart_is_invisible_in_the_stream(service_cfg, tmp_path):
-    baseline = MediatorService(ServiceConfig(**service_cfg), tmp_path / "base")
-    baseline.run_for_ticks(160)
-    baseline.close()
+@pytest.fixture(scope="module")
+def baseline(service_cfg, tmp_path_factory):
+    """The uninterrupted 160-tick run every kill schedule must reproduce."""
+    service = MediatorService(ServiceConfig(**service_cfg), tmp_path_factory.mktemp("base"))
+    service.run_for_ticks(160)
+    service.close()
+    return service
 
-    def killer(tick, fired=[]):
-        if tick == 77 and not fired:
-            fired.append(tick)
+
+def _killer(*ticks, before=None):
+    """A tick hook that kills the service once at each of ``ticks``, calling
+    ``before()`` first when given (to damage what recovery will read)."""
+    pending = set(ticks)
+
+    def hook(tick):
+        if tick in pending:
+            pending.discard(tick)
+            if before is not None:
+                before()
             raise ServiceKilled("chaos")
 
-    chaos = MediatorService(
-        ServiceConfig(**service_cfg),
-        tmp_path / "chaos",
-        tick_hook=killer,
-        tear_journal_bytes_on_crash=128,
-    )
-    chaos.run_for_ticks(160)
-    chaos.close()
+    return hook
+
+
+def _assert_same_run(chaos, baseline):
     assert chaos.tick == 160
     assert chaos.content_hash() == baseline.content_hash()
-    counters = dict(chaos.metrics.counters())
-    assert counters["service.restarts"] == 1
-    assert counters["service.replayed_ticks"] >= 1
+    assert chaos.mediator.timeline == baseline.mediator.timeline
     # Sim-side accounting matches the uninterrupted run exactly.
+    counters = dict(chaos.metrics.counters())
     base_counters = dict(baseline.metrics.counters())
     for name in ("service.sessions.deliveries", "service.admit.admitted",
                  "service.commands.cap_applied", "service.ingest.accepted"):
         assert counters.get(name) == base_counters.get(name), name
+
+
+def test_kill_and_warm_restart_is_invisible_in_the_stream(service_cfg, tmp_path, baseline):
+    chaos = MediatorService(
+        ServiceConfig(**service_cfg),
+        tmp_path / "chaos",
+        tick_hook=_killer(77),
+        tear_journal_bytes_on_crash=128,
+    )
+    chaos.run_for_ticks(160)
+    chaos.close()
+    _assert_same_run(chaos, baseline)
+    counters = dict(chaos.metrics.counters())
+    assert counters["service.restarts"] == 1
+    assert counters["service.replayed_ticks"] >= 1
+
+
+@pytest.mark.parametrize(
+    "kills",
+    [(99,), (100,), (101,), (77, 78)],
+    ids=["before-checkpoint", "checkpoint-tick", "after-checkpoint", "two-in-a-row"],
+)
+def test_recovered_timeline_equals_the_uninterrupted_one(
+    service_cfg, tmp_path, baseline, kills
+):
+    # Checkpoints land every 50 ticks: the one at tick 100 is written at the
+    # end of tick 99, so a kill at 99 replays from 50 and one at 100 from 100.
+    chaos = MediatorService(ServiceConfig(**service_cfg), tmp_path, tick_hook=_killer(*kills))
+    chaos.run_for_ticks(160)
+    chaos.close()
+    _assert_same_run(chaos, baseline)
+    assert dict(chaos.metrics.counters())["service.restarts"] == len(kills)
+
+
+def _log_lines(workdir):
+    return (workdir / "checkpoints" / TIMELINE_LOG).read_bytes().splitlines(keepends=True)
+
+
+def test_checkpoints_append_the_timeline_to_the_log(service_cfg, tmp_path):
+    log = tmp_path / "checkpoints" / TIMELINE_LOG
+    log.parent.mkdir()
+    log.write_text("left over from another run\n")
+    service = MediatorService(ServiceConfig(**service_cfg), tmp_path)
+    assert log.read_bytes() == b""  # a fresh run starts a fresh log
+    service.run_for_ticks(120)  # checkpoints at ticks 0, 50 and 100
+    service.close()
+    records = [json.loads(line) for line in _log_lines(tmp_path)]
+    assert records == service.mediator.state_dict()["timeline"][:100]
+    doc = json.loads((tmp_path / "checkpoints" / "svc-00000100.json").read_text())
+    assert doc["version"] == 2
+    assert doc["timeline_records"] == 100
+    assert "timeline" not in doc["mediator_state"]
+
+
+def test_log_records_past_the_durable_count_are_dropped(service_cfg, tmp_path, baseline):
+    def append_strays():
+        # What a checkpoint that never became durable may leave behind: one
+        # whole record and one torn half line past the count.
+        last = _log_lines(tmp_path)[-1]
+        with open(tmp_path / "checkpoints" / TIMELINE_LOG, "ab") as handle:
+            handle.write(last + last[: len(last) // 2])
+
+    chaos = MediatorService(
+        ServiceConfig(**service_cfg), tmp_path, tick_hook=_killer(120, before=append_strays)
+    )
+    chaos.run_for_ticks(160)
+    chaos.close()
+    _assert_same_run(chaos, baseline)
+    records = [json.loads(line) for line in _log_lines(tmp_path)]
+    assert records == chaos.mediator.state_dict()["timeline"][:150]
+
+
+def _rewrite_log_line(workdir, index, line):
+    lines = _log_lines(workdir)
+    lines[index] = line
+    (workdir / "checkpoints" / TIMELINE_LOG).write_bytes(b"".join(lines))
+
+
+def _rewrite_document(workdir, edit):
+    path = workdir / "checkpoints" / "svc-00000100.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+def _keep_log_bytes(workdir, lines, extra=0):
+    kept = _log_lines(workdir)
+    (workdir / "checkpoints" / TIMELINE_LOG).write_bytes(
+        b"".join(kept[:lines]) + kept[lines][:extra]
+    )
+
+
+@pytest.mark.parametrize(
+    ("tamper", "message"),
+    [
+        (lambda w: _keep_log_bytes(w, 60),
+         f"{TIMELINE_LOG}: holds 60 whole records, the checkpoint covers 100"),
+        (lambda w: _keep_log_bytes(w, 99, extra=20),
+         f"{TIMELINE_LOG}: holds 99 whole records, the checkpoint covers 100"),
+        (lambda w: _rewrite_log_line(w, 9, b'{"time_s": \n'),
+         f"{TIMELINE_LOG}: line 10 is not valid JSON"),
+        (lambda w: _rewrite_log_line(w, 9, b"[1, 2]\n"),
+         f"{TIMELINE_LOG}: line 10 is not a JSON object"),
+        (lambda w: _rewrite_document(w, lambda doc: doc.update(version=1)),
+         "svc-00000100.json: service checkpoint version 1 is not supported"),
+        (lambda w: _rewrite_document(w, lambda doc: doc.pop("timeline_records")),
+         "svc-00000100.json: no count of"),
+    ],
+    ids=["log-short", "log-torn-inside", "line-malformed", "line-not-object",
+         "version-1", "count-missing"],
+)
+def test_a_log_that_disagrees_fails_in_one_line(service_cfg, tmp_path, tamper, message):
+    # The kill at 120 recovers from the checkpoint at 100, which covers 100 records.
+    service = MediatorService(
+        ServiceConfig(**service_cfg),
+        tmp_path,
+        tick_hook=_killer(120, before=lambda: tamper(tmp_path)),
+    )
+    with pytest.raises(CheckpointError) as excinfo:
+        service.run_for_ticks(160)
+    service.close()
+    text = str(excinfo.value)
+    assert message in text
+    assert "\n" not in text
 
 
 def test_block_policy_defers_bursts_without_loss(service_cfg, tmp_path):

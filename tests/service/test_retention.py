@@ -7,6 +7,7 @@ import pytest
 from repro.errors import ConfigurationError, TraceError
 from repro.observability import StreamingTraceBus, TraceBus
 from repro.observability.metrics import MetricsRegistry
+from repro.observability.trace import canonical_line
 from repro.persistence import SegmentedJournalWriter, list_segments
 from repro.service import RetentionConfig, RetentionManager
 
@@ -99,7 +100,9 @@ def test_retention_pass_bounds_everything(tmp_path):
 def test_trace_spill_sink_receives_evicted_events(tmp_path):
     sink = tmp_path / "spill.jsonl"
     bus = StreamingTraceBus(retain_events=4, sink_path=sink)
+    plain = TraceBus()
     _emit_ticks(bus, 20)
+    _emit_ticks(plain, 20)
     bus.set_seal_mark(bus.mark())
     bus.compact()
     bus.close_sink()
@@ -109,3 +112,11 @@ def test_trace_spill_sink_receives_evicted_events(tmp_path):
 
     seqs = [json.loads(line)["seq"] for line in lines if json.loads(line)["seq"] is not None]
     assert seqs == sorted(seqs)
+    # The sink holds the canonical line of every evicted event (meta ones
+    # included), newline-terminated, in stream order; the window the rest.
+    expected = [canonical_line(event) + "\n" for event in plain.events]
+    assert sink.read_text() == "".join(expected[: bus.sealed_events])
+    assert [canonical_line(event) + "\n" for event in bus.events] == expected[
+        bus.sealed_events :
+    ]
+    assert bus.content_hash() == plain.content_hash()
