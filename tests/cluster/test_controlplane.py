@@ -1,4 +1,8 @@
-"""The cap-distribution control plane: safety, leases, epochs, recovery."""
+"""The cap-distribution control plane: safety, leases, epochs, recovery.
+
+Whole-schedule replays run the plane as a depth-1 budget tree: one
+controller over ``n_nodes`` servers.
+"""
 
 import pytest
 
@@ -8,9 +12,9 @@ from repro.cluster.controlplane import (
     ControlPlaneConfig,
     NodeAgent,
     SetCapCmd,
-    run_control_plane,
 )
 from repro.errors import NetworkError
+from repro.hierarchy import TreeSpec, run_budget_tree
 from repro.netsim import CONTROLLER, NetConfig, PartitionWindow, SimNetwork
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.trace import (
@@ -20,16 +24,18 @@ from repro.observability.trace import (
 )
 
 
-def clean_run(n_nodes=4, budget_w=400.0, steps=30, **kwargs):
-    defaults = dict(
-        n_nodes=n_nodes,
-        budget_w=budget_w,
-        loaded_counts=[n_nodes] * steps,
-        net=NetConfig(seed=1),
-        quantum_w=2.0,
-    )
+def flat_run(n_nodes, budget_w, loaded_counts, **kwargs):
+    """Replay one controller over ``n_nodes`` servers (a depth-1 tree)."""
+    spec = TreeSpec(fanouts=(n_nodes,), budget_w=budget_w, quantum_w=2.0)
+    return run_budget_tree(spec, loaded_counts, **kwargs)
+
+
+def clean_run(n_nodes=4, budget_w=400.0, steps=30, loaded_counts=None, **kwargs):
+    defaults = dict(net=NetConfig(seed=1))
     defaults.update(kwargs)
-    return run_control_plane(**defaults)
+    if loaded_counts is None:
+        loaded_counts = [n_nodes] * steps
+    return flat_run(n_nodes, budget_w, loaded_counts, **defaults)
 
 
 class TestConfigValidation:
@@ -51,44 +57,37 @@ class TestConfigValidation:
 
     def test_bad_schedules(self):
         with pytest.raises(NetworkError):
-            run_control_plane(
-                n_nodes=2, budget_w=100.0, loaded_counts=[], net=NetConfig()
-            )
+            flat_run(2, 100.0, [], net=NetConfig())
         with pytest.raises(NetworkError):
-            run_control_plane(
-                n_nodes=2, budget_w=100.0, loaded_counts=[3], net=NetConfig()
-            )
+            flat_run(2, 100.0, [3], net=NetConfig())
         with pytest.raises(NetworkError):
-            run_control_plane(
-                n_nodes=2,
-                budget_w=100.0,
-                loaded_counts=[1, 1],
-                down_sets=[frozenset()],
-                net=NetConfig(),
+            flat_run(
+                2, 100.0, [1, 1], leaf_down_sets=[frozenset()], net=NetConfig()
             )
 
 
 class TestCleanNetwork:
     def test_converges_to_even_full_budget_split(self):
         out = clean_run()
-        assert out.safe_cap_w == 90.0  # quantized (1-0.1)*400/4
+        assert out.safe_caps_by_level_w[0] == 90.0  # quantized (1-0.1)*400/4
         assert out.caps_w[0] == (90.0,) * 4  # nothing granted yet: safe caps
         assert out.caps_w[-1] == (100.0,) * 4  # full budget distributed
         assert out.max_total_cap_w <= out.budget_w + 1e-6
 
     def test_epochs_are_unique_and_monotone_per_node(self):
         out = clean_run()
-        assert len(set(out.node_epochs)) == len(out.node_epochs)
-        assert all(0 < e <= out.final_epoch for e in out.node_epochs)
+        assert len(set(out.leaf_epochs)) == len(out.leaf_epochs)
+        assert all(0 < e <= out.final_epochs["root"] for e in out.leaf_epochs)
 
     def test_unloaded_nodes_hold_safe_cap_only(self):
         out = clean_run(loaded_counts=[2] * 30)
         final = out.caps_w[-1]
-        assert final[2] == final[3] == out.safe_cap_w
-        assert final[0] == final[1] > out.safe_cap_w
+        safe = out.safe_caps_by_level_w[0]
+        assert final[2] == final[3] == safe
+        assert final[0] == final[1] > safe
 
     def test_rated_cap_clamps_grants(self):
-        out = clean_run(rated_cap_w=95.0)
+        out = clean_run(rated_leaf_cap_w=95.0)
         assert out.caps_w[-1] == (95.0,) * 4
         assert out.max_total_cap_w <= out.budget_w + 1e-6
 
@@ -104,8 +103,9 @@ class TestLeasesAndEpochs:
             net=NetConfig(partitions=(PartitionWindow(20, 50, (0,)),), seed=1),
         )
         mid = out.caps_w[40]
-        assert mid[0] == out.safe_cap_w  # lease expired behind the cut
-        assert out.caps_w[-1][0] > out.safe_cap_w  # re-granted after heal
+        safe = out.safe_caps_by_level_w[0]
+        assert mid[0] == safe  # lease expired behind the cut
+        assert out.caps_w[-1][0] > safe  # re-granted after heal
         assert out.max_total_cap_w <= out.budget_w + 1e-6
 
     def test_budget_never_exceeded_during_redistribution(self):
@@ -179,7 +179,8 @@ class TestLeaseExpiryEdges:
         # there is neither a double-spend window nor a dead-watt gap.
         config = ControlPlaneConfig()
         controller = ClusterController(
-            2, 200.0, quantum_w=2.0, rated_cap_w=200.0, config=config
+            2, 200.0, quantum_w=2.0, rated_cap_w=200.0, config=config,
+            safe_cap_w=90.0,
         )
         net = SimNetwork(NetConfig(), n_nodes=2)
         controller.step(0, net, loaded=frozenset({0, 1}))
@@ -200,7 +201,8 @@ class TestLeaseExpiryEdges:
         ]
         metrics = MetricsRegistry()
         out = clean_run(
-            steps=steps, down_sets=down, net=NetConfig(seed=6), metrics=metrics
+            steps=steps, leaf_down_sets=down, net=NetConfig(seed=6),
+            metrics=metrics,
         )
         for row in out.caps_w:
             assert sum(row) <= out.budget_w + 1e-6
@@ -220,7 +222,8 @@ class TestLeaseExpiryEdges:
         # reissue, no epoch churn.
         config = ControlPlaneConfig()
         controller = ClusterController(
-            1, 100.0, quantum_w=2.0, rated_cap_w=100.0, config=config
+            1, 100.0, quantum_w=2.0, rated_cap_w=100.0, config=config,
+            safe_cap_w=90.0,
         )
         net = SimNetwork(NetConfig(), n_nodes=1)
 
@@ -266,20 +269,19 @@ class TestFailureDetection:
             frozenset({0}) if 20 <= t < 45 else frozenset() for t in range(steps)
         ]
         metrics = MetricsRegistry()
-        out = run_control_plane(
-            n_nodes=4,
-            budget_w=400.0,
-            loaded_counts=[4] * steps,
-            down_sets=down,
+        out = flat_run(
+            4,
+            400.0,
+            [4] * steps,
+            leaf_down_sets=down,
             net=NetConfig(seed=2),
-            quantum_w=2.0,
             metrics=metrics,
         )
         assert metrics.counter("controlplane.suspects").value >= 1
         assert metrics.counter("controlplane.reintegrations").value >= 1
         # While node 0 is dead its expired extras flow to the survivors.
         mid = out.caps_w[40]
-        assert mid[0] == out.safe_cap_w
+        assert mid[0] == out.safe_caps_by_level_w[0]
         assert mid[1] > out.caps_w[10][1]
         # After recovery the fleet re-balances evenly.
         assert out.caps_w[-1] == (100.0,) * 4
@@ -290,13 +292,12 @@ class TestFailureDetection:
         steps = 40
         down = [frozenset({1}) if t >= 10 else frozenset() for t in range(steps)]
         trace = TraceBus()
-        run_control_plane(
-            n_nodes=3,
-            budget_w=300.0,
-            loaded_counts=[3] * steps,
-            down_sets=down,
+        flat_run(
+            3,
+            300.0,
+            [3] * steps,
+            leaf_down_sets=down,
             net=NetConfig(seed=0),
-            quantum_w=2.0,
             trace_bus=trace,
         )
         suspects = [
@@ -346,6 +347,7 @@ class TestControllerAccounting:
             quantum_w=2.0,
             rated_cap_w=200.0,
             config=ControlPlaneConfig(),
+            safe_cap_w=90.0,
         )
         net = SimNetwork(NetConfig(), n_nodes=2)
         controller.step(0, net, loaded=frozenset({0, 1}))
@@ -362,7 +364,8 @@ class TestControllerAccounting:
         # shrink gate) must be able to see exactly when it ends.
         config = ControlPlaneConfig()
         controller = ClusterController(
-            2, 200.0, quantum_w=2.0, rated_cap_w=200.0, config=config
+            2, 200.0, quantum_w=2.0, rated_cap_w=200.0, config=config,
+            safe_cap_w=90.0,
         )
         assert not controller.in_safe_hold(0)
         controller.restart(5, epochs_to_skip=4)
@@ -375,7 +378,8 @@ class TestControllerAccounting:
         # other node's grant until the first shrinks or expires.
         config = ControlPlaneConfig()
         controller = ClusterController(
-            2, 200.0, quantum_w=2.0, rated_cap_w=200.0, config=config
+            2, 200.0, quantum_w=2.0, rated_cap_w=200.0, config=config,
+            safe_cap_w=90.0,
         )
         net = SimNetwork(NetConfig(), n_nodes=2)
         agents = [
