@@ -13,8 +13,8 @@ reports:
   harness's ``UNDEFENDED_SLACK`` when the guard band costs more than the
   attack did.
 
-The rows land in ``BENCH_adversary.json`` (override the path with
-``$REPRO_BENCH_ADVERSARY``) so the numbers are committed alongside the
+The rows land in ``BENCH_adversary.json`` (under ``$REPRO_BENCH_OUT``
+when set) so the numbers are committed alongside the
 defenses they price; the pytest-benchmark measurement covers the inflate
 comparison as the representative unit.
 """
@@ -22,9 +22,8 @@ comparison as the representative unit.
 from __future__ import annotations
 
 import json
-import os
 
-from benchmarks._tiny import pick
+from benchmarks._tiny import out_path, pick
 from repro.adversary.plan import ADVERSARY_KINDS
 from repro.analysis.reporting import banner, format_table
 from repro.chaos import run_adversary_mix
@@ -106,7 +105,7 @@ def test_adversary_defense_costs(benchmark, emit):
         )
     )
 
-    path = os.environ.get("REPRO_BENCH_ADVERSARY", "BENCH_adversary.json")
+    path = out_path("BENCH_adversary.json")
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(
             {

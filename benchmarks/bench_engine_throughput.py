@@ -18,8 +18,8 @@ per-op overhead, the speedup *grows* with fleet size - the trajectory
 wall-power vector and energy counters after the run) so the speedup is
 never quoted for a path that drifted.
 
-The rows land in ``BENCH_engine.json`` (override with
-``$REPRO_BENCH_ENGINE``) so the committed numbers ride with the code; CI
+The rows land in ``BENCH_engine.json`` (under ``$REPRO_BENCH_OUT`` when
+set) so the committed numbers ride with the code; CI
 compares a fresh run against the committed baseline and fails on a >20%
 vector-throughput regression.
 """
@@ -27,12 +27,11 @@ vector-throughput regression.
 from __future__ import annotations
 
 import json
-import os
 import time
 
 import numpy as np
 
-from benchmarks._tiny import pick, tiny
+from benchmarks._tiny import out_path, pick, tiny
 from repro.analysis.reporting import banner, format_table
 from repro.engine import BatchFleet
 from repro.server.config import DEFAULT_SERVER_CONFIG
@@ -134,7 +133,7 @@ def test_engine_throughput_trajectory(benchmark, emit):
         f"wall-clock ({soak['ticks_per_s']:.0f} ticks/s)"
     )
 
-    path = os.environ.get("REPRO_BENCH_ENGINE", "BENCH_engine.json")
+    path = out_path("BENCH_engine.json")
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(
             {

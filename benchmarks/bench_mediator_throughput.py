@@ -28,8 +28,8 @@ arms at the 100-server point price the planning phases individually:
 defense off (no trust scoring to replay) and the ESD duty-cycle policy
 (battery flows + sleep-state residency in the flush).
 
-The rows land in ``BENCH_mediator.json`` (override with
-``$REPRO_BENCH_MEDIATOR``); CI compares a fresh run against the committed
+The rows land in ``BENCH_mediator.json`` (under ``$REPRO_BENCH_OUT`` when
+set); CI compares a fresh run against the committed
 baseline and fails on a >20% vector-throughput regression.
 """
 
@@ -39,10 +39,9 @@ import contextlib
 import gc
 import hashlib
 import json
-import os
 import time
 
-from benchmarks._tiny import pick, tiny
+from benchmarks._tiny import out_path, pick, tiny
 from repro.analysis.reporting import banner, format_table
 from repro.core.mediator import PowerMediator
 from repro.core.policies import make_policy
@@ -235,7 +234,7 @@ def test_mediator_throughput_trajectory(benchmark, emit):
         )
     )
 
-    path = os.environ.get("REPRO_BENCH_MEDIATOR", "BENCH_mediator.json")
+    path = out_path("BENCH_mediator.json")
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(
             {

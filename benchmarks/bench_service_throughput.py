@@ -13,8 +13,8 @@ fixed drain capacity, and each run reports:
   zero while the drain keeps up, climbing smoothly as the offered load
   outruns it, never touching the cap-safety lane.
 
-The swept rows land in ``BENCH_service.json`` (override the path with
-``$REPRO_BENCH_SERVICE``) so the numbers are committed alongside the code
+The swept rows land in ``BENCH_service.json`` (under ``$REPRO_BENCH_OUT``
+when set) so the numbers are committed alongside the code
 they price; the pytest-benchmark measurement covers the middle of the
 sweep as the representative unit.
 """
@@ -22,10 +22,9 @@ sweep as the representative unit.
 from __future__ import annotations
 
 import json
-import os
 import time
 
-from benchmarks._tiny import pick
+from benchmarks._tiny import out_path, pick
 from repro.analysis.reporting import banner, format_table
 from repro.service import MediatorService, ServiceConfig
 
@@ -117,7 +116,7 @@ def test_service_throughput_vs_offered_load(benchmark, emit, tmp_path):
         )
     )
 
-    path = os.environ.get("REPRO_BENCH_SERVICE", "BENCH_service.json")
+    path = out_path("BENCH_service.json")
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(
             {

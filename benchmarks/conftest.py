@@ -10,10 +10,10 @@ simulated substrate; the shapes are what reproduce (see EXPERIMENTS.md).
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
+from benchmarks._tiny import out_path
 from repro.core.utility import CandidateSet
 from repro.observability.metrics import MetricsRegistry
 from repro.server.config import ServerConfig
@@ -89,13 +89,13 @@ def bench_metrics(emit):
 
     Benchmarks that drive the mediator call ``bench_metrics.record(
     result.metrics)``; the merged report - including the per-phase
-    profiling section - lands in ``$REPRO_BENCH_METRICS`` (default
-    ``bench-metrics.json`` in the invocation directory)."""
+    profiling section - lands in ``bench-metrics.json``, under
+    ``$REPRO_BENCH_OUT`` when set, else in the invocation directory."""
     sink = MetricsSink()
     yield sink
     if sink.runs == 0:
         return
-    path = os.environ.get("REPRO_BENCH_METRICS", "bench-metrics.json")
+    path = out_path("bench-metrics.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(sink.to_json(), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -40,17 +40,11 @@ from repro.chaos.service import (
     service_kill_hook,
     service_kill_ticks,
 )
-from repro.chaos.partition import (
-    PartitionChaosResult,
-    PartitionSoakResult,
-    kill_outages,
-    partition_schedule,
-    run_partition_chaos,
-    run_partition_soak,
-)
 from repro.chaos.hierarchy import (
     HierarchyChaosResult,
     HierarchySoakResult,
+    kill_outages,
+    partition_schedule,
     run_hierarchy_chaos,
     run_hierarchy_soak,
     subtree_outage_schedule,
@@ -69,8 +63,6 @@ __all__ = [
     "HierarchyChaosResult",
     "HierarchySoakResult",
     "ServiceSoakReport",
-    "PartitionChaosResult",
-    "PartitionSoakResult",
     "default_attack_scenario",
     "kill_outages",
     "kill_schedule",
@@ -83,8 +75,6 @@ __all__ = [
     "run_adversary_soak",
     "run_chaos_mix",
     "run_chaos_soak",
-    "run_partition_chaos",
-    "run_partition_soak",
     "run_script",
     "run_service_soak",
     "service_kill_hook",

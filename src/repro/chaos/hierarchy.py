@@ -1,15 +1,18 @@
 """Hierarchy chaos: failure-domain soaks for the budget tree.
 
-The partition soak (:mod:`repro.chaos.partition`) attacks one flat fabric;
-this module attacks a whole mediation *tree* - datacenter, PDU, and rack
-levels at once. Each run composes five seeded stressors:
+This module attacks a whole mediation *tree* - datacenter, PDU, and rack
+levels at once. A depth-1 tree (``fanouts=(10,)``) is the flat cluster
+control plane, so the same soak is the cluster's partition soak
+(``repro cluster --chaos``). Each run composes five seeded stressors:
 
 * lossy, reordering fabrics at every level (loss/duplication/jitter);
-* partition windows on the root fabric cutting PDU uplinks;
+* partition windows on the root fabric cutting PDU uplinks (servers, at
+  depth 1);
 * leaf kills drawn by the shared :func:`~repro.chaos.harness.kill_schedule`
   arithmetic;
 * whole failure-domain outages (:class:`~repro.hierarchy.SubtreeOutage`)
-  taking a PDU or rack subtree dark, controller and all;
+  taking a PDU or rack subtree dark, controller and all (none at depth 1,
+  which has no subtree below the root);
 * interior-controller crashes warm-restarted from deliberately stale
   checkpoints (the PR 2 codec convention), exercising the safe-hold path.
 
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.chaos.harness import kill_schedule
-from repro.chaos.partition import kill_outages, partition_schedule
+from repro.cluster.cluster import NodeOutage, validate_outages
 from repro.cluster.controlplane import ControlPlaneConfig
 from repro.errors import ChaosError, ConfigurationError, SimulationError
 from repro.hierarchy import (
@@ -50,19 +53,92 @@ from repro.hierarchy import (
     validate_subtree_outages,
 )
 from repro.hierarchy.tree import Path
-from repro.netsim import NetConfig
+from repro.netsim import NetConfig, PartitionWindow
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.trace import NULL_TRACE_BUS, TraceBus
 
 __all__ = [
     "HierarchyChaosResult",
     "HierarchySoakResult",
+    "kill_outages",
+    "partition_schedule",
     "run_hierarchy_chaos",
     "run_hierarchy_soak",
     "subtree_outage_schedule",
 ]
 
 _EPS = 1e-6
+
+
+def partition_schedule(
+    n_steps: int,
+    n_nodes: int,
+    *,
+    windows: int,
+    max_fraction: float,
+    seed: int,
+) -> tuple[PartitionWindow, ...]:
+    """Draw up to ``windows`` partition cuts, each lasting at most
+    ``max_fraction`` of the schedule. A node can sit in several windows,
+    so its total time cut off is not bounded by ``max_fraction``.
+
+    Each window cuts a random non-empty subset of at most half the fleet -
+    a majority of nodes always stays connected, matching the hub-and-spoke
+    topology's realistic failure unit (a rack uplink, not the whole fabric).
+    """
+    if not 0.0 <= max_fraction <= 1.0:
+        raise ConfigurationError("max_fraction must be in [0, 1]")
+    if windows <= 0 or n_steps < 4 or max_fraction == 0.0:
+        return ()
+    rng = np.random.default_rng(seed)
+    longest = max(1, int(max_fraction * n_steps))
+    cuts = []
+    for _ in range(windows):
+        length = int(rng.integers(1, longest + 1))
+        start = int(rng.integers(0, max(1, n_steps - length)))
+        width = int(rng.integers(1, max(2, n_nodes // 2 + 1)))
+        nodes = tuple(
+            int(n) for n in rng.choice(n_nodes, size=min(width, n_nodes), replace=False)
+        )
+        cuts.append(
+            PartitionWindow(start_step=start, end_step=start + length, nodes=nodes)
+        )
+    return tuple(cuts)
+
+
+def kill_outages(
+    n_steps: int,
+    n_nodes: int,
+    *,
+    kills: int,
+    max_down_steps: int,
+    seed: int,
+) -> tuple[NodeOutage, ...]:
+    """Convert a :func:`kill_schedule` draw into node-outage windows.
+
+    Each kill tick takes one random node down for a random (bounded)
+    duration. Same-node overlaps are skipped rather than merged, so the
+    result always satisfies :func:`~repro.cluster.cluster.validate_outages`.
+    """
+    ticks = kill_schedule(n_steps, kills, seed)
+    if not ticks:
+        return ()
+    rng = np.random.default_rng(seed + 1)  # node/duration draws, kill ticks above
+    busy_until: dict[int, int] = {}
+    outages = []
+    for tick in ticks:
+        node = int(rng.integers(0, n_nodes))
+        duration = int(rng.integers(1, max_down_steps + 1))
+        if tick < busy_until.get(node, 0):
+            continue
+        end = min(tick + duration, n_steps)
+        if end <= tick:
+            continue
+        outages.append(NodeOutage(server=node, start_step=tick, end_step=end))
+        busy_until[node] = end
+    return validate_outages(
+        tuple(outages), n_steps=n_steps, n_servers=n_nodes
+    )
 
 
 def subtree_outage_schedule(
@@ -462,7 +538,8 @@ def run_hierarchy_soak(
     """Repeat :func:`run_hierarchy_chaos` across a seed matrix.
 
     Loss severity sweeps deterministically from mild to ``max_loss`` across
-    the matrix, matching the flat partition soak's convention.
+    the matrix, so one soak covers the whole severity range rather than
+    hammering a single operating point.
 
     Raises:
         ChaosError: on the first seed violating any invariant.

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.cluster.controlplane import ControlPlaneConfig, run_control_plane
+from repro.cluster.controlplane import ControlPlaneConfig
 from repro.cluster.manager import (
     CLUSTER_POLICY_NAMES,
     evaluate_equal_policy_bin,
@@ -639,7 +639,8 @@ class ClusterSimulator:
     ) -> dict[str, ClusterPolicyResult]:
         """Equal-split strategies under the distributed control plane.
 
-        One control-plane replay per shaving level produces the per-step
+        One control-plane replay per shaving level - a depth-1 budget tree,
+        one controller over every server - produces the per-step
         per-server cap schedule (both equal strategies enforce the *same*
         caps - they differ in what each server does under its cap, not in
         how watts move between servers). Each loaded surviving server is
@@ -653,15 +654,19 @@ class ClusterSimulator:
         whenever the *granted* share is below a server's draw - even at
         steps where the oracle would have been non-binding cluster-wide.
         """
-        outcome = run_control_plane(
-            n_nodes=self.n_servers,
-            budget_w=ceiling_w,
-            loaded_counts=loads,
-            down_sets=failed_sets,
+        from repro.hierarchy import TreeSpec, run_budget_tree
+
+        outcome = run_budget_tree(
+            TreeSpec(
+                fanouts=(self.n_servers,),
+                budget_w=ceiling_w,
+                quantum_w=self._cap_grid_w / self.n_servers,
+            ),
+            loads,
             net=netsim,
             config=controlplane,
-            quantum_w=self._cap_grid_w / self.n_servers,
-            rated_cap_w=self._config.uncapped_power_w,
+            leaf_down_sets=failed_sets,
+            rated_leaf_cap_w=self._config.uncapped_power_w,
             trace_bus=self._trace,
             metrics=self._metrics,
         )
@@ -670,9 +675,9 @@ class ClusterSimulator:
             {
                 "shave": shave,
                 "budget_w": outcome.budget_w,
-                "safe_cap_w": outcome.safe_cap_w,
+                "safe_cap_w": outcome.safe_caps_by_level_w[0],
                 "max_total_cap_w": outcome.max_total_cap_w,
-                "final_epoch": outcome.final_epoch,
+                "final_epoch": outcome.final_epochs["root"],
                 "net": outcome.net_stats,
             },
         )

@@ -2,18 +2,18 @@
 
 :class:`BudgetTreeSimulator` steps every level of the tree in lockstep -
 all uplink agents first (deepest after shallowest within a step, ids in
-order, exactly the flat runner's ordering when the tree has one level),
-then every controller root-first - and proves, at **every interior node on
-every step**, that the children's enforced budgets sum to at most the
-node's own enforced budget. A violation raises
-:class:`~repro.errors.SimulationError`: like the flat plane, the hierarchy
-is budget-safe by construction, and the check is there to catch protocol
-bugs, not to paper over them.
+order), then every controller root-first - and proves, at **every interior
+node on every step**, that the children's enforced budgets sum to at most
+the node's own enforced budget. A violation raises
+:class:`~repro.errors.SimulationError`: the hierarchy is budget-safe by
+construction, and the check is there to catch protocol bugs, not to paper
+over them.
 
-:func:`run_budget_tree` is the batch entry point mirroring
-:func:`~repro.cluster.controlplane.run_control_plane`; a degenerate
-single-level tree replays that function bit-identically (same seeds, same
-step order, same arithmetic - the regression suite pins it). The
+:func:`run_budget_tree` is the batch entry point. A depth-1 tree is the
+flat cluster control plane - one controller over its servers - and this is
+its only replay: the cluster experiment's lossy-network path and the flat
+chaos soak both run one. Golden values recorded from the flat runner it
+replaced pin it bit for bit (``tests/hierarchy/test_runner.py``). The
 step-at-a-time simulator API exists so the chaos harness can kill interior
 controllers mid-run and restore them from stale checkpoints.
 """
@@ -48,8 +48,9 @@ _EPS = 1e-6
 
 def _derived_seed(base_seed: int, path: Path) -> int:
     """A stable per-network seed: the root keeps ``base_seed`` verbatim
-    (depth-1 bit-identity with the flat plane), deeper networks mix the
-    path in through a SeedSequence so sibling fabrics are decorrelated."""
+    (so a depth-1 tree draws as the flat plane always has), deeper networks
+    mix the path in through a SeedSequence so sibling fabrics are
+    decorrelated."""
     if not path:
         return base_seed
     return int(SeedSequence((base_seed,) + tuple(path)).generate_state(1)[0])
@@ -302,8 +303,7 @@ class BudgetTreeSimulator:
         """
         dark_leaves, dark_nodes = self._dark(step, outages)
         # Uplink agents first, shallow to deep, ids in order - within any
-        # single fabric this is exactly the flat runner's "agents then
-        # controller" ordering.
+        # single fabric the agents step before their controller.
         for shape in self._shapes:
             if shape.uplink is None:
                 continue
@@ -477,9 +477,7 @@ def run_budget_tree(
 
     Args:
         loaded_counts: Offered load per step; the first ``k`` leaves are
-            loaded (the flat runner's inversion, so a depth-1 tree replays
-            :func:`~repro.cluster.controlplane.run_control_plane`
-            bit-identically).
+            loaded (the cluster simulator's load inversion).
         leaf_down_sets: Dead leaf servers per step (flat ids, each in
             ``[0, n_leaves)``).
         subtree_outages: Failure-domain (PDU/rack) windows; validated

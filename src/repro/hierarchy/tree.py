@@ -83,8 +83,8 @@ class TreeSpec:
     Attributes:
         fanouts: Children per node at each interior level, root first -
             ``(4, 5, 10)`` is 4 PDUs x 5 racks x 10 servers = 200 leaves.
-            A single entry is the flat cluster (and replays bit-identically
-            to :func:`~repro.cluster.controlplane.run_control_plane`).
+            A single entry is the flat cluster: one controller over its
+            servers.
         budget_w: The datacenter budget delegated from the root.
         quantum_w: Cap grid used by every level's controller.
         level_names: Optional display names, one per level including the

@@ -1,9 +1,11 @@
 """Hierarchy-chaos soaks: failure-domain containment under composed faults.
 
-The quick tier always runs a few composed tree schedules; the full
-acceptance matrix (12 seeds, loss up to 30%, domain outages composed with
-root partitions, leaf kills, and stale-checkpoint controller restarts) is
-opt-in via ``REPRO_SOAK=1`` and runs in CI's hierarchy-soak job.
+The quick tier always runs a few composed tree schedules, the depth-1 tree
+(the flat cluster's partition soak) included; the full acceptance matrices
+(12 seeds against a 3-level tree with domain outages, and 20 seeds against
+10 servers under one controller; loss up to 30%, root partitions, leaf
+kills and stale-checkpoint controller restarts in both) are opt-in via
+``REPRO_SOAK=1`` and run in CI's hierarchy-soak job.
 """
 
 import json
@@ -12,14 +14,45 @@ import os
 import pytest
 
 from repro.chaos import (
+    kill_outages,
+    partition_schedule,
     run_hierarchy_chaos,
     run_hierarchy_soak,
     subtree_outage_schedule,
 )
+from repro.cluster.cluster import validate_outages
 from repro.errors import ChaosError, ConfigurationError
 from repro.hierarchy import validate_subtree_outages
+from repro.observability.trace import TraceBus
 
 SOAK = os.environ.get("REPRO_SOAK") == "1"
+
+
+class TestSchedules:
+    def test_partition_schedule_respects_bounds(self):
+        for seed in range(10):
+            windows = partition_schedule(
+                100, 10, windows=2, max_fraction=0.25, seed=seed
+            )
+            for w in windows:
+                assert w.end_step - w.start_step <= 25
+                assert 1 <= len(w.nodes) <= 5  # never a fleet majority
+                assert w.end_step <= 100 + 25
+
+    def test_partition_schedule_deterministic(self):
+        a = partition_schedule(100, 10, windows=3, max_fraction=0.2, seed=7)
+        assert a == partition_schedule(100, 10, windows=3, max_fraction=0.2, seed=7)
+
+    def test_kill_outages_never_overlap_per_node(self):
+        for seed in range(10):
+            outages = kill_outages(120, 4, kills=6, max_down_steps=30, seed=seed)
+            # validate_outages raising would mean same-node overlap.
+            validate_outages(outages, n_steps=120, n_servers=4)
+            assert all(o.end_step <= 120 for o in outages)
+
+    def test_bad_args(self):
+        with pytest.raises(ConfigurationError):
+            partition_schedule(100, 10, windows=1, max_fraction=1.5, seed=0)
 
 
 class TestOutageSchedule:
@@ -63,6 +96,43 @@ class TestQuickChaos:
         assert result.min_sibling_ratio >= 0.75
         # The schedule actually hurt: subtrees lost and re-acquired leases.
         assert result.fallbacks > 0 and result.heals > 0
+
+    def test_depth_one_tree_cuts_and_kills_servers(self):
+        # The flat cluster's soak: 10 servers under one controller. The
+        # controller must lose sight of a cut server and of a killed one
+        # while they are out, and the root crash must restore stale.
+        seed, n_steps = 1, 80
+        bus = TraceBus()
+        result = run_hierarchy_chaos(
+            seed=seed, fanouts=(10,), budget_w=800.0, n_steps=n_steps,
+            trace_bus=bus,
+        )
+        assert result.n_leaves == 10
+        assert result.headroom_w >= 0.0
+        assert result.restarts == 1
+        assert result.domain_outages == 0  # no subtree below the root
+        suspected = [
+            (e.payload["node"], e.payload["step"])
+            for e in bus.events
+            if e.kind == "cp-suspect"
+        ]
+        # The run draws its cuts and kills from these seeds.
+        cuts = partition_schedule(
+            n_steps, 10, windows=2, max_fraction=0.25, seed=seed + 101
+        )
+        kills = kill_outages(
+            n_steps, 10, kills=2, max_down_steps=n_steps // 8, seed=seed + 202
+        )
+        assert any(
+            node in w.nodes and w.start_step <= step < w.end_step
+            for w in cuts
+            for node, step in suspected
+        )
+        assert any(
+            node == o.server and o.start_step <= step < o.end_step
+            for o in kills
+            for node, step in suspected
+        )
 
     def test_depth_three_tree_survives(self):
         result = run_hierarchy_chaos(
@@ -119,3 +189,20 @@ class TestAcceptanceSoak:
             with open(out, "w", encoding="utf-8") as handle:
                 json.dump(soak.report(), handle, indent=2, sort_keys=True)
                 handle.write("\n")
+
+    def test_twenty_seeds_depth_one(self):
+        # The flat cluster's acceptance matrix: 20 seeded schedules against
+        # 10 servers under one controller, loss up to 30%, partitions up to
+        # 25% of the trace, server kills and a stale-checkpoint restart of
+        # the root controller.
+        soak = run_hierarchy_soak(
+            seeds=list(range(20)),
+            fanouts=(10,),
+            budget_w=800.0,
+            n_steps=120,
+            max_loss=0.3,
+        )
+        assert len(soak.runs) == 20
+        assert soak.min_headroom_w >= 0.0
+        assert soak.total_domain_outages == 0
+        assert soak.total_restarts > 0

@@ -27,7 +27,6 @@ import json
 import pytest
 
 from repro.chaos.hierarchy import run_hierarchy_chaos
-from repro.cluster.controlplane import run_control_plane
 from repro.hierarchy import SubtreeOutage, TreeSpec, run_budget_tree
 from repro.netsim import NetConfig, PartitionWindow
 from repro.observability.metrics import MetricsRegistry
@@ -232,22 +231,6 @@ def test_scenario_replays_to_its_golden_values(runs, name):
     assert bus.content_hash() == golden["trace"], f"{name}: trace hash moved"
     assert digest == golden["outcome"], f"{name}: outcome moved"
     assert counters == golden["counters"], f"{name}: counters moved"
-
-
-def test_flat_runner_replays_the_depth_one_pin():
-    bus, registry = TraceBus(), MetricsRegistry()
-    run_control_plane(
-        n_nodes=8,
-        budget_w=800.0,
-        loaded_counts=FLAT_LOADS,
-        down_sets=FLAT_DOWN,
-        net=FLAT_NET,
-        drain_steps=12,
-        trace_bus=bus,
-        metrics=registry,
-    )
-    assert bus.content_hash() == GOLDEN["flat-lossy"]["trace"]
-    assert registry.counters() == GOLDEN["flat-lossy"]["counters"]
 
 
 def test_chaos_run_exercises_restore_outages_and_heals(runs):

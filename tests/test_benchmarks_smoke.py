@@ -8,9 +8,9 @@ under ``REPRO_BENCH_TINY=1``, where every benchmark shrinks its scale knobs
 to a seconds-sized shape (see :mod:`benchmarks._tiny`) and gates its
 paper-shape assertions, keeping only the scale-free invariants live.
 
-The subprocess runs from a temp directory with every artifact path
-redirected, so a smoke run never clobbers the committed ``BENCH_*.json``
-numbers at the repo root.
+The subprocess runs from a temp directory and writes every artifact under
+``REPRO_BENCH_OUT`` there, so a smoke run never clobbers the committed
+``BENCH_*.json`` numbers at the repo root.
 """
 
 from __future__ import annotations
@@ -34,13 +34,8 @@ def test_every_benchmark_runs_in_tiny_mode(tmp_path):
         [src, str(REPO_ROOT)] + env.get("PYTHONPATH", "").split(os.pathsep)
     ).rstrip(os.pathsep)
     env["REPRO_BENCH_TINY"] = "1"
-    # Artifact redirects: the smoke run must not touch the committed numbers.
-    env["REPRO_BENCH_METRICS"] = str(tmp_path / "bench-metrics.json")
-    env["REPRO_BENCH_SERVICE"] = str(tmp_path / "BENCH_service.json")
-    env["REPRO_BENCH_ADVERSARY"] = str(tmp_path / "BENCH_adversary.json")
-    env["REPRO_BENCH_ENGINE"] = str(tmp_path / "BENCH_engine.json")
-    env["REPRO_BENCH_MEDIATOR"] = str(tmp_path / "BENCH_mediator.json")
-    env["REPRO_BENCH_HIERARCHY"] = str(tmp_path / "BENCH_hierarchy.json")
+    # The smoke run must not touch the committed numbers.
+    env["REPRO_BENCH_OUT"] = str(tmp_path)
 
     proc = subprocess.run(
         [
