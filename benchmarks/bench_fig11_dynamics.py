@@ -3,9 +3,9 @@
 Regenerates both timelines:
 
 * 11a - SSSP runs alone under a 100 W cap; X264 arrives at t = 20 s. The
-  mediator re-calibrates and re-allocates (~800 ms settling): SSSP's power
-  drops (keeping frequency, shedding cores) and X264 receives the rest
-  (keeping cores, shedding frequency).
+  mediator re-calibrates and re-allocates (the paper's ~800 ms settling
+  window is not modelled): SSSP's power drops (keeping frequency, shedding
+  cores) and X264 receives the rest (keeping cores, shedding frequency).
 * 11b - kmeans and PageRank share the cap; PageRank completes and departs;
   the Accountant's E3 triggers re-allocation and kmeans is uncapped.
 """
@@ -47,7 +47,7 @@ def test_fig11a_arrival(benchmark, config, emit, bench_metrics):
         x264 = CATALOG["x264"].with_total_work(float("inf"))
         mediator.add_application(sssp, skip_overhead=True)
         mediator.run_for(ARRIVAL_S)
-        mediator.add_application(x264)  # the ~800 ms overhead is charged
+        mediator.add_application(x264)  # charges the 0.8 s calibration countdown
         mediator.run_for(ARRIVAL_S)
         return mediator
 

@@ -697,7 +697,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     if args.chaos:
         # The cluster's control plane is a depth-1 budget tree.
         return _hierarchy_soak(args, (10,), n_steps=120, budget_w=800.0)
-    simulator = ClusterSimulator(engine=args.engine)
+    simulator = ClusterSimulator(engine=args.engine or "scalar")
     step_s = 600.0 if args.fast else 120.0
     trace = ClusterPowerTrace.synthetic_diurnal(
         peak_w=simulator.uncapped_cluster_power_w(),
@@ -791,11 +791,12 @@ def _parse_subtree_outage(spec: str):
 
 
 #: Flags (by argparse dest) a chaos soak cannot honour: it draws its own
-#: network, partition, outage and fault schedules, and writes no trace or
-#: metrics file.
+#: network, partition, outage and fault schedules, steps no server model
+#: (so ``cluster``'s ``--engine`` and ``--fast`` change nothing), and writes
+#: no trace or metrics file.
 _SOAK_REJECTED_FLAGS = (
     "trace_out", "metrics_out", "outage", "partition", "faults", "latency",
-    "jitter", "netsim_seed",
+    "jitter", "netsim_seed", "engine", "fast",
 )
 
 
@@ -814,8 +815,8 @@ def _hierarchy_soak(
         if getattr(args, dest, None):
             raise ConfigurationError(
                 f"--{dest.replace('_', '-')} cannot be combined with --chaos: "
-                "the soak draws its own schedules and writes no trace or "
-                "metrics file"
+                "the soak draws its own schedules, steps no server model and "
+                "writes no trace or metrics file"
             )
     soak = run_hierarchy_soak(
         seeds=list(range(args.seed, args.seed + args.chaos)),
@@ -1051,11 +1052,11 @@ def build_parser() -> argparse.ArgumentParser:
             help="bypass online learning (true response surfaces)",
         )
 
-    def engine_arg(p: argparse.ArgumentParser) -> None:
+    def engine_arg(p: argparse.ArgumentParser, *, default: str | None = "scalar") -> None:
         p.add_argument(
             "--engine",
             choices=list(ENGINE_KINDS),
-            default="scalar",
+            default=default,
             help="server model implementation; 'vector' is the numpy "
             "fast path, bit-identical to the scalar reference",
         )
@@ -1324,7 +1325,9 @@ def build_parser() -> argparse.ArgumentParser:
         "kills, a controller crash) against the 10-server control plane "
         "instead of the Fig. 12 sweep",
     )
-    engine_arg(p_clu)
+    # None (not "scalar") until given, so --chaos can reject an explicit
+    # --engine scalar too; the sweep runs the scalar engine by default.
+    engine_arg(p_clu, default=None)
     faults_arg(p_clu)
     observability_args(p_clu)
     p_clu.set_defaults(func=cmd_cluster)

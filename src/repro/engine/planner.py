@@ -13,10 +13,12 @@ arrivals/departures) executes ticks whose per-tick quantities are either
 constant or constant-increment accumulators:
 
 * simulated time, per-app work done, heartbeat totals, histogram sums,
-  battery charge ledgers, ESD phase elapsed, PC6 residency — all of the
-  form ``s += c`` with a constant ``c``;
+  battery charge ledgers, ESD phase elapsed, TIME slot elapsed, PC6
+  residency — all of the form ``s += c`` with a constant ``c``;
 * trust scores under zero violations — ``s *= decay``;
-* RAPL energy counters — ``s = (s + c) % wrap``.
+* RAPL energy counters — ``s = (s + c) % wrap``;
+* the calibration countdown — ``s = max(0.0, s - dt)``, the ``s += -dt``
+  fold until it first reaches zero.
 
 ``np.cumsum`` / ``np.cumprod`` accumulate strictly sequentially in C, so
 for a constant increment they reproduce the scalar fold *bit for bit*
@@ -28,20 +30,26 @@ is exact, and for ``W <= x < 2W`` the float subtraction ``x - W`` equals
 :class:`MediatedFleet` therefore advances each mediator in *horizon
 segments*: it evaluates a set of steady-state entry gates, computes a
 conservative tick horizon over which no branchy decision can fire
-(completion, duty-phase edge, battery clip, E4 deviation threshold,
-defense cooldown expiry, cap breach), replays that many ticks with the
-closed-form kernel, and materializes exactly the state the scalar loop
-would have produced — timeline records, metrics, heartbeat windows,
-trust records, accountant counters, battery ledgers and all.  Whenever a
+(completion, duty-phase edge, TIME slot edge, battery clip, E4
+deviation threshold, defense cooldown expiry, cap breach), replays that
+many ticks with the closed-form kernel, and materializes exactly the
+state the scalar loop would have produced — timeline records, metrics,
+heartbeat windows, trust records, accountant counters, battery ledgers
+and all.  Whenever a
 gate fails or the horizon is short, it falls back to the scalar
 :meth:`~repro.core.mediator.PowerMediator.step` for one tick, so the
 fleet is *always* bit-identical to a plain Python loop over its
 mediators; the gates only decide how fast it gets there.
 
-Rejected promotions (kept scalar by design, per §13): TIME-mode slot
-rotation (branchy per-edge actuation with a carry-over elapsed cursor),
-duty-cycle phase edges themselves, quarantine transitions, and every
-fault/adversary/trace-active path.
+Kept scalar by design (DESIGN.md §13): the TIME slot edges and duty-cycle
+phase edges themselves (their knob actuation and retries), quarantine
+transitions, and every fault/adversary/trace-active path. Between edges a
+TIME rotation only advances its cursor, so the slot edge is a horizon
+term, not an entry gate. A pending calibration is no gate either: the
+countdown suspends nothing and is folded. Resume debt is checked only on
+running apps, since a suspended app's debt stays frozen until it runs.
+:data:`MIN_FAST_TICKS` is 3 because a segment's cost is mostly per
+segment: two replayed ticks already cost less than two scalar ones.
 """
 
 from __future__ import annotations
@@ -63,7 +71,10 @@ from repro.server.sleep import SleepState
 __all__ = ["MediatedFleet", "MIN_FAST_TICKS", "MAX_SEGMENT_TICKS"]
 
 #: Below this many safe ticks the flush overhead beats the win: go scalar.
-MIN_FAST_TICKS = 8
+#: A segment costs ~220-290 us almost whatever its length, a scalar tick
+#: ~140-180 us (rack-fleet medians, 2-vCPU x86_64 host), so the break-even
+#: lies between 1 and 2 ticks; 3 leaves a margin for host noise.
+MIN_FAST_TICKS = 3
 
 #: Upper bound on one fast segment (keeps work arrays small and bounded).
 MAX_SEGMENT_TICKS = 4096
@@ -87,6 +98,17 @@ def _seq_add(start: float, step: float, k: int) -> np.ndarray:
 
 def _seq_add_final(start: float, step: float, k: int) -> float:
     return float(_seq_add(start, step, k)[-1])
+
+
+def _countdown_final(start: float, step: float, k: int) -> float:
+    """Final value of ``k`` sequential ``s = max(0.0, s - step)`` folds.
+
+    For ``step > 0`` the fl sequence ``s - step, s - 2 step, ...`` never
+    rises, so the clamp first bites where the cumsum reaches ``<= 0`` and
+    holds 0.0 from there on: a positive last value means no clamp fired.
+    """
+    last = _seq_add_final(start, -step, k)
+    return last if last > 0.0 else 0.0
 
 
 def _seq_mul_final(start: float, factor: float, k: int) -> float:
@@ -247,8 +269,6 @@ class MediatedFleet:
             return 0, "adversary"
         if m._trace is not NULL_TRACE_BUS:
             return 0, "trace-attached"
-        if m._calibration_pending_s > 0:
-            return 0, "calibration"
         if m._safe_hold_ticks > 0:
             return 0, "safe-hold"
         if m._breach_last_tick:
@@ -264,10 +284,6 @@ class MediatedFleet:
         if plan is None:
             return 0, "no-plan"
         mode = plan.mode
-        if mode is CoordinationMode.TIME:
-            # Rejected promotion (DESIGN.md §13): slot rotation actuates
-            # knobs on every slot edge through a carry-over elapsed cursor.
-            return 0, "time-rotation"
         if not m._timeline:
             return 0, "cold-start"
         sleep = server._sleep
@@ -279,7 +295,10 @@ class MediatedFleet:
         for handle in handles.values():
             if handle.hung:
                 return 0, "hung-app"
-            if handle.resume_debt_s != 0.0:
+        # A suspended app's resume debt stays frozen until it runs again.
+        active = server.active_applications()
+        for name in active:
+            if handles[name].resume_debt_s != 0.0:
                 return 0, "resume-debt"
         for managed in m._managed.values():
             if managed.phased is not None:
@@ -292,7 +311,6 @@ class MediatedFleet:
 
         battery = m._battery
         coord = m._coordinator
-        active = server.active_applications()
 
         # --- per-mode coordinator action + battery/phase horizon constants.
         charge_w = 0.0
@@ -309,6 +327,15 @@ class MediatedFleet:
         if mode is CoordinationMode.SPACE:
             if sleep._state is not SleepState.ACTIVE:
                 return 0, "sleep-state"
+        elif mode is CoordinationMode.TIME:
+            if sleep._state is not SleepState.ACTIVE:
+                return 0, "sleep-state"
+            # Between slot edges the rotation only advances its cursor.
+            slot = plan.slots[coord._slot_index]
+            phase_horizon = (
+                math.floor((slot.duration_s - coord._slot_elapsed_s) / dt)
+                - _HORIZON_MARGIN
+            )
         elif mode is CoordinationMode.IDLE:
             if active:
                 return 0, "idle-active-apps"
@@ -580,6 +607,13 @@ class MediatedFleet:
         deltas = np.where(deltas < 0, deltas + wrap, deltas)
         observed = deltas / dt
         m._last_psys_energy_j = float(psys_values[-1])
+
+        # The calibration countdown and the TIME slot cursor.
+        if m._calibration_pending_s > 0:
+            m._calibration_pending_s = _countdown_final(m._calibration_pending_s, dt, k)
+        if mode is CoordinationMode.TIME:
+            coord = m._coordinator
+            coord._slot_elapsed_s = _seq_add_final(coord._slot_elapsed_s, dt, k)
 
         # Watchdog saw k fresh samples; the retry loop idled k ticks.
         m._watchdog._consecutive_good += k

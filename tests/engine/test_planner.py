@@ -7,16 +7,18 @@ timeline a plain ``for m in mediators: m.run_for(...)`` loop produces. Two
 layers enforce it here:
 
 1. **Kernel pins**: the closed-form accumulators (``_seq_add``,
-   ``_seq_mul_final``, ``_rapl_march``) are checked element-by-element
-   against the literal Python fold they replace, across magnitudes where
-   float addition is far from associative. This is the load-bearing fact
-   the module docstring claims (numpy accumulates strictly sequentially);
-   if a numpy release ever pairwise-sums these, this file fails first.
+   ``_seq_mul_final``, ``_rapl_march``, ``_countdown_final``) are checked
+   element-by-element against the literal Python fold they replace,
+   across magnitudes where float addition is far from associative. This
+   is the load-bearing fact the module docstring claims (numpy
+   accumulates strictly sequentially); if a numpy release ever
+   pairwise-sums these, this file fails first.
 2. **Fleet-vs-loop differentials**: seeded scenarios spanning the regimes
-   the fast path replays (SPACE allocation, ESD duty cycling, defense on
-   and off, both engines, mid-run cap changes, app completion, fractional
-   durations) plus a hypothesis fuzz layer. Equality is ``==`` on state
-   dicts, metrics and the tick timeline.
+   the fast path replays (SPACE allocation, ESD duty cycling, TIME
+   rotation, defense on and off, both engines, mid-run cap changes and
+   admissions, pending calibration, app completion, fractional durations)
+   plus a hypothesis fuzz layer. Equality is ``==`` on state dicts,
+   metrics and the tick timeline.
 
 The *speed* of the fast path is priced in
 ``benchmarks/bench_mediator_throughput.py``; this file only proves it legal.
@@ -29,11 +31,18 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.coordinator import CoordinationMode
 from repro.core.mediator import PowerMediator
 from repro.core.policies import make_policy
 from repro.core.simulation import default_battery
 from repro.core.trust import DefenseConfig
-from repro.engine.planner import MediatedFleet, _rapl_march, _seq_add, _seq_mul_final
+from repro.engine.planner import (
+    MediatedFleet,
+    _countdown_final,
+    _rapl_march,
+    _seq_add,
+    _seq_mul_final,
+)
 from repro.errors import ConfigurationError
 from repro.observability.trace import TraceBus
 from repro.server.config import DEFAULT_SERVER_CONFIG
@@ -73,6 +82,20 @@ def test_seq_mul_final_matches_the_python_fold(start, factor, k):
     assert _seq_mul_final(start, factor, k) == acc
 
 
+@pytest.mark.parametrize("start", [0.8, 1.6, 0.05, 5e-17, 0.2, 0.0])
+def test_countdown_final_matches_the_clamped_fold(start):
+    # The calibration countdown: 0.8 s per admission at dt 0.1. fl
+    # residue keeps 0.8 positive for 8 folds (1.4e-16 is left); 0.2
+    # reaches exactly 0.0 by subtraction (0.1 - 0.1), the others overshoot
+    # below zero and are clamped.
+    dt = 0.1
+    acc = start
+    for k in range(1, 25):
+        acc = max(0.0, acc - dt)  # the mediator's per-tick fold
+        assert _countdown_final(start, dt, k) == acc
+    assert acc == 0.0
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_rapl_march_matches_the_modulo_fold(seed):
     rng = np.random.default_rng(seed)
@@ -101,6 +124,8 @@ def _build(
     total_work: float = float("inf"),
     defense: DefenseConfig | None = None,
     trace_bus: TraceBus | None = None,
+    skip_overhead: bool = True,
+    n_apps: int | None = None,
 ) -> PowerMediator:
     policy_obj = make_policy(policy)
     mediator = PowerMediator(
@@ -113,9 +138,9 @@ def _build(
         defense=defense,
         trace_bus=trace_bus,
     )
-    for profile in get_mix(mix_id).profiles():
+    for profile in get_mix(mix_id).profiles()[:n_apps]:
         mediator.add_application(
-            profile.with_total_work(total_work), skip_overhead=True
+            profile.with_total_work(total_work), skip_overhead=skip_overhead
         )
     return mediator
 
@@ -150,7 +175,7 @@ def _run_both(duration_s: float, build_kwargs: dict, **fleet_kwargs):
         ("app+res-aware", 3, 95.0),  # SPACE steady state
         ("app+res-aware", 7, 62.0),  # tight cap, throttled allocation
         ("app+res+esd-aware", 10, 80.0),  # ESD duty cycle: flows + sleep
-        ("util-unaware", 1, 80.0),  # TIME rotation: all-scalar by design
+        ("util-unaware", 1, 80.0),  # TIME rotation: slot edges stay scalar
     ],
 )
 def test_fleet_equals_loop_across_regimes(engine, policy, mix_id, cap):
@@ -158,11 +183,10 @@ def test_fleet_equals_loop_across_regimes(engine, policy, mix_id, cap):
         20.0, dict(engine=engine, mix_id=mix_id, policy=policy, cap=cap)
     )
     if policy == "util-unaware":
-        # The rejected promotion of DESIGN.md section 13: slot rotation
-        # flips run-states every tick, so the fleet must refuse the fast
-        # path - correct by staying scalar, not by replaying branches.
-        assert fleet.fast_ticks == 0
-        assert "time-rotation" in fleet.demotions
+        # Between slot edges the rotation only advances its cursor, so the
+        # fleet replays those ticks and walks each edge on the scalar path.
+        assert fleet.fast_ticks > 0
+        assert "time-rotation" not in fleet.demotions
     else:
         assert fleet.fast_fraction > 0.5, fleet.demotions
 
@@ -198,6 +222,83 @@ def test_fleet_equals_loop_across_mid_run_cap_changes():
         fleet.run_for(6.0)
         ref.run_for(6.0)
     _assert_pair_equal(fast, ref)
+
+
+def test_composed_fleet_equals_loop_through_calibration_slots_and_debt(
+    monkeypatch,
+):
+    # What a composed run does to a fleet: admissions charge calibration,
+    # an app arrives mid-run, caps change, a TIME mediator crosses two slot
+    # edges, and a suspended app holds resume debt it has not repaid. State
+    # dicts are compared while calibration is still pending, because a
+    # wrongly folded countdown shows up nowhere else.
+    flushed: list[tuple[CoordinationMode, float, bool]] = []
+    flush = MediatedFleet._flush_segment
+
+    def spy(self, m, k, **kwargs):
+        server = m.server
+        active = set(server.active_applications())
+        frozen_debt = any(
+            handle.resume_debt_s > 0.0 and name not in active
+            for name, handle in server._handles.items()
+        )
+        flushed.append((kwargs["mode"], m._calibration_pending_s, frozen_debt))
+        flush(self, m, k, **kwargs)
+
+    monkeypatch.setattr(MediatedFleet, "_flush_segment", spy)
+
+    def build() -> list[PowerMediator]:
+        return [
+            _build(
+                engine="vector",
+                mix_id=1,
+                policy="util-unaware",
+                cap=80.0,
+                skip_overhead=False,
+            ),
+            _build(engine="vector", mix_id=3, seed=1, skip_overhead=False),
+            _build(engine="vector", mix_id=7, seed=2, n_apps=1),
+        ]
+
+    def drive(mediators, advance):
+        rotating, spatial, growing = mediators
+        advance(1.0)
+        yield
+        # SPACE resumes the suspended slot-1 app, then TIME's slot 0
+        # suspends it again before it has run: its resume debt stays.
+        rotating.set_power_cap(130.0)
+        rotating.set_power_cap(80.0)
+        spatial.set_power_cap(70.0)
+        advance(2.0)
+        yield
+        growing.add_application(get_mix(7).profiles()[1], skip_overhead=False)
+        advance(0.5)
+        yield
+        advance(11.0)
+        yield
+
+    fast, ref = build(), build()
+    fleet = MediatedFleet(fast)
+
+    def loop(duration_s: float) -> None:
+        for m in ref:
+            m.run_for(duration_s)
+
+    pending_seen = False
+    for _ in zip(drive(fast, fleet.run_for), drive(ref, loop)):
+        pending_seen |= any(m.state_dict()["calibration_pending_s"] > 0 for m in ref)
+        for f, r in zip(fast, ref):
+            _assert_pair_equal(f, r)
+    assert pending_seen
+    assert any(pending > 0.0 for _, pending, _ in flushed)
+    assert any(frozen for *_, frozen in flushed)
+    assert any(mode is CoordinationMode.TIME for mode, *_ in flushed)
+    running = [
+        tuple(sorted(r.app_power_w)) for r in fast[0].timeline if r.time_s > 1.05
+    ]
+    assert sum(a != b for a, b in zip(running, running[1:])) >= 2  # slot edges
+    assert "calibration" not in fleet.demotions
+    assert "time-rotation" not in fleet.demotions
 
 
 def test_trace_attached_mediators_stay_scalar_and_equal():
@@ -275,20 +376,26 @@ from hypothesis import strategies as st  # noqa: E402
 )
 @given(
     mix_id=st.integers(min_value=1, max_value=15),
-    policy=st.sampled_from(("app+res-aware", "app+res+esd-aware")),
+    policy=st.sampled_from(("app+res-aware", "app+res+esd-aware", "util-unaware")),
     cap=st.integers(min_value=65, max_value=115),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     engine=st.sampled_from(("scalar", "vector")),
     duration_ticks=st.integers(min_value=1, max_value=180),
     min_fast=st.integers(min_value=1, max_value=32),
+    skip_overhead=st.booleans(),
 )
 def test_fuzzed_fleet_runs_equal_the_loop(
-    mix_id, policy, cap, seed, engine, duration_ticks, min_fast
+    mix_id, policy, cap, seed, engine, duration_ticks, min_fast, skip_overhead
 ):
     from repro.errors import ReproError
 
     kwargs = dict(
-        engine=engine, mix_id=mix_id, policy=policy, cap=float(cap), seed=seed
+        engine=engine,
+        mix_id=mix_id,
+        policy=policy,
+        cap=float(cap),
+        seed=seed,
+        skip_overhead=skip_overhead,
     )
     duration = duration_ticks * 0.1
     try:

@@ -43,8 +43,8 @@ def test_every_benchmark_runs_in_tiny_mode(tmp_path):
             "-m",
             "pytest",
             str(BENCH_DIR),
-            # NB: pyproject addopts already pass -q; a second -q would
-            # suppress the "N passed" summary the assertion below parses.
+            # No -qq: it would suppress the "N passed" summary the
+            # assertion below parses.
             "--benchmark-disable",
             "-p",
             "no:cacheprovider",

@@ -207,20 +207,32 @@ class TestChaosRejectsUnusedFlags:
     @pytest.mark.parametrize(
         "subcommand, flag",
         [(sub, flag) for sub in SOAKS for flag in SOAK_REJECTED]
-        + [("cluster", ["--netsim-seed", "4"])],
+        + [
+            ("cluster", ["--netsim-seed", "4"]),
+            ("cluster", ["--engine", "vector"]),
+            ("cluster", ["--fast"]),
+        ],
         ids=lambda value: value if isinstance(value, str) else value[0],
     )
     def test_flag_exits_2_naming_it(self, capsys, tmp_path, subcommand, flag):
-        name, value = flag
+        name, *value = flag
         if name in ("--trace-out", "--metrics-out"):
-            value = str(tmp_path / value)
-        code = main(SOAKS[subcommand] + ["1", name, value])
+            value = [str(tmp_path / value[0])]
+        code = main(SOAKS[subcommand] + ["1", name, *value])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith(f"error: {name} cannot be combined")
         assert len(captured.err.strip().splitlines()) == 1
         assert captured.out == ""
         assert not list(tmp_path.iterdir())
+
+    def test_engine_given_at_its_default_value_is_rejected(self, capsys):
+        # "Given" is told apart from argparse's default, not by the value.
+        code = main(SOAKS["cluster"] + ["1", "--engine", "scalar"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: --engine cannot be combined with --chaos"
+        )
 
 
 class TestServe:
