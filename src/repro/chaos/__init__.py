@@ -38,7 +38,6 @@ from repro.chaos.service import (
     ServiceSoakReport,
     run_service_soak,
     service_kill_hook,
-    service_kill_ticks,
 )
 from repro.chaos.hierarchy import (
     HierarchyChaosResult,
@@ -78,5 +77,4 @@ __all__ = [
     "run_script",
     "run_service_soak",
     "service_kill_hook",
-    "service_kill_ticks",
 ]

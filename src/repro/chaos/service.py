@@ -36,8 +36,9 @@ from typing import Callable
 import numpy as np
 
 from repro.core.simulation import verify_cap_invariant
+from repro.chaos.harness import kill_schedule
 from repro.errors import ChaosError, ConfigurationError, SimulationError
-from repro.persistence.segments import list_segments
+from repro.persistence.journal import list_segments
 from repro.service.loop import MediatorService, ServiceConfig, ServiceKilled
 
 __all__ = [
@@ -45,7 +46,6 @@ __all__ = [
     "ServiceSoakReport",
     "run_service_soak",
     "service_kill_hook",
-    "service_kill_ticks",
 ]
 
 #: Sim-side counters that must be identical between a crash-recovered run
@@ -123,20 +123,6 @@ class ChurnSchedule:
     @property
     def event_count(self) -> int:
         return sum(len(v) for v in self._by_tick.values())
-
-
-def service_kill_ticks(total_ticks: int, kills: int, seed: int) -> list[int]:
-    """Pick ``kills`` distinct kill ticks in ``[1, total_ticks)``, sorted.
-
-    Tick 0 is excluded: the service writes its tick-0 checkpoint at
-    construction, so a kill before tick 1 would test nothing.
-    """
-    if total_ticks < 2 or kills <= 0:
-        return []
-    rng = np.random.default_rng(seed)
-    count = min(kills, total_ticks - 1)
-    picks = rng.choice(np.arange(1, total_ticks), size=count, replace=False)
-    return sorted(int(t) for t in picks)
 
 
 def service_kill_hook(kill_ticks: list[int]) -> Callable[[int], None]:
@@ -224,7 +210,7 @@ def run_service_soak(
         events=churn_events,
         seed=chaos_seed,
     )
-    kill_ticks = service_kill_ticks(total_ticks, kills, chaos_seed)
+    kill_ticks = kill_schedule(total_ticks, kills, chaos_seed)
 
     baseline = MediatorService(config, workdir / "baseline", churn=churn)
     baseline.run_for_ticks(total_ticks)
@@ -323,7 +309,7 @@ def run_service_soak(
             raise ChaosError(
                 f"{label}: {segments} journal segments on disk, bound {segment_bound}"
             )
-        checkpoints = len(sorted(svc.checkpoint_dir.glob("svc-*.json")))
+        checkpoints = len(sorted(svc.checkpoint_dir.glob("ckpt-*.json")))
         if checkpoints > retention.keep_checkpoints + 1:
             raise ChaosError(
                 f"{label}: {checkpoints} checkpoints on disk, bound "

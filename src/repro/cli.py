@@ -203,7 +203,7 @@ def cmd_mix(args: argparse.Namespace) -> int:
         total_s = args.warmup + args.duration
         remaining_s = total_s - mediator.server.now_s
         print(
-            f"resumed from {args.resume} at tick {doc['created_tick']} "
+            f"resumed from {args.resume} at tick {doc['tick']} "
             f"(t={doc['sim_time_s']:.1f} s); {max(0.0, remaining_s):.1f} s to go"
         )
         if remaining_s > 0:

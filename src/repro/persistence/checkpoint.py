@@ -1,22 +1,29 @@
 """Checkpoints: versioned, schema-stamped snapshots of one mediated run.
 
-A checkpoint document has four parts::
+A checkpoint is two files in a run's ``checkpoints/`` directory: the
+document ``ckpt-<tick>.json`` and the append-only :data:`TIMELINE_LOG`
+beside it. The document has these parts::
 
     {
       "schema": "repro-checkpoint",   # stamp: is this even one of ours?
-      "version": 1,                   # format version; mismatches refuse
-      "created_tick": 120,            # ticks executed when snapshotted
+      "version": 2,                   # format version; mismatches refuse
+      "tick": 120,                    # ticks executed when snapshotted
       "sim_time_s": 12.0,
       "recipe": { ... },              # how to BUILD the run (RunRecipe)
-      "state":  { ... }               # how to RESTORE it (state_dict tree)
+      "state":  { ... },              # how to RESTORE it (state_dict tree)
+      "timeline_records": 120,        # log records the document covers
+      "<owner>": { ... }              # the writing caller's own state
     }
 
 The **recipe** holds everything needed to construct a fresh, identical
 mediator - server config, policy name, sampler spec, seeds, fault plan,
 resilience tunables. The **state** is the mediator's composite
 :meth:`~repro.core.mediator.PowerMediator.state_dict`: every RNG stream,
-ledger, cursor and counter. ``recipe.build()`` followed by
-``mediator.load_state_dict(state)`` yields a mediator whose next tick is
+ledger, cursor and counter - except the timeline, the one piece that grows
+with the run. It lives in the log, one ``TickRecord`` JSON line each, and
+the document records how many of the log's records it covers.
+``recipe.build()`` followed by ``mediator.load_state_dict(state)`` with
+the covered records as its timeline yields a mediator whose next tick is
 bit-identical to what the checkpointed one would have produced.
 
 Deliberately absent from the state: the profiling corpus, the trained
@@ -26,11 +33,14 @@ the "relearn cost avoided" the recovery accounting reports, since the
 *calibration samples* (the expensive online measurements) do travel in the
 candidate-set snapshots.
 
-Writes are atomic (tmp file + fsync + rename), so a crash mid-checkpoint
-leaves the previous checkpoint intact. Loads validate schema and version
-before touching any field and fail with a one-line
-:class:`~repro.errors.CheckpointError` naming the offending path - never a
-traceback from deep inside a codec.
+:class:`~repro.persistence.store.RunStore` is the one writer: it appends
+the new timeline records to the log and fsyncs it, then writes the document
+atomically (tmp file + fsync + rename), so a crash mid-checkpoint leaves
+the previous checkpoint intact. :func:`read_checkpoint` is the one reader:
+it validates schema and version before touching any field and fails with a
+one-line :class:`~repro.errors.CheckpointError` naming the offending path -
+never a traceback from deep inside a codec. A version-1 document (timeline
+inline) is refused.
 """
 
 from __future__ import annotations
@@ -57,7 +67,13 @@ from repro.server.server import SimulatedServer
 CHECKPOINT_SCHEMA = "repro-checkpoint"
 
 #: Current checkpoint format version; bump on incompatible layout changes.
-CHECKPOINT_VERSION = 1
+#: Version 2 keeps the timeline out of the document, in :data:`TIMELINE_LOG`.
+CHECKPOINT_VERSION = 2
+
+#: The timeline log beside the documents: one ``TickRecord`` JSON line each,
+#: appended at every checkpoint and never pruned (the timeline is what the
+#: cap-invariant audit reads).
+TIMELINE_LOG = "timeline.jsonl"
 
 _VALID = Validator(CheckpointError)
 
@@ -254,53 +270,28 @@ def checkpoint_filename(tick: int) -> str:
     return f"ckpt-{tick:08d}.json"
 
 
-def write_checkpoint(
-    directory: str | Path, mediator: PowerMediator, recipe: RunRecipe
-) -> Path:
-    """Atomically write a checkpoint of ``mediator`` into ``directory``.
-
-    The document lands under :func:`checkpoint_filename` for the current
-    tick; re-checkpointing the same tick overwrites (the content is
-    identical by determinism). Atomicity is tmp + fsync + rename, so readers
-    never observe a half-written checkpoint.
-
-    Raises:
-        CheckpointError: when the directory or file cannot be written.
-    """
-    directory = Path(directory)
-    doc = {
-        "schema": CHECKPOINT_SCHEMA,
-        "version": CHECKPOINT_VERSION,
-        "created_tick": mediator.tick_count,
-        "sim_time_s": mediator.server.now_s,
-        "recipe": recipe.to_dict(),
-        "state": mediator.state_dict(),
-    }
-    path = directory / checkpoint_filename(mediator.tick_count)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from None
-    return path
-
-
-def read_checkpoint(path: str | Path) -> dict:
-    """Read and validate one checkpoint document.
+def read_checkpoint(path: str | Path, *, cut_log: bool = False) -> dict:
+    """Read and validate one checkpoint document and the timeline it covers.
 
     Validation is layered so every failure is a single clear line: file
     readability, JSON well-formedness, schema stamp, format version, then
     the presence and types of the top-level fields. The recipe and state
-    trees are validated by their consumers
-    (:meth:`RunRecipe.from_dict`, the component codecs).
+    trees are validated by their consumers (:meth:`RunRecipe.from_dict`,
+    the component codecs). The first ``timeline_records`` lines of the
+    :data:`TIMELINE_LOG` beside the document become ``state["timeline"]``,
+    so :func:`restore_mediator` sees the whole timeline.
+
+    Args:
+        path: The document.
+        cut_log: Truncate the log after the covered records. Recovery cuts:
+            whatever follows was appended by a checkpoint that never became
+            durable, and appending resumes from the cut. A read-only resume
+            leaves the log alone.
 
     Raises:
-        CheckpointError: on any of the above.
+        CheckpointError: on any of the above, or a log that holds fewer
+            whole records than the document covers or a malformed line
+            among them.
     """
     path = Path(path)
     try:
@@ -328,15 +319,50 @@ def read_checkpoint(path: str | Path) -> dict:
             f"{path}: checkpoint version {version} is not supported "
             f"(this build reads version {CHECKPOINT_VERSION})"
         )
-    _VALID.as_int(
-        _VALID.require(obj, "created_tick", "checkpoint"), "checkpoint.created_tick"
-    )
+    _VALID.as_int(_VALID.require(obj, "tick", "checkpoint"), "checkpoint.tick")
     _VALID.as_number(
         _VALID.require(obj, "sim_time_s", "checkpoint"), "checkpoint.sim_time_s"
     )
     _VALID.as_dict(_VALID.require(obj, "recipe", "checkpoint"), "checkpoint.recipe")
-    _VALID.as_dict(_VALID.require(obj, "state", "checkpoint"), "checkpoint.state")
+    state = _VALID.as_dict(
+        _VALID.require(obj, "state", "checkpoint"), "checkpoint.state"
+    )
+    covered = _VALID.as_int(
+        _VALID.require(obj, "timeline_records", "checkpoint"),
+        "checkpoint.timeline_records",
+    )
+    if covered < 0:
+        _VALID.fail("checkpoint.timeline_records", f"must be non-negative, got {covered}")
+    state["timeline"] = _read_timeline_log(path.parent / TIMELINE_LOG, covered, cut_log)
     return obj
+
+
+def _read_timeline_log(log: Path, covered: int, cut: bool) -> list[dict]:
+    records: list[dict] = []
+    try:
+        with open(log, "rb") as handle:
+            for number in range(1, covered + 1):
+                line = handle.readline()
+                if not line.endswith(b"\n"):
+                    raise CheckpointError(
+                        f"{log}: holds {number - 1} whole records, the "
+                        f"checkpoint covers {covered}"
+                    )
+                try:
+                    record = json.loads(line)
+                except ValueError as exc:
+                    raise CheckpointError(
+                        f"{log}: line {number} is not valid JSON ({exc})"
+                    ) from None
+                if not isinstance(record, dict):
+                    raise CheckpointError(f"{log}: line {number} is not a JSON object")
+                records.append(record)
+            end = handle.tell()
+        if cut:
+            os.truncate(log, end)
+    except OSError as exc:
+        raise CheckpointError(f"cannot read timeline log {log}: {exc}") from None
+    return records
 
 
 def restore_mediator(doc: dict) -> PowerMediator:
@@ -356,13 +382,3 @@ def restore_mediator(doc: dict) -> PowerMediator:
             f"({type(exc).__name__}: {exc})"
         ) from None
     return mediator
-
-
-def latest_checkpoint(directory: str | Path) -> Path | None:
-    """The most recent checkpoint in ``directory``, or ``None``.
-
-    Checkpoint names embed the zero-padded tick, so lexicographic order is
-    creation order.
-    """
-    candidates = sorted(Path(directory).glob("ckpt-*.json"))
-    return candidates[-1] if candidates else None

@@ -1,4 +1,4 @@
-"""Write-ahead event journal: append-only JSONL with a torn-tail rule.
+"""Write-ahead event journal: segmented, append-only JSONL with a torn-tail rule.
 
 The journal is the fine-grained complement to checkpoints: checkpoints are
 heavyweight and periodic, the journal records every unit of progress between
@@ -9,33 +9,43 @@ them. One record per line, each a JSON object with a strictly increasing
 op          meaning / durability
 ========== ===========================================================
 meta        run header (schema stamp, version, tick length); fsynced
-command     a script command *about to execute* (write-ahead); fsynced
+command     a command *about to execute* (write-ahead); fsynced
             before the command runs, so a command is never half-known
-tick        one mediator tick completed; fsynced in batches of
+tick        the number of ticks completed so far; fsynced in batches of
             ``fsync_every_ticks`` (ticks are deterministic, so losing
             the un-synced tail only costs re-execution, never truth)
-checkpoint  a checkpoint landed; carries the file name plus the resume
-            position (script index, current advance deadline); fsynced
+checkpoint  a checkpoint document landed; carries its tick and file
+            name; fsynced
 ========== ===========================================================
+
+Recovery never decodes command records: it restores the newest marked
+checkpoint and re-executes as many ticks as the durable tick records reach
+(:class:`~repro.persistence.store.RunStore`). Command records are the
+write-ahead evidence of what ran; a duplicate journaled by a re-executed
+stretch is inert.
+
+**Segments.** One file would grow without bound, so the record stream is
+sharded across files named ``journal-<start_seq>.jsonl``, where
+``start_seq`` is the sequence number of the file's first record. Sequence
+numbers are global and gap-free, so the filename doubles as an index:
+retention deletes whole prefix segments once a checkpoint makes their
+records obsolete. Rotation closes (flush + fsync) the outgoing segment, so
+**only the last segment may ever be torn**.
 
 **Torn-tail rule** (see :class:`~repro.errors.JournalError`): a crash can
 tear the final line mid-write. :func:`read_journal` silently drops a
 malformed *final* record - that data was never durable - but refuses a
-malformed record anywhere in the interior, because replaying past a damaged
-middle would diverge from the run the journal records.
-
-Commands are journaled *before* execution (classic WAL discipline). Replay
-is therefore idempotent by construction: a command that crashed mid-flight
-re-executes against the pre-command state restored from the checkpoint, and
-a command that completed is either covered by a later checkpoint (not
-replayed) or re-executed deterministically from the same state as the first
-time.
+malformed record anywhere in the interior, and a short interior segment
+(a sequence discontinuity against the next segment's filename), because
+recovering past a damaged middle would diverge from the run the journal
+records.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from pathlib import Path
 
 from repro.errors import JournalError
@@ -45,34 +55,74 @@ from repro.schema import Validator
 JOURNAL_SCHEMA = "repro-journal"
 
 #: Current journal format version; bump on incompatible record changes.
-JOURNAL_VERSION = 1
+#: Version 2: a ``tick`` record holds the ticks completed, and a
+#: ``checkpoint`` marker only the document's tick and name.
+JOURNAL_VERSION = 2
 
 _VALID = Validator(JournalError)
 
 _KNOWN_OPS = ("meta", "command", "tick", "checkpoint")
 
+_SEGMENT_RE = re.compile(r"^journal-(\d{10})\.jsonl$")
+
+
+def segment_filename(start_seq: int) -> str:
+    """Canonical segment name; zero-padded so lexicographic order is seq order."""
+    if start_seq < 0:
+        raise JournalError(f"segment start_seq must be non-negative, got {start_seq}")
+    return f"journal-{start_seq:010d}.jsonl"
+
+
+def segment_start_seq(path: str | Path) -> int:
+    """The first sequence number a segment file claims to hold."""
+    name = Path(path).name
+    match = _SEGMENT_RE.match(name)
+    if match is None:
+        raise JournalError(f"{name!r} is not a journal segment name")
+    return int(match.group(1))
+
+
+def list_segments(directory: str | Path) -> list[Path]:
+    """Every segment in ``directory``, in sequence order."""
+    directory = Path(directory)
+    if not directory.is_dir():
+        return []
+    return sorted(
+        (p for p in directory.iterdir() if _SEGMENT_RE.match(p.name)),
+        key=segment_start_seq,
+    )
+
+
+def segments_size_bytes(directory: str | Path) -> int:
+    """Total on-disk footprint of the journal's segments."""
+    return sum(p.stat().st_size for p in list_segments(directory))
+
 
 class JournalWriter:
-    """Appends records to one journal file with explicit durability points.
+    """Appends records to a segmented journal with explicit durability points.
+
+    Rotation happens *before* the append that would exceed
+    ``records_per_segment``, and the outgoing segment is closed with a final
+    fsync, so every interior segment is durable in full.
 
     Args:
-        path: Journal file; created (with parents) if missing, appended to
-            if present (warm restart continues the same file).
+        directory: Segment directory; created if missing.
+        records_per_segment: Records per file before rotating.
         fsync_every_ticks: Tick records between fsyncs. Commands, meta and
             checkpoint markers always fsync immediately.
-        start_seq: First sequence number to assign; a recovering supervisor
-            passes ``last durable seq + 1`` so the ordering survives the
-            restart.
+        start_seq: First sequence number to assign; a recovering run passes
+            ``last durable seq + 1`` so the ordering survives the restart
+            (the new segment's filename records it).
 
     Raises:
-        JournalError: for a non-positive ``fsync_every_ticks`` or an
-            unwritable path.
+        JournalError: for a non-positive cadence or an unwritable directory.
     """
 
     def __init__(
         self,
-        path: str | Path,
+        directory: str | Path,
         *,
+        records_per_segment: int = 4096,
         fsync_every_ticks: int = 25,
         start_seq: int = 0,
     ) -> None:
@@ -80,21 +130,31 @@ class JournalWriter:
             raise JournalError(
                 f"fsync_every_ticks must be at least 1, got {fsync_every_ticks}"
             )
-        self._path = Path(path)
+        if records_per_segment < 1:
+            raise JournalError(
+                f"records_per_segment must be at least 1, got {records_per_segment}"
+            )
+        self._directory = Path(directory)
+        self._records_per_segment = records_per_segment
         self._fsync_every_ticks = fsync_every_ticks
         self._seq = start_seq
         self._unsynced_ticks = 0
+        self._closed = False
+        self._open_segment()
+
+    def _open_segment(self) -> None:
+        self._path = self._directory / segment_filename(self._seq)
         try:
-            self._path.parent.mkdir(parents=True, exist_ok=True)
+            self._directory.mkdir(parents=True, exist_ok=True)
             self._file = open(self._path, "a", encoding="utf-8")
         except OSError as exc:
             raise JournalError(f"cannot open journal {self._path}: {exc}") from None
         self._durable_offset = self._file.tell()
-        self._closed = False
+        self._in_segment = 0
 
     @property
-    def path(self) -> Path:
-        return self._path
+    def directory(self) -> Path:
+        return self._directory
 
     @property
     def next_seq(self) -> int:
@@ -102,12 +162,17 @@ class JournalWriter:
         return self._seq
 
     @property
+    def current_segment(self) -> Path:
+        """The file the next record will land in (the only tearable one)."""
+        return self._path
+
+    @property
     def durable_offset(self) -> int:
-        """File offset up to which records have been fsynced.
+        """Offset within the *current* segment up to which records have been
+        fsynced (interior segments are durable in full).
 
         Everything before this offset survives any crash; everything after
-        it is the at-risk tail a crash may tear (the chaos harness uses this
-        to keep simulated tears honest).
+        it is the at-risk tail a crash may tear.
         """
         return self._durable_offset
 
@@ -126,54 +191,43 @@ class JournalWriter:
         )
 
     def append_command(self, index: int, command: dict) -> None:
-        """Write-ahead record of script command ``index`` about to run."""
+        """Write-ahead record of command ``index`` about to run."""
         self._append({"op": "command", "index": index, "command": command}, durable=True)
 
-    def append_tick(self, tick: int) -> None:
-        """Record one completed mediator tick (batched durability)."""
+    def append_tick(self, ticks: int) -> None:
+        """Record that ``ticks`` ticks have completed (batched durability)."""
         self._unsynced_ticks += 1
         self._append(
-            {"op": "tick", "tick": tick},
+            {"op": "tick", "tick": ticks},
             durable=self._unsynced_ticks >= self._fsync_every_ticks,
         )
 
-    def append_checkpoint(
-        self, *, tick: int, path: str, command: int, end_s: float | None
-    ) -> None:
-        """Record a landed checkpoint plus the position to resume from.
-
-        Args:
-            tick: Mediator tick the checkpoint captured.
-            path: Checkpoint file name (relative to the journal's directory).
-            command: Script index execution stands at.
-            end_s: Deadline of the in-progress ``Advance``, or ``None``
-                between commands.
-        """
-        self._append(
-            {
-                "op": "checkpoint",
-                "tick": tick,
-                "path": path,
-                "command": command,
-                "end_s": end_s,
-            },
-            durable=True,
-        )
+    def append_checkpoint(self, *, tick: int, path: str) -> None:
+        """Record a landed checkpoint: its tick and its file name."""
+        self._append({"op": "checkpoint", "tick": tick, "path": path}, durable=True)
 
     def _append(self, record: dict, *, durable: bool) -> None:
         if self._closed:
-            raise JournalError(f"journal {self._path} is closed")
+            raise JournalError(f"journal {self._directory} is closed")
         record = {"seq": self._seq, **record}
         try:
+            if self._in_segment >= self._records_per_segment:
+                self._sync()  # interior segments are never torn
+                self._file.close()
+                self._open_segment()
             self._file.write(json.dumps(record) + "\n")
             if durable:
-                self._file.flush()
-                os.fsync(self._file.fileno())
-                self._durable_offset = self._file.tell()
-                self._unsynced_ticks = 0
+                self._sync()
         except OSError as exc:
             raise JournalError(f"cannot append to journal {self._path}: {exc}") from None
         self._seq += 1
+        self._in_segment += 1
+
+    def _sync(self) -> None:
+        self._file.flush()
+        os.fsync(self._file.fileno())
+        self._durable_offset = self._file.tell()
+        self._unsynced_ticks = 0
 
     def abort(self) -> None:
         """Close as a crash would: nothing new becomes durable. Idempotent.
@@ -197,26 +251,28 @@ class JournalWriter:
             return
         self._closed = True
         try:
-            self._file.flush()
-            os.fsync(self._file.fileno())
-            self._durable_offset = self._file.tell()
+            self._sync()
         except OSError:
             pass
         self._file.close()
 
 
-def repair_torn_tail(path: str | Path) -> bool:
-    """Trim a torn final record off a journal, in place.
+def repair_torn_tail(directory: str | Path) -> bool:
+    """Trim a torn final record off the journal's last segment, in place.
 
     Recovery must do this before re-opening the journal for append:
-    otherwise the first post-recovery record would concatenate onto the torn
-    fragment and corrupt the journal's interior. Returns whether anything
-    was trimmed.
+    otherwise a record appended later could concatenate onto the torn
+    fragment. Interior segments were fsynced whole at rotation, so only the
+    last may legitimately be torn; damage anywhere else surfaces in
+    :func:`read_journal`. Returns whether anything was trimmed.
 
     Raises:
-        JournalError: if the file cannot be read or truncated.
+        JournalError: if the segment cannot be read or truncated.
     """
-    path = Path(path)
+    segments = list_segments(directory)
+    if not segments:
+        return False
+    path = segments[-1]
     try:
         data = path.read_bytes()
     except OSError as exc:
@@ -242,19 +298,52 @@ def repair_torn_tail(path: str | Path) -> bool:
     return True
 
 
-def read_journal(path: str | Path) -> list[dict]:
-    """Read every durable record, applying the torn-tail rule.
+def read_journal(directory: str | Path) -> list[dict]:
+    """Read every durable record across all segments, validating stitching.
 
-    Returns:
-        The validated records in order. A malformed final line is dropped
-        (it was torn by a crash before reaching disk in full).
+    Checks, per segment: the torn-tail rule, each record's shape, that the
+    first record's seq matches the filename's ``start_seq`` (a renamed or
+    cross-wired file fails loudly), and for interior segments that the last
+    record's seq reaches exactly to the next segment's ``start_seq`` (a
+    short interior segment means durable records were lost, which the
+    torn-tail rule does not excuse).
 
     Raises:
-        JournalError: for an unreadable file, a malformed record in the
-            journal's interior, an unknown ``op``, or a sequence-number
-            ordering violation.
+        JournalError: on an empty directory, any single-segment damage, or
+            a cross-segment discontinuity.
     """
-    path = Path(path)
+    segments = list_segments(directory)
+    if not segments:
+        raise JournalError(f"no journal segments in {directory}")
+    records: list[dict] = []
+    for index, path in enumerate(segments):
+        start_seq = segment_start_seq(path)
+        segment_records = _read_segment(path)
+        last = index == len(segments) - 1
+        if not segment_records:
+            if last:
+                continue  # freshly rotated, crashed before the first append
+            raise JournalError(f"{path.name}: interior segment holds no records")
+        first_seq = segment_records[0]["seq"]
+        if first_seq != start_seq:
+            raise JournalError(
+                f"{path.name}: first record seq {first_seq} does not match "
+                f"the filename's start_seq {start_seq}"
+            )
+        if not last:
+            next_start = segment_start_seq(segments[index + 1])
+            end_seq = segment_records[-1]["seq"]
+            if end_seq + 1 != next_start:
+                raise JournalError(
+                    f"{path.name}: segment ends at seq {end_seq} but the next "
+                    f"segment starts at {next_start}; durable records are missing"
+                )
+        records.extend(segment_records)
+    return records
+
+
+def _read_segment(path: Path) -> list[dict]:
+    """One segment's validated records; a malformed final line is dropped."""
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -296,14 +385,37 @@ def read_journal(path: str | Path) -> list[dict]:
         elif op == "command":
             _VALID.as_int(_VALID.require(obj, "index", where), f"{where}.index")
             _VALID.as_dict(_VALID.require(obj, "command", where), f"{where}.command")
-        elif op == "tick":
+        else:  # tick or checkpoint
             _VALID.as_int(_VALID.require(obj, "tick", where), f"{where}.tick")
-        else:  # checkpoint
-            _VALID.as_int(_VALID.require(obj, "tick", where), f"{where}.tick")
-            _VALID.as_str(_VALID.require(obj, "path", where), f"{where}.path")
-            _VALID.as_int(_VALID.require(obj, "command", where), f"{where}.command")
-            end_s = _VALID.require(obj, "end_s", where)
-            if end_s is not None:
-                _VALID.as_number(end_s, f"{where}.end_s")
+            if op == "checkpoint":
+                _VALID.as_str(_VALID.require(obj, "path", where), f"{where}.path")
         records.append(obj)
     return records
+
+
+def prune_segments(directory: str | Path, keep_from_seq: int) -> int:
+    """Delete segments whose records all precede ``keep_from_seq``.
+
+    Called by retention once a durable checkpoint covers everything up to
+    ``keep_from_seq``: recovery never reads earlier records. A segment
+    survives if any of its records could be >= ``keep_from_seq`` (i.e. the
+    *next* segment's start_seq exceeds the cursor), and the last segment
+    always survives (it is the append target). Returns segments deleted.
+    """
+    if keep_from_seq < 0:
+        raise JournalError(f"retention cursor must be non-negative, got {keep_from_seq}")
+    segments = list_segments(directory)
+    deleted = 0
+    for index in range(len(segments) - 1):
+        next_start = segment_start_seq(segments[index + 1])
+        if next_start <= keep_from_seq:
+            try:
+                segments[index].unlink()
+            except OSError as exc:
+                raise JournalError(
+                    f"cannot prune segment {segments[index].name}: {exc}"
+                ) from None
+            deleted += 1
+        else:
+            break  # segments are ordered; nothing later is prunable either
+    return deleted

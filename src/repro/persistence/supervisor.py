@@ -4,21 +4,26 @@ The :class:`Supervisor` owns the whole crash-tolerance loop. It drives a
 mediator through a declarative *script* of commands (:class:`AdmitApp`,
 :class:`SetCap`, :class:`Advance`), journaling each command before it
 executes and each tick as it completes, and checkpointing every
-``checkpoint_every_ticks`` ticks. When the mediator dies
+``checkpoint_every_ticks`` ticks through a
+:class:`~repro.persistence.store.RunStore`. When the mediator dies
 (:class:`MediatorKilled`, raised by a crash-injection hook or a real bug)
 or hangs past the per-tick deadline (:class:`MediatorHung`), the supervisor
 
 1. tears the journal's un-fsynced tail if asked to (simulating what a real
    crash does to buffered writes - fsynced bytes are never lost),
-2. restores the latest checkpoint and replays every journal record after
-   its marker - commands re-execute, ticks re-step - landing on the exact
-   pre-crash state (everything is deterministic, so the replay is
-   bit-identical to the lost execution),
+2. restores the newest marked checkpoint and **re-executes** the script
+   from the position that checkpoint recorded, up to the tick count the
+   durable journal reaches - everything is deterministic, so re-execution
+   lands bit-identically on the pre-crash state (journaled commands are
+   evidence, never decoded),
 3. writes a *fresh* checkpoint, so repeated crashes always make forward
    progress, and
 4. optionally holds the server in the PR 1 guard-banded safe posture
    (:meth:`~repro.core.mediator.PowerMediator.begin_safe_hold`) while trust
    in the restarted loop is re-established.
+
+The tick hook runs before re-executed ticks too, so a kill can land inside
+a recovery; it is recovered from like any other.
 
 Recovery cost is tracked in :class:`RecoveryStats`, including the learning
 state (calibration samples) that checkpoint restore saved from a cold
@@ -27,9 +32,9 @@ relearn.
 
 from __future__ import annotations
 
-import os
+import dataclasses
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -37,13 +42,8 @@ from repro.core.mediator import PowerMediator
 from repro.errors import CheckpointError, ReproError
 from repro.learning.sampling import Sampler
 from repro.observability.trace import NULL_TRACE_BUS, TraceBus
-from repro.persistence.checkpoint import (
-    RunRecipe,
-    read_checkpoint,
-    restore_mediator,
-    write_checkpoint,
-)
-from repro.persistence.journal import JournalWriter, read_journal, repair_torn_tail
+from repro.persistence.checkpoint import RunRecipe
+from repro.persistence.store import RunStore
 from repro.workloads.generator import PhasedProfile
 from repro.workloads.profiles import WorkloadProfile
 
@@ -105,29 +105,6 @@ def command_to_dict(command: Command) -> dict:
     raise TypeError(f"not a script command: {command!r}")
 
 
-def command_from_dict(data: dict) -> Command:
-    """Inverse of :func:`command_to_dict` (extra keys like ``end_s`` are
-    resume context, not part of the command, and are ignored here)."""
-    kind = data["kind"]
-    if kind == "admit":
-        phased = data["phased"]
-        return AdmitApp(
-            profile=WorkloadProfile.from_dict(data["profile"]),
-            phased=None
-            if phased is None
-            else PhasedProfile(
-                [(float(t), WorkloadProfile.from_dict(p)) for t, p in phased]
-            ),
-            group_width=data["group_width"],
-            skip_overhead=bool(data["skip_overhead"]),
-        )
-    if kind == "set_cap":
-        return SetCap(p_cap_w=float(data["p_cap_w"]))
-    if kind == "advance":
-        return Advance(duration_s=float(data["duration_s"]))
-    raise ValueError(f"unknown command kind {kind!r}")
-
-
 # ---------------------------------------------------------------- accounting
 
 
@@ -136,13 +113,14 @@ class RecoveryStats:
     """Counters describing what crash recovery cost - and what it saved.
 
     Attributes:
-        restarts: Warm restarts performed (kills + hangs recovered from).
+        restarts: Warm restarts performed: every kill and hang recovered
+            from, including one that lands inside a recovery.
         hangs_detected: Restarts triggered by the tick deadline rather
             than outright death.
-        downtime_ticks: Ticks that had to be re-executed from the journal
-            because they happened after the last checkpoint.
-        journal_records_replayed: Total journal records (commands + ticks)
-            replayed across all recoveries.
+        downtime_ticks: Ticks re-executed because they happened after the
+            checkpoint a recovery restored.
+        journal_records_replayed: Journal records (commands + ticks) past
+            the restored checkpoints' markers, across all recoveries.
         checkpoints_written: Snapshots written, including the post-recovery
             ones.
         samples_restored: Calibration samples that arrived intact inside
@@ -170,6 +148,8 @@ class _Position:
     end_s: float | None = None
 
 
+
+
 # ---------------------------------------------------------------- supervisor
 
 
@@ -180,15 +160,16 @@ class Supervisor:
         recipe: How to (re)build the mediator; also stamped into every
             checkpoint so a restore never depends on live objects.
         script: The commands to execute, in order.
-        workdir: Directory receiving ``journal.jsonl`` and the
-            ``ckpt-*.json`` snapshots.
+        workdir: Directory receiving the journal (``journal/``) and the
+            checkpoints (``checkpoints/``); see
+            :class:`~repro.persistence.store.RunStore`.
         checkpoint_every_ticks: Snapshot cadence during ``Advance``.
         fsync_every_ticks: Journal tick-record durability cadence.
         tick_deadline_s: Wall-clock budget for one mediator tick; ``None``
             disables hang detection.
         tick_hook: Called as ``tick_hook(mediator, tick_count)`` before
-            every tick - the chaos harness raises :class:`MediatorKilled`
-            from here.
+            every tick, re-executed ones included - the chaos harness
+            raises :class:`MediatorKilled` from here.
         safe_hold_ticks: Guard-banded safe-posture length applied after
             each warm restart (0 keeps restarts bit-identical).
         tear_journal_bytes_on_crash: On each crash, drop up to this many
@@ -196,15 +177,13 @@ class Supervisor:
             disappear - to exercise the torn-tail rule.
         max_restarts: Hard stop against a deterministically crashing loop.
         trace_bus: Optional trace sink. The supervisor attaches it to every
-            mediator incarnation, records the bus mark alongside each
-            checkpoint, and on recovery truncates to the restored
-            checkpoint's mark before replay - so the stitched sim stream
+            mediator incarnation, and the store records the bus mark
+            alongside each checkpoint and truncates to the restored
+            checkpoint's mark on recovery - so the stitched sim stream
             hashes identically to an uninterrupted run (when
             ``safe_hold_ticks`` is 0). Crash/restore forensics land in the
             trace as meta events, outside the hash.
     """
-
-    JOURNAL_NAME = "journal.jsonl"
 
     def __init__(
         self,
@@ -233,13 +212,10 @@ class Supervisor:
         self._max_restarts = max_restarts
         self._stats = RecoveryStats()
         self._mediator: PowerMediator | None = None
-        self._journal: JournalWriter | None = None
+        self._store: RunStore | None = None
         self._pos = _Position()
         self._ticks_since_checkpoint = 0
         self._trace = NULL_TRACE_BUS if trace_bus is None else trace_bus
-        # Checkpoint file name -> bus mark (the seq the next sim event gets)
-        # at snapshot time. In-memory only: traces belong to one process run.
-        self._bus_marks: dict[str, int] = {}
 
     @property
     def stats(self) -> RecoveryStats:
@@ -249,10 +225,6 @@ class Supervisor:
     def mediator(self) -> PowerMediator | None:
         """The currently supervised mediator (changes across restarts)."""
         return self._mediator
-
-    @property
-    def journal_path(self) -> Path:
-        return self._workdir / self.JOURNAL_NAME
 
     def run(self) -> PowerMediator:
         """Execute the whole script, surviving kills and hangs.
@@ -265,15 +237,20 @@ class Supervisor:
             CheckpointError: if recovery exceeds ``max_restarts``.
         """
         self._mediator = self._recipe.build()
-        if self._trace.active:
-            self._mediator.attach_trace_bus(self._trace)
-        self._journal = JournalWriter(
-            self.journal_path, fsync_every_ticks=self._fsync_every_ticks
+        self._mediator.attach_trace_bus(self._trace)
+        self._store = RunStore(
+            self._workdir,
+            self._recipe,
+            owner="supervisor",
+            bus=self._trace,
+            fsync_every_ticks=self._fsync_every_ticks,
+            tear_journal_bytes_on_crash=self._tear_bytes,
         )
-        self._journal.append_meta(dt_s=self._mediator.dt_s)
         self._checkpoint()
         while True:
             try:
+                if self._store.journal is None:
+                    self._recover()
                 self._execute()
                 break
             except (MediatorKilled, MediatorHung) as exc:
@@ -283,48 +260,60 @@ class Supervisor:
                     raise CheckpointError(
                         f"gave up after {self._stats.restarts} restarts: {exc}"
                     ) from exc
-                if self._trace.active:
-                    self._trace.emit_meta(
-                        "crash",
-                        {
-                            "reason": "hang" if isinstance(exc, MediatorHung) else "kill",
-                            "restarts_so_far": self._stats.restarts,
-                        },
-                    )
-                self._crash_journal()
-                self._recover()
-        self._journal.close()
+                self._trace.emit_meta(
+                    "crash",
+                    {
+                        "reason": "hang" if isinstance(exc, MediatorHung) else "kill",
+                        "restarts_so_far": self._stats.restarts,
+                    },
+                )
+                self._store.crash()
+                self._stats.restarts += 1
+        self._store.journal.close()
         return self._mediator
 
     # ----------------------------------------------------------- execution
 
-    def _execute(self) -> None:
-        """Run the script from the current position to the end."""
-        assert self._mediator is not None and self._journal is not None
+    def _execute(self, stop: int | None = None) -> None:
+        """Run the script from the current position to its end - or, while
+        recovery re-executes, until the mediator has completed ``stop``
+        ticks. A command that falls at ``stop`` waits for the reopened
+        journal (so it is journaled a second time; the copy is inert)."""
+        mediator, store = self._mediator, self._store
+        assert mediator is not None and store is not None
         while self._pos.command < len(self._script):
+            if stop is not None and mediator.tick_count >= stop:
+                return
             index = self._pos.command
             command = self._script[index]
             if isinstance(command, Advance):
                 if self._pos.end_s is None:
-                    # Journal the absolute deadline once; recomputing it
-                    # after a restart could drift by a float ulp.
-                    end_s = self._mediator.server.now_s + command.duration_s
-                    record = command_to_dict(command)
-                    record["end_s"] = end_s
-                    self._journal.append_command(index, record)
+                    # The deadline is fixed once per command and carried in
+                    # checkpoints; recomputing it mid-command could drift.
+                    end_s = mediator.server.now_s + command.duration_s
+                    if store.journal is not None:
+                        record = command_to_dict(command)
+                        record["end_s"] = end_s
+                        store.journal.append_command(index, record)
                     self._pos = _Position(command=index, end_s=end_s)
-                self._advance(self._pos.end_s)
+                if not self._advance(self._pos.end_s, stop):
+                    return
             else:
-                self._journal.append_command(index, command_to_dict(command))
+                if store.journal is not None:
+                    store.journal.append_command(index, command_to_dict(command))
                 self._apply(command)
             self._pos = _Position(command=index + 1, end_s=None)
-        self._checkpoint()
+        if stop is None:
+            self._checkpoint()
 
-    def _advance(self, end_s: float) -> None:
-        """Tick the mediator up to ``end_s`` (mirrors ``run_for``'s loop)."""
-        mediator, journal = self._mediator, self._journal
-        assert mediator is not None and journal is not None
+    def _advance(self, end_s: float, stop: int | None) -> bool:
+        """Tick the mediator up to ``end_s`` (mirrors ``run_for``'s loop).
+        Returns False when re-execution reached ``stop`` first."""
+        mediator, store = self._mediator, self._store
+        assert mediator is not None and store is not None
         while mediator.server.now_s < end_s - 1e-9:
+            if stop is not None and mediator.tick_count >= stop:
+                return False
             if self._tick_hook is not None:
                 self._tick_hook(mediator, mediator.tick_count)
             started = time.monotonic()
@@ -333,16 +322,20 @@ class Supervisor:
                 self._tick_deadline_s is not None
                 and time.monotonic() - started > self._tick_deadline_s
             ):
-                # Do NOT journal the overrun tick: recovery replays to the
-                # previous durable tick and redoes this one from scratch.
+                # Do NOT journal the overrun tick: recovery re-executes to
+                # the previous durable tick and redoes this one from scratch.
                 raise MediatorHung(
                     f"tick {mediator.tick_count} exceeded the "
                     f"{self._tick_deadline_s:.3f} s deadline"
                 )
-            journal.append_tick(mediator.tick_count)
+            if store.journal is None:
+                self._stats.downtime_ticks += 1
+                continue
+            store.journal.append_tick(mediator.tick_count)
             self._ticks_since_checkpoint += 1
             if self._ticks_since_checkpoint >= self._checkpoint_every_ticks:
                 self._checkpoint()
+        return True
 
     def _apply(self, command: Command) -> None:
         assert self._mediator is not None
@@ -359,107 +352,26 @@ class Supervisor:
             raise TypeError(f"cannot apply {command!r}")
 
     def _checkpoint(self) -> None:
-        assert self._mediator is not None and self._journal is not None
-        path = write_checkpoint(self._workdir, self._mediator, self._recipe)
-        self._journal.append_checkpoint(
-            tick=self._mediator.tick_count,
-            path=path.name,
-            command=self._pos.command,
-            end_s=self._pos.end_s,
-        )
-        if self._trace.active:
-            # The mark pins the sim-event prefix this snapshot captured;
-            # recovery truncates back to it before replay re-emits the rest.
-            self._bus_marks[path.name] = self._trace.mark()
-            self._trace.emit_meta(
-                "checkpoint", {"tick": self._mediator.tick_count, "path": path.name}
-            )
+        assert self._mediator is not None and self._store is not None
+        self._store.checkpoint(self._mediator, dataclasses.asdict(self._pos))
         self._ticks_since_checkpoint = 0
         self._stats.checkpoints_written += 1
 
     # ------------------------------------------------------------ recovery
 
-    def _crash_journal(self) -> None:
-        """Close the journal the way a crash would: buffered writes may be
-        torn, fsynced bytes survive."""
-        assert self._journal is not None
-        durable = self._journal.durable_offset
-        self._journal.abort()
-        if self._tear_bytes > 0:
-            size = self.journal_path.stat().st_size
-            keep = max(durable, size - self._tear_bytes)
-            if keep < size:
-                os.truncate(self.journal_path, keep)
-
     def _recover(self) -> None:
-        """Warm restart: latest checkpoint + journal replay."""
-        repair_torn_tail(self.journal_path)
-        records = read_journal(self.journal_path)
-        marker_at = max(
-            (i for i, rec in enumerate(records) if rec["op"] == "checkpoint"),
-            default=None,
-        )
-        if marker_at is None:
-            raise CheckpointError(
-                f"journal {self.journal_path} holds no checkpoint marker; "
-                "cannot recover"
-            )
-        marker = records[marker_at]
-        doc = read_checkpoint(self._workdir / marker["path"])
-        self._mediator = restore_mediator(doc)
-        if self._trace.active:
-            # Rewind the sim stream to the snapshot's prefix, note the
-            # restore for forensics, then re-attach so replay (and the rest
-            # of the run) re-emits onto the same bus. attach_trace_bus syncs
-            # the tick cursor from the restored timeline, so re-applied
-            # commands stamp exactly as they did pre-crash.
-            mark = self._bus_marks.get(marker["path"])
-            dropped = 0 if mark is None else self._trace.truncate_to_mark(mark)
-            self._trace.emit_meta(
-                "restore",
-                {
-                    "tick": self._mediator.tick_count,
-                    "checkpoint": marker["path"],
-                    "dropped_events": dropped,
-                },
-            )
-            self._mediator.attach_trace_bus(self._trace)
+        """Warm restart: restore the newest marked checkpoint, re-execute the
+        script up to the ticks the durable journal holds, journal afresh."""
+        assert self._store is not None
+        restored = self._store.recover()
+        self._mediator = restored.mediator
+        self._pos = _Position(**restored.state)
         self._credit_restored_learning()
-        self._pos = _Position(
-            command=int(marker["command"]),
-            end_s=None if marker["end_s"] is None else float(marker["end_s"]),
-        )
-        tail = records[marker_at + 1 :]
-        replayed_ticks = 0
-        for rec in tail:
-            if rec["op"] == "command":
-                command = command_from_dict(rec["command"])
-                if isinstance(command, Advance):
-                    self._pos = _Position(
-                        command=int(rec["index"]),
-                        end_s=float(rec["command"]["end_s"]),
-                    )
-                else:
-                    self._apply(command)
-                    self._pos = _Position(command=int(rec["index"]) + 1)
-            elif rec["op"] == "tick":
-                self._mediator.step()
-                self._stats.downtime_ticks += 1
-                replayed_ticks += 1
-        self._stats.journal_records_replayed += len(tail)
-        if self._trace.active:
-            self._trace.emit_meta(
-                "replayed", {"records": len(tail), "ticks": replayed_ticks}
-            )
-        self._stats.restarts += 1
-        last_seq = records[-1]["seq"]
-        self._journal = JournalWriter(
-            self.journal_path,
-            fsync_every_ticks=self._fsync_every_ticks,
-            start_seq=last_seq + 1,
-        )
-        # A fresh snapshot caps the replay a *second* crash would need and
-        # guarantees forward progress under repeated failures.
+        self._stats.journal_records_replayed += restored.records
+        self._execute(stop=restored.reach)
+        self._store.reopen()
+        # A fresh snapshot caps the re-execution a *second* crash would need
+        # and guarantees forward progress under repeated failures.
         self._checkpoint()
         self._mediator.begin_safe_hold(self._safe_hold_ticks)
 

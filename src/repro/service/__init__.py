@@ -19,9 +19,11 @@ The robustness core, layer by layer:
 * :mod:`repro.service.retention` - compaction that keeps the trace window,
   journal segments, and checkpoint set bounded for multi-day soaks;
 * :mod:`repro.service.loop` - :class:`MediatorService`, the event loop that
-  ties them to the PR 2 checkpoint/journal substrate: a kill mid-stream is
-  recovered by full-tick re-execution from the last durable checkpoint, and
-  the stitched trace hashes identically to an uninterrupted run.
+  ties them to the crash-recovery core the supervisor also uses
+  (:class:`~repro.persistence.store.RunStore`: one checkpoint format, one
+  journal, one recovery rule): a kill mid-stream is recovered by full-tick
+  re-execution from the last durable checkpoint, and the stitched trace
+  hashes identically to an uninterrupted run.
 
 See DESIGN.md section 11 for the architecture and invariants.
 """

@@ -18,53 +18,42 @@ traffic. Each sim-time tick executes a fixed pipeline:
    mediator, and acknowledged to its client;
 6. **mediate** - one mediator tick (allocation, actuation, accounting);
 7. **publish** - completion deliveries and periodic telemetry broadcasts;
-8. **durability** - the tick is journaled; on the checkpoint cadence the
-   timeline records since the last checkpoint are appended to the timeline
-   log and fsynced, a service checkpoint (mediator recipe + the rest of its
-   state, population cursor, ingest buffer, sessions, pending offers,
-   metrics, and the count of log records it covers) lands atomically, its
-   journal marker is fsynced, and retention compacts everything behind it.
+8. **durability** - the tick count is journaled; on the checkpoint cadence
+   a checkpoint lands through the shared
+   :class:`~repro.persistence.store.RunStore` (the mediator, plus the
+   service's own state under ``"service"``: population cursor, ingest
+   buffer, sessions, pending offers, metrics), and retention compacts
+   everything behind it.
 
 **Crash model.** A :class:`ServiceKilled` raised by the kill hook destroys
 the in-flight process state; the journal keeps only what was fsynced (a
-configurable tail tear simulates lost buffered writes). Recovery restores
-the latest durable checkpoint and then **re-executes full ticks** - not
-journaled commands: the offer stream, churn, backpressure decisions, and
-deliveries are all deterministic functions of the restored state, so
-re-execution regenerates the identical stream the crash destroyed, while
-journal appends stay suppressed for ticks the journal already holds.
-The stitched trace therefore hashes identically to an uninterrupted run,
-client delivery sequences continue gap-free, and service metrics counters
-end exactly where the uninterrupted run's would.
+configurable tail tear simulates lost buffered writes). Recovery follows
+the store's one rule: restore the newest marked checkpoint, then
+**re-execute full ticks** - never journaled commands - up to the tick count
+the durable journal reaches, with the journal down. The offer stream,
+churn, backpressure decisions, and deliveries are all deterministic
+functions of the restored state, so re-execution regenerates the identical
+stream the crash destroyed. The stitched trace therefore hashes
+identically to an uninterrupted run, client delivery sequences continue
+gap-free, and service metrics counters end exactly where the uninterrupted
+run's would.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
 from repro.core.mediator import PowerMediator
 from repro.core.policies import POLICY_NAMES
-from repro.errors import (
-    CheckpointError,
-    ConfigurationError,
-    ReproError,
-    SchedulingError,
-    ServiceError,
-)
+from repro.errors import ConfigurationError, ReproError, SchedulingError, ServiceError
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.streaming import StreamingTraceBus
 from repro.observability.trace import NULL_TRACE_BUS, TraceBus
 from repro.persistence.checkpoint import RunRecipe
-from repro.persistence.segments import (
-    SegmentedJournalWriter,
-    read_segmented,
-    repair_segmented_tail,
-)
+from repro.persistence.store import RunStore
 from repro.service.commands import (
     CancelJob,
     Command,
@@ -80,22 +69,6 @@ from repro.service.sessions import SessionRegistry
 from repro.workloads.population import BurstWindow, OpenLoopPopulation
 
 __all__ = ["MediatorService", "ServiceConfig", "ServiceKilled"]
-
-#: Schema stamp of service checkpoint documents.
-SERVICE_CHECKPOINT_SCHEMA = "repro-service-checkpoint"
-
-#: Service checkpoint format version; bump on incompatible layout changes.
-#: Version 2 keeps the mediator timeline out of the document: it lives in
-#: the append-only :data:`TIMELINE_LOG`, and the document records how many
-#: of the log's records it covers.
-SERVICE_CHECKPOINT_VERSION = 2
-
-#: The mediator timeline's log in the checkpoint directory: one
-#: ``TickRecord`` JSON line each, appended at every checkpoint and never
-#: pruned (the timeline is what the cap-invariant audit reads).
-TIMELINE_LOG = "timeline.jsonl"
-
-_LINE_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 class ServiceKilled(ReproError):
@@ -224,8 +197,9 @@ class MediatorService:
     Args:
         config: The run's :class:`ServiceConfig`.
         workdir: Durability root; the journal lands in ``workdir/journal``
-            and service checkpoints, with their timeline log, in
-            ``workdir/checkpoints``.
+            and checkpoints, with their timeline log, in
+            ``workdir/checkpoints`` (see
+            :class:`~repro.persistence.store.RunStore`).
         churn: Optional deterministic churn schedule - any object with
             ``at(tick) -> list[("connect" | "disconnect", client)]``. Must
             be a pure function of the tick so crash re-execution
@@ -252,25 +226,13 @@ class MediatorService:
         trace_spill: bool = False,
     ) -> None:
         self.config = config
-        self._workdir = Path(workdir)
-        self._journal_dir = self._workdir / "journal"
-        self._checkpoint_dir = self._workdir / "checkpoints"
-        self._checkpoint_dir.mkdir(parents=True, exist_ok=True)
-        self._timeline_log = self._checkpoint_dir / TIMELINE_LOG
-        try:
-            self._timeline_log.write_bytes(b"")
-        except OSError as exc:
-            raise CheckpointError(
-                f"cannot create timeline log {self._timeline_log}: {exc}"
-            ) from None
-        self._timeline_logged = 0  # mediator timeline records in the log
+        workdir = Path(workdir)
         self._churn = churn
         self._tick_hook = tick_hook
-        self._tear_bytes = tear_journal_bytes_on_crash
         if trace:
             self._bus: TraceBus = StreamingTraceBus(
                 retain_events=config.retention.retain_trace_events,
-                sink_path=(self._workdir / "trace-spill.jsonl") if trace_spill else None,
+                sink_path=(workdir / "trace-spill.jsonl") if trace_spill else None,
             )
         else:
             self._bus = NULL_TRACE_BUS
@@ -292,11 +254,7 @@ class MediatorService:
         self._client_seqs = {c: 0 for c in range(config.clients + 1)}
         self._pending: list[Command] = []  # deferred ("blocked") offers
         self._outstanding: dict[str, int] = {}  # running app -> client
-        # Execution-side state (does NOT travel; mirrors the supervisor):
-        self._bus_marks: dict[str, int] = {}
-        self._safe_seq = 0
-        self._safe_mark: int | None = None
-        self._replaying = False
+        # Execution-side state (does NOT travel):
         self._last_retention_tick = 0
         # Pin the zero counters the soak asserts on, so "never happened"
         # is a recorded 0, not an absent key.
@@ -304,12 +262,15 @@ class MediatorService:
         self.metrics.counter("service.ingest.safety_shed")
         self.metrics.counter("service.restarts")
 
-        self._journal: SegmentedJournalWriter | None = SegmentedJournalWriter(
-            self._journal_dir,
-            records_per_segment=config.retention.records_per_segment,
+        self._store = RunStore(
+            workdir,
+            self._recipe,
+            owner="service",
+            bus=self._bus,
             fsync_every_ticks=config.fsync_every_ticks,
+            records_per_segment=config.retention.records_per_segment,
+            tear_journal_bytes_on_crash=tear_journal_bytes_on_crash,
         )
-        self._journal.append_meta(dt_s=config.dt_s)
         self._checkpoint()  # tick 0: recovery always has an anchor
 
     # ------------------------------------------------------------- accessors
@@ -337,11 +298,11 @@ class MediatorService:
 
     @property
     def journal_dir(self) -> Path:
-        return self._journal_dir
+        return self._store.journal_dir
 
     @property
     def checkpoint_dir(self) -> Path:
-        return self._checkpoint_dir
+        return self._store.checkpoint_dir
 
     def content_hash(self) -> str:
         return self._bus.content_hash()
@@ -379,8 +340,8 @@ class MediatorService:
 
     def close(self) -> None:
         """Flush and close the journal (and trace spill) cleanly."""
-        if self._journal is not None:
-            self._journal.close()
+        if self._store.journal is not None:
+            self._store.journal.close()
         if isinstance(self._bus, StreamingTraceBus):
             self._bus.close_sink()
 
@@ -402,11 +363,12 @@ class MediatorService:
         self._publish(tick)
 
         self._tick += 1
-        if not self._replaying and self._journal is not None:
-            self._journal.append_tick(tick)
+        store = self._store
+        if store.journal is not None:  # down while recovery re-executes
+            store.journal.append_tick(self._tick)
             if self._tick % self.config.checkpoint_every_ticks == 0:
                 self._checkpoint()
-                self._retention.prune_checkpoints(self._checkpoint_dir)
+                self._retention.prune_checkpoints(store.checkpoint_dir)
                 # Retention anchors to the checkpoint just written, on its
                 # own (coarser) cadence.
                 due = self._tick - self._last_retention_tick
@@ -414,10 +376,10 @@ class MediatorService:
                     self._last_retention_tick = self._tick
                     self._retention.run(
                         bus=self._bus if isinstance(self._bus, StreamingTraceBus) else None,
-                        journal_dir=self._journal_dir,
-                        checkpoint_dir=self._checkpoint_dir,
-                        safe_seq=self._safe_seq,
-                        safe_mark=self._safe_mark,
+                        journal_dir=store.journal_dir,
+                        checkpoint_dir=store.checkpoint_dir,
+                        safe_seq=store.safe_seq,
+                        safe_mark=store.safe_mark,
                     )
         self.metrics.gauge("service.ticks").set(float(self._tick))
 
@@ -554,13 +516,13 @@ class MediatorService:
                 raise ServiceError(f"cap-safety command in the regular lane: {command!r}")
 
     def _journal_command(self, command: Command) -> None:
-        # WAL: the command is durable before it executes. During crash
-        # re-execution, appends for already-journaled ticks are suppressed;
-        # commands a dying tick journaled past the last durable tick record
-        # may be re-journaled once re-execution passes that tick - replay
-        # counts ticks, never command records, so duplicates are inert.
-        if not self._replaying and self._journal is not None:
-            self._journal.append_command(self._ingest_seq, command_to_dict(command))
+        # WAL: the command is durable before it executes. While recovery
+        # re-executes, the journal is down; commands a dying tick journaled
+        # past the last durable tick record are journaled again once the
+        # journal reopens - recovery counts ticks, never command records,
+        # so duplicates are inert.
+        if self._store.journal is not None:
+            self._store.journal.append_command(self._ingest_seq, command_to_dict(command))
         self._ingest_seq += 1
 
     def _admit(self, tick: int, command: SubmitJob) -> None:
@@ -633,222 +595,65 @@ class MediatorService:
     # ------------------------------------------------------------ durability
 
     def _checkpoint(self) -> None:
-        assert self._journal is not None
-        # The timeline grows with the run, so it is appended, not rewritten:
-        # only the records since the last checkpoint are encoded, and they
-        # are durable before the document that counts them.
-        state = self._mediator.state_dict(timeline_from=self._timeline_logged)
-        new_records = state.pop("timeline")
-        try:
-            with open(self._timeline_log, "a", encoding="utf-8") as handle:
-                handle.writelines(_LINE_ENCODER.encode(r) + "\n" for r in new_records)
-                handle.flush()
-                os.fsync(handle.fileno())
-        except OSError as exc:
-            raise CheckpointError(
-                f"cannot append to timeline log {self._timeline_log}: {exc}"
-            ) from None
-        self._timeline_logged += len(new_records)
-        doc = {
-            "schema": SERVICE_CHECKPOINT_SCHEMA,
-            "version": SERVICE_CHECKPOINT_VERSION,
-            "tick": self._tick,
-            "sim_time_s": self._mediator.server.now_s,
-            "mediator_recipe": self._recipe.to_dict(),
-            "mediator_state": state,
-            "timeline_records": self._timeline_logged,
-            "population": self._population.state_dict(),
-            "ingest": self._ingest.state_dict(),
-            "sessions": self._sessions.state_dict(),
-            "pending": [command_to_dict(c) for c in self._pending],
-            "outstanding": dict(self._outstanding),
-            "client_seqs": {str(c): s for c, s in self._client_seqs.items()},
-            "cap_cursor": self._cap_cursor,
-            "ingest_seq": self._ingest_seq,
-            "metrics": self.metrics.to_json(),
-        }
-        path = self._checkpoint_dir / f"svc-{self._tick:08d}.json"
-        tmp = path.with_name(path.name + ".tmp")
-        try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(doc))
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        except OSError as exc:
-            raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from None
-        # The mark pins the sim-event prefix this snapshot captured; kept
-        # in memory only, like the supervisor's (a restart that outlives
-        # the process also restarts the trace).
-        self._bus_marks[path.name] = self._bus.mark()
-        self._journal.append_checkpoint(
-            tick=self._tick, path=path.name, command=self._ingest_seq, end_s=None
+        self._store.checkpoint(
+            self._mediator,
+            {
+                "population": self._population.state_dict(),
+                "ingest": self._ingest.state_dict(),
+                "sessions": self._sessions.state_dict(),
+                "pending": [command_to_dict(c) for c in self._pending],
+                "outstanding": dict(self._outstanding),
+                "client_seqs": {str(c): s for c, s in self._client_seqs.items()},
+                "cap_cursor": self._cap_cursor,
+                "ingest_seq": self._ingest_seq,
+                "metrics": self.metrics.to_json(),
+            },
         )
-        # Everything at or before the (fsynced) marker is now recoverable
-        # from this checkpoint: retention may seal and prune behind it.
-        self._safe_seq = self._journal.next_seq - 1
-        self._safe_mark = self._bus_marks[path.name]
         self.metrics.counter("service.checkpoints").inc()
 
     # -------------------------------------------------------------- recovery
 
     def _handle_crash(self) -> None:
         while True:
-            self._crash_journal()
+            self._store.crash()
             self.metrics.counter("service.restarts").inc()
             self._bus.emit_meta("crash", {"tick": self._tick})
             try:
                 self._recover()
                 return
             except ServiceKilled:
-                continue  # killed again mid-replay; recover from scratch
-
-    def _crash_journal(self) -> None:
-        """Apply crash semantics: nothing un-fsynced is trustworthy."""
-        if self._journal is not None:
-            durable = self._journal.durable_offset
-            segment = self._journal.current_segment
-            self._journal.abort()
-            self._journal = None
-            if self._tear_bytes > 0:
-                size = segment.stat().st_size
-                keep = max(durable, size - self._tear_bytes)
-                os.truncate(segment, keep)
+                continue  # killed again while re-executing; recover anew
 
     def _recover(self) -> None:
-        repair_segmented_tail(self._journal_dir)
-        records = read_segmented(self._journal_dir)
-        marker = None
-        marker_seq = 0
-        for record in records:
-            if record["op"] == "checkpoint":
-                marker = record
-                marker_seq = record["seq"]
-        if marker is None:
-            raise ServiceError(
-                f"journal {self._journal_dir} holds no checkpoint marker; "
-                "cannot recover"
-            )
-        doc = self._read_service_checkpoint(self._checkpoint_dir / marker["path"])
-        self._timeline_logged = doc["timeline_records"]
-        state = doc["mediator_state"]
-        state["timeline"] = self._read_timeline_log(self._timeline_logged)
-
-        # Restore every piece of deterministic state at the checkpoint tick.
-        recipe = RunRecipe.from_dict(doc["mediator_recipe"], where="checkpoint.recipe")
-        mediator = recipe.build()
-        try:
-            mediator.load_state_dict(state)
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"checkpoint.mediator_state: does not match its recipe "
-                f"({type(exc).__name__}: {exc})"
-            ) from None
+        restarts = self.metrics.counter("service.restarts").value
+        mediator, state, reach, _ = self._store.recover()
         self._mediator = mediator
         self._mediator.ensure_plan()  # tick-0 checkpoints predate any plan
-        self.metrics = MetricsRegistry.from_json(doc["metrics"])
-        self.metrics.counter("service.restarts").inc()  # survives the rewind
+        # Restore every piece of deterministic state at the checkpoint tick;
+        # the restart count alone survives the rewind, so it counts every
+        # kill, one inside a recovery included.
+        self.metrics = MetricsRegistry.from_json(state["metrics"])
+        self.metrics.counter("service.restarts").reset(restarts)
         self._population = self.config.make_population()
-        self._population.load_state_dict(doc["population"])
+        self._population.load_state_dict(state["population"])
         self._ingest = self._make_ingest()
-        self._ingest.load_state_dict(doc["ingest"])
+        self._ingest.load_state_dict(state["ingest"])
         self._sessions = self._make_sessions()
-        self._sessions.load_state_dict(doc["sessions"])
+        self._sessions.load_state_dict(state["sessions"])
         self._retention = RetentionManager(self.config.retention, metrics=self.metrics)
-        self._pending = [command_from_dict(c) for c in doc["pending"]]
-        self._outstanding = {str(k): int(v) for k, v in doc["outstanding"].items()}
-        self._client_seqs = {int(k): int(v) for k, v in doc["client_seqs"].items()}
-        self._cap_cursor = int(doc["cap_cursor"])
-        self._ingest_seq = int(doc["ingest_seq"])
-        self._tick = int(doc["tick"])
+        self._pending = [command_from_dict(c) for c in state["pending"]]
+        self._outstanding = {str(k): int(v) for k, v in state["outstanding"].items()}
+        self._client_seqs = {int(k): int(v) for k, v in state["client_seqs"].items()}
+        self._cap_cursor = int(state["cap_cursor"])
+        self._ingest_seq = int(state["ingest_seq"])
+        self._tick = mediator.tick_count
 
-        # Rewind the trace to the checkpoint's sim-event prefix; replay
-        # re-emits everything after it identically.
-        mark = self._bus_marks.get(marker["path"])
-        dropped = 0 if mark is None else self._bus.truncate_to_mark(mark)
-        self._bus.emit_meta(
-            "restore",
-            {"tick": self._tick, "checkpoint": marker["path"], "events_dropped": dropped},
-        )
-        self._mediator.attach_trace_bus(self._bus)
-
-        # The journal's durable tick records tell how much execution it
-        # already holds; re-execute exactly that span with appends
-        # suppressed, then resume journaling at the next fresh sequence.
-        last_seq = records[-1]["seq"]
-        replay_until = self._tick
-        for record in records:
-            if record["seq"] > marker_seq and record["op"] == "tick":
-                replay_until = int(record["tick"]) + 1
-        replay_ticks = replay_until - self._tick
-        self._replaying = True
-        try:
-            for _ in range(replay_ticks):
-                self._one_tick()
-        finally:
-            self._replaying = False
-        self._journal = SegmentedJournalWriter(
-            self._journal_dir,
-            records_per_segment=self.config.retention.records_per_segment,
-            fsync_every_ticks=self.config.fsync_every_ticks,
-            start_seq=last_seq + 1,
-        )
-        self._bus.emit_meta("replayed", {"ticks": replay_ticks})
+        # Re-execute exactly the span the durable journal holds, with the
+        # journal down, then resume journaling at the next fresh sequence.
+        replay_ticks = reach - self._tick
+        for _ in range(replay_ticks):
+            self._one_tick()
+        self._store.reopen()
         self.metrics.counter("service.replayed_ticks").inc(replay_ticks)
         self._checkpoint()  # forward progress: repeated crashes never loop
-        self._retention.prune_checkpoints(self._checkpoint_dir)
-
-    def _read_timeline_log(self, covered: int) -> list[dict]:
-        """The first ``covered`` records of the timeline log, cutting the log
-        after them: whatever follows was appended by a checkpoint that never
-        became durable, and appending resumes from the cut."""
-        log = self._timeline_log
-        records: list[dict] = []
-        try:
-            with open(log, "rb") as handle:
-                for number in range(1, covered + 1):
-                    line = handle.readline()
-                    if not line.endswith(b"\n"):
-                        raise CheckpointError(
-                            f"{log}: holds {number - 1} whole records, the "
-                            f"checkpoint covers {covered}"
-                        )
-                    try:
-                        record = json.loads(line)
-                    except ValueError as exc:
-                        raise CheckpointError(
-                            f"{log}: line {number} is not valid JSON ({exc})"
-                        ) from None
-                    if not isinstance(record, dict):
-                        raise CheckpointError(f"{log}: line {number} is not a JSON object")
-                    records.append(record)
-                end = handle.tell()
-            os.truncate(log, end)
-        except OSError as exc:
-            raise CheckpointError(f"cannot read timeline log {log}: {exc}") from None
-        return records
-
-    def _read_service_checkpoint(self, path: Path) -> dict:
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from None
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(f"{path}: not valid JSON ({exc})") from None
-        if not isinstance(doc, dict) or doc.get("schema") != SERVICE_CHECKPOINT_SCHEMA:
-            raise CheckpointError(
-                f"{path}: not a {SERVICE_CHECKPOINT_SCHEMA!r} document"
-            )
-        if doc.get("version") != SERVICE_CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"{path}: service checkpoint version {doc.get('version')!r} is not "
-                f"supported (this build reads version {SERVICE_CHECKPOINT_VERSION})"
-            )
-        covered = doc.get("timeline_records")
-        if not isinstance(covered, int) or covered < 0:
-            raise CheckpointError(
-                f"{path}: no count of {TIMELINE_LOG} records (timeline_records)"
-            )
-        return doc
+        self._retention.prune_checkpoints(self.checkpoint_dir)

@@ -11,10 +11,10 @@ checkpoint** - nothing a future recovery could still need is ever evicted:
   events fold into the incremental hash, so the run's content hash is
   unchanged);
 * journal segments wholly before the checkpoint's marker record are pruned
-  (:func:`~repro.persistence.segments.prune_segments`) - the replay cursor
-  starts at the marker, so earlier records are unreachable;
-* service checkpoints older than the newest ``keep_checkpoints`` are
-  deleted (recovery only ever restores the latest durable one).
+  (:func:`~repro.persistence.journal.prune_segments`) - recovery starts at
+  the newest marker, so earlier records are unreachable;
+* checkpoints older than the newest ``keep_checkpoints`` are deleted
+  (recovery only ever restores the latest durable one).
 
 Footprints are published as ``service.retention.*`` gauges so a soak can
 assert boundedness instead of trusting it.
@@ -33,7 +33,7 @@ from pathlib import Path
 from repro.errors import ConfigurationError, ServiceError
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.streaming import StreamingTraceBus
-from repro.persistence.segments import list_segments, prune_segments, segments_size_bytes
+from repro.persistence.journal import list_segments, prune_segments, segments_size_bytes
 
 __all__ = ["RetentionConfig", "RetentionManager"]
 
@@ -48,7 +48,7 @@ class RetentionConfig:
             depth; a client disconnected longer than this many deliveries
             hits a replay gap, loudly).
         records_per_segment: Journal rotation threshold.
-        keep_checkpoints: Service checkpoints retained on disk.
+        keep_checkpoints: Checkpoints retained on disk.
         every_ticks: Compaction cadence.
     """
 
@@ -92,7 +92,7 @@ class RetentionManager:
         Args:
             bus: The streaming trace bus (``None`` when tracing is off).
             journal_dir: Segment directory.
-            checkpoint_dir: Service checkpoint directory.
+            checkpoint_dir: Checkpoint directory.
             safe_seq: Journal seq of the latest durable checkpoint marker;
                 segments wholly before it are prunable.
             safe_mark: That checkpoint's trace-bus mark; sim events below
@@ -120,17 +120,17 @@ class RetentionManager:
         self.prune_checkpoints(checkpoint_dir)
 
     def prune_checkpoints(self, checkpoint_dir: Path) -> int:
-        """Delete all but the newest ``keep_checkpoints`` service
-        checkpoints. Cheap, so the loop runs it at every checkpoint write
-        (not just full compaction passes) - recovery only ever restores the
-        newest durable one."""
+        """Delete all but the newest ``keep_checkpoints`` checkpoints. Cheap,
+        so the loop runs it at every checkpoint write (not just full
+        compaction passes) - recovery only ever restores the newest durable
+        one."""
         deleted = self._prune_checkpoints(checkpoint_dir)
         if deleted:
             self._metrics.counter("service.retention.checkpoints_pruned").inc(deleted)
         return deleted
 
     def _prune_checkpoints(self, checkpoint_dir: Path) -> int:
-        checkpoints = sorted(Path(checkpoint_dir).glob("svc-*.json"))
+        checkpoints = sorted(Path(checkpoint_dir).glob("ckpt-*.json"))
         excess = checkpoints[: max(0, len(checkpoints) - self.config.keep_checkpoints)]
         for path in excess:
             try:

@@ -269,11 +269,7 @@ def test_final_state_dicts_are_equal(seed: int):
 def test_cross_engine_checkpoint_restore(tmp_path):
     """A checkpoint written under one engine restores under the other and
     continues bit-identically - state carries no engine residue."""
-    from repro.persistence.checkpoint import (
-        read_checkpoint,
-        restore_mediator,
-        write_checkpoint,
-    )
+    from repro.persistence import RunStore, read_checkpoint, restore_mediator
 
     def build(engine: str):
         recipe = RunRecipe(
@@ -289,8 +285,8 @@ def test_cross_engine_checkpoint_restore(tmp_path):
         return recipe, mediator
 
     scalar_recipe, scalar_med = build("scalar")
-    path = write_checkpoint(tmp_path, scalar_med, scalar_recipe)
-    doc = read_checkpoint(path)
+    store = RunStore(tmp_path, scalar_recipe, owner="test")
+    doc = read_checkpoint(store.checkpoint_dir / store.checkpoint(scalar_med, {}))
     # Flip the recorded engine before restoring: the state must not care.
     doc["recipe"]["engine"] = "vector"
     resumed = restore_mediator(doc)

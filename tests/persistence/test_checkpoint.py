@@ -9,12 +9,12 @@ import pytest
 from repro.chaos import mix_recipe
 from repro.errors import CheckpointError
 from repro.persistence import (
+    TIMELINE_LOG,
     RunRecipe,
+    RunStore,
     checkpoint_filename,
-    latest_checkpoint,
     read_checkpoint,
     restore_mediator,
-    write_checkpoint,
 )
 from repro.server.config import ServerConfig
 
@@ -47,9 +47,15 @@ def _started_mediator(stream, kmeans, ticks=15, **kwargs):
     return recipe, mediator
 
 
+def _write(tmp_path, mediator, recipe):
+    """One checkpoint of ``mediator`` through a fresh store; its path."""
+    store = RunStore(tmp_path, recipe, owner="test")
+    return store.checkpoint_dir / store.checkpoint(mediator, {})
+
+
 def test_restore_is_bit_identical(tmp_path, stream, kmeans):
     recipe, mediator = _started_mediator(stream, kmeans)
-    path = write_checkpoint(tmp_path, mediator, recipe)
+    path = _write(tmp_path, mediator, recipe)
     restored = restore_mediator(read_checkpoint(path))
     for _ in range(25):
         mediator.step()
@@ -64,7 +70,7 @@ def test_restore_is_bit_identical_with_esd(tmp_path, stream, kmeans):
     recipe, mediator = _started_mediator(
         stream, kmeans, policy="app+res+esd-aware", ticks=30
     )
-    path = write_checkpoint(tmp_path, mediator, recipe)
+    path = _write(tmp_path, mediator, recipe)
     restored = restore_mediator(read_checkpoint(path))
     for _ in range(25):
         mediator.step()
@@ -76,9 +82,9 @@ def test_restore_is_bit_identical_with_esd(tmp_path, stream, kmeans):
 
 def test_checkpoint_document_is_pure_json(tmp_path, stream, kmeans):
     recipe, mediator = _started_mediator(stream, kmeans)
-    path = write_checkpoint(tmp_path, mediator, recipe)
+    path = _write(tmp_path, mediator, recipe)
     # A full JSON round trip (as any reader would perform) must lose nothing.
-    doc = json.loads(path.read_text())
+    doc = json.loads(json.dumps(read_checkpoint(path)))
     rebuilt = restore_mediator(read_checkpoint(path))
     direct = restore_mediator(doc)
     rebuilt.step()
@@ -99,17 +105,17 @@ def test_state_dict_can_leave_out_a_timeline_prefix(stream, kmeans):
 
 def test_filenames_sort_chronologically(tmp_path, stream, kmeans):
     recipe, mediator = _started_mediator(stream, kmeans, ticks=5)
-    first = write_checkpoint(tmp_path, mediator, recipe)
+    store = RunStore(tmp_path, recipe, owner="test")
+    first = store.checkpoint(mediator, {})
     for _ in range(10):
         mediator.step()
-    second = write_checkpoint(tmp_path, mediator, recipe)
-    assert first.name == checkpoint_filename(5)
-    assert second.name == checkpoint_filename(15)
-    assert latest_checkpoint(tmp_path) == second
-
-
-def test_latest_checkpoint_empty_dir(tmp_path):
-    assert latest_checkpoint(tmp_path) is None
+    second = store.checkpoint(mediator, {})
+    assert first == checkpoint_filename(5)
+    assert second == checkpoint_filename(15)
+    assert sorted(p.name for p in store.checkpoint_dir.glob("ckpt-*.json")) == [first, second]
+    # Each document covers its own prefix of the one shared timeline log.
+    older = read_checkpoint(store.checkpoint_dir / first)
+    assert older["state"]["timeline"] == mediator.state_dict()["timeline"][:5]
 
 
 @pytest.mark.parametrize(
@@ -123,8 +129,16 @@ def test_latest_checkpoint_empty_dir(tmp_path):
             "version 42 is not supported",
         ),
         (
+            json.dumps({"schema": "repro-checkpoint", "version": 2}),
+            "checkpoint.tick",
+        ),
+        (
             json.dumps({"schema": "repro-checkpoint", "version": 1}),
-            "checkpoint.created_tick",
+            "checkpoint version 1 is not supported",
+        ),
+        (
+            json.dumps({"schema": "repro-service-checkpoint", "version": 2}),
+            "not a mediator checkpoint",
         ),
     ],
 )
@@ -173,7 +187,7 @@ def test_recipe_round_trip(stream, kmeans):
 
 def test_state_not_matching_recipe_is_one_line(tmp_path, stream, kmeans):
     recipe, mediator = _started_mediator(stream, kmeans)
-    path = write_checkpoint(tmp_path, mediator, recipe)
+    path = _write(tmp_path, mediator, recipe)
     doc = read_checkpoint(path)
     del doc["state"]["coordinator"]
     with pytest.raises(CheckpointError, match="checkpoint.state"):
@@ -182,5 +196,17 @@ def test_state_not_matching_recipe_is_one_line(tmp_path, stream, kmeans):
 
 def test_no_tmp_file_left_behind(tmp_path, stream, kmeans):
     recipe, mediator = _started_mediator(stream, kmeans)
-    write_checkpoint(tmp_path, mediator, recipe)
-    assert not list(tmp_path.glob("*.tmp"))
+    path = _write(tmp_path, mediator, recipe)
+    assert not list(path.parent.glob("*.tmp"))
+
+
+def test_document_leaves_the_timeline_to_the_log(tmp_path, stream, kmeans):
+    recipe, mediator = _started_mediator(stream, kmeans)
+    path = _write(tmp_path, mediator, recipe)
+    doc = json.loads(path.read_text())
+    assert doc["version"] == 2 and doc["tick"] == 15
+    assert doc["timeline_records"] == 15
+    assert "timeline" not in doc["state"]
+    assert doc["test"] == {}  # the owner's state rides under its own key
+    lines = (path.parent / TIMELINE_LOG).read_text().splitlines()
+    assert [json.loads(line) for line in lines] == mediator.state_dict()["timeline"]

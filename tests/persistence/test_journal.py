@@ -12,24 +12,24 @@ from repro.persistence import (
     JournalWriter,
     read_journal,
     repair_torn_tail,
+    segment_filename,
 )
 
 
-def _write_basic(path, *, fsync_every_ticks=25):
-    writer = JournalWriter(path, fsync_every_ticks=fsync_every_ticks)
+def _write_basic(directory, *, fsync_every_ticks=25):
+    writer = JournalWriter(directory, fsync_every_ticks=fsync_every_ticks)
     writer.append_meta(dt_s=0.1)
     writer.append_command(0, {"kind": "set_cap", "p_cap_w": 90.0})
     for tick in range(1, 4):
         writer.append_tick(tick)
-    writer.append_checkpoint(tick=3, path="ckpt-00000003.json", command=1, end_s=None)
+    writer.append_checkpoint(tick=3, path="ckpt-00000003.json")
     return writer
 
 
 def test_round_trip(tmp_path):
-    path = tmp_path / "journal.jsonl"
-    writer = _write_basic(path)
+    writer = _write_basic(tmp_path)
     writer.close()
-    records = read_journal(path)
+    records = read_journal(tmp_path)
     assert [r["op"] for r in records] == [
         "meta", "command", "tick", "tick", "tick", "checkpoint",
     ]
@@ -40,8 +40,7 @@ def test_round_trip(tmp_path):
 
 
 def test_tick_fsync_is_batched(tmp_path):
-    path = tmp_path / "journal.jsonl"
-    writer = JournalWriter(path, fsync_every_ticks=3)
+    writer = JournalWriter(tmp_path, fsync_every_ticks=3)
     writer.append_meta(dt_s=0.1)
     after_meta = writer.durable_offset
     writer.append_tick(1)
@@ -53,8 +52,7 @@ def test_tick_fsync_is_batched(tmp_path):
 
 
 def test_commands_fsync_immediately(tmp_path):
-    path = tmp_path / "journal.jsonl"
-    writer = JournalWriter(path, fsync_every_ticks=1000)
+    writer = JournalWriter(tmp_path, fsync_every_ticks=1000)
     writer.append_meta(dt_s=0.1)
     before = writer.durable_offset
     writer.append_command(0, {"kind": "set_cap", "p_cap_w": 80.0})
@@ -63,27 +61,26 @@ def test_commands_fsync_immediately(tmp_path):
 
 
 def test_abort_does_not_advance_durability(tmp_path):
-    path = tmp_path / "journal.jsonl"
-    writer = JournalWriter(path, fsync_every_ticks=1000)
+    writer = JournalWriter(tmp_path, fsync_every_ticks=1000)
     writer.append_meta(dt_s=0.1)
     durable = writer.durable_offset
     writer.append_tick(1)  # buffered, not synced
     writer.abort()
     assert writer.durable_offset == durable
-    assert path.stat().st_size > durable  # the at-risk tail did reach the file
+    # The at-risk tail did reach the file.
+    assert writer.current_segment.stat().st_size > durable
 
 
 def test_torn_final_line_is_dropped(tmp_path):
-    path = tmp_path / "journal.jsonl"
-    _write_basic(path).close()
-    with open(path, "a", encoding="utf-8") as handle:
+    _write_basic(tmp_path).close()
+    with open(tmp_path / segment_filename(0), "a", encoding="utf-8") as handle:
         handle.write('{"seq": 99, "op": "ti')  # torn mid-write, no newline
-    records = read_journal(path)
+    records = read_journal(tmp_path)
     assert [r["op"] for r in records][-1] == "checkpoint"
 
 
 def test_interior_malformed_record_raises(tmp_path):
-    path = tmp_path / "journal.jsonl"
+    path = tmp_path / segment_filename(0)
     lines = [
         json.dumps({"seq": 0, "op": "meta", "version": JOURNAL_VERSION, "dt_s": 0.1}),
         '{"seq": 1, "op": "ti',  # damaged, but NOT the final line
@@ -91,71 +88,70 @@ def test_interior_malformed_record_raises(tmp_path):
     ]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(JournalError, match="interior"):
-        read_journal(path)
+        read_journal(tmp_path)
 
 
 def test_sequence_regression_raises(tmp_path):
-    path = tmp_path / "journal.jsonl"
+    path = tmp_path / segment_filename(5)
     lines = [
         json.dumps({"seq": 5, "op": "tick", "tick": 1}),
         json.dumps({"seq": 5, "op": "tick", "tick": 2}),
     ]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(JournalError, match="sequence"):
-        read_journal(path)
+        read_journal(tmp_path)
 
 
 def test_unknown_op_raises(tmp_path):
-    path = tmp_path / "journal.jsonl"
+    path = tmp_path / segment_filename(0)
     path.write_text(json.dumps({"seq": 0, "op": "mystery"}) + "\n")
     with pytest.raises(JournalError, match="op"):
-        read_journal(path)
+        read_journal(tmp_path)
 
 
 def test_version_mismatch_raises(tmp_path):
-    path = tmp_path / "journal.jsonl"
+    path = tmp_path / segment_filename(0)
     path.write_text(
         json.dumps({"seq": 0, "op": "meta", "version": 99, "dt_s": 0.1}) + "\n"
     )
     with pytest.raises(JournalError, match="version 99"):
-        read_journal(path)
+        read_journal(tmp_path)
 
 
 def test_repair_torn_tail(tmp_path):
-    path = tmp_path / "journal.jsonl"
-    _write_basic(path).close()
+    _write_basic(tmp_path).close()
+    path = tmp_path / segment_filename(0)
     clean_size = path.stat().st_size
     with open(path, "a", encoding="utf-8") as handle:
         handle.write('{"seq": 99, "op"')
-    assert repair_torn_tail(path) is True
+    assert repair_torn_tail(tmp_path) is True
     assert path.stat().st_size == clean_size
-    assert repair_torn_tail(path) is False  # idempotent on a clean file
+    assert repair_torn_tail(tmp_path) is False  # idempotent on a clean file
     # And the repaired journal is appendable without corrupting the interior.
-    writer = JournalWriter(path, start_seq=read_journal(path)[-1]["seq"] + 1)
+    writer = JournalWriter(tmp_path, start_seq=read_journal(tmp_path)[-1]["seq"] + 1)
     writer.append_tick(4)
     writer.close()
-    assert read_journal(path)[-1]["tick"] == 4
+    assert read_journal(tmp_path)[-1]["tick"] == 4
 
 
 def test_start_seq_continues_ordering(tmp_path):
-    path = tmp_path / "journal.jsonl"
-    writer = JournalWriter(path)
+    writer = JournalWriter(tmp_path)
     writer.append_meta(dt_s=0.1)
     writer.append_tick(1)
     writer.close()
-    resumed = JournalWriter(path, start_seq=2)
+    resumed = JournalWriter(tmp_path, start_seq=2)
     resumed.append_tick(2)
     resumed.close()
-    assert [r["seq"] for r in read_journal(path)] == [0, 1, 2]
+    assert [r["seq"] for r in read_journal(tmp_path)] == [0, 1, 2]
 
 
 def test_bad_fsync_cadence_rejected(tmp_path):
     with pytest.raises(JournalError, match="fsync_every_ticks"):
-        JournalWriter(tmp_path / "journal.jsonl", fsync_every_ticks=0)
+        JournalWriter(tmp_path, fsync_every_ticks=0)
 
 
 def test_closed_writer_refuses_appends(tmp_path):
-    writer = JournalWriter(tmp_path / "journal.jsonl")
+    writer = JournalWriter(tmp_path)
     writer.close()
     with pytest.raises(JournalError, match="closed"):
         writer.append_tick(1)

@@ -1,8 +1,8 @@
-"""Segment rotation, replay-cursor boundary conditions, and pruning.
+"""Journal segment rotation, stitching, torn tails and pruning.
 
-The boundary cases ISSUE 6 calls out get explicit coverage: a replay
-cursor landing exactly on a torn tail, exactly on a segment-rotation
-boundary, and one past the last fsync point.
+The boundary cases get explicit coverage: a journal whose last record is
+torn, whose tail past the last fsync point is lost, or whose last segment
+was rotated in but never written.
 """
 
 from __future__ import annotations
@@ -13,12 +13,11 @@ import pytest
 
 from repro.errors import JournalError
 from repro.persistence import (
-    SegmentedJournalWriter,
+    JournalWriter,
     list_segments,
     prune_segments,
-    read_segmented,
-    repair_segmented_tail,
-    replay_records_from,
+    read_journal,
+    repair_torn_tail,
     segment_filename,
     segment_start_seq,
     segments_size_bytes,
@@ -27,7 +26,7 @@ from repro.persistence import (
 
 def _fill(directory, *, records=10, per_segment=4, fsync_every_ticks=25):
     """meta + (records-1) ticks, rotated every ``per_segment`` records."""
-    writer = SegmentedJournalWriter(
+    writer = JournalWriter(
         directory,
         records_per_segment=per_segment,
         fsync_every_ticks=fsync_every_ticks,
@@ -56,7 +55,7 @@ def test_rotation_preserves_the_record_stream(tmp_path):
         segment_filename(4),
         segment_filename(8),
     ]
-    records = read_segmented(tmp_path)
+    records = read_journal(tmp_path)
     assert [r["seq"] for r in records] == list(range(10))
     assert records[0]["op"] == "meta"
     assert segments_size_bytes(tmp_path) == sum(s.stat().st_size for s in segments)
@@ -72,7 +71,7 @@ def test_interior_segments_are_durable_in_full(tmp_path):
     for path in interior:
         for line in path.read_text().splitlines():
             json.loads(line)  # every interior line is whole
-    records = read_segmented(tmp_path)
+    records = read_journal(tmp_path)
     assert [r["seq"] for r in records] == list(range(9))
 
 
@@ -83,7 +82,7 @@ def test_interior_damage_is_a_discontinuity(tmp_path):
     lines = first.read_text().splitlines()
     first.write_text("\n".join(lines[:-1]) + "\n")  # lose a durable record
     with pytest.raises(JournalError, match="durable records are missing"):
-        read_segmented(tmp_path)
+        read_journal(tmp_path)
 
 
 def test_renamed_segment_is_detected(tmp_path):
@@ -92,37 +91,24 @@ def test_renamed_segment_is_detected(tmp_path):
     first = list_segments(tmp_path)[0]
     first.rename(first.parent / segment_filename(1))
     with pytest.raises(JournalError, match="does not match"):
-        read_segmented(tmp_path)
-
-
-def test_cursor_exactly_on_rotation_boundary(tmp_path):
-    """A cursor equal to a segment's start_seq reads that whole segment and
-    nothing before it - the filename alone routes the read."""
-    writer = _fill(tmp_path, records=12, per_segment=4)
-    writer.close()
-    tail = replay_records_from(tmp_path, 8)
-    assert [r["seq"] for r in tail] == [8, 9, 10, 11]
-    # One before the boundary must include the previous segment's last record.
-    tail = replay_records_from(tmp_path, 7)
-    assert [r["seq"] for r in tail] == [7, 8, 9, 10, 11]
+        read_journal(tmp_path)
 
 
 def test_cursor_exactly_on_torn_tail(tmp_path):
-    """A cursor pointing at the record the tear destroyed replays nothing -
-    and does not error: the journal legitimately ends there now."""
+    """Repair trims the record the tear destroyed, and the journal then
+    legitimately ends just before it."""
     writer = _fill(tmp_path, records=10, per_segment=100, fsync_every_ticks=1)
     writer.close()
     segment = list_segments(tmp_path)[-1]
     with open(segment, "ab") as handle:
         handle.write(b'{"seq": 10, "op": "tick", "ti')  # torn mid-record
-    assert repair_segmented_tail(tmp_path) is True
-    assert replay_records_from(tmp_path, 10) == []
-    assert [r["seq"] for r in replay_records_from(tmp_path, 9)] == [9]
+    assert repair_torn_tail(tmp_path) is True
+    assert [r["seq"] for r in read_journal(tmp_path)] == list(range(10))
 
 
 def test_cursor_one_past_last_fsync_point(tmp_path):
-    """After a crash that loses the whole un-fsynced tail, a cursor one past
-    the last durable record replays exactly nothing."""
+    """After a crash that loses the whole un-fsynced tail, the journal ends
+    at the last durable record and needs no repair."""
     writer = _fill(tmp_path, records=8, per_segment=100, fsync_every_ticks=3)
     durable = writer.durable_offset
     segment = writer.current_segment
@@ -131,20 +117,10 @@ def test_cursor_one_past_last_fsync_point(tmp_path):
     import os
 
     os.truncate(segment, durable)
-    assert repair_segmented_tail(tmp_path) is False  # the cut is record-aligned
-    records = read_segmented(tmp_path)
-    last_durable_seq = records[-1]["seq"]
-    assert last_durable_seq < 7  # the tail really was lost
-    assert replay_records_from(tmp_path, last_durable_seq + 1) == []
-
-
-def test_replay_refuses_pruned_cursor(tmp_path):
-    writer = _fill(tmp_path, records=12, per_segment=4)
-    writer.close()
-    assert prune_segments(tmp_path, 8) == 2
-    with pytest.raises(JournalError, match="pruned"):
-        replay_records_from(tmp_path, 3)
-    assert [r["seq"] for r in replay_records_from(tmp_path, 8)] == [8, 9, 10, 11]
+    assert repair_torn_tail(tmp_path) is False  # the cut is record-aligned
+    records = read_journal(tmp_path)
+    assert records[-1]["seq"] < 7  # the tail really was lost
+    assert [r["seq"] for r in records] == list(range(records[-1]["seq"] + 1))
 
 
 def test_prune_keeps_the_cursor_segment_and_the_last(tmp_path):
@@ -164,10 +140,10 @@ def test_prune_keeps_the_cursor_segment_and_the_last(tmp_path):
 def test_writer_resumes_at_a_recovery_seq(tmp_path):
     writer = _fill(tmp_path, records=6, per_segment=100)
     writer.close()
-    resumed = SegmentedJournalWriter(tmp_path, records_per_segment=100, start_seq=6)
+    resumed = JournalWriter(tmp_path, records_per_segment=100, start_seq=6)
     resumed.append_tick(99)
     resumed.close()
-    records = read_segmented(tmp_path)
+    records = read_journal(tmp_path)
     assert [r["seq"] for r in records] == list(range(7))
     assert records[-1] == {"seq": 6, "op": "tick", "tick": 99}
 
@@ -176,24 +152,23 @@ def test_read_tolerates_empty_last_segment(tmp_path):
     writer = _fill(tmp_path, records=8, per_segment=4)
     writer.close()
     (tmp_path / segment_filename(8)).touch()  # rotated, died before appending
-    assert [r["seq"] for r in read_segmented(tmp_path)] == list(range(8))
+    assert [r["seq"] for r in read_journal(tmp_path)] == list(range(8))
 
 
 def test_record_stream_matches_unsegmented_journal(tmp_path):
     """Segmentation changes file boundaries, not the stream: the same
-    appends through one JournalWriter produce byte-identical records."""
-    from repro.persistence import JournalWriter, read_journal
-
-    seg_dir = tmp_path / "seg"
-    writer = SegmentedJournalWriter(seg_dir, records_per_segment=3)
-    single = JournalWriter(tmp_path / "one.jsonl")
+    appends into one segment produce byte-identical records."""
+    seg_dir, one_dir = tmp_path / "seg", tmp_path / "one"
+    writer = JournalWriter(seg_dir, records_per_segment=3)
+    single = JournalWriter(one_dir, records_per_segment=1000)
     for target in (writer, single):
         target.append_meta(dt_s=0.1)
         target.append_command(0, {"kind": "set-cap", "p_cap_w": 90.0})
         for tick in range(5):
             target.append_tick(tick)
-        target.append_checkpoint(tick=5, path="svc-00000005.json", command=1, end_s=None)
+        target.append_checkpoint(tick=5, path="ckpt-00000005.json")
         target.close()
-    assert read_segmented(seg_dir) == read_journal(tmp_path / "one.jsonl")
+    assert len(list_segments(seg_dir)) == 3 and len(list_segments(one_dir)) == 1
+    assert read_journal(seg_dir) == read_journal(one_dir)
     combined = "".join(p.read_text() for p in list_segments(seg_dir))
-    assert combined == (tmp_path / "one.jsonl").read_text()
+    assert combined == list_segments(one_dir)[0].read_text()

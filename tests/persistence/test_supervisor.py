@@ -19,6 +19,13 @@ from repro.persistence import (
     read_journal,
 )
 from repro.server.config import ServerConfig
+from tests.persistence.timeline_log import (
+    TAMPER_IDS,
+    append_strays,
+    documents,
+    log_records,
+    tamper_cases,
+)
 
 
 def _recipe_and_script(stream, kmeans, *, policy="app+res-aware"):
@@ -43,6 +50,20 @@ def _kill_once_at(ticks):
     def hook(mediator: PowerMediator, tick: int) -> None:
         if tick in ticks and tick not in fired:
             fired.add(tick)
+            raise MediatorKilled(f"test kill at tick {tick}")
+
+    return hook
+
+
+def _kill_in_order(pending, before=None):
+    """Kill once at each of ``pending`` in turn (consuming it), calling
+    ``before()`` first when given (to damage what recovery will read)."""
+
+    def hook(mediator: PowerMediator, tick: int) -> None:
+        if pending and tick == pending[0]:
+            pending.pop(0)
+            if before is not None:
+                before()
             raise MediatorKilled(f"test kill at tick {tick}")
 
     return hook
@@ -117,7 +138,7 @@ def test_torn_journal_still_recovers(tmp_path, stream, kmeans):
     mediator = supervisor.run()
     assert mediator.timeline == baseline.timeline
     # The surviving journal must be readable end to end (no interior damage).
-    read_journal(supervisor.journal_path)
+    read_journal(tmp_path / "journal")
 
 
 def test_hang_detection(tmp_path, stream, kmeans, monkeypatch):
@@ -216,3 +237,67 @@ def test_unsupervised_stats_stay_zero(tmp_path, stream, kmeans):
     assert supervisor.stats.restarts == 0
     assert supervisor.stats.downtime_ticks == 0
     assert mediator.timeline == run_script(recipe, script).timeline
+
+
+def test_kill_inside_the_re_executed_span_is_recovered_from(tmp_path, stream, kmeans):
+    # The kill at 25 restores the checkpoint at 20 and re-executes 20..24,
+    # through the tick hook: the kill at 22 lands inside that recovery.
+    recipe, script = _recipe_and_script(stream, kmeans)
+    baseline = run_script(recipe, script)
+    pending = [25, 22]
+    supervisor = Supervisor(
+        recipe, script, tmp_path, checkpoint_every_ticks=20,
+        tick_hook=_kill_in_order(pending),
+    )
+    mediator = supervisor.run()
+    assert pending == []  # both kills fired
+    assert supervisor.stats.restarts == 2
+    assert mediator.timeline == baseline.timeline
+
+
+# Twins of the service's timeline-log tests (tests/service/test_loop.py):
+# the supervisor writes the same checkpoint format through the same store.
+
+
+def test_checkpoints_append_the_timeline_to_the_log(tmp_path, stream, kmeans):
+    recipe, script = _recipe_and_script(stream, kmeans)
+    mediator = Supervisor(recipe, script, tmp_path, checkpoint_every_ticks=20).run()
+    # The final checkpoint covers the whole timeline.
+    assert log_records(tmp_path) == mediator.state_dict()["timeline"]
+    docs = documents(tmp_path)
+    assert [doc["tick"] for doc in docs] == [0, 20, 40, 60]
+    for doc in docs:
+        assert doc["version"] == 2
+        assert doc["timeline_records"] == doc["tick"]
+        assert "timeline" not in doc["state"]
+
+
+def test_log_records_past_the_durable_count_are_dropped(tmp_path, stream, kmeans):
+    recipe, script = _recipe_and_script(stream, kmeans)
+    baseline = run_script(recipe, script)
+    supervisor = Supervisor(
+        recipe, script, tmp_path, checkpoint_every_ticks=20,
+        tick_hook=_kill_in_order([50], before=lambda: append_strays(tmp_path)),
+    )
+    mediator = supervisor.run()
+    assert mediator.timeline == baseline.timeline
+    assert log_records(tmp_path) == mediator.state_dict()["timeline"]
+    # The post-recovery checkpoint keeps the timeline out of its document too.
+    docs = documents(tmp_path)
+    assert [doc["tick"] for doc in docs] == [0, 20, 40, 50, 60]
+    assert not any("timeline" in doc["state"] for doc in docs)
+
+
+@pytest.mark.parametrize(("tamper", "message"), tamper_cases(40, 30), ids=TAMPER_IDS)
+def test_a_log_that_disagrees_fails_in_one_line(tmp_path, stream, kmeans, tamper, message):
+    # The kill at 50 recovers from the checkpoint at 40, which covers 40 records.
+    recipe, script = _recipe_and_script(stream, kmeans)
+    supervisor = Supervisor(
+        recipe, script, tmp_path, checkpoint_every_ticks=20,
+        tick_hook=_kill_in_order([50], before=lambda: tamper(tmp_path)),
+    )
+    with pytest.raises(CheckpointError) as excinfo:
+        supervisor.run()
+    text = str(excinfo.value)
+    assert message in text
+    assert "\n" not in text

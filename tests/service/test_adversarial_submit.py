@@ -80,7 +80,7 @@ class TestServiceDefense:
     def test_adversary_declaration_survives_the_journal(self, tmp_path):
         """The journal carries the declaration verbatim, so replay re-arms
         the same attack (register_adversary is idempotent on replay)."""
-        from repro.persistence.segments import read_segmented
+        from repro.persistence import read_journal
 
         config = ServiceConfig(
             rate_per_s=1e-9, clients=1, cap_levels=(),
@@ -92,7 +92,7 @@ class TestServiceDefense:
         service.close()
 
         journaled = [
-            doc["command"] for doc in read_segmented(service.journal_dir)
+            doc["command"] for doc in read_journal(service.journal_dir)
             if doc.get("op") == "command"
             and doc["command"].get("kind") == "submit"
             and "adversary" in doc["command"]

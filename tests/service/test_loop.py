@@ -7,10 +7,16 @@ import json
 import pytest
 
 from repro.errors import CheckpointError, ConfigurationError
-from repro.persistence.segments import read_segmented
+from repro.observability.trace import summarize_trace
+from repro.persistence import TIMELINE_LOG, read_journal
 from repro.service import MediatorService, ServiceConfig, ServiceKilled
-from repro.service.loop import TIMELINE_LOG
 from repro.workloads import BurstWindow
+from tests.persistence.timeline_log import (
+    TAMPER_IDS,
+    append_strays,
+    log_records,
+    tamper_cases,
+)
 
 # The small, fast recipe lives in the shared ``service_cfg`` fixture
 # (tests/conftest.py); tests override individual keys inline.
@@ -73,7 +79,7 @@ def test_journal_records_the_command_stream(service_cfg, tmp_path):
     service = MediatorService(ServiceConfig(**service_cfg), tmp_path)
     service.run_for_ticks(120)
     service.close()
-    records = read_segmented(service.journal_dir)
+    records = read_journal(service.journal_dir)
     ops = [r["op"] for r in records]
     assert ops[0] == "meta"
     assert ops.count("tick") == 120
@@ -155,8 +161,29 @@ def test_recovered_timeline_equals_the_uninterrupted_one(
     assert dict(chaos.metrics.counters())["service.restarts"] == len(kills)
 
 
-def _log_lines(workdir):
-    return (workdir / "checkpoints" / TIMELINE_LOG).read_bytes().splitlines(keepends=True)
+def test_a_kill_inside_recovery_counts_as_a_restart(service_cfg, tmp_path, baseline):
+    # The kill at 120 restores the checkpoint at 100 and re-executes
+    # 100..119 through the tick hook: the kill at 110 lands inside it.
+    pending = [120, 110]
+
+    def hook(tick):
+        if pending and tick == pending[0]:
+            pending.pop(0)
+            raise ServiceKilled("chaos")
+
+    chaos = MediatorService(ServiceConfig(**service_cfg), tmp_path, tick_hook=hook)
+    chaos.run_for_ticks(160)
+    chaos.close()
+    _assert_same_run(chaos, baseline)
+    assert pending == []
+    assert dict(chaos.metrics.counters())["service.restarts"] == 2
+    # One meta vocabulary with the supervisor: every recovery emits restore
+    # (the summary's restarts), every checkpoint a checkpoint event.
+    summary = summarize_trace(chaos.trace_bus.events)
+    assert summary["restarts"] == 2
+    assert summary["kinds"]["crash"] == 2
+    assert summary["kinds"]["replayed"] == 1  # the first recovery never reopened
+    assert summary["kinds"]["checkpoint"] >= 2
 
 
 def test_checkpoints_append_the_timeline_to_the_log(service_cfg, tmp_path):
@@ -167,71 +194,26 @@ def test_checkpoints_append_the_timeline_to_the_log(service_cfg, tmp_path):
     assert log.read_bytes() == b""  # a fresh run starts a fresh log
     service.run_for_ticks(120)  # checkpoints at ticks 0, 50 and 100
     service.close()
-    records = [json.loads(line) for line in _log_lines(tmp_path)]
-    assert records == service.mediator.state_dict()["timeline"][:100]
-    doc = json.loads((tmp_path / "checkpoints" / "svc-00000100.json").read_text())
+    assert log_records(tmp_path) == service.mediator.state_dict()["timeline"][:100]
+    doc = json.loads((tmp_path / "checkpoints" / "ckpt-00000100.json").read_text())
     assert doc["version"] == 2
     assert doc["timeline_records"] == 100
-    assert "timeline" not in doc["mediator_state"]
+    assert "timeline" not in doc["state"]
 
 
 def test_log_records_past_the_durable_count_are_dropped(service_cfg, tmp_path, baseline):
-    def append_strays():
-        # What a checkpoint that never became durable may leave behind: one
-        # whole record and one torn half line past the count.
-        last = _log_lines(tmp_path)[-1]
-        with open(tmp_path / "checkpoints" / TIMELINE_LOG, "ab") as handle:
-            handle.write(last + last[: len(last) // 2])
-
     chaos = MediatorService(
-        ServiceConfig(**service_cfg), tmp_path, tick_hook=_killer(120, before=append_strays)
+        ServiceConfig(**service_cfg),
+        tmp_path,
+        tick_hook=_killer(120, before=lambda: append_strays(tmp_path)),
     )
     chaos.run_for_ticks(160)
     chaos.close()
     _assert_same_run(chaos, baseline)
-    records = [json.loads(line) for line in _log_lines(tmp_path)]
-    assert records == chaos.mediator.state_dict()["timeline"][:150]
+    assert log_records(tmp_path) == chaos.mediator.state_dict()["timeline"][:150]
 
 
-def _rewrite_log_line(workdir, index, line):
-    lines = _log_lines(workdir)
-    lines[index] = line
-    (workdir / "checkpoints" / TIMELINE_LOG).write_bytes(b"".join(lines))
-
-
-def _rewrite_document(workdir, edit):
-    path = workdir / "checkpoints" / "svc-00000100.json"
-    doc = json.loads(path.read_text())
-    edit(doc)
-    path.write_text(json.dumps(doc))
-
-
-def _keep_log_bytes(workdir, lines, extra=0):
-    kept = _log_lines(workdir)
-    (workdir / "checkpoints" / TIMELINE_LOG).write_bytes(
-        b"".join(kept[:lines]) + kept[lines][:extra]
-    )
-
-
-@pytest.mark.parametrize(
-    ("tamper", "message"),
-    [
-        (lambda w: _keep_log_bytes(w, 60),
-         f"{TIMELINE_LOG}: holds 60 whole records, the checkpoint covers 100"),
-        (lambda w: _keep_log_bytes(w, 99, extra=20),
-         f"{TIMELINE_LOG}: holds 99 whole records, the checkpoint covers 100"),
-        (lambda w: _rewrite_log_line(w, 9, b'{"time_s": \n'),
-         f"{TIMELINE_LOG}: line 10 is not valid JSON"),
-        (lambda w: _rewrite_log_line(w, 9, b"[1, 2]\n"),
-         f"{TIMELINE_LOG}: line 10 is not a JSON object"),
-        (lambda w: _rewrite_document(w, lambda doc: doc.update(version=1)),
-         "svc-00000100.json: service checkpoint version 1 is not supported"),
-        (lambda w: _rewrite_document(w, lambda doc: doc.pop("timeline_records")),
-         "svc-00000100.json: no count of"),
-    ],
-    ids=["log-short", "log-torn-inside", "line-malformed", "line-not-object",
-         "version-1", "count-missing"],
-)
+@pytest.mark.parametrize(("tamper", "message"), tamper_cases(100, 60), ids=TAMPER_IDS)
 def test_a_log_that_disagrees_fails_in_one_line(service_cfg, tmp_path, tamper, message):
     # The kill at 120 recovers from the checkpoint at 100, which covers 100 records.
     service = MediatorService(

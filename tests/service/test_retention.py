@@ -8,7 +8,7 @@ from repro.errors import ConfigurationError, TraceError
 from repro.observability import StreamingTraceBus, TraceBus
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.trace import canonical_line
-from repro.persistence import SegmentedJournalWriter, list_segments
+from repro.persistence import JournalWriter, list_segments
 from repro.service import RetentionConfig, RetentionManager
 
 
@@ -66,7 +66,7 @@ def test_retention_pass_bounds_everything(tmp_path):
     bus = StreamingTraceBus(retain_events=8)
     _emit_ticks(bus, 40)
     journal_dir = tmp_path / "journal"
-    writer = SegmentedJournalWriter(journal_dir, records_per_segment=5)
+    writer = JournalWriter(journal_dir, records_per_segment=5)
     writer.append_meta(dt_s=0.1)
     for tick in range(30):
         writer.append_tick(tick)
@@ -74,7 +74,7 @@ def test_retention_pass_bounds_everything(tmp_path):
     checkpoint_dir = tmp_path / "checkpoints"
     checkpoint_dir.mkdir()
     for tick in (100, 200, 300, 400):
-        (checkpoint_dir / f"svc-{tick:08d}.json").write_text("{}")
+        (checkpoint_dir / f"ckpt-{tick:08d}.json").write_text("{}")
 
     manager.run(
         bus=bus,
@@ -91,8 +91,8 @@ def test_retention_pass_bounds_everything(tmp_path):
     # Segments wholly before seq 23 are gone; the one holding 23 survives.
     assert all(int(s.name.split("-")[1].split(".")[0]) + 5 > 23 for s in segments[:-1])
     assert metrics.counter("service.retention.segments_pruned").value == 4
-    names = sorted(p.name for p in checkpoint_dir.glob("svc-*.json"))
-    assert names == ["svc-00000300.json", "svc-00000400.json"]
+    names = sorted(p.name for p in checkpoint_dir.glob("ckpt-*.json"))
+    assert names == ["ckpt-00000300.json", "ckpt-00000400.json"]
     assert metrics.gauge("service.retention.journal_segments").value == len(segments)
     assert metrics.gauge("service.retention.trace_events").value == bus.retained_events
 

@@ -14,7 +14,7 @@ import os
 
 import pytest
 
-from repro.chaos import ChurnSchedule, run_service_soak, service_kill_ticks
+from repro.chaos import ChurnSchedule, kill_schedule, run_service_soak
 from repro.errors import ChaosError
 from repro.service import ServiceConfig
 from repro.workloads import BurstWindow
@@ -44,7 +44,7 @@ def _config(**overrides):
 
 
 def test_schedules_are_deterministic():
-    assert service_kill_ticks(1000, 3, 7) == service_kill_ticks(1000, 3, 7)
+    assert kill_schedule(1000, 3, 7) == kill_schedule(1000, 3, 7)
     a = ChurnSchedule(clients=4, total_ticks=500, events=6, seed=3)
     b = ChurnSchedule(clients=4, total_ticks=500, events=6, seed=3)
     ticks = [t for t in range(900) if a.at(t)]

@@ -379,6 +379,61 @@ class TestFaultsFlag:
         assert "faults" in out
 
 
+class TestResume:
+    """``mix --resume`` restores a supervised run's checkpoint - its document
+    plus the timeline records it covers - and finishes the run."""
+
+    ARGS = ["mix", "--mix", "10", "--cap", "80", "--oracle", "--duration", "6", "--warmup", "2"]
+
+    @staticmethod
+    def _throughput(out):
+        return [line for line in out.splitlines() if line.startswith("server throughput")]
+
+    def _supervised(self, capsys, tmp_path):
+        code = main(
+            self.ARGS + ["--checkpoint-dir", str(tmp_path), "--checkpoint-every", "20"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        return tmp_path / "checkpoints" / "ckpt-00000040.json", self._throughput(out)
+
+    def _fails_in_one_line(self, capsys, path):
+        code = main(self.ARGS + ["--resume", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.strip().splitlines()) == 1
+        return captured.err
+
+    def test_resume_prints_the_uninterrupted_throughput(self, capsys, tmp_path):
+        checkpoint, uninterrupted = self._supervised(capsys, tmp_path)
+        assert len(uninterrupted) == 1
+        code = main(self.ARGS + ["--resume", str(checkpoint)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "at tick 40" in out
+        assert self._throughput(out) == uninterrupted
+        # Resuming reads the covered records without cutting the log.
+        log = tmp_path / "checkpoints" / "timeline.jsonl"
+        assert len(log.read_text().splitlines()) == 80
+
+    def test_version_1_document_exits_2(self, capsys, tmp_path):
+        import json
+
+        checkpoint, _ = self._supervised(capsys, tmp_path)
+        doc = json.loads(checkpoint.read_text())
+        doc["version"] = 1
+        checkpoint.write_text(json.dumps(doc))
+        assert "checkpoint version 1 is not supported" in self._fails_in_one_line(
+            capsys, checkpoint
+        )
+
+    def test_missing_timeline_log_exits_2(self, capsys, tmp_path):
+        checkpoint, _ = self._supervised(capsys, tmp_path)
+        (tmp_path / "checkpoints" / "timeline.jsonl").unlink()
+        assert "cannot read timeline log" in self._fails_in_one_line(capsys, checkpoint)
+
+
 def _mix_args(trace_path, metrics_path=None, extra=()):
     args = [
         "mix", "--mix", "10", "--cap", "80", "--oracle",
