@@ -186,16 +186,37 @@ def _write_observability(args: argparse.Namespace, bus: TraceBus | None, metrics
         print(f"metrics -> {args.metrics_out}")
 
 
+#: ``mix`` flags that mean nothing to a resumed run, with the reason.
+_RESUME_REJECTED_FLAGS = {
+    "checkpoint_dir": "the resumed run is not supervised",
+    "faults": "the fault plan comes from the checkpoint's recipe",
+}
+
+
 def cmd_mix(args: argparse.Namespace) -> int:
     mix = get_mix(args.mix)
-    faults = _load_fault_plan(args.faults)
+    cap, policy = args.cap, args.policy
     recovery_stats = None
     bus = TraceBus() if args.trace_out else None
     if args.resume is not None:
-        from repro.persistence import read_checkpoint, restore_mediator
+        from repro.persistence import RunRecipe, read_checkpoint, restore_mediator
 
+        for dest, reason in _RESUME_REJECTED_FLAGS.items():
+            if getattr(args, dest) is not None:
+                raise ConfigurationError(
+                    f"--{dest.replace('_', '-')} cannot be combined with --resume: {reason}"
+                )
         doc = read_checkpoint(args.resume)
         mediator = restore_mediator(doc)
+        names = sorted(p.name for p in mix.profiles())
+        if mediator.managed_apps() != names:
+            raise ConfigurationError(
+                f"--mix {args.mix} runs {names}, but the checkpoint's mediator "
+                f"manages {mediator.managed_apps()}"
+            )
+        # The banner and the resilience line describe the checkpointed run.
+        recipe = RunRecipe.from_dict(doc["recipe"], where="checkpoint.recipe")
+        cap, policy, faults = recipe.p_cap_w, recipe.policy, recipe.faults
         if bus is not None:
             # The trace covers the resumed stretch only; events before the
             # checkpoint belong to the run that wrote it.
@@ -215,6 +236,7 @@ def cmd_mix(args: argparse.Namespace) -> int:
         from repro.chaos import mix_recipe
         from repro.persistence import Supervisor
 
+        faults = _load_fault_plan(args.faults)
         recipe, script = mix_recipe(
             list(mix.profiles()),
             args.policy,
@@ -242,6 +264,7 @@ def cmd_mix(args: argparse.Namespace) -> int:
             mediator, list(mix.profiles()), warmup_s=args.warmup, mix_id=args.mix
         )
     else:
+        faults = _load_fault_plan(args.faults)
         result = run_mix_experiment(
             list(mix.profiles()),
             args.policy,
@@ -255,7 +278,7 @@ def cmd_mix(args: argparse.Namespace) -> int:
             trace_bus=bus,
             engine=args.engine,
         )
-    print(banner(f"{mix} @ {args.cap:.0f} W under {args.policy}"))
+    print(banner(f"{mix} @ {cap:.0f} W under {policy}"))
     rows = [
         [name, result.normalized_throughput[name], result.power_share[name]]
         for name in sorted(result.normalized_throughput)
@@ -1110,7 +1133,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=str,
         default=None,
         metavar="CKPT.json",
-        help="restore a checkpoint and run the remaining duration",
+        help="restore a checkpoint and run the remaining duration; the cap, "
+        "policy and fault plan are the checkpointed run's",
     )
     common(p_mix)
     engine_arg(p_mix)

@@ -32,7 +32,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.errors import ConfigurationError, PowerBudgetError
-from repro.core.utility import CandidateSet, pareto_envelope
+from repro.core.utility import CandidateSet
 from repro.server.config import KnobSetting
 
 
@@ -138,6 +138,80 @@ class Allocation:
         )
 
 
+def _solve(
+    options: list[tuple[np.ndarray, np.ndarray, np.ndarray]], steps: int
+) -> tuple[float, list[int]]:
+    """The knapsack DP over apps x budget grid: the objective and each app's
+    chosen option.
+
+    Pass i maps the running value ``V`` (one entry per grid column ``w``)
+    to ``max_k V[w - cost_k] + utility_k`` and keeps the first maximizing
+    option - the one a sequential strict-">" scan over the options keeps.
+    ``V`` starts at zero and each row is ``V`` shifted right plus a
+    constant, so every pass's value is nondecreasing in ``w``. Hence:
+
+    * the first pass is closed form: column ``w`` reaches the running
+      maximum of the utilities of the options that fit, first reached at
+      the first option with that utility;
+    * the last pass is only evaluated at the columns the backtrack reads:
+      its maximum sits at the full budget, and a binary search finds the
+      first column that reaches it (the first maximum);
+    * only the passes in between build the options x grid table.
+    """
+    last = len(options) - 1
+    first_cost, first_utility, _ = options[0]
+    first_peak = np.maximum.accumulate(first_utility)
+
+    def first_pick(w: int) -> int:
+        reached = first_peak[first_cost.searchsorted(w, side="right") - 1]
+        return int(first_peak.searchsorted(reached))
+
+    if last == 0:
+        pick = first_pick(steps)
+        return float(first_peak[pick]), [pick]
+
+    columns = np.arange(steps + 1)
+    value = first_peak[first_cost.searchsorted(columns, side="right") - 1]
+    # Middle passes, one max-plus table each: row k of ``shifted`` is the
+    # running value moved right by option k's cost plus its utility (-inf
+    # where it does not fit); ``argmax`` keeps each column's first maximum.
+    unreachable = np.full(steps + 1, -np.inf)
+    choices: list[np.ndarray] = []
+    for cost, utility, _ in options[1:last]:
+        padded = np.concatenate((unreachable, value))
+        shifted = padded[(steps + 1 - cost)[:, None] + columns] + utility[:, None]
+        choice = shifted.argmax(axis=0)
+        value = shifted[choice, columns]
+        choices.append(choice)
+
+    last_cost, last_utility, _ = options[last]
+
+    def last_column(w: int) -> tuple[int, float]:
+        fits = last_cost.searchsorted(w, side="right")
+        column = value[w - last_cost[:fits]] + last_utility[:fits]
+        pick = int(column.argmax())
+        return pick, float(column[pick])
+
+    _, objective = last_column(steps)
+    lo, hi = 0, steps
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if last_column(mid)[1] < objective:
+            lo = mid + 1
+        else:
+            hi = mid
+    pick, _ = last_column(lo)
+    picks = [pick]
+    w = lo - int(last_cost[pick])
+    for i in range(last - 1, 0, -1):
+        pick = int(choices[i - 1][w])
+        picks.append(pick)
+        w -= int(options[i][0][pick])
+    picks.append(first_pick(w))
+    picks.reverse()
+    return objective, picks
+
+
 class PowerAllocator:
     """Exact multiple-choice-knapsack apportioning of the dynamic budget.
 
@@ -228,59 +302,37 @@ class PowerAllocator:
         budget = max(0.0, budget_w)
         steps = int(math.floor(budget / self._grain_w))
 
-        # Per-app options as aligned arrays (grid cost, utility, knob index)
-        # over the Pareto frontier points that fit; option 0 is always
-        # "excluded" (cost 0, utility 0, knob index -1).
+        # Per-app options as aligned arrays (grid cost, utility, knob index):
+        # option 0 is "excluded" (cost 0, utility 0, knob index -1), then
+        # the Pareto frontier by ascending power. Each candidate set caches
+        # them per grain; costs ascend, so the options that fit are a prefix.
         options: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         for name in names:
             cset = candidates[name]
-            frontier = np.array(pareto_envelope(cset), dtype=np.intp)
-            cost = np.ceil(cset.power_w[frontier] / self._grain_w - 1e-9)
-            fits = cost <= steps
-            frontier = frontier[fits]
-            if frontier.size == 0 and not self._allow_exclusion:
+            cost, utility, knob_index = cset.frontier.options(self._grain_w)
+            fits = int(cost.searchsorted(steps, side="right"))
+            if fits == 1 and not self._allow_exclusion:
                 raise PowerBudgetError(
                     f"budget {budget_w:.2f} W cannot host {name!r} "
                     f"(cheapest config needs {cset.min_power_w:.2f} W) and "
                     "exclusion is disabled"
                 )
-            utility = cset.perf[frontier] / cset.perf_nocap
-            if weight_of is not None:
-                utility = utility * weight_of[name]
-            # A tiny inclusion bonus breaks ties toward running the app
-            # rather than idling it for equal objective value.
-            options.append((
-                np.concatenate(([0], cost[fits].astype(np.intp))),
-                np.concatenate(([0.0], utility + 1e-9)),
-                np.concatenate(([-1], frontier)),
-            ))
+            if weight_of is None:
+                utility = utility[:fits]
+            else:
+                # A tiny inclusion bonus breaks ties toward running the app
+                # rather than idling it for equal objective value.
+                weighted = cset.frontier.relative_perf[: fits - 1] * weight_of[name]
+                utility = np.concatenate(([0.0], weighted + 1e-9))
+            options.append((cost[:fits].astype(np.intp), utility, knob_index[:fits]))
 
-        # DP over apps x budget grid, one max-plus pass per app: row k of
-        # ``shifted`` is the running value moved right by option k's cost
-        # plus its utility (-inf where it does not fit). The first maximum
-        # of each column is the option a sequential strict-">" scan over
-        # the options would keep.
-        columns = np.arange(steps + 1)
-        unreachable = np.full(steps + 1, -np.inf)
-        value = np.zeros(steps + 1)
-        choice = np.empty((len(names), steps + 1), dtype=np.intp)
-        for i, (cost, utility, _) in enumerate(options):
-            padded = np.concatenate((unreachable, value))
-            shifted = padded[(steps + 1 - cost)[:, None] + columns] + utility[:, None]
-            choice[i] = shifted.argmax(axis=0)
-            value = shifted[choice[i], columns]
+        objective, picks = _solve(options, steps)
 
-        best_w = int(np.argmax(value))
-        objective = float(value[best_w])
-
-        # Backtrack the chosen options.
+        # Build the plan from the last app back to the first.
         apps: dict[str, AppAllocation] = {}
-        w = best_w
         for i in range(len(names) - 1, -1, -1):
             name = names[i]
-            cost, _, knob_index = options[i]
-            opt_idx = choice[i, w]
-            knob_idx = int(knob_index[opt_idx])
+            knob_idx = int(options[i][2][picks[i]])
             cset = candidates[name]
             if knob_idx < 0:
                 min_idx = int(np.argmin(cset.power_w))
@@ -304,7 +356,6 @@ class PowerAllocator:
                     power_w=float(cset.power_w[knob_idx]),
                     relative_perf=float(cset.perf[knob_idx] / cset.perf_nocap),
                 )
-            w -= int(cost[opt_idx])
         dp_result = Allocation(budget_w=budget_w, apps=apps, objective=objective)
         fair = self.allocate_fair(candidates, budget_w, weights=weights)
         if fair.excluded and not self._allow_exclusion:

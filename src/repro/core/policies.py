@@ -123,28 +123,32 @@ def hardware_enforce(
     effective = budget_w * (1.0 - config.rapl_guard_band)
     # Applications admitted with narrow core groups expose a subset of the
     # knob space; path knobs outside it simply do not exist for them.
-    available = [k for k in hardware_throttle_path(config) if k in oracle.knobs]
-    for knob in available:
-        idx = oracle.index_of(knob)
+    available = _path_in(oracle, config)
+    for knob, idx in available:
         if oracle.power_w[idx] <= effective + 1e-9:
             return knob
     # Hardware cannot throttle below the path's floor; when the floor fits
     # the *raw* budget the control loop settles there (averaging at the
     # limit) rather than refusing to run.
     if available:
-        floor_knob = available[-1]
-        if oracle.power_w[oracle.index_of(floor_knob)] <= budget_w + 1e-9:
+        floor_knob, floor_idx = available[-1]
+        if oracle.power_w[floor_idx] <= budget_w + 1e-9:
             return floor_knob
     return None
+
+
+def _path_in(cset: CandidateSet, config: ServerConfig) -> list[tuple[KnobSetting, int]]:
+    """The throttle path's knobs that ``cset`` holds, in path order, each
+    with its position in ``cset``."""
+    pairs = ((k, cset.position(k)) for k in hardware_throttle_path(config))
+    return [(k, idx) for k, idx in pairs if idx is not None]
 
 
 def _path_candidates(cset: CandidateSet, config: ServerConfig) -> CandidateSet:
     """Restrict a candidate set to the hardware throttle path (in path
     order, so index 0 is the uncapped end). Path knobs outside the set -
     possible for narrow-group applications - are skipped."""
-    return cset.subset(
-        [cset.index_of(k) for k in hardware_throttle_path(config) if k in cset.knobs]
-    )
+    return cset.subset([idx for _, idx in _path_in(cset, config)])
 
 
 def _record_allocation(

@@ -17,12 +17,11 @@ Three related constructs:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.engine.surface import grid_for
+from repro.engine.surface import ConfigGrid, Frontier, grid_for
 from repro.errors import ConfigurationError
 from repro.server.config import KnobSetting, ServerConfig
 from repro.server.perf_model import PerformanceModel
@@ -41,6 +40,11 @@ class CandidateSet:
         perf: Work rate at each knob.
         perf_nocap: The rate at the uncapped knob - the normalization
             denominator of objective (1).
+
+    A set is read-only once built: it caches its knob -> position map and
+    its Pareto frontier on first use. Sets over the grid's knob tuple share
+    :attr:`ConfigGrid.index`, and vector-engine oracle sets share their
+    surface's read-only arrays and frontier.
     """
 
     app: str
@@ -48,6 +52,10 @@ class CandidateSet:
     power_w: np.ndarray
     perf: np.ndarray
     perf_nocap: float
+    _index: dict[KnobSetting, int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _frontier: Frontier | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (len(self.knobs) == len(self.power_w) == len(self.perf)):
@@ -56,6 +64,13 @@ class CandidateSet:
             raise ConfigurationError("candidate set cannot be empty")
         if self.perf_nocap <= 0:
             raise ConfigurationError("perf_nocap must be positive")
+
+    def _on_grid(self, grid: ConfigGrid, frontier: Frontier | None = None) -> "CandidateSet":
+        """Share ``grid``'s knob map (the set's knobs are ``grid.knobs``) and,
+        when given, a frontier already built for these arrays."""
+        object.__setattr__(self, "_index", grid.index)
+        object.__setattr__(self, "_frontier", frontier)
+        return self
 
     @classmethod
     def from_models(
@@ -68,9 +83,9 @@ class CandidateSet:
         """Oracle candidate set from the true response models.
 
         A vector power model (:class:`repro.engine.VectorPowerModel`) exposes
-        ``surface_of``; its precomputed columns are gathered wholesale instead
-        of looping 432 scalar queries - bit-identical either way, so the fast
-        path needs no behavioural carve-outs.
+        ``surface_of``; the set then shares the surface's read-only columns
+        and frontier instead of looping 432 scalar queries - bit-identical
+        either way, so the fast path needs no behavioural carve-outs.
         """
         power_model = power_model if power_model is not None else PowerModel(config)
         perf_model = power_model.perf_model
@@ -80,20 +95,20 @@ class CandidateSet:
             return cls(
                 app=profile.name,
                 knobs=surface.knobs,
-                power_w=surface.app_power_w.copy(),
-                perf=surface.rate.copy(),
+                power_w=surface.app_power_w,
+                perf=surface.rate,
                 perf_nocap=float(surface.peak_rate),
-            )
-        knobs = grid_for(config).knobs
-        power = np.array([power_model.app_power_w(profile, k) for k in knobs])
-        perf = np.array([perf_model.rate(profile, k) for k in knobs])
+            )._on_grid(surface.grid, surface.frontier)
+        grid = grid_for(config)
+        power = np.array([power_model.app_power_w(profile, k) for k in grid.knobs])
+        perf = np.array([perf_model.rate(profile, k) for k in grid.knobs])
         return cls(
             app=profile.name,
-            knobs=knobs,
+            knobs=grid.knobs,
             power_w=power,
             perf=perf,
             perf_nocap=float(perf_model.peak_rate(profile)),
-        )
+        )._on_grid(grid)
 
     @classmethod
     def from_estimates(
@@ -121,7 +136,7 @@ class CandidateSet:
             power_w=np.asarray(power_w, dtype=float),
             perf=np.asarray(perf, dtype=float),
             perf_nocap=nocap,
-        )
+        )._on_grid(grid)
 
     def to_dict(self) -> dict:
         """JSON-safe form, used by checkpoints.
@@ -187,16 +202,36 @@ class CandidateSet:
             perf_nocap=nocap,
         )
 
+    def position(self, knob: KnobSetting) -> int | None:
+        """Index of a knob within this set; ``None`` when it is absent. A
+        repeated knob answers its first position."""
+        index = self._index
+        if index is None:
+            index = {}
+            for i, k in enumerate(self.knobs):
+                index.setdefault(k, i)
+            object.__setattr__(self, "_index", index)
+        return index.get(knob)
+
     def index_of(self, knob: KnobSetting) -> int:
-        """Index of a knob within this set.
+        """Index of a knob within this set (its first, if repeated).
 
         Raises:
             ConfigurationError: when the knob is not present.
         """
-        try:
-            return self.knobs.index(knob)
-        except ValueError:
-            raise ConfigurationError(f"{knob} is not in this candidate set") from None
+        idx = self.position(knob)
+        if idx is None:
+            raise ConfigurationError(f"{knob} is not in this candidate set")
+        return idx
+
+    @property
+    def frontier(self) -> Frontier:
+        """The set's Pareto frontier (see :func:`pareto_envelope`)."""
+        frontier = self._frontier
+        if frontier is None:
+            frontier = Frontier(self.power_w, self.perf, self.perf_nocap)
+            object.__setattr__(self, "_frontier", frontier)
+        return frontier
 
     def best_index_under(self, budget_w: float) -> int | None:
         """Index of the best-performance knob fitting ``budget_w``; ``None``
@@ -217,17 +252,7 @@ def pareto_envelope(candidates: CandidateSet) -> list[int]:
     per-app choice set from 432 knobs to roughly a third of them on the
     catalog applications.
     """
-    order = np.lexsort((-candidates.perf, candidates.power_w)).tolist()
-    # Scan Python floats: the same IEEE comparisons as numpy scalars, at a
-    # fraction of the cost per element.
-    perf = candidates.perf.tolist()
-    frontier: list[int] = []
-    best_perf = -math.inf
-    for idx in order:
-        if perf[idx] > best_perf + 1e-12:
-            frontier.append(idx)
-            best_perf = perf[idx]
-    return frontier
+    return candidates.frontier.indices.tolist()
 
 
 @dataclass(frozen=True)

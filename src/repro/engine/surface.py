@@ -33,6 +33,7 @@ differential suite to cover the new column.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,7 @@ import numpy as np
 from repro.server.config import KnobSetting, ServerConfig
 from repro.workloads.profiles import WorkloadProfile
 
-__all__ = ["ConfigGrid", "ResponseSurface", "grid_for", "surface_for"]
+__all__ = ["ConfigGrid", "Frontier", "ResponseSurface", "grid_for", "surface_for"]
 
 
 def _pow(base: np.ndarray, exponent: float) -> np.ndarray:
@@ -52,6 +53,64 @@ def _pow(base: np.ndarray, exponent: float) -> np.ndarray:
     vector path bit-identical to the scalar models on every platform.
     """
     return np.array([b ** exponent for b in base.tolist()], dtype=np.float64)
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only: cached tables are shared, never copied."""
+    array.flags.writeable = False
+    return array
+
+
+class Frontier:
+    """The power-performance Pareto frontier of one response, with the
+    allocator's option arrays per budget grain.
+
+    A knob is on the frontier when no other knob delivers at least its
+    performance for strictly less power. Points are listed by ascending
+    power, and performance strictly rises along the list.
+
+    Attributes:
+        indices: Frontier knob positions, by ascending power.
+        power_w: Their powers.
+        relative_perf: Their ``perf / perf_nocap``.
+    """
+
+    __slots__ = ("indices", "power_w", "relative_perf", "_options")
+
+    def __init__(self, power_w: np.ndarray, perf: np.ndarray, perf_nocap: float) -> None:
+        order = np.lexsort((-perf, power_w)).tolist()
+        # Scan Python floats: the same IEEE comparisons as numpy scalars, at
+        # a fraction of the cost per element.
+        perf_list = perf.tolist()
+        frontier: list[int] = []
+        best_perf = -math.inf
+        for idx in order:
+            if perf_list[idx] > best_perf + 1e-12:
+                frontier.append(idx)
+                best_perf = perf_list[idx]
+        self.indices = _frozen(np.array(frontier, dtype=np.intp))
+        self.power_w = _frozen(power_w[self.indices])
+        self.relative_perf = _frozen(perf[self.indices] / perf_nocap)
+        self._options: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def options(self, grain_w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The allocator's choices on a ``grain_w`` budget grid, cached.
+
+        Three aligned arrays: grid cost (power rounded *up* to the grid,
+        as floats), unweighted utility (relative perf plus a 1e-9
+        inclusion bonus) and knob index. Option 0 is "excluded" (cost 0,
+        utility 0, index -1); the frontier follows, so costs ascend and
+        the options fitting any budget are a prefix.
+        """
+        options = self._options.get(grain_w)
+        if options is None:
+            options = (
+                _frozen(np.concatenate(([0.0], np.ceil(self.power_w / grain_w - 1e-9)))),
+                _frozen(np.concatenate(([0.0], self.relative_perf + 1e-9))),
+                _frozen(np.concatenate(([-1], self.indices))),
+            )
+            self._options[grain_w] = options
+        return options
 
 
 class ConfigGrid:
@@ -121,7 +180,10 @@ class ResponseSurface:
     """Every model quantity of one profile, tabulated over the knob space.
 
     The arrays align with :attr:`ConfigGrid.knobs`; each entry is bitwise
-    equal to what the scalar model returns for that knob.
+    equal to what the scalar model returns for that knob. They are
+    read-only, so candidate sets share them instead of copying.
+    ``frontier`` is the Pareto frontier of ``(app_power_w, rate)``
+    relative to ``peak_rate``, built with the surface.
     """
 
     grid: ConfigGrid
@@ -134,6 +196,7 @@ class ResponseSurface:
     dram_power_w: np.ndarray
     app_power_w: np.ndarray
     peak_rate: float
+    frontier: Frontier
 
     @property
     def knobs(self) -> tuple[KnobSetting, ...]:
@@ -184,17 +247,19 @@ def _build_surface(grid: ConfigGrid, profile: WorkloadProfile) -> ResponseSurfac
     )
     app_power_w = cfg.p_app_floor_w + core_power_w + dram_power_w
 
+    peak_rate = float(rate[grid.max_index])
     return ResponseSurface(
         grid=grid,
-        compute_rate=compute_rate,
-        memory_rate=memory_rate,
-        rate=rate,
-        core_utilization=core_utilization,
-        achieved_bandwidth_gbs=achieved_bandwidth_gbs,
-        core_power_w=core_power_w,
-        dram_power_w=dram_power_w,
-        app_power_w=app_power_w,
-        peak_rate=float(rate[grid.max_index]),
+        compute_rate=_frozen(compute_rate),
+        memory_rate=_frozen(memory_rate),
+        rate=_frozen(rate),
+        core_utilization=_frozen(core_utilization),
+        achieved_bandwidth_gbs=_frozen(achieved_bandwidth_gbs),
+        core_power_w=_frozen(core_power_w),
+        dram_power_w=_frozen(dram_power_w),
+        app_power_w=_frozen(app_power_w),
+        peak_rate=peak_rate,
+        frontier=Frontier(app_power_w, rate, peak_rate),
     )
 
 

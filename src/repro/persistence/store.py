@@ -52,7 +52,12 @@ from repro.persistence.checkpoint import (
     read_checkpoint,
     restore_mediator,
 )
-from repro.persistence.journal import JournalWriter, read_journal, repair_torn_tail
+from repro.persistence.journal import (
+    JournalWriter,
+    list_segments,
+    read_journal,
+    repair_torn_tail,
+)
 
 __all__ = ["Restored", "RunStore"]
 
@@ -82,7 +87,9 @@ class RunStore:
 
     Args:
         workdir: Durability root; ``journal/`` and ``checkpoints/`` land in
-            it. A fresh store starts a fresh timeline log.
+            it. A fresh store starts a fresh run: it deletes the journal
+            segments and checkpoint documents (``.tmp`` files included) an
+            earlier run left there and starts an empty timeline log.
         recipe: Stamped into every checkpoint document, so a restore never
             depends on live objects.
         owner: The document key the caller's own state rides under.
@@ -109,11 +116,20 @@ class RunStore:
         self.journal_dir = workdir / "journal"
         self.checkpoint_dir = workdir / "checkpoints"
         self._log = self.checkpoint_dir / TIMELINE_LOG
+        # Recovery reads every segment and the newest marker in them: what
+        # an earlier run left here would be read as this run's history.
+        stale = [
+            *list_segments(self.journal_dir),
+            *self.checkpoint_dir.glob("ckpt-*.json"),
+            *self.checkpoint_dir.glob("ckpt-*.json.tmp"),
+        ]
         try:
+            for path in stale:
+                path.unlink()
             self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
             self._log.write_bytes(b"")
         except OSError as exc:
-            raise CheckpointError(f"cannot create timeline log {self._log}: {exc}") from None
+            raise CheckpointError(f"cannot start a fresh run in {workdir}: {exc}") from None
         self._logged = 0  # mediator timeline records in the log
         self._recipe = recipe.to_dict()
         self._owner = owner

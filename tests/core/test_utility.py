@@ -1,8 +1,11 @@
 """Utility curves: candidate sets, Pareto envelope, Fig. 2/3 quantities."""
 
+import re
+
 import numpy as np
 import pytest
 
+from repro.engine import VectorPowerModel
 from repro.errors import ConfigurationError
 from repro.core.utility import (
     CandidateSet,
@@ -61,6 +64,60 @@ class TestCandidateSet:
     def test_relative_perf_peaks_at_one(self, config, power_model, kmeans):
         cset = CandidateSet.from_models(kmeans, config, power_model=power_model)
         assert cset.relative_perf().max() == pytest.approx(1.0)
+
+
+class TestKnobLookup:
+    """``index_of`` answers what ``tuple.index`` does, from a knob map."""
+
+    @pytest.fixture(scope="class")
+    def sets(self, config, power_model, kmeans):
+        vector = CandidateSet.from_models(
+            kmeans, config, power_model=VectorPowerModel(config)
+        )
+        n = len(vector.knobs)
+        width = vector.subset(
+            [i for i, k in enumerate(vector.knobs) if k.cores <= 4], rebase_nocap=True
+        )
+        return {
+            "vector from_models": vector,
+            "scalar from_models": CandidateSet.from_models(
+                kmeans, config, power_model=power_model
+            ),
+            "from_estimates": CandidateSet.from_estimates(
+                "x", config, np.linspace(5.0, 30.0, n), np.linspace(0.1, 1.0, n)
+            ),
+            "width subset": width,
+            "repeated index": vector.subset([7, 3, 7, 0, 3]),
+            "from_dict": CandidateSet.from_dict(width.to_dict()),
+        }
+
+    def test_index_of_matches_tuple_index(self, sets):
+        for label, cset in sets.items():
+            for knob in cset.knobs:
+                assert cset.index_of(knob) == cset.knobs.index(knob), label
+
+    def test_missing_knob_raises_the_same_message(self, sets):
+        off_grid = KnobSetting(9.9, 1, 1.0)
+        for label, cset in sets.items():
+            for knob in (off_grid, sets["vector from_models"].knobs[-1]):
+                if knob in cset.knobs:
+                    continue
+                message = re.escape(f"{knob} is not in this candidate set")
+                with pytest.raises(ConfigurationError, match=message):
+                    cset.index_of(knob)
+                assert cset.position(knob) is None, label
+
+    def test_vector_sets_share_read_only_surface_tables(self, config, kmeans):
+        power_model = VectorPowerModel(config)
+        cset = CandidateSet.from_models(kmeans, config, power_model=power_model)
+        surface = power_model.surface_of(kmeans)
+        assert cset.power_w is surface.app_power_w
+        assert cset.perf is surface.rate
+        assert cset.frontier is surface.frontier
+        with pytest.raises(ValueError):
+            cset.power_w[0] = 0.0
+        with pytest.raises(ValueError):
+            cset.perf[0] = 0.0
 
 
 class TestParetoEnvelope:

@@ -91,6 +91,26 @@ def test_warm_restart_is_bit_identical(tmp_path, stream, kmeans, kill_tick):
         )
 
 
+def test_a_second_run_in_the_same_workdir_recovers(tmp_path, stream, kmeans):
+    # The first run leaves segments, documents and a torn document write
+    # behind; the second must journal afresh and recover only its own.
+    recipe, script = _recipe_and_script(stream, kmeans)
+    baseline = run_script(recipe, script)
+    Supervisor(recipe, script, tmp_path, checkpoint_every_ticks=20).run()
+    (tmp_path / "checkpoints" / "ckpt-00009999.json.tmp").write_text("{")
+    supervisor = Supervisor(
+        recipe,
+        script,
+        tmp_path,
+        checkpoint_every_ticks=20,
+        tick_hook=_kill_once_at({30}),
+    )
+    mediator = supervisor.run()
+    assert supervisor.stats.restarts == 1
+    assert mediator.timeline == baseline.timeline
+    assert not list((tmp_path / "checkpoints").glob("*.tmp"))
+
+
 def test_repeated_kills_make_progress(tmp_path, stream, kmeans):
     recipe, script = _recipe_and_script(stream, kmeans)
     baseline = run_script(recipe, script)

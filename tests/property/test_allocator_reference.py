@@ -1,4 +1,4 @@
-"""Hypothesis: the one-pass max-plus knapsack equals the per-option loop.
+"""Hypothesis: the allocator's knapsack equals the per-option loop.
 
 ``reference_allocate`` and ``reference_envelope`` are the allocator's
 earlier implementation, kept here verbatim in substance as the reference:
@@ -8,7 +8,10 @@ scalars. ``PowerAllocator.allocate`` and ``pareto_envelope`` must
 reproduce them exactly - same choices, same objective bits, same errors -
 on the inputs where ties decide the answer: equal grid costs, equal
 performance and performance equal to within the envelope's 1e-12
-tolerance, budgets of zero, below one grain, and above every demand.
+tolerance, utilities that tie only after the 1e-9 inclusion bonus,
+budgets of zero, below one grain, and above every demand; with one, two
+(closed-form first pass, searched last pass) and more apps (full passes
+in between).
 """
 
 import math
@@ -19,6 +22,7 @@ from hypothesis import example, given, settings
 
 from repro.core.allocator import Allocation, AppAllocation, PowerAllocator
 from repro.core.utility import CandidateSet, pareto_envelope
+from repro.engine import VectorPowerModel
 from repro.errors import PowerBudgetError
 from repro.server.config import KnobSetting, ServerConfig
 from repro.server.power_model import PowerModel
@@ -180,6 +184,81 @@ _CLONE_TIE = (
 )
 
 
+#: Two frontier points on one grid cost: at a 0.25 W grain, 1.01 W and
+#: 1.2 W both round up to 5 cells.
+_SHARED_COST = (
+    {
+        "a": curve_set("a", [1.01, 1.2, 2.0], [0.5, 1.0, 1.5], 1.5),
+        "b": curve_set("b", [1.01, 1.2], [0.4, 0.9], 1.0),
+    },
+    2.5,
+    0.25,
+    True,
+    None,
+)
+
+#: Two frontier points (their perfs differ by more than the envelope's
+#: 1e-12) whose utilities tie once the 1e-9 inclusion bonus is added:
+#: 0.49999999999999994 + 1e-9 == 0.5 + 1e-9.
+_BONUS_TIE_CURVE = ([1.0, 2.0], [30000.0, 30000.000000000004], 60000.00000000001)
+_BONUS_TIE = (
+    {name: curve_set(name, *_BONUS_TIE_CURVE) for name in ("a", "b")},
+    4.0,
+    0.25,
+    True,
+    None,
+)
+
+#: The last pass reaches its maximum at 6 of 9 cells ("b" dear, "a"
+#: cheap); at the full budget a cheaper option of "b" ties it ("b" cheap,
+#: "a" dear), so the plan depends on finding the first column.
+_EARLY_MAXIMUM = (
+    {
+        "a": curve_set("a", [0.5, 1.5], [0.3, 0.7], 1.0),
+        "b": curve_set("b", [0.5, 1.0], [0.3, 0.7], 1.0),
+    },
+    2.3,
+    0.25,
+    True,
+    None,
+)
+
+#: A point below zero performance is on the frontier but loses to
+#: exclusion: the first pass keeps the running maximum, not the last fit.
+_NEGATIVE_PERF = (
+    {
+        "a": curve_set("a", [1.0, 2.0], [-0.5, 1.0], 1.0),
+        "b": curve_set("b", [1.0], [1.0], 1.0),
+    },
+    2.5,
+    0.25,
+    True,
+    None,
+)
+
+#: Three and four apps: the passes between the first and the last build
+#: the full options x grid table.
+_THREE_APPS = (
+    {name: curve_set(name, [1.0, 2.5, 4.0], [0.5, 0.8, 1.0], 1.0) for name in ("a", "b", "c")},
+    6.0,
+    0.25,
+    True,
+    None,
+)
+_FOUR_APPS = (
+    {
+        "a": curve_set("a", [0.5, 1.0, 3.0], [0.2, 0.6, 1.0], 1.0),
+        "b": curve_set("b", [1.01, 1.2, 2.0], [0.5, 1.0, 1.5], 1.5),
+        "c": curve_set("c", [1.0, 2.5, 4.0], [0.5, 0.8, 1.0], 1.0),
+        "d": curve_set("d", [2.0, 3.0], [1.0, 2.0], 2.0),
+    },
+    7.3,
+    0.25,
+    False,
+    {"b": 0.5},
+)
+
+
 @st.composite
 def curves(draw) -> tuple[list[float], list[float], float]:
     """One response curve: (power, perf, perf_nocap)."""
@@ -221,6 +300,13 @@ def problems(draw) -> tuple:
 class TestMatchesLoopReference:
     @given(problem=problems())
     @example(problem=_CLONE_TIE)
+    @example(problem=_SHARED_COST)
+    @example(problem=_BONUS_TIE)
+    @example(problem=({"a": curve_set("a", *_BONUS_TIE_CURVE)}, 2.0, 0.25, True, None))
+    @example(problem=_EARLY_MAXIMUM)
+    @example(problem=_NEGATIVE_PERF)
+    @example(problem=_THREE_APPS)
+    @example(problem=_FOUR_APPS)
     @settings(max_examples=200, deadline=None)
     def test_synthetic_sets(self, problem):
         candidates, budget, grain, allow_exclusion, weights = problem
@@ -267,3 +353,27 @@ class TestMatchesLoopReference:
         for cset in _CATALOG_SETS.values():
             assert pareto_envelope(cset) == reference_envelope(cset)
 
+
+class TestSharedFrontiers:
+    """A frontier cached with a response surface, or built once by a width
+    subset, equals the reference envelope scan."""
+
+    def test_catalog_surfaces_and_width_subsets(self):
+        power_model = VectorPowerModel(_CONFIG)
+        widths = range(_CONFIG.cores_min, _CONFIG.cores_max)
+        for name, profile in CATALOG.items():
+            cset = CandidateSet.from_models(profile, _CONFIG, power_model=power_model)
+            assert cset.frontier is power_model.surface_of(profile).frontier
+            subsets = [
+                cset.subset(
+                    [i for i, k in enumerate(cset.knobs) if k.cores <= width],
+                    rebase_nocap=True,
+                )
+                for width in widths
+            ]
+            for view in [cset, _CATALOG_SETS[name], *subsets]:
+                frontier = view.frontier
+                assert frontier.indices.tolist() == reference_envelope(view)
+                assert np.array_equal(
+                    frontier.relative_perf, view.perf[frontier.indices] / view.perf_nocap
+                )

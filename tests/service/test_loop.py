@@ -161,6 +161,19 @@ def test_recovered_timeline_equals_the_uninterrupted_one(
     assert dict(chaos.metrics.counters())["service.restarts"] == len(kills)
 
 
+def test_a_second_run_in_the_same_workdir_recovers(service_cfg, tmp_path, baseline):
+    # The first run's journal and its newer documents stay behind unless a
+    # fresh run clears them; retention would then keep the stale documents.
+    first = MediatorService(ServiceConfig(**service_cfg), tmp_path)
+    first.run_for_ticks(160)
+    first.close()
+    chaos = MediatorService(ServiceConfig(**service_cfg), tmp_path, tick_hook=_killer(77))
+    chaos.run_for_ticks(160)
+    chaos.close()
+    _assert_same_run(chaos, baseline)
+    assert dict(chaos.metrics.counters())["service.restarts"] == 1
+
+
 def test_a_kill_inside_recovery_counts_as_a_restart(service_cfg, tmp_path, baseline):
     # The kill at 120 restores the checkpoint at 100 and re-executes
     # 100..119 through the tick hook: the kill at 110 lands inside it.

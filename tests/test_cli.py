@@ -417,6 +417,45 @@ class TestResume:
         log = tmp_path / "checkpoints" / "timeline.jsonl"
         assert len(log.read_text().splitlines()) == 80
 
+    def test_resume_reports_the_checkpointed_cap_and_policy(self, capsys, tmp_path):
+        code = main(
+            self.ARGS
+            + ["--policy", "app-aware", "--checkpoint-dir", str(tmp_path)]
+            + ["--checkpoint-every", "20"]
+        )
+        supervised = capsys.readouterr().out
+        assert code == 0
+        assert "@ 80 W under app-aware" in supervised
+        checkpoint = tmp_path / "checkpoints" / "ckpt-00000040.json"
+        without_cap = [arg for arg in self.ARGS if arg not in ("--cap", "80")]
+        code = main(without_cap + ["--resume", str(checkpoint)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "@ 80 W under app-aware" in out
+        assert self._throughput(out) == self._throughput(supervised)
+
+    @pytest.mark.parametrize("flag", ["--checkpoint-dir", "--faults"])
+    def test_flags_a_resumed_run_ignores_exit_2(self, capsys, tmp_path, flag):
+        checkpoint, _ = self._supervised(capsys, tmp_path)
+        elsewhere = tmp_path / "elsewhere"
+        value = {"--checkpoint-dir": str(elsewhere), "--faults": "default"}[flag]
+        code = main(self.ARGS + ["--resume", str(checkpoint), flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"error: {flag} cannot be combined with --resume")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert not elsewhere.exists()
+
+    def test_a_mix_the_checkpoint_does_not_hold_exits_2(self, capsys, tmp_path):
+        checkpoint, _ = self._supervised(capsys, tmp_path)
+        other_mix = list(self.ARGS)
+        other_mix[other_mix.index("--mix") + 1] = "1"
+        code = main(other_mix + ["--resume", str(checkpoint)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: --mix 1 runs")
+        assert len(captured.err.strip().splitlines()) == 1
+
     def test_version_1_document_exits_2(self, capsys, tmp_path):
         import json
 
