@@ -1,12 +1,12 @@
 """Mediator-in-the-loop throughput: the horizon-segmented fleet vs the loop.
 
 Not a paper figure - this benchmark prices the *end-to-end* fast path.
-``bench_engine_throughput`` showed the raw engine phase ~270x faster in
-batch, but a mediated tick also walks telemetry, heartbeats, learning,
-allocation, coordination, events and defense; this benchmark measures how
-much of that planning stack :class:`~repro.engine.planner.MediatedFleet`
-recovers. The same fleet - Table II mixes cycled across N servers, every
-app with unbounded work - advances the same simulated span two ways:
+``bench_engine_throughput`` prices the vector models alone, but a mediated
+tick also walks telemetry, heartbeats, learning, allocation, coordination,
+events and defense; this benchmark measures how much of that planning
+stack :class:`~repro.engine.planner.MediatedFleet` recovers. The same
+fleet - Table II mixes cycled across N servers, every app with unbounded
+work - advances the same simulated span two ways:
 
 * **scalar** - one :class:`~repro.core.mediator.PowerMediator` per server
   on the scalar engine, each ``run_for`` in a Python loop: the golden

@@ -559,8 +559,11 @@ def run_adversary_soak(
     the scenario's policy/cap/timing and the simulation seed shape it.
 
     Raises:
+        ConfigurationError: for an empty seed or kind list.
         ChaosError: on the first run violating any invariant.
     """
+    if not seeds or not kinds:
+        raise ConfigurationError("soak needs at least one seed and one kind")
     baselines: dict[tuple[str, float, float, int], PowerMediator] = {}
     runs: list[AdversaryRunResult] = []
     for seed in seeds:

@@ -76,13 +76,11 @@ def run_script(
     This is the uninterrupted baseline a chaos run is compared against;
     ``Advance`` maps onto :meth:`~repro.core.mediator.PowerMediator.run_for`
     with the same deadline arithmetic the supervisor uses, so the two paths
-    tick identically. ``trace_bus`` is attached post-build, the same way the
-    supervisor attaches its bus, so baseline and chaos traces cover the
-    same event stream.
+    tick identically. ``trace_bus`` goes to :meth:`RunRecipe.build`, as the
+    supervisor's does, so baseline and chaos traces cover the same event
+    stream, the initial cap change included.
     """
-    mediator = recipe.build()
-    if trace_bus is not None:
-        mediator.attach_trace_bus(trace_bus)
+    mediator = recipe.build(trace_bus=trace_bus)
     for command in script:
         if isinstance(command, Advance):
             mediator.run_for(command.duration_s)
@@ -381,8 +379,11 @@ def run_chaos_soak(
     run.
 
     Raises:
+        ConfigurationError: for an empty seed list.
         ChaosError: on the first run violating any invariant.
     """
+    if not seeds:
+        raise ConfigurationError("soak needs at least one seed")
     recipe, script = mix_recipe(
         apps,
         policy,

@@ -90,12 +90,21 @@ from repro.workloads.mixes import all_mixes, get_mix
 from repro.workloads.traces import ClusterPowerTrace
 
 
-def _parse_mixes(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part]
+def _parse_list(text: str, flag: str, convert=str) -> list:
+    """Parse the comma list ``--<flag> A,B,...``; blank items are skipped.
 
-
-def _parse_policies(text: str) -> list[str]:
-    return [part.strip() for part in text.split(",") if part.strip()]
+    A malformed item, or a given list with no item, raises
+    :class:`ConfigurationError` naming the flag, which :func:`main` turns
+    into the one-line exit-2 contract."""
+    try:
+        items = [convert(part.strip()) for part in text.split(",") if part.strip()]
+        if items or not text:
+            return items
+    except ValueError:
+        pass
+    raise ConfigurationError(
+        f"--{flag} expects comma-separated {convert.__name__} values, got {text!r}"
+    )
 
 
 def _fail(exc: Exception) -> int:
@@ -371,28 +380,15 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def cmd_adversary(args: argparse.Namespace) -> int:
-    from repro.chaos import run_adversary_mix, run_adversary_soak
+    from repro.chaos import run_adversary_soak
 
-    kinds = ADVERSARY_KINDS if args.kind == "all" else (args.kind,)
-    compare = not args.no_undefended
-    if args.soak > 1:
-        soak = run_adversary_soak(
-            kinds=kinds,
-            seeds=list(range(args.soak)),
-            mix_id=args.mix,
-            compare_undefended=compare,
-        )
-    else:
-        from repro.chaos import AdversarySoakResult
-
-        soak = AdversarySoakResult(
-            runs=tuple(
-                run_adversary_mix(
-                    kind, mix_id=args.mix, seed=args.seed, compare_undefended=compare
-                )
-                for kind in kinds
-            )
-        )
+    # An empty seed list (--soak below 1) fails inside the soak.
+    soak = run_adversary_soak(
+        kinds=ADVERSARY_KINDS if args.kind == "all" else (args.kind,),
+        seeds=[args.seed] if args.soak == 1 else list(range(args.soak)),
+        mix_id=args.mix,
+        compare_undefended=not args.no_undefended,
+    )
     mix = get_mix(args.mix)
     seeds_note = f"seeds 0..{args.soak - 1}" if args.soak > 1 else f"seed {args.seed}"
     print(banner(f"adversary defense: {mix}, {seeds_note}"))
@@ -452,11 +448,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.chaos import run_service_soak
     from repro.service import MediatorService, ServiceConfig
 
-    cap_levels = (
-        tuple(float(part) for part in args.cap_levels.split(",") if part)
-        if args.cap_levels
-        else ()
-    )
+    cap_levels = tuple(_parse_list(args.cap_levels, "cap-levels", float))
     config = ServiceConfig(
         policy=args.policy,
         p_cap_w=args.cap,
@@ -542,10 +534,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     mixes = (
-        [get_mix(i) for i in _parse_mixes(args.mixes)] if args.mixes else all_mixes()
+        [get_mix(i) for i in _parse_list(args.mixes, "mixes", int)]
+        if args.mixes
+        else all_mixes()
     )
     policies = (
-        _parse_policies(args.policies)
+        _parse_list(args.policies, "policies")
         if args.policies
         else ["util-unaware", "app+res-aware"]
     )
@@ -598,7 +592,7 @@ def cmd_utility(args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    fractions = [float(f) for f in args.fractions.split(",")]
+    fractions = _parse_list(args.fractions, "fractions", float)
     points = calibrate_sampling_fraction(
         ServerConfig(), list(CATALOG.values()), fractions, seed=args.seed
     )
@@ -654,8 +648,8 @@ def cmd_dynamic(args: argparse.Namespace) -> int:
 def cmd_place(args: argparse.Namespace) -> int:
     from repro.cluster.scheduler import PLACEMENT_POLICIES, PowerAwareScheduler
 
-    caps = [float(c) for c in args.caps.split(",")]
-    jobs = [get_application(n) for n in args.jobs.split(",")]
+    caps = _parse_list(args.caps, "caps", float)
+    jobs = [get_application(n) for n in _parse_list(args.jobs, "jobs")]
     rows = []
     objectives = {}
     for strategy in PLACEMENT_POLICIES:
@@ -678,15 +672,17 @@ def cmd_zones(args: argparse.Namespace) -> int:
     from repro.server.powercap import HardwarePowercap
     from repro.server.server import SimulatedServer
 
-    server = SimulatedServer()
     mix = get_mix(args.mix)
+    names = mix.names()
+    limits = _parse_list(args.limits, "limits", float)
+    if len(limits) != len(names):
+        raise ConfigurationError(
+            f"--limits needs {len(names)} values for {mix}, got {len(limits)}"
+        )
+    server = SimulatedServer()
     for profile in mix.profiles():
         server.admit(profile.with_total_work(float("inf")))
     powercap = HardwarePowercap(server)
-    names = mix.names()
-    limits = [float(v) for v in args.limits.split(",")]
-    if len(limits) != len(names):
-        raise SystemExit(f"need {len(names)} limits for {mix}")
     for name, limit in zip(names, limits):
         powercap.set_zone(name, limit)
     result = None
@@ -785,15 +781,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     print(format_table(["shave", "policy", "agg perf", "perf/avail-W"], rows))
     _write_observability(args, bus, metrics.to_json() if metrics is not None else None)
     return 0
-
-
-def _parse_fanouts(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part)
-    except ValueError:
-        raise NetworkError(
-            f"--fanouts expects comma-separated integers like 3,4, got {text!r}"
-        ) from None
 
 
 def _parse_subtree_outage(spec: str):
@@ -895,7 +882,7 @@ def cmd_hierarchy(args: argparse.Namespace) -> int:
         subtree_outages_from_fault_plan,
     )
 
-    fanouts = _parse_fanouts(args.fanouts)
+    fanouts = tuple(_parse_list(args.fanouts, "fanouts", int))
     if args.chaos:
         return _hierarchy_soak(
             args, fanouts, n_steps=args.steps, budget_w=args.budget

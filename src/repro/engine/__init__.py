@@ -9,9 +9,8 @@ Two layers:
   and threaded through every experiment driver and the CLI (``--engine``).
   Bit-identical to the scalar path by construction - the golden-trace suite
   pins both, and ``tests/engine/test_differential.py`` fuzzes the claim.
-* **Batch fleet** (:mod:`repro.engine.batch`): N servers advanced per tick
-  with array operations, for fleet-scale throughput
-  (``benchmarks/bench_engine_throughput.py``).
+  ``benchmarks/bench_engine_throughput.py`` times a loop of vector servers
+  against a loop of scalar ones.
 * **Mediated fleet** (:mod:`repro.engine.planner`): whole *mediated* ticks —
   planning stack included — replayed in horizon segments with closed-form
   accumulator kernels (``benchmarks/bench_mediator_throughput.py``).
@@ -25,14 +24,12 @@ it affordable at scale, never to redefine it.
 
 from __future__ import annotations
 
-from repro.engine.batch import BatchFleet
 from repro.engine.models import VectorPerformanceModel, VectorPowerModel
 from repro.engine.surface import ConfigGrid, ResponseSurface, grid_for, surface_for
 from repro.errors import ConfigurationError
 
 __all__ = [
     "ENGINE_KINDS",
-    "BatchFleet",
     "ConfigGrid",
     "MediatedFleet",
     "ResponseSurface",

@@ -39,11 +39,6 @@ class VectorPerformanceModel(PerformanceModel):
         #: as the ``engine.fallback`` metrics counter.
         self.fallbacks = 0
 
-    @property
-    def grid(self) -> ConfigGrid:
-        """The shared knob grid (exposed for batch consumers)."""
-        return self._grid
-
     def surface_of(self, profile: WorkloadProfile) -> ResponseSurface:
         """The profile's cached full-knob-space surface."""
         return self._grid.surface(profile)

@@ -1,11 +1,11 @@
 """Batched mediator-in-the-loop stepping: :class:`MediatedFleet`.
 
-PR 8's :class:`~repro.engine.batch.BatchFleet` vectorized the *engine*
-phase, but a mediated tick still walks the whole planning stack —
-coordination, telemetry readback, heartbeat aggregation, cap policing,
-defense scoring, event polling — in per-server Python, so end-to-end
-runs capture only a sliver of the engine speedup. This module promotes
-those phases into the batch path under the DESIGN.md §13 rules.
+The vector models (:mod:`repro.engine.models`) turn each model query
+into a gather, but a mediated tick still walks the whole planning stack
+— coordination, telemetry readback, heartbeat aggregation, cap
+policing, defense scoring, event polling — in per-server Python, and
+that stack, not the models, is where a tick's time goes. This module
+replays those phases in closed form under the DESIGN.md §13 rules.
 
 The key observation is that a mediated fleet in *steady state* (no
 faults, no plan epochs, no phase edges, no trust transitions, no
@@ -231,12 +231,6 @@ class MediatedFleet:
             raise ConfigurationError("duration_s must be positive")
         for m in self._mediators:
             self._advance(m, m.server.now_s + duration_s)
-
-    def step_all(self) -> None:
-        """One scalar tick on every mediator (the supervisor-grade unit)."""
-        for m in self._mediators:
-            m.step()
-            self.scalar_ticks += 1
 
     def _advance(self, m: PowerMediator, end_s: float) -> None:
         while m.server.now_s < end_s - 1e-9:

@@ -25,7 +25,7 @@ is a failure. Two rules make that achievable:
    element by element. The knob space is small and surfaces are cached, so
    the cost is irrelevant.
 
-When adding a new quantity to the batch path, follow the same recipe: copy
+When adding a new quantity to a surface, follow the same recipe: copy
 the scalar expression verbatim, replace branches with masks carrying the
 exact branch values, route every ``**`` through :func:`_pow`, and extend the
 differential suite to cover the new column.

@@ -60,6 +60,7 @@ from repro.core.simulation import default_battery
 from repro.engine import ENGINE_KINDS
 from repro.faults.plan import FaultPlan
 from repro.learning.sampling import sampler_from_spec
+from repro.observability.trace import TraceBus
 from repro.server.config import DEFAULT_SERVER_CONFIG, ServerConfig
 from repro.server.server import SimulatedServer
 
@@ -139,8 +140,13 @@ class RunRecipe:
             return 0.10
         return float(self.sampler["fraction"])
 
-    def build(self) -> PowerMediator:
-        """Construct a fresh mediator exactly as this recipe describes."""
+    def build(self, trace_bus: TraceBus | None = None) -> PowerMediator:
+        """Construct a fresh mediator exactly as this recipe describes.
+
+        ``trace_bus`` goes to the constructor, so the bus also sees the
+        initial cap-change (E1) event, as a traced ``run_mix_experiment``
+        does; a restored mediator is attached after its state is loaded.
+        """
         server = SimulatedServer(self.config, seed=self.seed, engine=self.engine)
         return PowerMediator(
             server,
@@ -155,6 +161,7 @@ class RunRecipe:
             seed=self.seed,
             faults=self.faults,
             resilience=self.resilience,
+            trace_bus=trace_bus,
         )
 
     def to_dict(self) -> dict:

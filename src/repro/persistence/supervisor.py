@@ -236,8 +236,7 @@ class Supervisor:
         Raises:
             CheckpointError: if recovery exceeds ``max_restarts``.
         """
-        self._mediator = self._recipe.build()
-        self._mediator.attach_trace_bus(self._trace)
+        self._mediator = self._recipe.build(trace_bus=self._trace)
         self._store = RunStore(
             self._workdir,
             self._recipe,

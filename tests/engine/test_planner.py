@@ -335,15 +335,6 @@ def test_heterogeneous_fleet_advances_every_member():
     assert fleet.fast_ticks + fleet.scalar_ticks == 4 * 120
 
 
-def test_step_all_is_one_scalar_tick_each():
-    mediators = [_build(engine="vector", mix_id=i + 1, seed=i) for i in range(3)]
-    fleet = MediatedFleet(mediators)
-    fleet.step_all()
-    assert fleet.scalar_ticks == 3
-    assert fleet.fast_ticks == 0
-    assert all(math.isclose(m.server.now_s, 0.1) for m in mediators)
-
-
 # ------------------------------------------------------------- validation
 
 

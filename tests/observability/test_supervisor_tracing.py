@@ -4,6 +4,7 @@ replay-consistent with - and hashes identically to - an uninterrupted run."""
 import pytest
 
 from repro.chaos.harness import mix_recipe, run_chaos_mix, run_script
+from repro.core.simulation import run_mix_experiment
 from repro.errors import ChaosError
 from repro.observability.trace import TraceBus, summarize_trace, verify_trace
 from repro.persistence.supervisor import Supervisor
@@ -82,21 +83,25 @@ class TestStitchedTrace:
         assert result.trace_hash is not None
 
 
+def _uncrashed_mix():
+    return mix_recipe(
+        _apps(),
+        "app+res-aware",
+        80.0,
+        config=ServerConfig(),
+        duration_s=6.0,
+        warmup_s=2.0,
+        use_oracle_estimates=True,
+        dt_s=0.1,
+        seed=0,
+        faults=None,
+        resilience=None,
+    )
+
+
 class TestSupervisedUncrashedRun:
     def test_supervisor_without_kills_matches_plain_script_run(self, tmp_path):
-        recipe, script = mix_recipe(
-            _apps(),
-            "app+res-aware",
-            80.0,
-            config=ServerConfig(),
-            duration_s=6.0,
-            warmup_s=2.0,
-            use_oracle_estimates=True,
-            dt_s=0.1,
-            seed=0,
-            faults=None,
-            resilience=None,
-        )
+        recipe, script = _uncrashed_mix()
         plain_bus = TraceBus()
         run_script(recipe, script, trace_bus=plain_bus)
         supervised_bus = TraceBus()
@@ -111,3 +116,16 @@ class TestSupervisedUncrashedRun:
         assert supervised_bus.content_hash() == plain_bus.content_hash()
         kinds = summarize_trace(supervised_bus.events)["kinds"]
         assert kinds["checkpoint"] >= 2
+
+    def test_supervisor_without_kills_matches_run_mix_experiment(self, tmp_path):
+        # The initial cap change included: `repro mix --trace-out` prints
+        # one sha256 with and without --checkpoint-dir.
+        plain_bus = TraceBus()
+        run_mix_experiment(
+            _apps(), "app+res-aware", 80.0, duration_s=6.0, warmup_s=2.0,
+            use_oracle_estimates=True, trace_bus=plain_bus,
+        )
+        supervised_bus = TraceBus()
+        Supervisor(*_uncrashed_mix(), tmp_path, trace_bus=supervised_bus).run()
+        assert summarize_trace(supervised_bus.events)["kinds"]["cap-change"] == 1
+        assert supervised_bus.content_hash() == plain_bus.content_hash()

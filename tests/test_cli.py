@@ -310,9 +310,35 @@ class TestExtensionSubcommands:
         assert "stream" in out and "kmeans" in out
         assert "wall power" in out
 
-    def test_zones_wrong_limit_count(self):
-        with pytest.raises(SystemExit):
-            main(["zones", "--mix", "1", "--limits", "14"])
+    def test_zones_wrong_limit_count(self, capsys):
+        code = main(["zones", "--mix", "1", "--limits", "14"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: --limits needs 2 values")
+
+
+class TestCommaLists:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--mixes", "1,x"],
+            ["compare", "--policies", ","],
+            ["calibrate", "--fractions", "0.1,abc"],
+            ["serve", "--cap-levels", "90,x"],
+            ["place", "--caps", "100,abc"],
+            ["zones", "--limits", "15,abc"],
+            ["zones", "--limits", "15"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_malformed_list_exits_2_naming_the_flag(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"error: {argv[1]} ")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 class TestFaultsFlag:
@@ -606,6 +632,20 @@ class TestObservabilityFlags:
         assert code == 0
         assert "trace-stitched" in out
         assert (tmp_path / "soak.json").exists()
+
+
+class TestEmptySoak:
+    @pytest.mark.parametrize(
+        "argv",
+        [["chaos", "--runs", "0"], ["adversary", "--soak", "0"]],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_a_soak_of_no_runs_exits_2(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: soak needs at least one seed")
+        assert captured.out == ""
 
 
 class TestAdversary:
