@@ -271,12 +271,15 @@ def _replay(
     *,
     checkpoint_every: int,
     drain_steps: int,
+    metrics: MetricsRegistry | None,
 ) -> list[tuple[float, ...]]:
     """Step a tree through the schedule plus a clean drain.
 
     Checkpoints every interior node on a fixed cadence; each restart event
     restores the named controller from the *previous* checkpoint (never the
-    current step's), so every restart replays genuinely stale state.
+    current step's), so every restart replays genuinely stale state. The
+    tree's network totals then go into ``metrics`` as ``netsim.*``
+    counters, beside the control-plane counters the tree wrote there.
     """
     steps = len(loads)
     checkpoints: dict[Path, tuple[int, dict]] = {}
@@ -311,6 +314,9 @@ def _replay(
         )
         if scheduled:
             caps.append(row)
+    if metrics is not None:
+        for key, value in sim.net_stats().items():
+            metrics.counter(f"netsim.{key}").inc(value)
     return caps
 
 
@@ -439,6 +445,7 @@ def run_hierarchy_chaos(
             restart_events,
             checkpoint_every=checkpoint_every,
             drain_steps=drain_steps,
+            metrics=metrics,
         )
     except SimulationError as exc:
         raise ChaosError(f"hierarchy chaos seed {seed}: {exc}") from None
@@ -476,6 +483,7 @@ def run_hierarchy_chaos(
                 {},
                 checkpoint_every=checkpoint_every,
                 drain_steps=0,
+                metrics=metrics,
             )
         except SimulationError as exc:
             raise ChaosError(

@@ -20,44 +20,54 @@ constant or constant-increment accumulators:
 * the calibration countdown — ``s = max(0.0, s - dt)``, the ``s += -dt``
   fold until it first reaches zero.
 
-``np.cumsum`` / ``np.cumprod`` accumulate strictly sequentially in C, so
-for a constant increment they reproduce the scalar fold *bit for bit*
-(``tests/engine/test_planner.py`` pins this property directly).  The RAPL
-modulo is handled by segmenting the cumsum at each (rare) wrap: ``fmod``
-is exact, and for ``W <= x < 2W`` the float subtraction ``x - W`` equals
-``fmod(x, W)`` exactly.
+The kernels below *are* those folds, in plain Python floats:
+``itertools.accumulate`` / ``functools.reduce`` over ``operator.add`` and
+``operator.mul`` apply the scalar operation left to right, one IEEE
+operation per tick, so they equal the scalar loop bit for bit by
+construction (``tests/engine/test_planner.py`` pins each against the
+literal loop). The builtin ``sum`` is never used: from CPython 3.12 it
+compensates float sums and so is not the fold. A segment is a control
+period or less (10 ticks on ``rack-fleet``), where a numpy call's
+overhead would cost more than the arithmetic it replaces.
 
 :class:`MediatedFleet` therefore advances each mediator in *horizon
 segments*: it evaluates a set of steady-state entry gates, computes a
 conservative tick horizon over which no branchy decision can fire
-(completion, duty-phase edge, TIME slot edge, battery clip, E4
-deviation threshold, defense cooldown expiry, cap breach), replays that
-many ticks with the closed-form kernel, and materializes exactly the
-state the scalar loop would have produced — timeline records, metrics,
-heartbeat windows, trust records, accountant counters, battery ledgers
-and all.  Whenever a
-gate fails or the horizon is short, it falls back to the scalar
+(duty-phase edge, TIME slot edge, battery clip, E4 deviation threshold,
+defense cooldown expiry, cap breach), trims it to the run window,
+counts exactly how many ticks each finishing job can take before its
+completion tick, replays that many ticks with the kernels, and
+materializes exactly the state the scalar loop would have produced —
+timeline records, metrics, heartbeat windows, trust records, accountant
+counters, battery ledgers and all. Whenever a gate fails or the
+horizon is short, it falls back to the scalar
 :meth:`~repro.core.mediator.PowerMediator.step` for one tick, so the
 fleet is *always* bit-identical to a plain Python loop over its
 mediators; the gates only decide how fast it gets there.
 
 Kept scalar by design (DESIGN.md §13): the TIME slot edges and duty-cycle
-phase edges themselves (their knob actuation and retries), quarantine
-transitions, and every fault/adversary/trace-active path. Between edges a
-TIME rotation only advances its cursor, so the slot edge is a horizon
-term, not an entry gate. A pending calibration is no gate either: the
-countdown suspends nothing and is folded. Resume debt is checked only on
-running apps, since a suspended app's debt stays frozen until it runs.
-:data:`MIN_FAST_TICKS` is 3 because a segment's cost is mostly per
-segment: two replayed ticks already cost less than two scalar ones.
+phase edges themselves (their knob actuation and retries), the
+completion tick, quarantine transitions, and every
+fault/adversary/trace-active path. Between edges a TIME rotation only
+advances its cursor, so the slot edge is a horizon term, not an entry
+gate. A pending calibration is no gate either: the countdown suspends
+nothing and is folded. A changed trust fingerprint restarts the
+efficiency-check cooldown on the segment's first tick, which is the
+unchanged fold started one tick higher, so it is folded too. Resume debt
+is checked only on running apps, since a suspended app's debt stays
+frozen until it runs. :data:`MIN_FAST_TICKS` is 3 because a segment's
+cost is mostly per segment: two replayed ticks already cost less than
+two scalar ones.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from functools import reduce
+from itertools import accumulate, repeat
+from operator import add, mul
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from repro.core.coordinator import CoordinationMode
 from repro.core.mediator import PowerMediator, TickRecord
@@ -66,17 +76,18 @@ from repro.errors import ConfigurationError
 from repro.esd.controller import Phase
 from repro.observability.trace import NULL_TRACE_BUS
 from repro.server.heartbeats import HeartbeatRecord
+from repro.server.rapl import energy_delta_j
 from repro.server.sleep import SleepState
 
 __all__ = ["MediatedFleet", "MIN_FAST_TICKS", "MAX_SEGMENT_TICKS"]
 
 #: Below this many safe ticks the flush overhead beats the win: go scalar.
-#: A segment costs ~220-290 us almost whatever its length, a scalar tick
-#: ~140-180 us (rack-fleet medians, 2-vCPU x86_64 host), so the break-even
-#: lies between 1 and 2 ticks; 3 leaves a margin for host noise.
+#: A segment costs ~100 us plus ~6.5 us per tick, a steady scalar tick
+#: ~105 us (rack-fleet medians, 2-vCPU x86_64 host), so one replayed tick
+#: about breaks even and two win; 3 leaves a margin for host noise.
 MIN_FAST_TICKS = 3
 
-#: Upper bound on one fast segment (keeps work arrays small and bounded).
+#: Upper bound on one fast segment (keeps work lists small and bounded).
 MAX_SEGMENT_TICKS = 4096
 
 #: Stop this many ticks before any predicted branch point; the scalar
@@ -84,27 +95,25 @@ MAX_SEGMENT_TICKS = 4096
 _HORIZON_MARGIN = 2
 
 
-def _seq_add(start: float, step: float, k: int) -> np.ndarray:
+def _seq_add(start: float, step: float, k: int) -> list[float]:
     """The fl-sequential fold ``start, start+step, ...`` (length ``k+1``).
 
-    ``np.cumsum`` accumulates left-to-right in C, so ``out[i]`` is exactly
-    the float the scalar loop holds after ``i`` repetitions of ``s += step``.
+    ``out[i]`` is exactly the float the scalar loop holds after ``i``
+    repetitions of ``s += step``.
     """
-    arr = np.empty(k + 1)
-    arr[0] = start
-    arr[1:] = step
-    return np.cumsum(arr)
+    return list(accumulate(repeat(step, k), add, initial=start))
 
 
 def _seq_add_final(start: float, step: float, k: int) -> float:
-    return float(_seq_add(start, step, k)[-1])
+    """Final value of ``k`` sequential ``s += step`` folds."""
+    return reduce(add, repeat(step, k), start)
 
 
 def _countdown_final(start: float, step: float, k: int) -> float:
     """Final value of ``k`` sequential ``s = max(0.0, s - step)`` folds.
 
     For ``step > 0`` the fl sequence ``s - step, s - 2 step, ...`` never
-    rises, so the clamp first bites where the cumsum reaches ``<= 0`` and
+    rises, so the clamp first bites where the fold reaches ``<= 0`` and
     holds 0.0 from there on: a positive last value means no clamp fired.
     """
     last = _seq_add_final(start, -step, k)
@@ -113,36 +122,34 @@ def _countdown_final(start: float, step: float, k: int) -> float:
 
 def _seq_mul_final(start: float, factor: float, k: int) -> float:
     """Final value of ``k`` sequential ``s *= factor`` folds."""
-    arr = np.empty(k + 1)
-    arr[0] = start
-    arr[1:] = factor
-    return float(np.cumprod(arr)[-1])
+    return reduce(mul, repeat(factor, k), start)
 
 
-def _rapl_march(e0: float, step_j: float, wrap_j: float, k: int) -> np.ndarray:
-    """Per-tick counter values of ``k`` folds of ``e = (e + step) % wrap``.
+def _rapl_march(e0: float, step_j: float, wrap_j: float, k: int) -> list[float]:
+    """Per-tick counter values of ``k`` folds of ``e = (e + step) % wrap``."""
+    values = []
+    e = e0
+    for _ in range(k):
+        e = (e + step_j) % wrap_j
+        values.append(e)
+    return values
 
-    Requires ``0 <= step_j < wrap_j`` (callers gate on it): then each fold
-    wraps at most once, ``%`` reduces to an exact ``x - wrap`` for
-    ``wrap <= x < 2*wrap``, and the cumsum can simply be restarted at the
-    folded value after each (rare) wrap.
+
+def _clean_work_ticks(total: float, done: float, work: float, k: int) -> int:
+    """How many of the next ``k`` ticks run ``done += work`` as they stand.
+
+    ``SimulatedServer.tick`` clips a tick's work to ``max(0.0, total -
+    done)`` and completes the job once that reaches zero; the count stops
+    before the first tick that does either, so the scalar path walks it.
+    The completion test alone finds that tick: rounding is monotone, so
+    ``total - done < work`` means ``done + work`` rounds to ``total`` or
+    more, and a tick that would clip also leaves nothing to do.
     """
-    arr = np.empty(k + 1)
-    arr[0] = e0
-    arr[1:] = step_j
-    np.cumsum(arr, out=arr)
-    start = 1
-    while True:
-        over = np.nonzero(arr[start:] >= wrap_j)[0]
-        if over.size == 0:
-            break
-        j = start + int(over[0])
-        arr[j] = arr[j] - wrap_j
-        if j < k:
-            arr[j + 1 :] = step_j
-            arr[j:] = np.cumsum(arr[j:])
-        start = j + 1
-    return arr[1:]
+    for i in range(k):
+        done += work
+        if max(0.0, total - done) <= 0.0:
+            return i
+    return k
 
 
 def _flush_histogram(hist, value: float, k: int) -> None:
@@ -162,8 +169,8 @@ class MediatedFleet:
 
     Semantically equivalent to ``for m in mediators: m.run_for(...)`` —
     and pinned bit-identical to it by the differential suite — but steady
-    stretches are replayed with the vectorized horizon kernel instead of
-    per-tick Python.
+    stretches are replayed with the closed-form horizon kernels instead
+    of per-tick mediator steps.
 
     Args:
         mediators: The fleet; each mediator is advanced independently.
@@ -393,21 +400,15 @@ class MediatedFleet:
                         - 2 * _HORIZON_MARGIN
                     )
 
-        # --- engine constants: running set, work rates, completion horizon.
+        # --- engine constants: running set and work rates.
         knobs = server._knobs
         running = {
             name: (handles[name].profile, knobs.knob_of(name)) for name in active
         }
-        completion_horizon: float = math.inf
-        work_per_app: dict[str, float] = {}
-        for name, (profile, knob) in running.items():
-            work = server._perf.rate(profile, knob) * dt  # useful_s == dt exactly
-            work_per_app[name] = work
-            remaining = handles[name].remaining_work
-            if work > 0.0 and math.isfinite(remaining):
-                completion_horizon = min(
-                    completion_horizon, math.floor(remaining / work) - _HORIZON_MARGIN
-                )
+        work_per_app = {
+            name: server._perf.rate(profile, knob) * dt  # useful_s == dt exactly
+            for name, (profile, knob) in running.items()
+        }
 
         breakdown = server._power.server_breakdown(
             running,
@@ -426,7 +427,7 @@ class MediatedFleet:
         trust = m._trust
         defense_on = bool(trust.config.enabled and m._managed)
         defense_horizon: float = math.inf
-        trust_flush: list[tuple[object, int]] = []  # (record, cooldown0)
+        trust_flush: list[tuple[object, int, tuple]] = []  # (record, cooldown0, fp)
         if defense_on:
             cfg = trust.config
             for record in trust._records.values():
@@ -441,8 +442,13 @@ class MediatedFleet:
                 record = trust._records.get(name)
                 if record is None:
                     return 0, "trust-cold"
-                if record.fingerprint != fingerprint:
-                    return 0, "trust-fingerprint"
+                # A changed operating point resets the cooldown to
+                # cooldown_ticks on the first tick, where an unchanged one
+                # drains it by one: the same fold from one tick higher.
+                if record.fingerprint == fingerprint:
+                    cooldown0 = record.cooldown
+                else:
+                    cooldown0 = cfg.cooldown_ticks + 1
                 if not record.score < cfg.suspect_threshold:
                     return 0, "trust-score"
                 if run_flag:
@@ -462,11 +468,11 @@ class MediatedFleet:
                     slots = math.floor(window_s / dt) + 2
                     if slots * peak_beats / window_s <= limit * (1.0 - 1e-9):
                         pass  # efficiency check can never fire at this knob
-                    elif record.cooldown > 0:
-                        defense_horizon = min(defense_horizon, record.cooldown - 1)
+                    elif cooldown0 > 0:
+                        defense_horizon = min(defense_horizon, cooldown0 - 1)
                     else:
                         return 0, "trust-efficiency"
-                trust_flush.append((record, record.cooldown))
+                trust_flush.append((record, cooldown0, fingerprint))
 
         # --- E4 deviation accounting (SPACE plans with an allocation).
         acct = m._accountant
@@ -494,17 +500,14 @@ class MediatedFleet:
                 else:
                     e4_writes.append((name, False, 0))
 
-        # --- RAPL step constants (one wrap per tick at most, per domain).
+        # --- RAPL step constants: a negative power raises on the scalar path.
         domain_powers = server._domain_powers(running, breakdown)
-        rapl = server._rapl
-        for name, dom in rapl._domains.items():
-            power = domain_powers.get(name, 0.0)
-            if power < 0 or power * dt >= dom.wrap_range_j:
+        for name in server._rapl._domains:
+            if domain_powers.get(name, 0.0) < 0:
                 return 0, "rapl-step"
 
         # --- the horizon: stop before the first branch any phase could take.
         horizon = min(
-            completion_horizon,
             phase_horizon,
             batt_horizon,
             defense_horizon,
@@ -513,15 +516,35 @@ class MediatedFleet:
         )
         if horizon < self._min_fast:
             return 0, "short-horizon"
-        k_cap = int(horizon)
 
         # End-of-run trim: tick i runs iff its start time is < end - 1e-9,
         # evaluated on the exact fl time sequence the scalar loop holds.
-        times = _seq_add(server._now_s, dt, k_cap)
-        k = int(np.count_nonzero(times[:k_cap] < end_s - 1e-9))
+        limit = end_s - 1e-9
+        t = server._now_s
+        times = [t]
+        for _ in range(int(horizon)):
+            if not t < limit:
+                break
+            t += dt
+            times.append(t)
+        k = len(times) - 1
         if k < self._min_fast:
             return 0, "short-window"
-        times = times[: k + 1]
+
+        # Completion: a finite job whose floor estimate, less the margin,
+        # ends inside the window is folded tick by tick to the tick before
+        # the one that clips or completes it.
+        for name, work in work_per_app.items():
+            handle = handles[name]
+            total = handle.profile.total_work
+            if math.isfinite(total) and not (
+                work > 0.0
+                and math.floor(handle.remaining_work / work) - _HORIZON_MARGIN >= k
+            ):
+                k = _clean_work_ticks(total, handle.work_done, work, k)
+        if k < self._min_fast:
+            return 0, "short-horizon"
+        del times[k + 1 :]
 
         self._flush_segment(
             m,
@@ -554,7 +577,7 @@ class MediatedFleet:
         m: PowerMediator,
         k: int,
         *,
-        times: np.ndarray,
+        times: list[float],
         mode: CoordinationMode,
         breakdown,
         wall_w: float,
@@ -580,27 +603,24 @@ class MediatedFleet:
 
         # RAPL counters: march every powered domain; psys per-tick values
         # feed the wall-power telemetry samples below.
-        rapl = server._rapl
-        psys_values: np.ndarray | None = None
-        for name, dom in rapl._domains.items():
+        psys_values: list[float] = []
+        for name, dom in server._rapl._domains.items():
             power = domain_powers.get(name, 0.0)
             step_j = power * dt
             if name == "psys":
                 psys_values = _rapl_march(dom.energy_j, step_j, dom.wrap_range_j, k)
-                dom.energy_j = float(psys_values[-1])
+                dom.energy_j = psys_values[-1]
             elif step_j != 0.0:
-                dom.energy_j = float(
-                    _rapl_march(dom.energy_j, step_j, dom.wrap_range_j, k)[-1]
-                )
+                dom.energy_j = _rapl_march(dom.energy_j, step_j, dom.wrap_range_j, k)[-1]
             # else: (e + 0.0) % wrap is the identity on in-range counters.
             dom.last_power_w = power
 
-        assert psys_values is not None
-        deltas = np.diff(np.concatenate(([m._last_psys_energy_j], psys_values)))
-        wrap = rapl._domains["psys"].wrap_range_j
-        deltas = np.where(deltas < 0, deltas + wrap, deltas)
-        observed = deltas / dt
-        m._last_psys_energy_j = float(psys_values[-1])
+        # The watchdog's readback: each tick's psys delta over dt.
+        observed = [
+            energy_delta_j(later, earlier) / dt
+            for earlier, later in zip([m._last_psys_energy_j, *psys_values], psys_values)
+        ]
+        m._last_psys_energy_j = psys_values[-1]
 
         # The calibration countdown and the TIME slot cursor.
         if m._calibration_pending_s > 0:
@@ -615,26 +635,23 @@ class MediatedFleet:
         m._retrier._tick += k
 
         # Engine state: time, work ledgers, heartbeat windows.
-        server._now_s = float(times[k])
+        final_t = times[k]
+        server._now_s = final_t
         for name in running:
             handle = server._handles[name]
             handle.work_done = _seq_add_final(handle.work_done, work_per_app[name], k)
         hb = server._heartbeats
-        window_s = hb._window_s
-        final_t = float(times[k])
-        cutoff = final_t - window_s
+        cutoff = final_t - hb._window_s
+        # Only records that survive the final cutoff are ever observed
+        # again; eviction cutoffs are monotone, so appending just the
+        # survivors matches emit-then-evict tick by tick.
+        survivors = times[bisect_right(times, cutoff, 1) :]
         for name in server._handles:
             beats = work_per_app.get(name, 0.0)
             history = hb._histories[name]
             while history and history[0].time_s <= cutoff:
                 history.popleft()
-            # Only records that survive the final cutoff are ever observed
-            # again; eviction cutoffs are monotone, so appending just the
-            # survivors matches emit-then-evict tick by tick.
-            start = int(np.searchsorted(times[1:], cutoff, side="right")) + 1
-            history.extend(
-                HeartbeatRecord(float(times[i]), beats) for i in range(start, k + 1)
-            )
+            history.extend([HeartbeatRecord(t, beats) for t in survivors])
             hb._last_emit_s[name] = final_t
             if beats != 0.0:
                 hb._totals[name] = _seq_add_final(hb._totals[name], beats, k)
@@ -643,11 +660,13 @@ class MediatedFleet:
             sleep._time_in_pc6_s = _seq_add_final(sleep._time_in_pc6_s, dt, k)
 
         # Battery ledgers and the ESD phase cursor.
-        soc_values: np.ndarray | None = None
+        socs: Iterable[float | None] = repeat(
+            battery.soc if battery is not None else None, k
+        )
         if batt_delta_j != 0.0:
             stored = _seq_add(battery._stored_j, batt_delta_j, k)
-            battery._stored_j = float(stored[-1])
-            soc_values = stored[1:] / battery._capacity_j
+            battery._stored_j = stored[-1]
+            socs = [s / battery._capacity_j for s in stored[1:]]
             if batt_charged_j != 0.0:
                 battery._total_charged_j = _seq_add_final(
                     battery._total_charged_j, batt_charged_j, k
@@ -664,31 +683,29 @@ class MediatedFleet:
             esd._phase_elapsed_s = _seq_add_final(esd._phase_elapsed_s, dt, k)
 
         # Timeline records — the exact TickRecords the scalar loop builds.
-        soc_const = battery.soc if battery is not None else None
-        app_knobs = {
-            name: server._knobs.knob_of(name) for name in breakdown.app_w
-        }
-        app_power = breakdown.app_w
+        # Records are frozen and nothing writes into their dicts, so the
+        # segment's k records share one set.
+        app_power = dict(breakdown.app_w)
+        app_knobs = {name: server._knobs.knob_of(name) for name in app_power}
         progressed = {name: work_per_app[name] for name in running}
-        timeline = m._timeline
-        for i in range(1, k + 1):
-            timeline.append(
+        m._timeline.extend(
+            [
                 TickRecord(
-                    time_s=float(times[i]),
+                    time_s=t,
                     p_cap_w=cap_w,
                     wall_w=wall_w,
                     mode=mode,
-                    app_power_w=dict(app_power),
-                    app_knobs=dict(app_knobs),
-                    progressed=dict(progressed),
-                    battery_soc=(
-                        float(soc_values[i - 1]) if soc_values is not None else soc_const
-                    ),
-                    observed_wall_w=float(observed[i - 1]),
+                    app_power_w=app_power,
+                    app_knobs=app_knobs,
+                    progressed=progressed,
+                    battery_soc=soc,
+                    observed_wall_w=observed_w,
                     degraded=False,
                     breach=False,
                 )
-            )
+                for t, soc, observed_w in zip(times[1:], socs, observed)
+            ]
+        )
 
         # Metrics: k observations of constant values, in closed form.
         registry = m._metrics
@@ -702,7 +719,8 @@ class MediatedFleet:
 
         # Trust: zero violations — scores decay, cooldowns drain.
         decay = m._trust.config.score_decay
-        for record, cooldown0 in trust_flush:
+        for record, cooldown0, fingerprint in trust_flush:
+            record.fingerprint = fingerprint
             record.cooldown = max(cooldown0 - k, 0)
             if record.score != 0.0:
                 record.score = _seq_mul_final(record.score, decay, k)

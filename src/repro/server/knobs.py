@@ -40,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from repro.engine.surface import grid_for
 from repro.errors import KnobError, SchedulingError
 from repro.server.config import KnobSetting, ServerConfig
 from repro.server.rapl import RaplInterface
@@ -104,6 +105,8 @@ class KnobController:
         rapl: RaplInterface,
     ) -> None:
         self._config = config
+        #: The knob space's points, for an O(1) exact-match validation.
+        self._grid_index = grid_for(config).index
         self._topology = topology
         self._rapl = rapl
         self._states: dict[str, AppControlState] = {}
@@ -280,7 +283,11 @@ class KnobController:
             raise SchedulingError(f"application {app!r} is not attached") from None
 
     def _validate(self, app: str, knob: KnobSetting) -> None:
-        self._config.validate_knob(knob)
+        # An exact grid point needs no scan; anything else gets the
+        # config's tolerance check, which accepts near misses and words
+        # the error.
+        if knob not in self._grid_index:
+            self._config.validate_knob(knob)
         group = self._topology.group_of(app)
         if knob.cores > group.width:
             raise KnobError(

@@ -6,19 +6,20 @@ horizon segments must end every run with exactly the state, metrics and
 timeline a plain ``for m in mediators: m.run_for(...)`` loop produces. Two
 layers enforce it here:
 
-1. **Kernel pins**: the closed-form accumulators (``_seq_add``,
+1. **Kernel pins**: the Python folds (``_seq_add``, ``_seq_add_final``,
    ``_seq_mul_final``, ``_rapl_march``, ``_countdown_final``) are checked
-   element-by-element against the literal Python fold they replace,
-   across magnitudes where float addition is far from associative. This
-   is the load-bearing fact the module docstring claims (numpy
-   accumulates strictly sequentially); if a numpy release ever
-   pairwise-sums these, this file fails first.
+   element-by-element against the literal loop they stand for, across
+   magnitudes where float addition is far from associative, so a
+   reordered or compensated sum (the builtin ``sum`` on CPython 3.12)
+   fails here first; ``_clean_work_ticks`` is checked against the
+   engine's own work ledger.
 2. **Fleet-vs-loop differentials**: seeded scenarios spanning the regimes
    the fast path replays (SPACE allocation, ESD duty cycling, TIME
    rotation, defense on and off, both engines, mid-run cap changes and
-   admissions, pending calibration, app completion, fractional durations)
-   plus a hypothesis fuzz layer. Equality is ``==`` on state dicts,
-   metrics and the tick timeline.
+   admissions, pending calibration, app completion to the exact tick,
+   changed trust fingerprints, fractional durations) plus a hypothesis
+   fuzz layer, which runs a larger budget under ``REPRO_SOAK=1``.
+   Equality is ``==`` on state dicts, metrics and the tick timeline.
 
 The *speed* of the fast path is priced in
 ``benchmarks/bench_mediator_throughput.py``; this file only proves it legal.
@@ -27,6 +28,10 @@ The *speed* of the fast path is priced in
 from __future__ import annotations
 
 import math
+import os
+from functools import reduce
+from itertools import repeat
+from operator import add
 
 import numpy as np
 import pytest
@@ -38,9 +43,11 @@ from repro.core.simulation import default_battery
 from repro.core.trust import DefenseConfig
 from repro.engine.planner import (
     MediatedFleet,
+    _clean_work_ticks,
     _countdown_final,
     _rapl_march,
     _seq_add,
+    _seq_add_final,
     _seq_mul_final,
 )
 from repro.errors import ConfigurationError
@@ -69,6 +76,7 @@ def test_seq_add_matches_the_python_fold(start, step, k):
         assert values[i + 1] == acc  # bitwise: == on floats, no tolerance
     assert values[0] == start
     assert len(values) == k + 1
+    assert _seq_add_final(start, step, k) == acc
 
 
 @pytest.mark.parametrize(
@@ -105,10 +113,61 @@ def test_rapl_march_matches_the_modulo_fold(seed):
     k = 4096
     values = _rapl_march(e0, step, wrap, k)
     acc = e0
+    wraps = 0
     for i in range(k):
+        wraps += acc + step >= wrap
         acc = (acc + step) % wrap  # the scalar counter's advance
         assert values[i] == acc
     assert len(values) == k
+    assert wraps > 1
+
+
+def _engine_clean_ticks(total_work: float, k: int) -> tuple[float, int]:
+    """Per-tick work of one app alone on a server, and how many of its
+    first ``k`` ticks add that work unclipped without completing it."""
+    server = SimulatedServer(DEFAULT_SERVER_CONFIG, seed=0)
+    profile = get_mix(7).profiles()[0]
+    server.admit(profile.with_total_work(total_work))
+    work = server.perf_model.rate(profile, DEFAULT_SERVER_CONFIG.max_knob) * 0.1
+    for i in range(k):
+        result = server.tick(0.1)
+        if result.progressed[profile.name] != work or result.completed:
+            return work, i
+    return work, k
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 40])
+@pytest.mark.parametrize("nudge", [-1, 0, 1])
+def test_clean_work_ticks_match_the_engine_ledger(n, nudge):
+    # A job sized to the fl fold of n full ticks completes on tick n; one
+    # ulp either side moves the completion or the clip.
+    work, _ = _engine_clean_ticks(math.inf, 1)
+    total = reduce(add, repeat(work, n), 0.0)
+    total = math.nextafter(total, math.inf * nudge) if nudge else total
+    k = n + 3
+    _, expected = _engine_clean_ticks(total, k)
+    assert _clean_work_ticks(total, 0.0, work, k) == expected
+    assert expected in (n - 1, n)
+
+
+def test_clean_work_ticks_match_the_literal_ledger():
+    # The fold tests completion only; the engine also clips. Random jobs
+    # a few ticks from their end check that a clipping tick never slips
+    # through as clean.
+    rng = np.random.default_rng(0)
+    k = 24
+    for _ in range(3000):
+        work = float(rng.uniform(0.01, 1.0))
+        done = float(rng.uniform(0.0, 5000.0))
+        total = done + work * float(rng.uniform(0.0, 20.0))
+        expected, acc = k, done
+        for i in range(k):
+            step = min(work, max(0.0, total - acc))  # SimulatedServer.tick
+            acc += step
+            if step != work or max(0.0, total - acc) <= 0.0:
+                expected = i
+                break
+        assert _clean_work_ticks(total, done, work, k) == expected
 
 
 # ---------------------------------------------------------- fleet-vs-loop
@@ -205,6 +264,78 @@ def test_fleet_equals_loop_when_apps_complete():
         20.0, dict(engine="vector", mix_id=2, total_work=150.0)
     )
     assert fleet.scalar_ticks > 0  # the departures really happened
+
+
+def _segment_spy(monkeypatch) -> list[tuple[int, int, list]]:
+    """Record ``(first tick index, k, trust_flush)`` of every flush."""
+    flushed: list[tuple[int, int, list]] = []
+    flush = MediatedFleet._flush_segment
+
+    def spy(self, m, k, **kwargs):
+        # Read before the flush writes: (record, cooldown0, new fingerprint).
+        trust = [(r, r.fingerprint, fp) for r, _, fp in kwargs["trust_flush"]]
+        flushed.append((len(m.timeline), k, trust))
+        flush(self, m, k, **kwargs)
+
+    monkeypatch.setattr(MediatedFleet, "_flush_segment", spy)
+    return flushed
+
+
+def test_fleet_replays_up_to_the_completion_tick(monkeypatch):
+    # The job is sized to the fl fold of its own per-tick work (a half
+    # first tick, then m full ones). floor(remaining / work) after the
+    # first tick then counts one full tick more than the engine's ledger
+    # runs before the tick that clips or completes the job: the estimate
+    # and the fold disagree. The segment must still end on the tick
+    # before completion, and the scalar path take the completion tick.
+    build = dict(engine="vector", mix_id=1, n_apps=1)
+    probe = _build(**build)
+    probe.run_for(0.2)
+    ((name, first),) = probe.timeline[0].progressed.items()
+    work = probe.timeline[1].progressed[name]
+    for m in range(30, 200):
+        total = reduce(add, repeat(work, m), first)
+        clean = _clean_work_ticks(total, first, work, 2 * m)
+        if math.floor((total - first) / work) != clean:
+            break
+    else:
+        pytest.fail("no job size where the floor estimate and the fold disagree")
+    build["total_work"] = total
+    flushed = _segment_spy(monkeypatch)
+    fast, ref = _build(**build), _build(**build)
+    fleet = MediatedFleet([fast])
+    fleet.run_for((clean + 10) * 0.1)
+    ref.run_for((clean + 10) * 0.1)
+    _assert_pair_equal(fast, ref)
+    # Timeline index i is tick i + 1: the clean ticks are 1..clean, and
+    # the job completes on index clean + 1.
+    assert all(r.progressed[name] == work for r in ref.timeline[1 : clean + 1])
+    assert name in ref.timeline[clean + 1].progressed
+    assert name not in ref.timeline[clean + 2].progressed
+    assert any(start + k == clean + 1 for start, k, _ in flushed), flushed
+
+
+@pytest.mark.parametrize("cooldown", [0, 1, 2, 25])
+def test_fleet_folds_a_changed_trust_fingerprint(monkeypatch, cooldown):
+    # Every leg raises the cap, so the reallocated knobs change each
+    # tenant's fingerprint on the leg's first tick. A tenant given more
+    # power beats faster than anything its heartbeat window holds, so the
+    # efficiency check cannot fire at the new knob whatever the cooldown,
+    # and a segment can start on that tick, restarting the cooldown in
+    # its fold.
+    flushed = _segment_spy(monkeypatch)
+    defense = DefenseConfig(cooldown_ticks=cooldown)
+    fast = _build(engine="vector", mix_id=3, defense=defense)
+    ref = _build(engine="vector", mix_id=3, defense=defense)
+    fleet = MediatedFleet([fast])
+    for cap in (75.0, 80.0, 85.0, 90.0, 95.0, 100.0):
+        fast.set_power_cap(cap)
+        ref.set_power_cap(cap)
+        fleet.run_for(1.5)
+        ref.run_for(1.5)
+        _assert_pair_equal(fast, ref)
+    assert any(old != new for *_, trust in flushed for _, old, new in trust)
+    assert "trust-fingerprint" not in fleet.demotions
 
 
 @pytest.mark.parametrize("duration", [0.1, 0.7, 3.3, 11.13])
@@ -359,8 +490,12 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 
+#: ``REPRO_SOAK=1`` (CI's engine-equivalence job) runs a larger budget.
+SOAK = os.environ.get("REPRO_SOAK") == "1"
+
+
 @settings(
-    max_examples=10,
+    max_examples=200 if SOAK else 10,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
     derandomize=True,
@@ -368,36 +503,61 @@ from hypothesis import strategies as st  # noqa: E402
 @given(
     mix_id=st.integers(min_value=1, max_value=15),
     policy=st.sampled_from(("app+res-aware", "app+res+esd-aware", "util-unaware")),
-    cap=st.integers(min_value=65, max_value=115),
+    caps=st.lists(st.integers(min_value=65, max_value=115), min_size=1, max_size=3),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     engine=st.sampled_from(("scalar", "vector")),
-    duration_ticks=st.integers(min_value=1, max_value=180),
+    leg_ticks=st.integers(min_value=1, max_value=120),
     min_fast=st.integers(min_value=1, max_value=32),
     skip_overhead=st.booleans(),
+    total_work=st.one_of(
+        st.just(math.inf), st.floats(min_value=1.0, max_value=120.0)
+    ),
+    cooldown=st.sampled_from((0, 1, 2, 5, 25)),
 )
 def test_fuzzed_fleet_runs_equal_the_loop(
-    mix_id, policy, cap, seed, engine, duration_ticks, min_fast, skip_overhead
+    mix_id,
+    policy,
+    caps,
+    seed,
+    engine,
+    leg_ticks,
+    min_fast,
+    skip_overhead,
+    total_work,
+    cooldown,
 ):
+    # One leg per cap: the cap changes between legs, jobs with finite work
+    # complete mid-run, and the defense cooldown varies.
     from repro.errors import ReproError
 
     kwargs = dict(
         engine=engine,
         mix_id=mix_id,
         policy=policy,
-        cap=float(cap),
+        cap=float(caps[0]),
         seed=seed,
         skip_overhead=skip_overhead,
+        total_work=total_work,
+        defense=DefenseConfig(cooldown_ticks=cooldown),
     )
-    duration = duration_ticks * 0.1
+    duration = leg_ticks * 0.1
+
+    def drive(fleet: bool) -> PowerMediator:
+        m = _build(**kwargs)
+        advance = (
+            MediatedFleet([m], min_fast_ticks=min_fast).run_for if fleet else m.run_for
+        )
+        for leg, cap in enumerate(caps):
+            if leg:
+                m.set_power_cap(float(cap))
+            advance(duration)
+        return m
+
     try:
-        ref = _build(**kwargs)
-        ref.run_for(duration)
+        ref = drive(fleet=False)
     except ReproError as ref_exc:
-        fast = _build(**kwargs)
         with pytest.raises(type(ref_exc)) as fast_exc:
-            MediatedFleet([fast], min_fast_ticks=min_fast).run_for(duration)
+            drive(fleet=True)
         assert str(fast_exc.value) == str(ref_exc)
         return
-    fast = _build(**kwargs)
-    MediatedFleet([fast], min_fast_ticks=min_fast).run_for(duration)
-    _assert_pair_equal(fast, ref)
+    _assert_pair_equal(drive(fleet=True), ref)

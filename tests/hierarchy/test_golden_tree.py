@@ -203,6 +203,11 @@ GOLDEN = {
             "hierarchy.fallbacks": 42,
             "hierarchy.heals": 33,
             "hierarchy.restarts": 1,
+            "netsim.delivered": 2923,
+            "netsim.dropped_loss": 679,
+            "netsim.dropped_partition": 34,
+            "netsim.duplicated": 299,
+            "netsim.sent": 3410,
         },
     },
 }

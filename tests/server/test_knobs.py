@@ -76,6 +76,30 @@ class TestActuation:
         with pytest.raises(KnobError):
             knobs.set_frequency("a", 1.55)
 
+    def test_knob_just_off_a_grid_step_validates(self, setup, config):
+        # Not a grid point, so the exact lookup misses; the config's 1e-9
+        # tolerance still accepts it.
+        _, _, knobs = setup
+        knobs.attach("a")
+        step = KnobSetting(config.frequencies_ghz[2], 6, config.dram_powers_w[-1])
+        near = KnobSetting(step.freq_ghz + 1e-12, 6, step.dram_power_w - 1e-12)
+        assert step in config.knob_space() and near not in config.knob_space()
+        assert knobs.set_knob("a", near)
+        assert knobs.knob_of("a") == near
+
+    @pytest.mark.parametrize(
+        "knob",
+        [KnobSetting(1.55, 6, 10.0), KnobSetting(2.0, 7, 10.0), KnobSetting(2.0, 6, 9.5)],
+    )
+    def test_off_grid_knob_raises_the_config_error(self, setup, config, knob):
+        _, _, knobs = setup
+        knobs.attach("a")
+        with pytest.raises(KnobError) as expected:
+            config.validate_knob(knob)
+        with pytest.raises(KnobError) as raised:
+            knobs.set_knob("a", knob)
+        assert str(raised.value) == str(expected.value)
+
     def test_cores_beyond_group_rejected(self, setup, config):
         topo, rapl, _ = setup
         narrow_topo = ServerTopology(config)
