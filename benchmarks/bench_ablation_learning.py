@@ -67,9 +67,7 @@ def sweep(config, bench_metrics):
                 seed=mix_id,
             )
             for profile in get_mix(mix_id).profiles():
-                mediator.add_application(
-                    profile.with_total_work(float("inf")), skip_overhead=True
-                )
+                mediator.add_application(profile.with_total_work(float("inf")))
             mediator.run_for(LEARN_RUN_S)
             bench_metrics.record(mediator.export_metrics())
             totals.append(mediator.server_objective(since_s=WARMUP_S))

@@ -45,9 +45,9 @@ def test_fig11a_arrival(benchmark, config, emit, bench_metrics):
         )
         sssp = CATALOG["sssp"].with_total_work(float("inf"))
         x264 = CATALOG["x264"].with_total_work(float("inf"))
-        mediator.add_application(sssp, skip_overhead=True)
+        mediator.add_application(sssp)
         mediator.run_for(ARRIVAL_S)
-        mediator.add_application(x264)  # charges the 0.8 s calibration countdown
+        mediator.add_application(x264)
         mediator.run_for(ARRIVAL_S)
         return mediator
 
@@ -96,8 +96,8 @@ def test_fig11b_departure(benchmark, config, emit, bench_metrics):
         )
         kmeans = CATALOG["kmeans"].with_total_work(float("inf"))
         pagerank = CATALOG["pagerank"].with_total_work(DEPART_WORK)
-        mediator.add_application(kmeans, skip_overhead=True)
-        mediator.add_application(pagerank, skip_overhead=True)
+        mediator.add_application(kmeans)
+        mediator.add_application(pagerank)
         mediator.run_for(DEPART_RUN_S)
         return mediator
 

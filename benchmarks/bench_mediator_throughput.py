@@ -94,9 +94,7 @@ def _build_mediators(
             oracle_cache=oracle_cache,
         )
         for profile in get_mix(1 + (i % 15)).profiles():
-            mediator.add_application(
-                profile.with_total_work(float("inf")), skip_overhead=True
-            )
+            mediator.add_application(profile.with_total_work(float("inf")))
         mediators.append(mediator)
     return mediators
 

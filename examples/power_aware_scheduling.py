@@ -40,9 +40,7 @@ def place_and_run(strategy: str) -> tuple[dict[int, list[str]], float]:
             use_oracle_estimates=True,
         )
         for profile in slot.apps:
-            mediator.add_application(
-                profile.with_total_work(float("inf")), skip_overhead=True
-            )
+            mediator.add_application(profile.with_total_work(float("inf")))
         mediator.run_for(20.0)
         total += mediator.server_objective(since_s=5.0)
     return placement, total

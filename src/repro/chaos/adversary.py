@@ -312,9 +312,7 @@ def _run_arm(
     )
     for profile in apps:
         # Steady-state runs must not see departures; give everyone ample work.
-        mediator.add_application(
-            profile.with_total_work(float("inf")), skip_overhead=True
-        )
+        mediator.add_application(profile.with_total_work(float("inf")))
     mediator.run_for(total_s)
     return mediator
 

@@ -89,7 +89,6 @@ def run_script(
                 command.profile,
                 phased=command.phased,
                 group_width=command.group_width,
-                skip_overhead=command.skip_overhead,
             )
         elif isinstance(command, SetCap):
             mediator.set_power_cap(command.p_cap_w)
@@ -186,7 +185,7 @@ def mix_recipe(
     )
     script: list[Command] = [
         # Steady-state runs must not see departures; give everyone ample work.
-        AdmitApp(profile.with_total_work(float("inf")), skip_overhead=True)
+        AdmitApp(profile.with_total_work(float("inf")))
         for profile in apps
     ]
     script.append(Advance(warmup_s + duration_s))

@@ -140,18 +140,25 @@ class Accountant:
 
     # ---------------------------------------------------------- persistence
 
-    def state_dict(self) -> dict:
+    def state_dict(self, *, log_from: int = 0) -> dict:
         """Snapshot the cap, ledgers, debounce counters, and event log.
 
         The adopted plan is *not* serialized here - the coordinator owns the
         canonical copy, and :meth:`load_state_dict` re-links to it so both
         components keep referring to the same object after a restore.
+
+        Args:
+            log_from: Leave the first ``log_from`` events out of ``log``, for
+                a caller that already holds them; the snapshot restores only
+                once they are put back in front.
         """
+        if not 0 <= log_from <= len(self._log):
+            raise ValueError(f"log_from must be in [0, {len(self._log)}], got {log_from}")
         return {
             "p_cap_w": self._p_cap_w,
             "deviation_counts": dict(self._deviation_counts),
             "suppressed": sorted(self._suppressed),
-            "log": [event_to_dict(event) for event in self._log],
+            "log": [event_to_dict(event) for event in self._log[log_from:]],
         }
 
     def load_state_dict(self, state: dict, *, plan: AllocationPlan | None) -> None:

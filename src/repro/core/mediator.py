@@ -14,10 +14,9 @@ One mediator manages one server under one policy:
 * it records a per-tick **timeline** (powers, knobs, battery state) from
   which every figure of the paper is rebuilt.
 
-Overheads are charged honestly: an arriving application spends the
-calibration/re-allocation latency (~800 ms on the paper's server) suspended
-while the rest of the system keeps running under the old plan, exactly as the
-paper's Fig. 11a timeline shows.
+An arrival or a phase change re-plans at once: the new plan runs from the
+next tick. The paper's measured ~800 ms calibration and re-allocation
+settling window (Fig. 11a) is not modelled; no tick waits for it.
 
 Resilience (see :mod:`repro.core.resilience`): when constructed with a
 :class:`~repro.faults.plan.FaultPlan`, the mediator drives a
@@ -157,6 +156,13 @@ def _tick_record_from_dict(data: dict) -> TickRecord:
     )
 
 
+def _suffix(items: list, start: int, name: str) -> list:
+    """``items[start:]``, refusing a cursor past either end."""
+    if not 0 <= start <= len(items):
+        raise ValueError(f"{name} must be in [0, {len(items)}], got {start}")
+    return items[start:]
+
+
 def _handle_to_dict(handle: ApplicationHandle) -> dict:
     """JSON form of a departed application's final handle."""
     return {
@@ -197,12 +203,16 @@ class ManagedApp:
         arrived_at_s: Admission time.
         peak_rate: Uncapped rate of the *current* profile (the normalization
             denominator for this app's throughput).
+        calibrated: The profile the app's candidate sets were built from.
+            It trails ``profile`` from a phase swap until the E4
+            re-calibration the swap triggers.
     """
 
     profile: WorkloadProfile
     phased: PhasedProfile | None
     arrived_at_s: float
     peak_rate: float
+    calibrated: WorkloadProfile | None = None
 
 
 class PowerMediator:
@@ -304,7 +314,7 @@ class PowerMediator:
         self._managed: dict[str, ManagedApp] = {}
         self._finished: dict[str, ApplicationHandle] = {}
         self._finished_peaks: dict[str, float] = {}
-        self._calibration_pending_s = 0.0
+        self._departures: list[str] = []  # departed apps, in order
 
         self._resilience_cfg = resilience if resilience is not None else ResilienceConfig()
         self._injector = (
@@ -497,7 +507,9 @@ class PowerMediator:
 
     # ---------------------------------------------------------- persistence
 
-    def state_dict(self, *, timeline_from: int = 0) -> dict:
+    def state_dict(
+        self, *, timeline_from: int = 0, events_from: int = 0, finished_from: int = 0
+    ) -> dict:
         """Snapshot every piece of mutable mediation state.
 
         Together with the constructor recipe (server config, policy name,
@@ -508,18 +520,21 @@ class PowerMediator:
         battery's charge/fade accounting, and the resilience counters travel
         in full. Derived artifacts (corpus, trained estimator, population
         view, fallback policy) are deliberately absent - they are
-        deterministic functions of the recipe and rebuild lazily.
+        deterministic functions of the recipe and rebuild lazily. So are the
+        oracle candidate sets: each is stored as what it was built from
+        (``segment``, the index of the phased segment it was calibrated on
+        or ``None`` for the app's own profile, and the core-group
+        ``width``), and ``estimates`` holds only learned sets, not those
+        that are the oracle set itself.
 
         Args:
-            timeline_from: Leave the first ``timeline_from`` timeline
-                records out of the snapshot, for a caller that already
-                holds them (the service's append-only timeline log). The
+            timeline_from / events_from / finished_from: Leave that many
+                timeline records, accountant events and departures
+                (``finished`` lists them in order, with final handles and
+                peak rates) out of the snapshot, for a caller that already
+                holds them (the checkpoint store's history log). The
                 snapshot restores only once they are put back in front.
         """
-        if not 0 <= timeline_from <= len(self._timeline):
-            raise ValueError(
-                f"timeline_from must be in [0, {len(self._timeline)}], got {timeline_from}"
-            )
         esd = self._coordinator.esd_controller
         return {
             "rng": self._rng.bit_generator.state,
@@ -537,19 +552,33 @@ class PowerMediator:
                 }
                 for name, m in self._managed.items()
             },
-            "finished": {
-                name: _handle_to_dict(handle) for name, handle in self._finished.items()
+            "finished": [
+                {
+                    "app": name,
+                    "handle": _handle_to_dict(self._finished[name]),
+                    "peak_rate": float(self._finished_peaks[name]),
+                }
+                for name in _suffix(self._departures, finished_from, "finished_from")
+            ],
+            "estimates": {
+                name: cs.to_dict()
+                for name, cs in self._estimates.items()
+                if cs is not self._oracle[name]
             },
-            "finished_peaks": {
-                name: float(rate) for name, rate in self._finished_peaks.items()
+            "oracle": {
+                name: {
+                    "segment": self._calibrated_segment(self._managed[name]),
+                    "width": self._server.topology.group_of(name).width,
+                }
+                for name in self._oracle
             },
-            "estimates": {name: cs.to_dict() for name, cs in self._estimates.items()},
-            "oracle": {name: cs.to_dict() for name, cs in self._oracle.items()},
-            "timeline": [_tick_record_to_dict(r) for r in self._timeline[timeline_from:]],
-            "calibration_pending_s": self._calibration_pending_s,
+            "timeline": [
+                _tick_record_to_dict(r)
+                for r in _suffix(self._timeline, timeline_from, "timeline_from")
+            ],
             "coordinator": self._coordinator.state_dict(),
             "esd_controller": None if esd is None else esd.state_dict(),
-            "accountant": self._accountant.state_dict(),
+            "accountant": self._accountant.state_dict(log_from=events_from),
             "watchdog": self._watchdog.state_dict(),
             "retrier": self._retrier.state_dict(),
             "fault_stats": self._fault_stats.state_dict(),
@@ -561,6 +590,18 @@ class PowerMediator:
             "adversary": self._adversary.state_dict(),
             "trust": self._trust.state_dict(),
         }
+
+    @staticmethod
+    def _calibrated_segment(managed: ManagedApp) -> int | None:
+        """Index of the phased segment equal to the profile the app's
+        candidate sets were built from; ``None`` when the app is not phased
+        (its sets come from its one profile)."""
+        if managed.phased is None:
+            return None
+        for i, (_, profile) in enumerate(managed.phased.segments):
+            if profile == managed.calibrated:
+                return i
+        raise AssertionError(f"{managed.profile.name!r} calibrated on no segment")
 
     @staticmethod
     def _segment_index(managed: ManagedApp) -> int | None:
@@ -615,22 +656,28 @@ class PowerMediator:
                 arrived_at_s=float(fields["arrived_at_s"]),
                 peak_rate=float(fields["peak_rate"]),
             )
-        self._finished = {
-            name: _handle_from_dict(name, data)
-            for name, data in state["finished"].items()
-        }
-        self._finished_peaks = {
-            name: float(rate) for name, rate in state["finished_peaks"].items()
-        }
+        self._finished, self._finished_peaks, self._departures = {}, {}, []
+        for entry in state["finished"]:
+            name = entry["app"]
+            self._finished[name] = _handle_from_dict(name, entry["handle"])
+            self._finished_peaks[name] = float(entry["peak_rate"])
+            self._departures.append(name)
+        self._oracle = {}
+        for name, source in state["oracle"].items():
+            managed = self._managed[name]
+            segment = source["segment"]
+            managed.calibrated = (
+                managed.profile
+                if segment is None
+                else managed.phased.segments[int(segment)][1]
+            )
+            self._oracle[name] = self._oracle_set(managed.calibrated, int(source["width"]))
+        learned = state["estimates"]
         self._estimates = {
-            name: CandidateSet.from_dict(data)
-            for name, data in state["estimates"].items()
-        }
-        self._oracle = {
-            name: CandidateSet.from_dict(data) for name, data in state["oracle"].items()
+            name: CandidateSet.from_dict(learned[name]) if name in learned else oracle
+            for name, oracle in self._oracle.items()
         }
         self._timeline = [_tick_record_from_dict(r) for r in state["timeline"]]
-        self._calibration_pending_s = float(state["calibration_pending_s"])
         esd = None
         if state["esd_controller"] is not None:
             assert self._battery is not None
@@ -677,21 +724,16 @@ class PowerMediator:
         profile: WorkloadProfile,
         *,
         phased: PhasedProfile | None = None,
-        skip_overhead: bool = False,
         group_width: int | None = None,
     ) -> None:
         """E2: admit, calibrate, and re-allocate.
 
         The re-allocation is immediate: the new plan runs from the next
-        tick. The calibration/re-allocation latency is only charged to a
-        countdown (``calibration_pending_s`` in :meth:`state_dict`) that
-        drains over the next ticks and suspends nothing, so the paper's
-        measured ~800 ms settling window is not modelled.
+        tick. The paper's measured ~800 ms settling window is not modelled.
 
         Args:
             profile: The application (or the initial segment when phased).
             phased: Optional phase script driving E4 events later.
-            skip_overhead: Skip the countdown charge (used by tests).
             group_width: Cores to reserve (default: the knob maximum).
                 Narrower groups admit more than two applications with full
                 direct-resource isolation; the app's knob space, candidate
@@ -708,22 +750,13 @@ class PowerMediator:
             peak_rate=self._width_peak_rate(profile, profile.name),
         )
         self._refresh_views(profile.name)
-        if not skip_overhead:
-            self._calibration_pending_s += self._server.config.reallocation_latency_s
         self.reallocate()
 
     def remove_application(self, app: str, *, completed: bool = False) -> ApplicationHandle:
         """E3 (forced variant): remove an app and re-allocate the headroom."""
-        handle = self._server.remove(app)
-        self._finished[app] = handle
-        self._finished_peaks[app] = self._managed[app].peak_rate
-        self._managed.pop(app, None)
-        self._estimates.pop(app, None)
-        self._oracle.pop(app, None)
+        handle = self._retire(app)
         self._retrier.forget(app)
         self._actuation_faulted.discard(app)
-        self._adversary.forget(app)
-        self._trust.forget(app)
         if not completed:
             # Natural completions were already logged by the Accountant.
             self._accountant._log.append(  # noqa: SLF001 - mediator is the owner
@@ -1010,10 +1043,6 @@ class PowerMediator:
         if self._injector is not None:
             with self._profiler.phase("faults"):
                 self._apply_faults()
-        # Calibration latency: a countdown only. It suspends nothing and
-        # gates no branch; the newest arrival already runs under its plan.
-        if self._calibration_pending_s > 0:
-            self._calibration_pending_s = max(0.0, self._calibration_pending_s - dt)
         if self._adversary.specs():
             with self._profiler.phase("adversary"):
                 self._drive_adversaries()
@@ -1350,21 +1379,26 @@ class PowerMediator:
 
     def _handle_event(self, event: Event) -> None:
         if isinstance(event, DepartureEvent):
-            handle = self._server.remove(event.app)
-            self._finished[event.app] = handle
-            self._finished_peaks[event.app] = self._managed[event.app].peak_rate
-            self._managed.pop(event.app, None)
-            self._estimates.pop(event.app, None)
-            self._oracle.pop(event.app, None)
-            self._adversary.forget(event.app)
-            self._trust.forget(event.app)
+            self._retire(event.app)
             if self._managed:
                 self.reallocate()
         elif isinstance(event, PhaseChangeEvent):
             # Re-calibrate the deviating application, then re-allocate.
             self._refresh_views(event.app)
-            self._calibration_pending_s += self._server.config.reallocation_latency_s
             self.reallocate()
+
+    def _retire(self, app: str) -> ApplicationHandle:
+        """Take a departing app off the server and every per-app ledger,
+        keeping its final handle and peak rate."""
+        handle = self._server.remove(app)
+        self._finished[app] = handle
+        self._finished_peaks[app] = self._managed.pop(app).peak_rate
+        self._departures.append(app)
+        self._estimates.pop(app, None)
+        self._oracle.pop(app, None)
+        self._adversary.forget(app)
+        self._trust.forget(app)
+        return handle
 
     def _check_phase_boundaries(self) -> None:
         """Swap phased profiles at their progress boundaries.
@@ -1406,31 +1440,11 @@ class PowerMediator:
         """
         with self._profiler.phase("learn"):
             self._metrics.counter("mediator.calibrations").inc()
-            profile = self._managed[app].profile
+            managed = self._managed[app]
+            profile = managed.calibrated = managed.profile
             config = self._server.config
             width = self._server.topology.group_of(app).width
-            cache_key = None
-            oracle = None
-            if self._oracle_cache is not None:
-                # Fleet-wide reuse: the oracle set is a pure function of
-                # (profile, config, width restriction) - frozen, hashable
-                # values - so allocation epochs across a whole fleet build
-                # each distinct CandidateSet once. The sets are treated as
-                # read-only by every consumer.
-                cache_key = (profile, config, width if width < config.cores_max else None)
-                oracle = self._oracle_cache.get(cache_key)
-            if oracle is None:
-                oracle = CandidateSet.from_models(
-                    profile, config, power_model=self._server.power_model
-                )
-                if width < config.cores_max:
-                    oracle = oracle.subset(
-                        [i for i, k in enumerate(oracle.knobs) if k.cores <= width],
-                        rebase_nocap=True,
-                    )
-                if cache_key is not None:
-                    self._oracle_cache[cache_key] = oracle
-            self._oracle[app] = oracle
+            oracle = self._oracle[app] = self._oracle_set(profile, width)
             if self._use_oracle or not self._policy.needs_learning:
                 self._estimates[app] = oracle
                 return
@@ -1471,6 +1485,33 @@ class PowerMediator:
                     rebase_nocap=True,
                 )
             self._estimates[app] = estimated
+
+    def _oracle_set(self, profile: WorkloadProfile, width: int) -> CandidateSet:
+        """The true response of ``profile`` within a ``width``-core group."""
+        config = self._server.config
+        narrow = width < config.cores_max
+        cache_key = None
+        if self._oracle_cache is not None:
+            # Fleet-wide reuse: the oracle set is a pure function of
+            # (profile, config, width restriction) - frozen, hashable
+            # values - so allocation epochs across a whole fleet build
+            # each distinct CandidateSet once. The sets are treated as
+            # read-only by every consumer.
+            cache_key = (profile, config, width if narrow else None)
+            cached = self._oracle_cache.get(cache_key)
+            if cached is not None:
+                return cached
+        oracle = CandidateSet.from_models(
+            profile, config, power_model=self._server.power_model
+        )
+        if narrow:
+            oracle = oracle.subset(
+                [i for i, k in enumerate(oracle.knobs) if k.cores <= width],
+                rebase_nocap=True,
+            )
+        if cache_key is not None:
+            self._oracle_cache[cache_key] = oracle
+        return oracle
 
     def _get_estimator(self) -> CollaborativeEstimator:
         if self._estimator is None:

@@ -193,9 +193,7 @@ def run_mix_experiment(
     )
     for profile in apps:
         # Steady-state runs must not see departures; give everyone ample work.
-        mediator.add_application(
-            profile.with_total_work(float("inf")), skip_overhead=True
-        )
+        mediator.add_application(profile.with_total_work(float("inf")))
     mediator.run_for(warmup_s + duration_s)
     return summarize_mix_run(mediator, apps, warmup_s=warmup_s, mix_id=mix_id)
 

@@ -16,9 +16,7 @@ constant or constant-increment accumulators:
   battery charge ledgers, ESD phase elapsed, TIME slot elapsed, PC6
   residency — all of the form ``s += c`` with a constant ``c``;
 * trust scores under zero violations — ``s *= decay``;
-* RAPL energy counters — ``s = (s + c) % wrap``;
-* the calibration countdown — ``s = max(0.0, s - dt)``, the ``s += -dt``
-  fold until it first reaches zero.
+* RAPL energy counters — ``s = (s + c) % wrap``.
 
 The kernels below *are* those folds, in plain Python floats:
 ``itertools.accumulate`` / ``functools.reduce`` over ``operator.add`` and
@@ -50,8 +48,7 @@ phase edges themselves (their knob actuation and retries), the
 completion tick, quarantine transitions, and every
 fault/adversary/trace-active path. Between edges a TIME rotation only
 advances its cursor, so the slot edge is a horizon term, not an entry
-gate. A pending calibration is no gate either: the countdown suspends
-nothing and is folded. A changed trust fingerprint restarts the
+gate. A changed trust fingerprint restarts the
 efficiency-check cooldown on the segment's first tick, which is the
 unchanged fold started one tick higher, so it is folded too. Resume debt
 is checked only on running apps, since a suspended app's debt stays
@@ -107,17 +104,6 @@ def _seq_add(start: float, step: float, k: int) -> list[float]:
 def _seq_add_final(start: float, step: float, k: int) -> float:
     """Final value of ``k`` sequential ``s += step`` folds."""
     return reduce(add, repeat(step, k), start)
-
-
-def _countdown_final(start: float, step: float, k: int) -> float:
-    """Final value of ``k`` sequential ``s = max(0.0, s - step)`` folds.
-
-    For ``step > 0`` the fl sequence ``s - step, s - 2 step, ...`` never
-    rises, so the clamp first bites where the fold reaches ``<= 0`` and
-    holds 0.0 from there on: a positive last value means no clamp fired.
-    """
-    last = _seq_add_final(start, -step, k)
-    return last if last > 0.0 else 0.0
 
 
 def _seq_mul_final(start: float, factor: float, k: int) -> float:
@@ -622,9 +608,7 @@ class MediatedFleet:
         ]
         m._last_psys_energy_j = psys_values[-1]
 
-        # The calibration countdown and the TIME slot cursor.
-        if m._calibration_pending_s > 0:
-            m._calibration_pending_s = _countdown_final(m._calibration_pending_s, dt, k)
+        # The TIME slot cursor.
         if mode is CoordinationMode.TIME:
             coord = m._coordinator
             coord._slot_elapsed_s = _seq_add_final(coord._slot_elapsed_s, dt, k)

@@ -33,10 +33,12 @@ class StreamingTraceBus(TraceBus):
     """A :class:`TraceBus` that seals old events into an incremental hash.
 
     Args:
-        retain_events: Soft cap on in-memory events; :meth:`compact` (called
-            automatically on emit) evicts the sealable prefix beyond it.
-            The window can exceed the cap when the seal mark lags (events
-            newer than the last durable checkpoint must stay truncatable).
+        retain_events: Soft cap on in-memory events. Once the window
+            exceeds it, :meth:`compact` (called automatically on emit)
+            evicts the sealable prefix down to half the cap, so a full
+            window is copied once per ``retain_events // 2`` emits. The
+            window can exceed the cap when the seal mark lags (events newer
+            than the last durable checkpoint must stay truncatable).
         sink_path: Optional JSONL file receiving the canonical line of every
             evicted event, so the full stream remains reconstructible on
             disk even though memory is bounded.
@@ -48,6 +50,7 @@ class StreamingTraceBus(TraceBus):
         if retain_events < 1:
             raise TraceError(f"retain_events must be at least 1, got {retain_events}")
         self._retain_events = retain_events
+        self._low_water = retain_events // 2
         self._sealed_digest = hashlib.sha256()
         self._sealed_through = 0  # sim seqs < this are folded into the digest
         self._seal_mark = 0  # sim seqs < this are *allowed* to be sealed
@@ -92,16 +95,18 @@ class StreamingTraceBus(TraceBus):
         self._seal_mark = mark
 
     def compact(self) -> int:
-        """Evict the oldest events beyond the retention cap; returns evicted.
+        """Evict the oldest events down to half the retention cap once the
+        window exceeds the cap; returns evicted.
 
         Meta events evict freely (they are outside the hash). Sim events
         evict only below the seal mark, in sequence order, each folded into
         the incremental digest - so :meth:`content_hash` stays equal to the
-        full-stream :func:`~repro.observability.trace.trace_hash`.
+        full-stream :func:`~repro.observability.trace.trace_hash`, and the
+        sink receives the same lines in the same order, only in batches.
         """
-        excess = len(self._events) - self._retain_events
-        if excess <= 0:
+        if len(self._events) <= self._retain_events:
             return 0
+        excess = len(self._events) - self._low_water
         evicted = 0
         index = 0
         for event in self._events:

@@ -8,8 +8,9 @@ this package makes one run survive the loop's *own* death. Four layers:
   ledgers, coordinator cursor, battery SoC, resilience counters, RNG
   streams) plus the :class:`~repro.persistence.checkpoint.RunRecipe` that
   rebuilds the surrounding objects, so a resumed run replays
-  **bit-identically**; the timeline lives in an append-only log beside the
-  documents, so a checkpoint costs the ticks since the last one;
+  **bit-identically**; every growing history (timeline, accountant events,
+  departures, session deliveries) lives in one append-only log beside the
+  documents, so a checkpoint costs what changed since the last one;
 * :mod:`repro.persistence.journal` - a segmented, append-only write-ahead
   event journal (JSONL) recording commands before they execute and ticks as
   they complete, with explicit fsync points and a torn-tail recovery rule;
@@ -29,7 +30,7 @@ DESIGN.md section 8 ("Crash model and recovery") for the invariants.
 from repro.persistence.checkpoint import (
     CHECKPOINT_SCHEMA,
     CHECKPOINT_VERSION,
-    TIMELINE_LOG,
+    HISTORY_LOG,
     RunRecipe,
     checkpoint_filename,
     read_checkpoint,
@@ -62,9 +63,9 @@ from repro.persistence.supervisor import (
 __all__ = [
     "CHECKPOINT_SCHEMA",
     "CHECKPOINT_VERSION",
+    "HISTORY_LOG",
     "JOURNAL_SCHEMA",
     "JOURNAL_VERSION",
-    "TIMELINE_LOG",
     "AdmitApp",
     "Advance",
     "JournalWriter",

@@ -1,17 +1,18 @@
 """Checkpoints: versioned, schema-stamped snapshots of one mediated run.
 
 A checkpoint is two files in a run's ``checkpoints/`` directory: the
-document ``ckpt-<tick>.json`` and the append-only :data:`TIMELINE_LOG`
+document ``ckpt-<tick>.json`` and the append-only :data:`HISTORY_LOG`
 beside it. The document has these parts::
 
     {
       "schema": "repro-checkpoint",   # stamp: is this even one of ours?
-      "version": 2,                   # format version; mismatches refuse
+      "version": 3,                   # format version; mismatches refuse
       "tick": 120,                    # ticks executed when snapshotted
       "sim_time_s": 12.0,
       "recipe": { ... },              # how to BUILD the run (RunRecipe)
       "state":  { ... },              # how to RESTORE it (state_dict tree)
-      "timeline_records": 120,        # log records the document covers
+      "sessions": { ... } | null,     # client sessions, windows left out
+      "history_lines": 412,           # log lines the document covers
       "<owner>": { ... }              # the writing caller's own state
     }
 
@@ -19,28 +20,42 @@ The **recipe** holds everything needed to construct a fresh, identical
 mediator - server config, policy name, sampler spec, seeds, fault plan,
 resilience tunables. The **state** is the mediator's composite
 :meth:`~repro.core.mediator.PowerMediator.state_dict`: every RNG stream,
-ledger, cursor and counter - except the timeline, the one piece that grows
-with the run. It lives in the log, one ``TickRecord`` JSON line each, and
-the document records how many of the log's records it covers.
-``recipe.build()`` followed by ``mediator.load_state_dict(state)`` with
-the covered records as its timeline yields a mediator whose next tick is
-bit-identical to what the checkpointed one would have produced.
+ledger, cursor and counter - except the histories that only grow with the
+run. Those live in the log, one JSON line ``{"kind": K, "data": {...}}``
+per item, in four kinds:
 
-Deliberately absent from the state: the profiling corpus, the trained
-collaborative estimator, the population view and the fallback policy. They
-are pure, deterministic functions of the recipe and rebuild lazily - this is
-the "relearn cost avoided" the recovery accounting reports, since the
-*calibration samples* (the expensive online measurements) do travel in the
-candidate-set snapshots.
+* ``tick`` - one ``TickRecord`` of the mediator's timeline;
+* ``event`` - one event of the accountant's E1-E4/F/R log;
+* ``finished`` - one departure: the app, its final handle and peak rate;
+* ``delivery`` - one client-session delivery, with its ``client`` (the
+  service's sessions only).
+
+Each checkpoint appends the items made since the previous one and fsyncs
+the log once; the document records one count, ``history_lines``, of the
+log lines it covers. :func:`read_checkpoint` reads those lines back, in
+order, into the timeline, the accountant's log, the ``finished`` list and
+each session's window (the newest ``window_size`` deliveries of its
+client), so ``recipe.build()`` followed by ``mediator.load_state_dict(state)``
+yields a mediator whose next tick is bit-identical to what the checkpointed
+one would have produced.
+
+Deliberately absent from the state, because they are derived: the profiling
+corpus, the trained collaborative estimator, the population view, the
+fallback policy and the oracle candidate sets. They are pure, deterministic
+functions of the recipe (an oracle set of the profile it was calibrated on
+and the app's core-group width, which the state records) and rebuild on
+restore or lazily. This is the "relearn cost avoided" the recovery
+accounting reports, since the *calibration samples* (the expensive online
+measurements) do travel, in the learned estimate sets.
 
 :class:`~repro.persistence.store.RunStore` is the one writer: it appends
-the new timeline records to the log and fsyncs it, then writes the document
+the new history lines to the log and fsyncs it, then writes the document
 atomically (tmp file + fsync + rename), so a crash mid-checkpoint leaves
 the previous checkpoint intact. :func:`read_checkpoint` is the one reader:
 it validates schema and version before touching any field and fails with a
 one-line :class:`~repro.errors.CheckpointError` naming the offending path -
 never a traceback from deep inside a codec. A version-1 document (timeline
-inline) is refused.
+inline) or version-2 one (timeline-only log, histories inline) is refused.
 """
 
 from __future__ import annotations
@@ -48,6 +63,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -68,13 +84,17 @@ from repro.server.server import SimulatedServer
 CHECKPOINT_SCHEMA = "repro-checkpoint"
 
 #: Current checkpoint format version; bump on incompatible layout changes.
-#: Version 2 keeps the timeline out of the document, in :data:`TIMELINE_LOG`.
-CHECKPOINT_VERSION = 2
+#: Version 3 keeps every growing history out of the document, in
+#: :data:`HISTORY_LOG`, and stores no derived candidate set.
+CHECKPOINT_VERSION = 3
 
-#: The timeline log beside the documents: one ``TickRecord`` JSON line each,
-#: appended at every checkpoint and never pruned (the timeline is what the
-#: cap-invariant audit reads).
-TIMELINE_LOG = "timeline.jsonl"
+#: The history log beside the documents: one ``{"kind", "data"}`` JSON line
+#: per item of :data:`HISTORY_KINDS`, appended at every checkpoint and never
+#: pruned (the timeline in it is what the cap-invariant audit reads).
+HISTORY_LOG = "history.jsonl"
+
+#: The log's line kinds, in the order a checkpoint appends them.
+HISTORY_KINDS = ("tick", "event", "finished", "delivery")
 
 _VALID = Validator(CheckpointError)
 
@@ -278,27 +298,30 @@ def checkpoint_filename(tick: int) -> str:
 
 
 def read_checkpoint(path: str | Path, *, cut_log: bool = False) -> dict:
-    """Read and validate one checkpoint document and the timeline it covers.
+    """Read and validate one checkpoint document and the history it covers.
 
     Validation is layered so every failure is a single clear line: file
     readability, JSON well-formedness, schema stamp, format version, then
     the presence and types of the top-level fields. The recipe and state
     trees are validated by their consumers (:meth:`RunRecipe.from_dict`,
-    the component codecs). The first ``timeline_records`` lines of the
-    :data:`TIMELINE_LOG` beside the document become ``state["timeline"]``,
-    so :func:`restore_mediator` sees the whole timeline.
+    the component codecs). The first ``history_lines`` lines of the
+    :data:`HISTORY_LOG` beside the document are put back where the
+    histories live: ``state["timeline"]``, ``state["accountant"]["log"]``,
+    ``state["finished"]`` and each session's ``window``, so
+    :func:`restore_mediator` sees the whole state.
 
     Args:
         path: The document.
-        cut_log: Truncate the log after the covered records. Recovery cuts:
+        cut_log: Truncate the log after the covered lines. Recovery cuts:
             whatever follows was appended by a checkpoint that never became
             durable, and appending resumes from the cut. A read-only resume
             leaves the log alone.
 
     Raises:
         CheckpointError: on any of the above, or a log that holds fewer
-            whole records than the document covers or a malformed line
-            among them.
+            whole lines than the document covers, or a malformed line, a
+            line of an unknown kind or a delivery for a client without a
+            session among them.
     """
     path = Path(path)
     try:
@@ -334,42 +357,94 @@ def read_checkpoint(path: str | Path, *, cut_log: bool = False) -> dict:
     state = _VALID.as_dict(
         _VALID.require(obj, "state", "checkpoint"), "checkpoint.state"
     )
+    accountant = _VALID.as_dict(
+        _VALID.require(state, "accountant", "checkpoint.state"),
+        "checkpoint.state.accountant",
+    )
+    windows = _session_windows(_VALID.require(obj, "sessions", "checkpoint"))
     covered = _VALID.as_int(
-        _VALID.require(obj, "timeline_records", "checkpoint"),
-        "checkpoint.timeline_records",
+        _VALID.require(obj, "history_lines", "checkpoint"), "checkpoint.history_lines"
     )
     if covered < 0:
-        _VALID.fail("checkpoint.timeline_records", f"must be non-negative, got {covered}")
-    state["timeline"] = _read_timeline_log(path.parent / TIMELINE_LOG, covered, cut_log)
+        _VALID.fail("checkpoint.history_lines", f"must be non-negative, got {covered}")
+    history = _read_history_log(path.parent / HISTORY_LOG, covered, cut_log, windows)
+    state["timeline"] = history["tick"]
+    accountant["log"] = history["event"]
+    state["finished"] = history["finished"]
+    for session in [] if obj["sessions"] is None else obj["sessions"]["sessions"]:
+        session["window"] = list(windows[session["client"]])
     return obj
 
 
-def _read_timeline_log(log: Path, covered: int, cut: bool) -> list[dict]:
-    records: list[dict] = []
+def _session_windows(sessions) -> dict[int, deque]:
+    """An empty window per session in the document's ``sessions``, each
+    bounded like the live one, for the log's deliveries to fill."""
+    if sessions is None:
+        return {}
+    where = "checkpoint.sessions"
+    listed = _VALID.as_list(
+        _VALID.require(_VALID.as_dict(sessions, where), "sessions", where),
+        f"{where}.sessions",
+    )
+    windows: dict[int, deque] = {}
+    for i, session in enumerate(listed):
+        here = f"{where}.sessions[{i}]"
+        session = _VALID.as_dict(session, here)
+        client = _VALID.as_int(_VALID.require(session, "client", here), f"{here}.client")
+        size = _VALID.as_int(
+            _VALID.require(session, "window_size", here), f"{here}.window_size"
+        )
+        if size < 1:
+            _VALID.fail(f"{here}.window_size", f"must be positive, got {size}")
+        # The store resumes logging deliveries from here after a recovery.
+        _VALID.as_int(_VALID.require(session, "next_seq", here), f"{here}.next_seq")
+        windows[client] = deque(maxlen=size)
+    return windows
+
+
+def _read_history_log(
+    log: Path, covered: int, cut: bool, windows: dict[int, deque]
+) -> dict[str, list]:
+    # Deliveries go straight into their session's window.
+    history: dict[str, list] = {kind: [] for kind in HISTORY_KINDS if kind != "delivery"}
     try:
         with open(log, "rb") as handle:
             for number in range(1, covered + 1):
                 line = handle.readline()
                 if not line.endswith(b"\n"):
                     raise CheckpointError(
-                        f"{log}: holds {number - 1} whole records, the "
+                        f"{log}: holds {number - 1} whole lines, the "
                         f"checkpoint covers {covered}"
                     )
                 try:
-                    record = json.loads(line)
+                    item = json.loads(line)
                 except ValueError as exc:
                     raise CheckpointError(
                         f"{log}: line {number} is not valid JSON ({exc})"
                     ) from None
-                if not isinstance(record, dict):
+                if not isinstance(item, dict):
                     raise CheckpointError(f"{log}: line {number} is not a JSON object")
-                records.append(record)
+                kind, data = item.get("kind"), item.get("data")
+                if not isinstance(kind, str) or kind not in HISTORY_KINDS:
+                    raise CheckpointError(f"{log}: line {number} has unknown kind {kind!r}")
+                if not isinstance(data, dict):
+                    raise CheckpointError(f"{log}: line {number} has no data object")
+                if kind == "delivery":
+                    client = data.pop("client", None)
+                    if not isinstance(client, int) or client not in windows:
+                        raise CheckpointError(
+                            f"{log}: line {number} is a delivery for client "
+                            f"{client!r}, which has no session"
+                        )
+                    windows[client].append(data)
+                else:
+                    history[kind].append(data)
             end = handle.tell()
         if cut:
             os.truncate(log, end)
     except OSError as exc:
-        raise CheckpointError(f"cannot read timeline log {log}: {exc}") from None
-    return records
+        raise CheckpointError(f"cannot read history log {log}: {exc}") from None
+    return history
 
 
 def restore_mediator(doc: dict) -> PowerMediator:
@@ -383,7 +458,7 @@ def restore_mediator(doc: dict) -> PowerMediator:
     mediator = recipe.build()
     try:
         mediator.load_state_dict(doc["state"])
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
         raise CheckpointError(
             f"checkpoint.state: does not match its own recipe "
             f"({type(exc).__name__}: {exc})"

@@ -5,7 +5,7 @@ own restart, laid out under one work directory::
 
     workdir/journal/                  journal-<start_seq>.jsonl segments
     workdir/checkpoints/ckpt-<tick>.json
-    workdir/checkpoints/timeline.jsonl
+    workdir/checkpoints/history.jsonl
 
 plus, in memory, the trace-bus mark taken with every checkpoint this process
 wrote. The :class:`~repro.persistence.supervisor.Supervisor` and the
@@ -26,6 +26,14 @@ the same recovery rule:
    number and emits ``replayed``; the caller then writes a fresh checkpoint,
    so repeated crashes always make forward progress.
 
+A checkpoint costs what changed since the previous one: the store keeps
+one cursor per history (timeline records, accountant events and departures
+already in the log, and per client session the next delivery seq not yet
+logged), passes them to the codecs as "from" cursors, and appends only what
+lies past them to the history log (see :mod:`repro.persistence.checkpoint`
+for its line kinds). Recovery resets the cursors to what the restored
+document covers.
+
 The three meta events have one payload each: ``checkpoint`` carries
 ``tick`` and ``path``; ``restore`` carries ``tick``, ``checkpoint`` and
 ``dropped_events``; ``replayed`` carries the ``ticks`` re-executed and the
@@ -38,7 +46,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.core.mediator import PowerMediator
 from repro.errors import CheckpointError
@@ -46,7 +54,7 @@ from repro.observability.trace import NULL_TRACE_BUS, TraceBus
 from repro.persistence.checkpoint import (
     CHECKPOINT_SCHEMA,
     CHECKPOINT_VERSION,
-    TIMELINE_LOG,
+    HISTORY_LOG,
     RunRecipe,
     checkpoint_filename,
     read_checkpoint,
@@ -58,6 +66,9 @@ from repro.persistence.journal import (
     read_journal,
     repair_torn_tail,
 )
+
+if TYPE_CHECKING:
+    from repro.service.sessions import SessionRegistry
 
 __all__ = ["Restored", "RunStore"]
 
@@ -74,12 +85,16 @@ class Restored(NamedTuple):
         reach: Ticks completed that the durable journal vouches for; the
             caller re-executes from ``mediator.tick_count`` up to here.
         records: Journal records past the restored checkpoint's marker.
+        sessions: The client sessions' state, windows refilled from the
+            history log, for a caller that checkpoints sessions; else
+            ``None``.
     """
 
     mediator: PowerMediator
     state: dict
     reach: int
     records: int
+    sessions: dict | None
 
 
 class RunStore:
@@ -89,7 +104,7 @@ class RunStore:
         workdir: Durability root; ``journal/`` and ``checkpoints/`` land in
             it. A fresh store starts a fresh run: it deletes the journal
             segments and checkpoint documents (``.tmp`` files included) an
-            earlier run left there and starts an empty timeline log.
+            earlier run left there and starts an empty history log.
         recipe: Stamped into every checkpoint document, so a restore never
             depends on live objects.
         owner: The document key the caller's own state rides under.
@@ -115,7 +130,7 @@ class RunStore:
         workdir = Path(workdir)
         self.journal_dir = workdir / "journal"
         self.checkpoint_dir = workdir / "checkpoints"
-        self._log = self.checkpoint_dir / TIMELINE_LOG
+        self._log = self.checkpoint_dir / HISTORY_LOG
         # Recovery reads every segment and the newest marker in them: what
         # an earlier run left here would be read as this run's history.
         stale = [
@@ -130,7 +145,11 @@ class RunStore:
             self._log.write_bytes(b"")
         except OSError as exc:
             raise CheckpointError(f"cannot start a fresh run in {workdir}: {exc}") from None
-        self._logged = 0  # mediator timeline records in the log
+        self._lines = 0  # history log lines so far
+        # Items of each mediator history already in the log, and per client
+        # session the first delivery seq not yet logged.
+        self._logged = {"tick": 0, "event": 0, "finished": 0}
+        self._delivered: dict[int, int] = {}
         self._recipe = recipe.to_dict()
         self._owner = owner
         self._bus = bus
@@ -154,11 +173,17 @@ class RunStore:
         )
         self.journal.append_meta(dt_s=recipe.dt_s)
 
-    def checkpoint(self, mediator: PowerMediator, state: dict) -> str:
-        """Write a checkpoint of ``mediator`` plus the caller's ``state``.
+    def checkpoint(
+        self,
+        mediator: PowerMediator,
+        state: dict,
+        sessions: SessionRegistry | None = None,
+    ) -> str:
+        """Write a checkpoint of ``mediator`` (and ``sessions``, when the
+        caller has any) plus the caller's ``state``.
 
-        The timeline records since the previous checkpoint are appended to
-        the log and fsynced before the document that counts them; the
+        The history items made since the previous checkpoint are appended
+        to the log and fsynced before the document that counts them; the
         document lands atomically; its journal marker is fsynced last.
         Returns the document's file name.
 
@@ -167,18 +192,44 @@ class RunStore:
         """
         assert self.journal is not None, "checkpoint while the journal is down"
         tick = mediator.tick_count
-        mediator_state = mediator.state_dict(timeline_from=self._logged)
-        new_records = mediator_state.pop("timeline")
+        logged = self._logged
+        mediator_state = mediator.state_dict(
+            timeline_from=logged["tick"],
+            events_from=logged["event"],
+            finished_from=logged["finished"],
+        )
+        sessions_state = (
+            None if sessions is None else sessions.state_dict(windows_from=self._delivered)
+        )
+        new = {
+            "tick": mediator_state.pop("timeline"),
+            "event": mediator_state["accountant"].pop("log"),
+            "finished": mediator_state.pop("finished"),
+            "delivery": [
+                {"client": session["client"], **delivery}
+                for session in ([] if sessions_state is None else sessions_state["sessions"])
+                for delivery in session.pop("window")
+            ],
+        }
+        lines = [
+            _LINE_ENCODER.encode({"kind": kind, "data": item}) + "\n"
+            for kind, items in new.items()
+            for item in items
+        ]
         try:
             with open(self._log, "a", encoding="utf-8") as handle:
-                handle.writelines(_LINE_ENCODER.encode(r) + "\n" for r in new_records)
+                handle.writelines(lines)
                 handle.flush()
                 os.fsync(handle.fileno())
         except OSError as exc:
             raise CheckpointError(
-                f"cannot append to timeline log {self._log}: {exc}"
+                f"cannot append to history log {self._log}: {exc}"
             ) from None
-        self._logged += len(new_records)
+        self._lines += len(lines)
+        for kind in logged:
+            logged[kind] += len(new[kind])
+        if sessions_state is not None:
+            self._delivered = _next_seqs(sessions_state)
         doc = {
             "schema": CHECKPOINT_SCHEMA,
             "version": CHECKPOINT_VERSION,
@@ -186,7 +237,8 @@ class RunStore:
             "sim_time_s": mediator.server.now_s,
             "recipe": self._recipe,
             "state": mediator_state,
-            "timeline_records": self._logged,
+            "sessions": sessions_state,
+            "history_lines": self._lines,
             self._owner: state,
         }
         name = checkpoint_filename(tick)
@@ -229,7 +281,7 @@ class RunStore:
 
         Raises:
             CheckpointError: when the journal holds no checkpoint marker, or
-                the document or its timeline log fail validation.
+                the document or its history log fail validation.
             JournalError: on interior journal damage.
         """
         assert self.journal is None, "recover() without a crash()"
@@ -247,8 +299,15 @@ class RunStore:
         owner_state = doc.get(self._owner)
         if not isinstance(owner_state, dict):
             raise CheckpointError(f"{name}: checkpoint.{self._owner}: expected an object")
-        self._logged = doc["timeline_records"]
         mediator = restore_mediator(doc)
+        state, sessions = doc["state"], doc["sessions"]
+        self._lines = doc["history_lines"]
+        self._logged = {
+            "tick": len(state["timeline"]),
+            "event": len(state["accountant"]["log"]),
+            "finished": len(state["finished"]),
+        }
+        self._delivered = {} if sessions is None else _next_seqs(sessions)
         mark = self._marks.get(name)
         dropped = 0 if mark is None else self._bus.truncate_to_mark(mark)
         self._bus.emit_meta(
@@ -266,7 +325,7 @@ class RunStore:
             records[-1]["seq"] + 1,
             {"ticks": reach - mediator.tick_count, "records": len(tail)},
         )
-        return Restored(mediator, owner_state, reach, len(tail))
+        return Restored(mediator, owner_state, reach, len(tail), sessions)
 
     def reopen(self) -> None:
         """Resume journaling after re-execution, at the next fresh sequence
@@ -276,3 +335,8 @@ class RunStore:
             self.journal_dir, start_seq=start_seq, **self._journal_args
         )
         self._bus.emit_meta("replayed", replayed)
+
+
+def _next_seqs(sessions_state: dict) -> dict[int, int]:
+    """Per client, the first delivery seq a checkpoint has not logged."""
+    return {s["client"]: s["next_seq"] for s in sessions_state["sessions"]}

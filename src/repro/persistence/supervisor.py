@@ -66,7 +66,6 @@ class AdmitApp:
     profile: WorkloadProfile
     phased: PhasedProfile | None = None
     group_width: int | None = None
-    skip_overhead: bool = False
 
 
 @dataclass(frozen=True)
@@ -96,7 +95,6 @@ def command_to_dict(command: Command) -> dict:
             if command.phased is None
             else [[t, p.to_dict()] for t, p in command.phased.segments],
             "group_width": command.group_width,
-            "skip_overhead": command.skip_overhead,
         }
     if isinstance(command, SetCap):
         return {"kind": "set_cap", "p_cap_w": command.p_cap_w}
@@ -343,7 +341,6 @@ class Supervisor:
                 command.profile,
                 phased=command.phased,
                 group_width=command.group_width,
-                skip_overhead=command.skip_overhead,
             )
         elif isinstance(command, SetCap):
             self._mediator.set_power_cap(command.p_cap_w)

@@ -20,10 +20,11 @@ traffic. Each sim-time tick executes a fixed pipeline:
 7. **publish** - completion deliveries and periodic telemetry broadcasts;
 8. **durability** - the tick count is journaled; on the checkpoint cadence
    a checkpoint lands through the shared
-   :class:`~repro.persistence.store.RunStore` (the mediator, plus the
-   service's own state under ``"service"``: population cursor, ingest
-   buffer, sessions, pending offers, metrics), and retention compacts
-   everything behind it.
+   :class:`~repro.persistence.store.RunStore` (the mediator and the client
+   sessions, whose deliveries since the previous checkpoint go to the
+   history log, plus the service's own state under ``"service"``:
+   population cursor, ingest buffer, pending offers, metrics), and
+   retention compacts everything behind it.
 
 **Crash model.** A :class:`ServiceKilled` raised by the kill hook destroys
 the in-flight process state; the journal keeps only what was fsynced (a
@@ -197,7 +198,7 @@ class MediatorService:
     Args:
         config: The run's :class:`ServiceConfig`.
         workdir: Durability root; the journal lands in ``workdir/journal``
-            and checkpoints, with their timeline log, in
+            and checkpoints, with their history log, in
             ``workdir/checkpoints`` (see
             :class:`~repro.persistence.store.RunStore`).
         churn: Optional deterministic churn schedule - any object with
@@ -600,7 +601,6 @@ class MediatorService:
             {
                 "population": self._population.state_dict(),
                 "ingest": self._ingest.state_dict(),
-                "sessions": self._sessions.state_dict(),
                 "pending": [command_to_dict(c) for c in self._pending],
                 "outstanding": dict(self._outstanding),
                 "client_seqs": {str(c): s for c, s in self._client_seqs.items()},
@@ -608,6 +608,7 @@ class MediatorService:
                 "ingest_seq": self._ingest_seq,
                 "metrics": self.metrics.to_json(),
             },
+            self._sessions,
         )
         self.metrics.counter("service.checkpoints").inc()
 
@@ -626,7 +627,8 @@ class MediatorService:
 
     def _recover(self) -> None:
         restarts = self.metrics.counter("service.restarts").value
-        mediator, state, reach, _ = self._store.recover()
+        restored = self._store.recover()
+        mediator, state = restored.mediator, restored.state
         self._mediator = mediator
         self._mediator.ensure_plan()  # tick-0 checkpoints predate any plan
         # Restore every piece of deterministic state at the checkpoint tick;
@@ -639,7 +641,7 @@ class MediatorService:
         self._ingest = self._make_ingest()
         self._ingest.load_state_dict(state["ingest"])
         self._sessions = self._make_sessions()
-        self._sessions.load_state_dict(state["sessions"])
+        self._sessions.load_state_dict(restored.sessions)
         self._retention = RetentionManager(self.config.retention, metrics=self.metrics)
         self._pending = [command_from_dict(c) for c in state["pending"]]
         self._outstanding = {str(k): int(v) for k, v in state["outstanding"].items()}
@@ -650,7 +652,7 @@ class MediatorService:
 
         # Re-execute exactly the span the durable journal holds, with the
         # journal down, then resume journaling at the next fresh sequence.
-        replay_ticks = reach - self._tick
+        replay_ticks = restored.reach - self._tick
         for _ in range(replay_ticks):
             self._one_tick()
         self._store.reopen()

@@ -7,9 +7,9 @@ the bound it enforces is always anchored to the **latest durable
 checkpoint** - nothing a future recovery could still need is ever evicted:
 
 * the :class:`~repro.observability.streaming.StreamingTraceBus` seal mark
-  advances to the checkpoint's bus mark, then the window compacts (sealed
-  events fold into the incremental hash, so the run's content hash is
-  unchanged);
+  advances to the checkpoint's bus mark, then the window compacts down to
+  half its cap (sealed events fold into the incremental hash, so the run's
+  content hash is unchanged);
 * journal segments wholly before the checkpoint's marker record are pruned
   (:func:`~repro.persistence.journal.prune_segments`) - recovery starts at
   the newest marker, so earlier records are unreachable;
@@ -19,10 +19,13 @@ checkpoint** - nothing a future recovery could still need is ever evicted:
 Footprints are published as ``service.retention.*`` gauges so a soak can
 assert boundedness instead of trusting it.
 
-One store is deliberately left to grow with the run: the mediator's
-timeline, in memory and in the checkpoints' ``timeline.jsonl`` log, gains
-one record a tick and is never pruned, because it is the record
-:func:`~repro.core.simulation.verify_cap_invariant` audits.
+One store is deliberately left to grow with the run: the checkpoints'
+``history.jsonl`` log gains one timeline line a tick, plus the accountant's
+events, the departures and the session deliveries, and is never pruned. The
+timeline in it (also kept in memory) is the record
+:func:`~repro.core.simulation.verify_cap_invariant` audits, and recovery
+reads every line the newest document covers. Only the documents stay
+bounded: each holds cursors into the log, not the histories.
 """
 
 from __future__ import annotations

@@ -14,7 +14,10 @@ rather than silently skipping data.
 Sessions are part of the service checkpoint, so delivery sequence numbers
 survive supervisor warm restarts: recovery restores the sessions at the
 checkpoint tick and deterministic re-execution regenerates the exact
-deliveries the crash destroyed, cursor and all.
+deliveries the crash destroyed, cursor and all. A checkpoint writes each
+session's cursors into its document and only the deliveries made since the
+previous checkpoint into the history log; recovery refills each window with
+the newest ``window_size`` deliveries the log holds for that client.
 """
 
 from __future__ import annotations
@@ -128,14 +131,17 @@ class ClientSession:
             self._delivered_through = missed[-1].seq
         return missed
 
-    def state_dict(self) -> dict:
+    def state_dict(self, *, window_from: int = 0) -> dict:
+        """Snapshot the session; ``window`` keeps only the retained
+        deliveries with ``seq >= window_from`` (all of them by default), for
+        a caller that already holds the older ones."""
         return {
             "client": self.client,
             "window_size": self.window_size,
             "connected": self.connected,
             "next_seq": self._next_seq,
             "delivered_through": self._delivered_through,
-            "window": [d.to_dict() for d in self._window],
+            "window": [d.to_dict() for d in self._window if d.seq >= window_from],
         }
 
     @classmethod
@@ -210,8 +216,15 @@ class SessionRegistry:
         self._metrics.counter("service.sessions.replayed").inc(len(missed))
         return missed
 
-    def state_dict(self) -> dict:
-        return {"sessions": [s.state_dict() for s in self.sessions()]}
+    def state_dict(self, *, windows_from: dict[int, int] | None = None) -> dict:
+        """Every session's snapshot; ``windows_from`` maps a client to the
+        ``window_from`` cursor of its session (0 when absent)."""
+        cursors = windows_from or {}
+        return {
+            "sessions": [
+                s.state_dict(window_from=cursors.get(s.client, 0)) for s in self.sessions()
+            ]
+        }
 
     def load_state_dict(self, state: dict) -> None:
         restored = {}

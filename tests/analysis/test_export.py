@@ -85,9 +85,7 @@ class TestCsv:
         mediator = PowerMediator(
             server, make_policy("app+res-aware"), 100.0, use_oracle_estimates=True
         )
-        mediator.add_application(
-            CATALOG["kmeans"].with_total_work(float("inf")), skip_overhead=True
-        )
+        mediator.add_application(CATALOG["kmeans"].with_total_work(float("inf")))
         mediator.run_for(1.0)
         path = tmp_path / "t.csv"
         timeline_to_csv(mediator.timeline, path)

@@ -112,9 +112,7 @@ class TestRenderModes:
         mediator = PowerMediator(
             server, make_policy("app+res-aware"), 100.0, use_oracle_estimates=True
         )
-        mediator.add_application(
-            CATALOG["kmeans"].with_total_work(float("inf")), skip_overhead=True
-        )
+        mediator.add_application(CATALOG["kmeans"].with_total_work(float("inf")))
         mediator.run_for(2.0)
         text = render_power_timeline(mediator.timeline)
         assert "kmeans" in text

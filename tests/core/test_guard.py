@@ -47,9 +47,7 @@ class TestGuardUnderLyingEstimates:
     def test_space_mode_trimmed(self, config):
         server, mediator = lying_mediator(config, "app+res-aware", 100.0)
         for name in ("pagerank", "kmeans"):
-            mediator.add_application(
-                CATALOG[name].with_total_work(float("inf")), skip_overhead=True
-            )
+            mediator.add_application(CATALOG[name].with_total_work(float("inf")))
         mediator.run_for(5.0)
         assert mediator.coordinator.plan.mode is CoordinationMode.SPACE
         for record in mediator.timeline:
@@ -58,9 +56,7 @@ class TestGuardUnderLyingEstimates:
     def test_time_mode_trimmed(self, config):
         server, mediator = lying_mediator(config, "app+res-aware", 80.0)
         for name in ("pagerank", "kmeans"):
-            mediator.add_application(
-                CATALOG[name].with_total_work(float("inf")), skip_overhead=True
-            )
+            mediator.add_application(CATALOG[name].with_total_work(float("inf")))
         mediator.run_for(8.0)
         assert mediator.coordinator.plan.mode is CoordinationMode.TIME
         for record in mediator.timeline:
@@ -71,9 +67,7 @@ class TestGuardUnderLyingEstimates:
             config, "app+res+esd-aware", 80.0, battery=default_battery()
         )
         for name in ("pagerank", "kmeans"):
-            mediator.add_application(
-                CATALOG[name].with_total_work(float("inf")), skip_overhead=True
-            )
+            mediator.add_application(CATALOG[name].with_total_work(float("inf")))
         mediator.run_for(25.0)
         assert mediator.coordinator.plan.mode is CoordinationMode.ESD
         for record in mediator.timeline:
@@ -83,9 +77,7 @@ class TestGuardUnderLyingEstimates:
         """The guard degrades gracefully - it must not starve the apps."""
         server, mediator = lying_mediator(config, "app+res-aware", 100.0)
         for name in ("pagerank", "kmeans"):
-            mediator.add_application(
-                CATALOG[name].with_total_work(float("inf")), skip_overhead=True
-            )
+            mediator.add_application(CATALOG[name].with_total_work(float("inf")))
         mediator.run_for(6.0)
         assert mediator.server_objective(since_s=2.0) > 0.8
 
@@ -96,9 +88,7 @@ class TestGuardUnderLyingEstimates:
             config, "app+res+esd-aware", 80.0, battery=default_battery()
         )
         for name in ("pagerank", "kmeans"):
-            mediator.add_application(
-                CATALOG[name].with_total_work(float("inf")), skip_overhead=True
-            )
+            mediator.add_application(CATALOG[name].with_total_work(float("inf")))
         mediator.run_for(60.0)
         socs = [
             r.battery_soc for r in mediator.timeline if r.time_s > 20.0

@@ -20,14 +20,14 @@ from repro.workloads.profiles import WorkloadProfile
 class TestLifecycle:
     def test_add_and_run(self, make_mediator, kmeans):
         mediator = make_mediator()
-        mediator.add_application(kmeans, skip_overhead=True)
+        mediator.add_application(kmeans)
         mediator.run_for(2.0)
         assert mediator.normalized_throughput("kmeans") > 0.5
 
     def test_two_apps_under_cap(self, make_mediator, kmeans, pagerank):
         mediator = make_mediator()
-        mediator.add_application(pagerank, skip_overhead=True)
-        mediator.add_application(kmeans, skip_overhead=True)
+        mediator.add_application(pagerank)
+        mediator.add_application(kmeans)
         mediator.run_for(3.0)
         for record in mediator.timeline:
             assert record.wall_w <= 100.0 + 1e-6
@@ -51,7 +51,7 @@ class TestLifecycle:
 
     def test_invalid_duration_rejected(self, make_mediator, kmeans):
         mediator = make_mediator()
-        mediator.add_application(kmeans, skip_overhead=True)
+        mediator.add_application(kmeans)
         with pytest.raises(ConfigurationError):
             mediator.run_for(0.0)
 
@@ -60,8 +60,8 @@ class TestCapChange(object):
     def test_e1_triggers_reallocation(self, make_mediator, kmeans, pagerank):
         """Dropping 100 -> 80 W forces a switch to temporal coordination."""
         mediator = make_mediator(policy="app+res-aware")
-        mediator.add_application(pagerank, skip_overhead=True)
-        mediator.add_application(kmeans, skip_overhead=True)
+        mediator.add_application(pagerank)
+        mediator.add_application(kmeans)
         mediator.run_for(2.0)
         assert mediator.coordinator.plan.mode is CoordinationMode.SPACE
         mediator.set_power_cap(80.0)
@@ -73,7 +73,7 @@ class TestCapChange(object):
     @pytest.mark.parametrize("cap", [float("nan"), float("inf"), -float("inf"), 0.0])
     def test_non_finite_or_non_positive_cap_rejected(self, make_mediator, kmeans, cap):
         mediator = make_mediator()
-        mediator.add_application(kmeans, skip_overhead=True)
+        mediator.add_application(kmeans)
         plan = mediator.coordinator.plan
         with pytest.raises(ConfigurationError, match="cap must be finite and positive"):
             mediator.set_power_cap(cap)
@@ -87,8 +87,8 @@ class TestCapChange(object):
 
     def test_cap_raise_restores_space_mode(self, make_mediator, kmeans, pagerank):
         mediator = make_mediator(cap=80.0)
-        mediator.add_application(pagerank, skip_overhead=True)
-        mediator.add_application(kmeans, skip_overhead=True)
+        mediator.add_application(pagerank)
+        mediator.add_application(kmeans)
         assert mediator.coordinator.plan.mode is CoordinationMode.TIME
         mediator.set_power_cap(110.0)
         assert mediator.coordinator.plan.mode is CoordinationMode.SPACE
@@ -110,22 +110,21 @@ class TestPopulationView:
 
         monkeypatch.setattr(PowerMediator, "_get_population", recording)
         mediator = make_mediator(policy=policy)
-        mediator.add_application(kmeans, skip_overhead=True)
+        mediator.add_application(kmeans)
         mediator.set_power_cap(90.0)
         assert bool(built) is builds
 
 
 class TestArrival:
     def test_arrival_charges_overhead(self, make_mediator, kmeans, sssp):
-        """Fig. 11a: the newcomer sits out the ~800 ms settling window."""
+        """Fig. 11a: an arrival re-plans at once. The paper's ~800 ms
+        settling window is not modelled, so what is checked is cap adherence
+        across the arrival plus the newcomer's progress."""
         mediator = make_mediator()
-        mediator.add_application(sssp, skip_overhead=True)
+        mediator.add_application(sssp)
         mediator.run_for(2.0)
-        mediator.add_application(kmeans)  # overhead charged
-        mediator.run_for(0.4)  # less than reallocation_latency_s
-        work = sum(r.progressed.get("kmeans", 0.0) for r in mediator.timeline)
-        # kmeans runs from admission, but the engine-level guarantee we
-        # test is cap adherence during the window plus eventual progress.
+        mediator.add_application(kmeans)
+        mediator.run_for(0.4)
         mediator.run_for(2.0)
         assert mediator.normalized_throughput("kmeans", since_s=2.5) > 0.0
         for record in mediator.timeline:
@@ -134,10 +133,10 @@ class TestArrival:
     def test_incumbent_power_shrinks_on_arrival(self, make_mediator, kmeans, sssp):
         """Fig. 11a: SSSP's allocation drops when X264 arrives."""
         mediator = make_mediator()
-        mediator.add_application(sssp, skip_overhead=True)
+        mediator.add_application(sssp)
         mediator.run_for(2.0)
         before = mediator.timeline[-1].app_power_w["sssp"]
-        mediator.add_application(kmeans, skip_overhead=True)
+        mediator.add_application(kmeans)
         mediator.run_for(2.0)
         after = mediator.timeline[-1].app_power_w["sssp"]
         assert after < before
@@ -148,8 +147,8 @@ class TestDeparture:
         """Fig. 11b: the survivor scales up when its peer departs."""
         short = pagerank.with_total_work(12.0)
         mediator = make_mediator()
-        mediator.add_application(kmeans.with_total_work(float("inf")), skip_overhead=True)
-        mediator.add_application(short, skip_overhead=True)
+        mediator.add_application(kmeans.with_total_work(float("inf")))
+        mediator.add_application(short)
         mediator.run_for(1.5)
         assert "pagerank" in mediator.managed_apps()  # still co-located
         capped = mediator.timeline[-1].app_power_w["kmeans"]
@@ -162,8 +161,8 @@ class TestDeparture:
 
     def test_forced_removal(self, make_mediator, kmeans, pagerank):
         mediator = make_mediator()
-        mediator.add_application(kmeans, skip_overhead=True)
-        mediator.add_application(pagerank, skip_overhead=True)
+        mediator.add_application(kmeans)
+        mediator.add_application(pagerank)
         mediator.run_for(1.0)
         mediator.remove_application("pagerank")
         assert mediator.managed_apps() == ["kmeans"]
@@ -171,7 +170,7 @@ class TestDeparture:
 
     def test_unknown_finished_handle_rejected(self, make_mediator, kmeans):
         mediator = make_mediator()
-        mediator.add_application(kmeans, skip_overhead=True)
+        mediator.add_application(kmeans)
         with pytest.raises(SchedulingError):
             mediator.finished_handle("ghost")
 
@@ -185,7 +184,7 @@ class TestPhaseChanges:
         )
         phased = PhasedProfile([(0.0, base), (0.3, lighter)])
         mediator = make_mediator(cap=110.0)
-        mediator.add_application(base, phased=phased, skip_overhead=True)
+        mediator.add_application(base, phased=phased)
         mediator.run_for(15.0)
         kinds = [type(e).__name__ for e in mediator.accountant.event_log]
         assert "PhaseChangeEvent" in kinds
@@ -197,7 +196,7 @@ class TestPhaseChanges:
         )
         phased = PhasedProfile([(0.0, base), (0.4, hungrier)])
         mediator = make_mediator(cap=95.0)
-        mediator.add_application(base, phased=phased, skip_overhead=True)
+        mediator.add_application(base, phased=phased)
         mediator.run_for(12.0)
         for record in mediator.timeline:
             assert record.wall_w <= 95.0 + 1e-6
@@ -207,8 +206,8 @@ class TestLearningPath:
     def test_learned_estimates_stay_within_cap(self, make_mediator, kmeans, stream):
         """The RAPL guard must absorb estimation error."""
         mediator = make_mediator(use_oracle_estimates=False, seed=3)
-        mediator.add_application(stream, skip_overhead=True)
-        mediator.add_application(kmeans, skip_overhead=True)
+        mediator.add_application(stream)
+        mediator.add_application(kmeans)
         mediator.run_for(3.0)
         for record in mediator.timeline:
             assert record.wall_w <= 100.0 + 1e-6
@@ -217,7 +216,7 @@ class TestLearningPath:
         learned = make_mediator(use_oracle_estimates=False, seed=3)
         oracle = make_mediator(use_oracle_estimates=True)
         for m in (learned, oracle):
-            m.add_application(stream, skip_overhead=True)
-            m.add_application(kmeans, skip_overhead=True)
+            m.add_application(stream)
+            m.add_application(kmeans)
             m.run_for(5.0)
         assert learned.server_objective() > 0.85 * oracle.server_objective()

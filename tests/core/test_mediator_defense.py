@@ -18,8 +18,8 @@ def probe_schedule(start_s=2.0):
 
 def adversarial_mediator(make_mediator, *, adversaries=probe_schedule(), **kwargs):
     mediator = make_mediator(cap=108.0, adversaries=adversaries, **kwargs)
-    mediator.add_application(CATALOG["stream"], skip_overhead=True)
-    mediator.add_application(CATALOG["kmeans"], skip_overhead=True)
+    mediator.add_application(CATALOG["stream"])
+    mediator.add_application(CATALOG["kmeans"])
     return mediator
 
 

@@ -23,9 +23,7 @@ class TestOptions:
             server, make_policy("app+res-aware"), 100.0, corpus=corpus, seed=2
         )
         for name in ("pagerank", "kmeans"):
-            mediator.add_application(
-                CATALOG[name].with_total_work(float("inf")), skip_overhead=True
-            )
+            mediator.add_application(CATALOG[name].with_total_work(float("inf")))
         mediator.run_for(4.0)
         for record in mediator.timeline:
             assert record.wall_w <= 100.0 + 1e-6
@@ -40,9 +38,7 @@ class TestOptions:
             sampler=RandomSampler(0.05, seed=9),
             seed=9,
         )
-        mediator.add_application(
-            CATALOG["kmeans"].with_total_work(float("inf")), skip_overhead=True
-        )
+        mediator.add_application(CATALOG["kmeans"].with_total_work(float("inf")))
         mediator.run_for(2.0)
         assert mediator.server_objective(since_s=0.5) > 0.5
 
@@ -60,9 +56,7 @@ class TestOptions:
                 seed=1,
             )
             for name in ("stream", "kmeans"):
-                mediator.add_application(
-                    CATALOG[name].with_total_work(float("inf")), skip_overhead=True
-                )
+                mediator.add_application(CATALOG[name].with_total_work(float("inf")))
             mediator.run_for(5.0)
             results[noise] = mediator.server_objective(since_s=1.0)
         assert results[0.0] >= results[1.0] - 0.15
@@ -83,9 +77,7 @@ class TestOptions:
             use_oracle_estimates=True,
         )
         for name in ("pagerank", "kmeans"):
-            mediator.add_application(
-                CATALOG[name].with_total_work(float("inf")), skip_overhead=True
-            )
+            mediator.add_application(CATALOG[name].with_total_work(float("inf")))
         mediator.run_for(10.0)
         for record in mediator.timeline:
             assert record.wall_w <= 100.0 + 1e-6

@@ -258,9 +258,7 @@ def test_final_state_dicts_are_equal(seed: int):
         )
         mediator = recipe.build()
         for profile in get_mix(10).profiles():
-            mediator.add_application(
-                profile.with_total_work(float("inf")), skip_overhead=True
-            )
+            mediator.add_application(profile.with_total_work(float("inf")))
         mediator.run_for(6.0)
         states[engine] = mediator.state_dict()
     assert states["vector"] == states["scalar"]
@@ -278,9 +276,7 @@ def test_cross_engine_checkpoint_restore(tmp_path):
         )
         mediator = recipe.build()
         for profile in get_mix(3).profiles():
-            mediator.add_application(
-                profile.with_total_work(float("inf")), skip_overhead=True
-            )
+            mediator.add_application(profile.with_total_work(float("inf")))
         mediator.run_for(3.0)
         return recipe, mediator
 
@@ -393,9 +389,7 @@ def test_fuzzed_combined_regimes_end_in_equal_state(
             ),
         )
         for profile in get_mix(mix_id).profiles():
-            mediator.add_application(
-                profile.with_total_work(float("inf")), skip_overhead=True
-            )
+            mediator.add_application(profile.with_total_work(float("inf")))
         mediator.run_for(6.0)
         return mediator
 

@@ -7,7 +7,7 @@ timeline a plain ``for m in mediators: m.run_for(...)`` loop produces. Two
 layers enforce it here:
 
 1. **Kernel pins**: the Python folds (``_seq_add``, ``_seq_add_final``,
-   ``_seq_mul_final``, ``_rapl_march``, ``_countdown_final``) are checked
+   ``_seq_mul_final``, ``_rapl_march``) are checked
    element-by-element against the literal loop they stand for, across
    magnitudes where float addition is far from associative, so a
    reordered or compensated sum (the builtin ``sum`` on CPython 3.12)
@@ -16,7 +16,7 @@ layers enforce it here:
 2. **Fleet-vs-loop differentials**: seeded scenarios spanning the regimes
    the fast path replays (SPACE allocation, ESD duty cycling, TIME
    rotation, defense on and off, both engines, mid-run cap changes and
-   admissions, pending calibration, app completion to the exact tick,
+   admissions, app completion to the exact tick,
    changed trust fingerprints, fractional durations) plus a hypothesis
    fuzz layer, which runs a larger budget under ``REPRO_SOAK=1``.
    Equality is ``==`` on state dicts, metrics and the tick timeline.
@@ -44,7 +44,6 @@ from repro.core.trust import DefenseConfig
 from repro.engine.planner import (
     MediatedFleet,
     _clean_work_ticks,
-    _countdown_final,
     _rapl_march,
     _seq_add,
     _seq_add_final,
@@ -88,20 +87,6 @@ def test_seq_mul_final_matches_the_python_fold(start, factor, k):
     for _ in range(k):
         acc *= factor
     assert _seq_mul_final(start, factor, k) == acc
-
-
-@pytest.mark.parametrize("start", [0.8, 1.6, 0.05, 5e-17, 0.2, 0.0])
-def test_countdown_final_matches_the_clamped_fold(start):
-    # The calibration countdown: 0.8 s per admission at dt 0.1. fl
-    # residue keeps 0.8 positive for 8 folds (1.4e-16 is left); 0.2
-    # reaches exactly 0.0 by subtraction (0.1 - 0.1), the others overshoot
-    # below zero and are clamped.
-    dt = 0.1
-    acc = start
-    for k in range(1, 25):
-        acc = max(0.0, acc - dt)  # the mediator's per-tick fold
-        assert _countdown_final(start, dt, k) == acc
-    assert acc == 0.0
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -183,7 +168,6 @@ def _build(
     total_work: float = float("inf"),
     defense: DefenseConfig | None = None,
     trace_bus: TraceBus | None = None,
-    skip_overhead: bool = True,
     n_apps: int | None = None,
 ) -> PowerMediator:
     policy_obj = make_policy(policy)
@@ -198,9 +182,7 @@ def _build(
         trace_bus=trace_bus,
     )
     for profile in get_mix(mix_id).profiles()[:n_apps]:
-        mediator.add_application(
-            profile.with_total_work(total_work), skip_overhead=skip_overhead
-        )
+        mediator.add_application(profile.with_total_work(total_work))
     return mediator
 
 
@@ -358,12 +340,10 @@ def test_fleet_equals_loop_across_mid_run_cap_changes():
 def test_composed_fleet_equals_loop_through_calibration_slots_and_debt(
     monkeypatch,
 ):
-    # What a composed run does to a fleet: admissions charge calibration,
-    # an app arrives mid-run, caps change, a TIME mediator crosses two slot
-    # edges, and a suspended app holds resume debt it has not repaid. State
-    # dicts are compared while calibration is still pending, because a
-    # wrongly folded countdown shows up nowhere else.
-    flushed: list[tuple[CoordinationMode, float, bool]] = []
+    # What a composed run does to a fleet: admissions calibrate, an app
+    # arrives mid-run, caps change, a TIME mediator crosses two slot edges,
+    # and a suspended app holds resume debt it has not repaid.
+    flushed: list[tuple[CoordinationMode, bool]] = []
     flush = MediatedFleet._flush_segment
 
     def spy(self, m, k, **kwargs):
@@ -373,21 +353,15 @@ def test_composed_fleet_equals_loop_through_calibration_slots_and_debt(
             handle.resume_debt_s > 0.0 and name not in active
             for name, handle in server._handles.items()
         )
-        flushed.append((kwargs["mode"], m._calibration_pending_s, frozen_debt))
+        flushed.append((kwargs["mode"], frozen_debt))
         flush(self, m, k, **kwargs)
 
     monkeypatch.setattr(MediatedFleet, "_flush_segment", spy)
 
     def build() -> list[PowerMediator]:
         return [
-            _build(
-                engine="vector",
-                mix_id=1,
-                policy="util-unaware",
-                cap=80.0,
-                skip_overhead=False,
-            ),
-            _build(engine="vector", mix_id=3, seed=1, skip_overhead=False),
+            _build(engine="vector", mix_id=1, policy="util-unaware", cap=80.0),
+            _build(engine="vector", mix_id=3, seed=1),
             _build(engine="vector", mix_id=7, seed=2, n_apps=1),
         ]
 
@@ -402,7 +376,7 @@ def test_composed_fleet_equals_loop_through_calibration_slots_and_debt(
         spatial.set_power_cap(70.0)
         advance(2.0)
         yield
-        growing.add_application(get_mix(7).profiles()[1], skip_overhead=False)
+        growing.add_application(get_mix(7).profiles()[1])
         advance(0.5)
         yield
         advance(11.0)
@@ -415,20 +389,15 @@ def test_composed_fleet_equals_loop_through_calibration_slots_and_debt(
         for m in ref:
             m.run_for(duration_s)
 
-    pending_seen = False
     for _ in zip(drive(fast, fleet.run_for), drive(ref, loop)):
-        pending_seen |= any(m.state_dict()["calibration_pending_s"] > 0 for m in ref)
         for f, r in zip(fast, ref):
             _assert_pair_equal(f, r)
-    assert pending_seen
-    assert any(pending > 0.0 for _, pending, _ in flushed)
-    assert any(frozen for *_, frozen in flushed)
-    assert any(mode is CoordinationMode.TIME for mode, *_ in flushed)
+    assert any(frozen for _, frozen in flushed)
+    assert any(mode is CoordinationMode.TIME for mode, _ in flushed)
     running = [
         tuple(sorted(r.app_power_w)) for r in fast[0].timeline if r.time_s > 1.05
     ]
     assert sum(a != b for a, b in zip(running, running[1:])) >= 2  # slot edges
-    assert "calibration" not in fleet.demotions
     assert "time-rotation" not in fleet.demotions
 
 
@@ -508,7 +477,6 @@ SOAK = os.environ.get("REPRO_SOAK") == "1"
     engine=st.sampled_from(("scalar", "vector")),
     leg_ticks=st.integers(min_value=1, max_value=120),
     min_fast=st.integers(min_value=1, max_value=32),
-    skip_overhead=st.booleans(),
     total_work=st.one_of(
         st.just(math.inf), st.floats(min_value=1.0, max_value=120.0)
     ),
@@ -522,7 +490,6 @@ def test_fuzzed_fleet_runs_equal_the_loop(
     engine,
     leg_ticks,
     min_fast,
-    skip_overhead,
     total_work,
     cooldown,
 ):
@@ -536,7 +503,6 @@ def test_fuzzed_fleet_runs_equal_the_loop(
         policy=policy,
         cap=float(caps[0]),
         seed=seed,
-        skip_overhead=skip_overhead,
         total_work=total_work,
         defense=DefenseConfig(cooldown_ticks=cooldown),
     )

@@ -21,9 +21,7 @@ def run_esd(config, battery, cap=80.0, seconds=40.0):
         use_oracle_estimates=True,
     )
     for profile in get_mix(10).profiles():
-        mediator.add_application(
-            profile.with_total_work(float("inf")), skip_overhead=True
-        )
+        mediator.add_application(profile.with_total_work(float("inf")))
     mediator.run_for(seconds)
     return mediator
 

@@ -25,7 +25,6 @@ def quad_mediator(config, cap, *, policy="app+res-aware", oracle=True):
     for name in QUAD:
         mediator.add_application(
             CATALOG[name].with_total_work(float("inf")),
-            skip_overhead=True,
             group_width=3,
         )
     return mediator
@@ -40,9 +39,7 @@ class TestAdmission:
     def test_fifth_app_rejected(self, config):
         mediator = quad_mediator(config, 130.0)
         with pytest.raises(SchedulingError):
-            mediator.add_application(
-                CATALOG["bfs"], skip_overhead=True, group_width=3
-            )
+            mediator.add_application(CATALOG["bfs"], group_width=3)
 
     def test_mixed_widths(self, config):
         server = SimulatedServer(config)
@@ -51,13 +48,11 @@ class TestAdmission:
         )
         mediator.add_application(
             CATALOG["kmeans"].with_total_work(float("inf")),
-            skip_overhead=True,
             group_width=6,
         )
         for name in ("stream", "sssp"):
             mediator.add_application(
                 CATALOG[name].with_total_work(float("inf")),
-                skip_overhead=True,
                 group_width=3,
             )
         mediator.run_for(3.0)

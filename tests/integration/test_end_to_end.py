@@ -30,7 +30,7 @@ class TestArrivalScenario:
         )
         sssp = CATALOG["sssp"].with_total_work(float("inf"))
         x264 = CATALOG["x264"].with_total_work(float("inf"))
-        mediator.add_application(sssp, skip_overhead=True)
+        mediator.add_application(sssp)
         mediator.run_for(20.0)
         mediator.add_application(x264)  # overhead charged
         mediator.run_for(20.0)
@@ -91,8 +91,8 @@ class TestDepartureScenario:
         )
         kmeans = CATALOG["kmeans"].with_total_work(float("inf"))
         pagerank = CATALOG["pagerank"].with_total_work(40.0)
-        mediator.add_application(kmeans, skip_overhead=True)
-        mediator.add_application(pagerank, skip_overhead=True)
+        mediator.add_application(kmeans)
+        mediator.add_application(pagerank)
         mediator.run_for(60.0)
         return mediator
 
@@ -136,9 +136,7 @@ class TestCapChangeScenario:
             server, make_policy("app+res-aware"), 100.0, use_oracle_estimates=True
         )
         for profile in get_mix(10).profiles():
-            mediator.add_application(
-                profile.with_total_work(float("inf")), skip_overhead=True
-            )
+            mediator.add_application(profile.with_total_work(float("inf")))
         mediator.run_for(5.0)
         modes = [mediator.coordinator.plan.mode]
         mediator.set_power_cap(80.0)
@@ -163,9 +161,7 @@ class TestCapChangeScenario:
             server, make_policy("app+res-aware"), 100.0, use_oracle_estimates=True
         )
         for profile in get_mix(10).profiles():
-            mediator.add_application(
-                profile.with_total_work(float("inf")), skip_overhead=True
-            )
+            mediator.add_application(profile.with_total_work(float("inf")))
         mediator.run_for(10.0)
         loose = mediator.server_objective(since_s=2.0)
         mediator.set_power_cap(80.0)

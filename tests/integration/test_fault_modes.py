@@ -34,9 +34,7 @@ def faulty_mediator(policy_name, faults, *, cap_w=CAP_W, seed=3, battery=None):
         faults=faults,
     )
     for name in ("kmeans", "x264"):
-        mediator.add_application(
-            CATALOG[name].with_total_work(float("inf")), skip_overhead=True
-        )
+        mediator.add_application(CATALOG[name].with_total_work(float("inf")))
     return mediator
 
 
@@ -115,9 +113,7 @@ class TestArrivalDuringDegradedTelemetry:
         mediator = PowerMediator(
             server, make_policy("app+res-aware"), cap_w, dt_s=0.1, seed=3, faults=plan
         )
-        mediator.add_application(
-            CATALOG["kmeans"].with_total_work(float("inf")), skip_overhead=True
-        )
+        mediator.add_application(CATALOG["kmeans"].with_total_work(float("inf")))
         mediator.run_for(8.0)
         assert mediator.degraded_telemetry  # watchdog tripped mid-blackout
         mediator.add_application(CATALOG["x264"].with_total_work(float("inf")))

@@ -12,6 +12,7 @@ from repro.core.mediator import PowerMediator
 from repro.errors import CheckpointError
 from repro.learning.sampling import Sampler
 from repro.persistence import (
+    AdmitApp,
     Advance,
     MediatorKilled,
     SetCap,
@@ -19,12 +20,13 @@ from repro.persistence import (
     read_journal,
 )
 from repro.server.config import ServerConfig
-from tests.persistence.timeline_log import (
-    TAMPER_IDS,
+from tests.persistence.history_log import (
     append_strays,
     documents,
+    log_items,
     log_records,
-    tamper_cases,
+    tamper,
+    tamper_ids,
 )
 
 
@@ -275,21 +277,39 @@ def test_kill_inside_the_re_executed_span_is_recovered_from(tmp_path, stream, km
     assert mediator.timeline == baseline.timeline
 
 
-# Twins of the service's timeline-log tests (tests/service/test_loop.py):
+# Twins of the service's history-log tests (tests/service/test_loop.py):
 # the supervisor writes the same checkpoint format through the same store.
 
 
-def test_checkpoints_append_the_timeline_to_the_log(tmp_path, stream, kmeans):
+def _script_with_a_departure(stream, kmeans):
+    """The mix script, but kmeans finishes near tick 23: the log then holds
+    every line kind the supervisor writes before the checkpoint at 40."""
     recipe, script = _recipe_and_script(stream, kmeans)
+    script[1] = AdmitApp(kmeans.with_total_work(4.0))
+    return recipe, script
+
+
+def test_checkpoints_append_the_timeline_to_the_log(tmp_path, stream, kmeans):
+    recipe, script = _script_with_a_departure(stream, kmeans)
     mediator = Supervisor(recipe, script, tmp_path, checkpoint_every_ticks=20).run()
-    # The final checkpoint covers the whole timeline.
-    assert log_records(tmp_path) == mediator.state_dict()["timeline"]
+    # The final checkpoint covers every history, each line written once.
+    full = mediator.state_dict()
+    assert log_records(tmp_path) == full["timeline"]
+    assert log_items(tmp_path, "event") == full["accountant"]["log"]
+    assert log_items(tmp_path, "finished") == full["finished"]
+    assert [item["app"] for item in full["finished"]] == ["kmeans"]
+    assert log_items(tmp_path, "delivery") == []
     docs = documents(tmp_path)
     assert [doc["tick"] for doc in docs] == [0, 20, 40, 60]
     for doc in docs:
-        assert doc["version"] == 2
-        assert doc["timeline_records"] == doc["tick"]
+        assert doc["version"] == 3
+        assert doc["sessions"] is None
         assert "timeline" not in doc["state"]
+        assert "log" not in doc["state"]["accountant"]
+        assert "finished" not in doc["state"]
+    assert docs[-1]["history_lines"] == sum(
+        len(items) for items in (full["timeline"], full["accountant"]["log"], full["finished"])
+    )
 
 
 def test_log_records_past_the_durable_count_are_dropped(tmp_path, stream, kmeans):
@@ -302,22 +322,26 @@ def test_log_records_past_the_durable_count_are_dropped(tmp_path, stream, kmeans
     mediator = supervisor.run()
     assert mediator.timeline == baseline.timeline
     assert log_records(tmp_path) == mediator.state_dict()["timeline"]
-    # The post-recovery checkpoint keeps the timeline out of its document too.
+    assert log_items(tmp_path, "event") == mediator.state_dict()["accountant"]["log"]
+    # The post-recovery checkpoint keeps the histories out of its document too.
     docs = documents(tmp_path)
     assert [doc["tick"] for doc in docs] == [0, 20, 40, 50, 60]
     assert not any("timeline" in doc["state"] for doc in docs)
 
 
-@pytest.mark.parametrize(("tamper", "message"), tamper_cases(40, 30), ids=TAMPER_IDS)
-def test_a_log_that_disagrees_fails_in_one_line(tmp_path, stream, kmeans, tamper, message):
-    # The kill at 50 recovers from the checkpoint at 40, which covers 40 records.
-    recipe, script = _recipe_and_script(stream, kmeans)
+@pytest.mark.parametrize("case", tamper_ids(("tick", "event", "finished")))
+def test_a_log_that_disagrees_fails_in_one_line(tmp_path, stream, kmeans, case):
+    # The kill at 50 recovers from the checkpoint at 40.
+    recipe, script = _script_with_a_departure(stream, kmeans)
+    expected = []
     supervisor = Supervisor(
         recipe, script, tmp_path, checkpoint_every_ticks=20,
-        tick_hook=_kill_in_order([50], before=lambda: tamper(tmp_path)),
+        tick_hook=_kill_in_order(
+            [50], before=lambda: expected.append(tamper(case, tmp_path, 40))
+        ),
     )
     with pytest.raises(CheckpointError) as excinfo:
         supervisor.run()
     text = str(excinfo.value)
-    assert message in text
+    assert expected[0] in text
     assert "\n" not in text

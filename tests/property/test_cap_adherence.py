@@ -29,9 +29,7 @@ class TestCapAdherence:
             server, make_policy(policy), cap, use_oracle_estimates=True
         )
         for profile in MIXES[mix_id].profiles():
-            mediator.add_application(
-                profile.with_total_work(float("inf")), skip_overhead=True
-            )
+            mediator.add_application(profile.with_total_work(float("inf")))
         mediator.run_for(6.0)
         for record in mediator.timeline:
             assert record.wall_w <= cap + 1e-6
@@ -51,9 +49,7 @@ class TestCapAdherence:
             use_oracle_estimates=True,
         )
         for profile in MIXES[mix_id].profiles():
-            mediator.add_application(
-                profile.with_total_work(float("inf")), skip_overhead=True
-            )
+            mediator.add_application(profile.with_total_work(float("inf")))
         mediator.run_for(12.0)
         for record in mediator.timeline:
             assert record.wall_w <= cap + 1e-6
@@ -74,9 +70,7 @@ class TestCapAdherence:
             seed=seed,
         )
         for profile in MIXES[mix_id].profiles():
-            mediator.add_application(
-                profile.with_total_work(float("inf")), skip_overhead=True
-            )
+            mediator.add_application(profile.with_total_work(float("inf")))
         mediator.run_for(4.0)
         for record in mediator.timeline:
             assert record.wall_w <= 100.0 + 1e-6

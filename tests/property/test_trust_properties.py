@@ -30,9 +30,7 @@ def _run_honest(mix_id, policy, cap, seed, *, faults=None, duration_s=6.0):
         faults=faults,
     )
     for profile in MIXES[mix_id].profiles():
-        mediator.add_application(
-            profile.with_total_work(float("inf")), skip_overhead=True
-        )
+        mediator.add_application(profile.with_total_work(float("inf")))
     mediator.run_for(duration_s)
     return mediator
 

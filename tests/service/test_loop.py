@@ -2,20 +2,20 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.errors import CheckpointError, ConfigurationError
 from repro.observability.trace import summarize_trace
-from repro.persistence import TIMELINE_LOG, read_journal
+from repro.persistence import HISTORY_LOG, read_journal
 from repro.service import MediatorService, ServiceConfig, ServiceKilled
 from repro.workloads import BurstWindow
-from tests.persistence.timeline_log import (
-    TAMPER_IDS,
+from tests.persistence.history_log import (
     append_strays,
+    document,
+    log_items,
     log_records,
-    tamper_cases,
+    tamper,
+    tamper_ids,
 )
 
 # The small, fast recipe lives in the shared ``service_cfg`` fixture
@@ -121,6 +121,10 @@ def _assert_same_run(chaos, baseline):
     assert chaos.tick == 160
     assert chaos.content_hash() == baseline.content_hash()
     assert chaos.mediator.timeline == baseline.mediator.timeline
+    # Every history the log carries comes back whole: the mediator's and
+    # each session's window.
+    assert chaos.mediator.state_dict() == baseline.mediator.state_dict()
+    assert chaos.sessions.state_dict() == baseline.sessions.state_dict()
     # Sim-side accounting matches the uninterrupted run exactly.
     counters = dict(chaos.metrics.counters())
     base_counters = dict(baseline.metrics.counters())
@@ -199,19 +203,44 @@ def test_a_kill_inside_recovery_counts_as_a_restart(service_cfg, tmp_path, basel
     assert summary["kinds"]["checkpoint"] >= 2
 
 
+#: A load that finishes jobs before the checkpoint at tick 100, so the log
+#: holds every line kind by then.
+_QUICK_JOBS = {"work_scale": 0.005}
+
+
 def test_checkpoints_append_the_timeline_to_the_log(service_cfg, tmp_path):
-    log = tmp_path / "checkpoints" / TIMELINE_LOG
+    log = tmp_path / "checkpoints" / HISTORY_LOG
     log.parent.mkdir()
     log.write_text("left over from another run\n")
-    service = MediatorService(ServiceConfig(**service_cfg), tmp_path)
-    assert log.read_bytes() == b""  # a fresh run starts a fresh log
-    service.run_for_ticks(120)  # checkpoints at ticks 0, 50 and 100
+    service = MediatorService(ServiceConfig(**service_cfg, **_QUICK_JOBS), tmp_path)
+    # A fresh run starts a fresh log: the tick-0 checkpoint put the initial
+    # cap change (E1) in it, and nothing else.
+    assert log_items(tmp_path, "event") == [
+        {"time_s": 0.0, "new_cap_w": 100.0, "type": "CapChangeEvent"}
+    ]
+    assert len(log.read_bytes().splitlines()) == 1
+    service.run_for_ticks(100)  # checkpoints at ticks 0, 50 and 100
     service.close()
-    assert log_records(tmp_path) == service.mediator.state_dict()["timeline"][:100]
-    doc = json.loads((tmp_path / "checkpoints" / "ckpt-00000100.json").read_text())
-    assert doc["version"] == 2
-    assert doc["timeline_records"] == 100
-    assert "timeline" not in doc["state"]
+    full = service.mediator.state_dict()
+    assert log_records(tmp_path) == full["timeline"]
+    assert log_items(tmp_path, "event") == full["accountant"]["log"]
+    assert log_items(tmp_path, "finished") == full["finished"] != []
+    doc = document(tmp_path, 100)
+    assert doc["version"] == 3
+    assert doc["history_lines"] == len(log.read_bytes().splitlines())
+    assert "timeline" not in doc["state"] and "finished" not in doc["state"]
+    assert "sessions" not in doc["service"]
+    # The document keeps each session's cursors; every delivery is logged
+    # once, with its client, and the windows hold them all at this load.
+    deliveries = log_items(tmp_path, "delivery")
+    for session in service.sessions.state_dict()["sessions"]:
+        stored = next(s for s in doc["sessions"]["sessions"] if s["client"] == session["client"])
+        assert stored == {k: v for k, v in session.items() if k != "window"}
+        assert [
+            {k: v for k, v in d.items() if k != "client"}
+            for d in deliveries
+            if d["client"] == session["client"]
+        ] == session["window"]
 
 
 def test_log_records_past_the_durable_count_are_dropped(service_cfg, tmp_path, baseline):
@@ -224,21 +253,23 @@ def test_log_records_past_the_durable_count_are_dropped(service_cfg, tmp_path, b
     chaos.close()
     _assert_same_run(chaos, baseline)
     assert log_records(tmp_path) == chaos.mediator.state_dict()["timeline"][:150]
+    assert log_items(tmp_path, "event") == chaos.mediator.state_dict()["accountant"]["log"]
 
 
-@pytest.mark.parametrize(("tamper", "message"), tamper_cases(100, 60), ids=TAMPER_IDS)
-def test_a_log_that_disagrees_fails_in_one_line(service_cfg, tmp_path, tamper, message):
-    # The kill at 120 recovers from the checkpoint at 100, which covers 100 records.
+@pytest.mark.parametrize("case", tamper_ids(("tick", "event", "finished", "delivery")))
+def test_a_log_that_disagrees_fails_in_one_line(service_cfg, tmp_path, case):
+    # The kill at 120 recovers from the checkpoint at 100.
+    expected = []
     service = MediatorService(
-        ServiceConfig(**service_cfg),
+        ServiceConfig(**service_cfg, **_QUICK_JOBS),
         tmp_path,
-        tick_hook=_killer(120, before=lambda: tamper(tmp_path)),
+        tick_hook=_killer(120, before=lambda: expected.append(tamper(case, tmp_path, 100))),
     )
     with pytest.raises(CheckpointError) as excinfo:
         service.run_for_ticks(160)
     service.close()
     text = str(excinfo.value)
-    assert message in text
+    assert expected[0] in text
     assert "\n" not in text
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.errors import ConfigurationError, TraceError
@@ -9,7 +11,7 @@ from repro.observability import StreamingTraceBus, TraceBus
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.trace import canonical_line
 from repro.persistence import JournalWriter, list_segments
-from repro.service import RetentionConfig, RetentionManager
+from repro.service import MediatorService, RetentionConfig, RetentionManager, ServiceConfig
 
 
 def test_config_validation():
@@ -120,3 +122,41 @@ def test_trace_spill_sink_receives_evicted_events(tmp_path):
         bus.sealed_events :
     ]
     assert bus.content_hash() == plain.content_hash()
+
+
+def test_a_seeded_service_spills_the_same_stream_in_batches(service_cfg, tmp_path, monkeypatch):
+    # The window evicts down to half its cap once it overflows, not one event
+    # per emit. What is spilled and hashed is unchanged: the content hash and
+    # the spill file followed by the retained window are the ones a
+    # compaction on every emit wrote, and the spill file is a prefix of them.
+    evicting = []
+    compact = StreamingTraceBus.compact
+
+    def spy(bus):
+        evicted = compact(bus)
+        if evicted:
+            evicting.append(evicted)
+        return evicted
+
+    monkeypatch.setattr(StreamingTraceBus, "compact", spy)
+    config = ServiceConfig(
+        **service_cfg, retention=RetentionConfig(retain_trace_events=64, every_ticks=100)
+    )
+    service = MediatorService(config, tmp_path, trace_spill=True)
+    service.run_for_ticks(600)
+    service.close()
+    spill = (tmp_path / "trace-spill.jsonl").read_bytes()
+    window = "".join(canonical_line(event) + "\n" for event in service.trace_bus.events)
+    stream = spill + window.encode("utf-8")
+    assert service.content_hash() == (
+        "d456aa5c9e37a2634ebffee36d28146221367613a64d5b794436bef6e5511843"
+    )
+    assert hashlib.sha256(stream).hexdigest() == (
+        "68c653a14fbff96a27a1cf89d35584f6dcecee8b75fc1728bcd92342dda9088c"
+    )
+    assert service.trace_bus.retained_events <= 64
+    # Batches, not one or two events per call: each evicting pass here
+    # takes at least 16 events on average.
+    sealed = service.trace_bus.sealed_events
+    assert sum(evicting) == sealed
+    assert len(evicting) <= sealed // 16

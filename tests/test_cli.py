@@ -439,9 +439,10 @@ class TestResume:
         assert code == 0
         assert "at tick 40" in out
         assert self._throughput(out) == uninterrupted
-        # Resuming reads the covered records without cutting the log.
-        log = tmp_path / "checkpoints" / "timeline.jsonl"
-        assert len(log.read_text().splitlines()) == 80
+        # Resuming reads the covered lines without cutting the log: the
+        # final checkpoint's 80 timeline records and 3 events (E1, two E2s).
+        log = tmp_path / "checkpoints" / "history.jsonl"
+        assert len(log.read_text().splitlines()) == 83
 
     def test_resume_reports_the_checkpointed_cap_and_policy(self, capsys, tmp_path):
         code = main(
@@ -493,10 +494,21 @@ class TestResume:
             capsys, checkpoint
         )
 
+    def test_version_2_document_exits_2(self, capsys, tmp_path):
+        import json
+
+        checkpoint, _ = self._supervised(capsys, tmp_path)
+        doc = json.loads(checkpoint.read_text())
+        doc["version"] = 2
+        checkpoint.write_text(json.dumps(doc))
+        assert "checkpoint version 2 is not supported" in self._fails_in_one_line(
+            capsys, checkpoint
+        )
+
     def test_missing_timeline_log_exits_2(self, capsys, tmp_path):
         checkpoint, _ = self._supervised(capsys, tmp_path)
-        (tmp_path / "checkpoints" / "timeline.jsonl").unlink()
-        assert "cannot read timeline log" in self._fails_in_one_line(capsys, checkpoint)
+        (tmp_path / "checkpoints" / "history.jsonl").unlink()
+        assert "cannot read history log" in self._fails_in_one_line(capsys, checkpoint)
 
 
 def _mix_args(trace_path, metrics_path=None, extra=()):
