@@ -25,7 +25,6 @@ from benchmarks._tiny import pick, tiny
 from repro.analysis.metrics import summarize_recovery
 from repro.analysis.reporting import banner, format_table
 from repro.chaos import kill_schedule, run_chaos_mix, run_script, mix_recipe
-from repro.server.config import ServerConfig
 from repro.workloads.mixes import get_mix
 
 CAP_W = 80.0
@@ -41,14 +40,11 @@ def test_warm_recovery_vs_cold_relearn(benchmark, emit, tmp_path, bench_metrics)
         apps,
         "app+res-aware",
         CAP_W,
-        config=ServerConfig(),
         duration_s=DURATION_S,
         warmup_s=WARMUP_S,
         use_oracle_estimates=False,
-        dt_s=0.1,
         seed=1,
         faults=None,
-        resilience=None,
     )
     baseline = run_script(recipe, script)
     total_ticks = baseline.tick_count

@@ -69,7 +69,6 @@ from repro.learning import (
     PreferenceMatrix,
     CollaborativeEstimator,
     StratifiedSampler,
-    RandomSampler,
     calibrate_sampling_fraction,
 )
 from repro.core import (
@@ -132,7 +131,6 @@ __all__ = [
     "PreferenceMatrix",
     "CollaborativeEstimator",
     "StratifiedSampler",
-    "RandomSampler",
     "calibrate_sampling_fraction",
     # core
     "PowerAllocator",

@@ -161,12 +161,6 @@ class AdversaryEngine:
         shape = min(1.0, max(0.0, power_w / peak_power_w))
         return perf * (1.0 + spec.magnitude * shape)
 
-    def active_attackers(self, now_s: float) -> list[str]:
-        """Apps whose attack window covers ``now_s``, sorted."""
-        return sorted(
-            app for app, spec in self._specs.items() if spec.active_at(now_s)
-        )
-
     # -------------------------------------------------------------- helpers
 
     def _is_admitted(self, app: str) -> bool:

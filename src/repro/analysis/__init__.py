@@ -1,14 +1,13 @@
 """Metric aggregation and table/series formatting for the benchmark harness.
 
 * :mod:`~repro.analysis.metrics` - normalized-throughput aggregation,
-  speedups over baselines, power-split statistics.
+  policy summaries, power-split statistics.
 * :mod:`~repro.analysis.reporting` - plain-text tables and series printers
   the benchmarks use to emit the same rows the paper's figures plot.
 """
 
 from repro.analysis.metrics import (
     mean_server_throughput,
-    speedup_over,
     power_split_stats,
     summarize_policies,
     summarize_recovery,
@@ -23,15 +22,9 @@ from repro.analysis.timeline import (
     render_series,
     render_modes,
 )
-from repro.analysis.export import (
-    results_to_json,
-    comparison_to_csv,
-    timeline_to_csv,
-)
 
 __all__ = [
     "mean_server_throughput",
-    "speedup_over",
     "power_split_stats",
     "summarize_policies",
     "summarize_recovery",
@@ -45,7 +38,4 @@ __all__ = [
     "render_power_timeline",
     "render_series",
     "render_modes",
-    "results_to_json",
-    "comparison_to_csv",
-    "timeline_to_csv",
 ]

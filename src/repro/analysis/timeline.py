@@ -77,16 +77,15 @@ def render_power_timeline(
     timeline: Sequence,
     *,
     apps: Sequence[str] | None = None,
-    width: int = 72,
 ) -> str:
-    """Strip chart of a mediator timeline: wall power, cap, per-app power.
+    """Strip chart of a mediator timeline: wall power, cap, per-app power,
+    in strips of :func:`render_series`'s default width.
 
     Args:
         timeline: ``TickRecord`` sequence (anything with ``time_s``,
             ``wall_w``, ``p_cap_w`` and ``app_power_w``).
         apps: Applications to include as their own rows; defaults to every
             app that ever drew power.
-        width: Cells per strip.
 
     Raises:
         ConfigurationError: on an empty timeline.
@@ -101,7 +100,6 @@ def render_power_timeline(
             "wall [W]",
             times,
             [r.wall_w for r in records],
-            width=width,
             ceiling=cap,
         )
         + f"  (cap {cap:.0f} W)"
@@ -114,12 +112,12 @@ def render_power_timeline(
     for app in apps:
         series = [r.app_power_w.get(app, 0.0) for r in records]
         if any(series):
-            lines.append(render_series(app, times, series, width=width))
+            lines.append(render_series(app, times, series))
     return "\n".join(lines)
 
 
-def render_modes(timeline: Sequence, *, width: int = 72) -> str:
-    """One strip showing the coordination mode over time.
+def render_modes(timeline: Sequence) -> str:
+    """One 72-cell strip showing the coordination mode over time.
 
     Glyphs: ``S`` space, ``T`` time, ``E`` ESD, ``.`` idle.
     """
@@ -128,8 +126,6 @@ def render_modes(timeline: Sequence, *, width: int = 72) -> str:
         raise ConfigurationError("timeline is empty")
     glyph_of = {"space": "S", "time": "T", "esd": "E", "idle": "."}
     modes = [glyph_of.get(r.mode.value, "?") for r in records]
-    cells = []
-    for i in range(min(width, len(modes))):
-        lo = i * len(modes) // min(width, len(modes))
-        cells.append(modes[lo])
+    width = min(72, len(modes))
+    cells = [modes[i * len(modes) // width] for i in range(width)]
     return f"{'mode':>12s} |{''.join(cells)}|  (S space, T time, E esd, . idle)"

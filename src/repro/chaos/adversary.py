@@ -64,7 +64,7 @@ from repro.core.simulation import (
 from repro.core.trust import DefenseConfig
 from repro.errors import ChaosError, ConfigurationError, SimulationError
 from repro.observability.metrics import MetricsRegistry
-from repro.server.config import DEFAULT_SERVER_CONFIG, ServerConfig
+from repro.server.config import DEFAULT_SERVER_CONFIG
 from repro.server.server import SimulatedServer
 from repro.workloads.mixes import get_mix
 from repro.workloads.profiles import WorkloadProfile
@@ -286,8 +286,6 @@ def _run_arm(
     policy: Policy | str,
     p_cap_w: float,
     *,
-    config: ServerConfig,
-    dt_s: float,
     seed: int,
     adversaries: AdversarySchedule | None,
     defense: DefenseConfig | None,
@@ -298,14 +296,13 @@ def _run_arm(
     if isinstance(policy, str):
         policy = make_policy(policy)
     battery = default_battery() if policy.uses_esd else None
-    server = SimulatedServer(config, seed=seed)
+    server = SimulatedServer(DEFAULT_SERVER_CONFIG, seed=seed)
     mediator = PowerMediator(
         server,
         policy,
         p_cap_w,
         battery=battery,
         use_oracle_estimates=True,
-        dt_s=dt_s,
         seed=seed,
         adversaries=adversaries,
         defense=defense,
@@ -338,11 +335,7 @@ def run_adversary_mix(
     scenario: AttackScenario | None = None,
     schedule: AdversarySchedule | None = None,
     attacker_index: int = 0,
-    config: ServerConfig = DEFAULT_SERVER_CONFIG,
-    dt_s: float = 0.1,
     seed: int = 0,
-    attack_seed: int | None = None,
-    defense: DefenseConfig | None = None,
     compare_undefended: bool = True,
     baseline: PowerMediator | None = None,
 ) -> AdversaryRunResult:
@@ -359,10 +352,8 @@ def run_adversary_mix(
         attacker_index: Which mix app turns adversarial (default schedule
             only).
         seed: Simulation seed, shared by every arm so the arms differ only
-            in the attack and the defense.
-        attack_seed: Seed for the attack's own RNG stream (probe phase
-            jitter); defaults to ``seed``.
-        defense: TrustScorer tunables for the defended arms (defaults on).
+            in the attack and the defense; it also seeds the attack's own
+            RNG stream (probe phase jitter).
         compare_undefended: Also run the undefended adversarial arm and
             enforce the defended >= undefended - slack guarantee.
         baseline: A pre-run all-honest control for the same scenario and
@@ -391,7 +382,7 @@ def run_adversary_mix(
             apps[attacker_index].name,
             kind=kind,
             start_s=scenario.attack_start_s,
-            seed=seed if attack_seed is None else attack_seed,
+            seed=seed,
         )
     attackers = tuple(schedule.apps())
     names = {p.name for p in apps}
@@ -406,8 +397,7 @@ def run_adversary_mix(
             "every mix app is adversarial; the harness measures honest-tenant "
             "utility, so at least one tenant must stay honest"
         )
-    defense_on = defense if defense is not None else DefenseConfig()
-    defense_off = DefenseConfig(enabled=False)
+    defense_on = DefenseConfig()
 
     # --- arm 1: all-honest control (defense armed, nothing to catch) ------
     if baseline is None:
@@ -415,8 +405,6 @@ def run_adversary_mix(
             apps,
             scenario.policy,
             scenario.p_cap_w,
-            config=config,
-            dt_s=dt_s,
             seed=seed,
             adversaries=None,
             defense=defense_on,
@@ -440,8 +428,6 @@ def run_adversary_mix(
         apps,
         scenario.policy,
         scenario.p_cap_w,
-        config=config,
-        dt_s=dt_s,
         seed=seed,
         adversaries=schedule,
         defense=defense_on,
@@ -468,7 +454,7 @@ def run_adversary_mix(
     latencies: dict[str, int] = {}
     for attacker in attackers:
         spec = schedule.spec_for(attacker)
-        start_tick = int(round(spec.start_s / dt_s))
+        start_tick = int(round(spec.start_s / defended.dt_s))
         latency = defended.trust.detection_latency(attacker, start_tick)
         if latency is None:
             raise ChaosError(
@@ -506,11 +492,9 @@ def run_adversary_mix(
             apps,
             scenario.policy,
             scenario.p_cap_w,
-            config=config,
-            dt_s=dt_s,
             seed=seed,
             adversaries=schedule,
-            defense=defense_off,
+            defense=DefenseConfig(enabled=False),
             total_s=scenario.total_s,
         )
         undefended_summary = _summarize(
@@ -546,8 +530,6 @@ def run_adversary_soak(
     kinds: tuple[str, ...] = ADVERSARY_KINDS,
     seeds: list[int] = (0, 1, 2),
     mix_id: int = 1,
-    config: ServerConfig = DEFAULT_SERVER_CONFIG,
-    dt_s: float = 0.1,
     compare_undefended: bool = True,
 ) -> AdversarySoakResult:
     """The byzantine soak: every attack kind across a seed matrix.
@@ -573,8 +555,6 @@ def run_adversary_soak(
                     list(get_mix(mix_id).profiles()),
                     scenario.policy,
                     scenario.p_cap_w,
-                    config=config,
-                    dt_s=dt_s,
                     seed=seed,
                     adversaries=None,
                     defense=DefenseConfig(),
@@ -585,8 +565,6 @@ def run_adversary_soak(
                     kind,
                     mix_id=mix_id,
                     scenario=scenario,
-                    config=config,
-                    dt_s=dt_s,
                     seed=seed,
                     compare_undefended=compare_undefended,
                     baseline=baselines[key],

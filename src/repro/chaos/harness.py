@@ -34,7 +34,6 @@ import numpy as np
 
 from repro.core.mediator import PowerMediator
 from repro.core.policies import Policy
-from repro.core.resilience import ResilienceConfig
 from repro.core.simulation import MixExperimentResult, summarize_mix_run
 from repro.errors import ChaosError, ConfigurationError, SimulationError
 from repro.faults.plan import FaultPlan
@@ -50,7 +49,6 @@ from repro.persistence.supervisor import (
     SetCap,
     Supervisor,
 )
-from repro.server.config import DEFAULT_SERVER_CONFIG, ServerConfig
 from repro.workloads.profiles import WorkloadProfile
 
 
@@ -159,14 +157,11 @@ def mix_recipe(
     policy: Policy | str,
     p_cap_w: float,
     *,
-    config: ServerConfig,
     duration_s: float,
     warmup_s: float,
     use_oracle_estimates: bool,
-    dt_s: float,
     seed: int,
     faults: FaultPlan | None,
-    resilience: ResilienceConfig | None,
     engine: str = "scalar",
 ) -> tuple[RunRecipe, list[Command]]:
     """The recipe + script equivalent of :func:`run_mix_experiment`."""
@@ -175,12 +170,9 @@ def mix_recipe(
     recipe = RunRecipe(
         policy=policy if isinstance(policy, str) else policy.name,
         p_cap_w=p_cap_w,
-        config=config,
         use_oracle_estimates=use_oracle_estimates,
-        dt_s=dt_s,
         seed=seed,
         faults=faults,
-        resilience=resilience,
         engine=engine,
     )
     script: list[Command] = [
@@ -215,16 +207,12 @@ def run_chaos_mix(
     workdir: str | Path,
     kill_ticks: list[int],
     mix_id: int = 0,
-    config: ServerConfig = DEFAULT_SERVER_CONFIG,
     duration_s: float = 10.0,
     warmup_s: float = 4.0,
     use_oracle_estimates: bool = False,
-    dt_s: float = 0.1,
     seed: int = 0,
     faults: FaultPlan | None = None,
-    resilience: ResilienceConfig | None = None,
     checkpoint_every_ticks: int = 50,
-    fsync_every_ticks: int = 25,
     safe_hold_ticks: int = 0,
     tear_journal_bytes_on_crash: int = 0,
     utility_tolerance: float = 0.01,
@@ -252,14 +240,11 @@ def run_chaos_mix(
         apps,
         policy,
         p_cap_w,
-        config=config,
         duration_s=duration_s,
         warmup_s=warmup_s,
         use_oracle_estimates=use_oracle_estimates,
-        dt_s=dt_s,
         seed=seed,
         faults=faults,
-        resilience=resilience,
     )
     if baseline is None:
         baseline_bus = TraceBus() if trace_bus is not None else None
@@ -279,7 +264,6 @@ def run_chaos_mix(
         script,
         workdir,
         checkpoint_every_ticks=checkpoint_every_ticks,
-        fsync_every_ticks=fsync_every_ticks,
         tick_hook=_kill_hook,
         safe_hold_ticks=safe_hold_ticks,
         tear_journal_bytes_on_crash=tear_journal_bytes_on_crash,
@@ -354,16 +338,12 @@ def run_chaos_soak(
     seeds: list[int],
     kills_per_run: int = 3,
     mix_id: int = 0,
-    config: ServerConfig = DEFAULT_SERVER_CONFIG,
     duration_s: float = 10.0,
     warmup_s: float = 4.0,
     use_oracle_estimates: bool = False,
-    dt_s: float = 0.1,
     seed: int = 0,
     faults: FaultPlan | None = None,
-    resilience: ResilienceConfig | None = None,
     checkpoint_every_ticks: int = 50,
-    fsync_every_ticks: int = 25,
     safe_hold_ticks: int = 0,
     tear_journal_bytes_on_crash: int = 0,
     utility_tolerance: float = 0.01,
@@ -387,14 +367,11 @@ def run_chaos_soak(
         apps,
         policy,
         p_cap_w,
-        config=config,
         duration_s=duration_s,
         warmup_s=warmup_s,
         use_oracle_estimates=use_oracle_estimates,
-        dt_s=dt_s,
         seed=seed,
         faults=faults,
-        resilience=resilience,
     )
     baseline = run_script(recipe, script, trace_bus=TraceBus() if trace else None)
     total_ticks = baseline.tick_count
@@ -410,16 +387,12 @@ def run_chaos_soak(
                 workdir=workdir / f"soak-{chaos_seed:04d}",
                 kill_ticks=ticks,
                 mix_id=mix_id,
-                config=config,
                 duration_s=duration_s,
                 warmup_s=warmup_s,
                 use_oracle_estimates=use_oracle_estimates,
-                dt_s=dt_s,
                 seed=seed,
                 faults=faults,
-                resilience=resilience,
                 checkpoint_every_ticks=checkpoint_every_ticks,
-                fsync_every_ticks=fsync_every_ticks,
                 safe_hold_ticks=safe_hold_ticks,
                 tear_journal_bytes_on_crash=tear_journal_bytes_on_crash,
                 utility_tolerance=utility_tolerance,

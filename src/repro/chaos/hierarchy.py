@@ -43,7 +43,6 @@ import numpy as np
 
 from repro.chaos.harness import kill_schedule
 from repro.cluster.cluster import NodeOutage, validate_outages
-from repro.cluster.controlplane import ControlPlaneConfig
 from repro.errors import ChaosError, ConfigurationError, SimulationError
 from repro.hierarchy import (
     BudgetTreeSimulator,
@@ -68,6 +67,16 @@ __all__ = [
 ]
 
 _EPS = 1e-6
+
+#: Interior controllers checkpoint every this many steps; a restart
+#: restores the previous checkpoint, so it replays stale state.
+_CHECKPOINT_EVERY = 10
+
+#: Clean steps after the schedule before the zombie-lease check.
+_DRAIN_STEPS = 40
+
+#: How far below its twin a sibling of a dark domain may average.
+_CONTAINMENT_TOLERANCE = 0.25
 
 
 def partition_schedule(
@@ -269,7 +278,6 @@ def _replay(
     outages: tuple[SubtreeOutage, ...],
     restart_events: dict[int, list[Path]],
     *,
-    checkpoint_every: int,
     drain_steps: int,
     metrics: MetricsRegistry | None,
 ) -> list[tuple[float, ...]]:
@@ -302,7 +310,7 @@ def _replay(
                 sim.restore(
                     path, state, step, checkpoint_age_steps=step - taken_at
                 )
-            if step % checkpoint_every == 0:
+            if step % _CHECKPOINT_EVERY == 0:
                 for path in sim.nodes:
                     checkpoints[path] = (step, sim.checkpoint(path))
         loaded = frozenset(range(loads[step] if scheduled else loads[-1]))
@@ -336,16 +344,8 @@ def run_hierarchy_chaos(
     n_steps: int = 120,
     budget_w: float | None = None,
     loss: float = 0.3,
-    partition_fraction: float = 0.25,
-    partition_windows: int = 2,
-    leaf_kills: int = 2,
     domain_outages: int = 2,
     controller_kills: int = 1,
-    checkpoint_every: int = 10,
-    config: ControlPlaneConfig | None = None,
-    quantum_w: float = 2.0,
-    drain_steps: int = 40,
-    containment_tolerance: float = 0.25,
     trace_bus: TraceBus = NULL_TRACE_BUS,
     metrics: MetricsRegistry | None = None,
 ) -> HierarchyChaosResult:
@@ -353,16 +353,18 @@ def run_hierarchy_chaos(
 
     Every stressor - load walk, root partitions, leaf kills, domain
     outages, controller crash ticks, and all network draws - derives from
-    ``seed``. The run replays twice: once with everything, once without
-    the domain outages and controller crashes (the containment twin).
-    Fabrics are lossy for the scheduled portion and clean during the
-    drain, so the hygiene checks are deterministic.
+    ``seed``; there are up to two root-fabric partition windows, each at
+    most a quarter of the schedule long, and up to two leaf kills. The run
+    replays twice: once with everything, once without the domain outages
+    and controller crashes (the containment twin). Fabrics are lossy for
+    the scheduled portion and clean during the drain, so the hygiene
+    checks are deterministic.
 
     Raises:
         ChaosError: if the delegation invariant breaks at any node on any
             tick, a dark domain's servers lose their safe-cap floor, a
-            sibling subtree degrades beyond ``containment_tolerance``, or
-            the drained tree still holds zombie leases.
+            sibling subtree averages more than 25% below its twin, or the
+            drained tree still holds zombie leases.
     """
     if not 0.0 <= loss < 1.0:
         raise ConfigurationError(f"loss must be in [0, 1), got {loss}")
@@ -371,7 +373,6 @@ def run_hierarchy_chaos(
         budget_w=(
             100.0 * int(np.prod(fanouts)) if budget_w is None else budget_w
         ),
-        quantum_w=quantum_w,
     )
     rng = np.random.default_rng(seed)
     loads = []
@@ -382,14 +383,14 @@ def run_hierarchy_chaos(
     partitions = partition_schedule(
         n_steps,
         fanouts[0],
-        windows=partition_windows,
-        max_fraction=partition_fraction,
+        windows=2,
+        max_fraction=0.25,
         seed=seed + 101,
     )
     node_outages = kill_outages(
         n_steps,
         spec.n_leaves,
-        kills=leaf_kills,
+        kills=2,
         max_down_steps=max(2, n_steps // 8),
         seed=seed + 202,
     )
@@ -408,13 +409,7 @@ def run_hierarchy_chaos(
     )
 
     def build() -> BudgetTreeSimulator:
-        return BudgetTreeSimulator(
-            spec,
-            net=net,
-            config=config,
-            trace_bus=trace_bus,
-            metrics=metrics,
-        )
+        return BudgetTreeSimulator(spec, net=net, trace_bus=trace_bus, metrics=metrics)
 
     sim = build()
     interior = [p for p in sim.topology.interior_paths() if p]
@@ -443,13 +438,12 @@ def run_hierarchy_chaos(
             down_sets,
             outages,
             restart_events,
-            checkpoint_every=checkpoint_every,
-            drain_steps=drain_steps,
+            drain_steps=_DRAIN_STEPS,
             metrics=metrics,
         )
     except SimulationError as exc:
         raise ChaosError(f"hierarchy chaos seed {seed}: {exc}") from None
-    final_step = n_steps + drain_steps - 1
+    final_step = n_steps + _DRAIN_STEPS - 1
     if not sim.zombie_free(final_step):
         raise ChaosError(
             f"hierarchy chaos seed {seed}: a subtree still enforces a lease "
@@ -481,7 +475,6 @@ def run_hierarchy_chaos(
                 down_sets,
                 (),
                 {},
-                checkpoint_every=checkpoint_every,
                 drain_steps=0,
                 metrics=metrics,
             )
@@ -507,14 +500,14 @@ def run_hierarchy_chaos(
                     continue
                 ratio = chaos_mean / twin_mean
                 min_ratio = min(min_ratio, ratio)
-                if ratio < 1.0 - containment_tolerance:
+                if ratio < 1.0 - _CONTAINMENT_TOLERANCE:
                     raise ChaosError(
                         f"hierarchy chaos seed {seed}: containment breach - "
                         f"sibling {format_path(sibling)} averaged "
                         f"{chaos_mean:.1f} W during the "
                         f"{format_path(outage.path)} outage vs "
                         f"{twin_mean:.1f} W undisturbed "
-                        f"({ratio:.3f} < {1.0 - containment_tolerance:.3f})"
+                        f"({ratio:.3f} < {1.0 - _CONTAINMENT_TOLERANCE:.3f})"
                     )
 
     return HierarchyChaosResult(
@@ -541,7 +534,6 @@ def run_hierarchy_soak(
     max_loss: float = 0.3,
     domain_outages: int = 2,
     controller_kills: int = 1,
-    config: ControlPlaneConfig | None = None,
 ) -> HierarchySoakResult:
     """Repeat :func:`run_hierarchy_chaos` across a seed matrix.
 
@@ -565,7 +557,6 @@ def run_hierarchy_soak(
                 loss=max_loss * (index + 1) / len(seeds),
                 domain_outages=domain_outages,
                 controller_kills=controller_kills,
-                config=config,
             )
         )
     return HierarchySoakResult(runs=tuple(runs))

@@ -84,7 +84,8 @@ class ChurnSchedule:
         total_ticks: Horizon the events are scattered over.
         events: Disconnect/reconnect pairs to schedule.
         seed: Chaos seed (independent of the simulation's RNG).
-        min_off_ticks / max_off_ticks: Disconnect duration bounds.
+
+    Each disconnect lasts 20 to 200 ticks.
     """
 
     def __init__(
@@ -94,22 +95,15 @@ class ChurnSchedule:
         total_ticks: int,
         events: int,
         seed: int,
-        min_off_ticks: int = 20,
-        max_off_ticks: int = 200,
     ) -> None:
         if clients < 1:
             raise ConfigurationError(f"need at least one client, got {clients}")
-        if not 1 <= min_off_ticks <= max_off_ticks:
-            raise ConfigurationError(
-                f"churn needs 1 <= min_off <= max_off, got "
-                f"{min_off_ticks}..{max_off_ticks}"
-            )
         self._by_tick: dict[int, list[tuple[str, int]]] = {}
         rng = np.random.default_rng(seed)
         for _ in range(max(0, events)):
             client = int(rng.integers(clients))
             start = int(rng.integers(1, max(2, total_ticks)))
-            off = int(rng.integers(min_off_ticks, max_off_ticks + 1))
+            off = int(rng.integers(20, 201))
             self._by_tick.setdefault(start, []).append(("disconnect", client))
             self._by_tick.setdefault(start + off, []).append(("connect", client))
         # Deterministic intra-tick order: connects first (so a same-tick
@@ -119,10 +113,6 @@ class ChurnSchedule:
 
     def at(self, tick: int) -> list[tuple[str, int]]:
         return self._by_tick.get(tick, [])
-
-    @property
-    def event_count(self) -> int:
-        return sum(len(v) for v in self._by_tick.values())
 
 
 def service_kill_hook(kill_ticks: list[int]) -> Callable[[int], None]:

@@ -169,8 +169,8 @@ def _print_resilience(fault_stats, total_ticks: int) -> None:
     )
 
 
-def _print_recovery(stats, *, dt_s: float = 0.1) -> None:
-    summary = summarize_recovery(stats, dt_s=dt_s)
+def _print_recovery(stats) -> None:
+    summary = summarize_recovery(stats)
     print(
         f"recovery: {summary.restarts} restarts "
         f"({summary.hangs_detected} hangs); "
@@ -250,14 +250,11 @@ def cmd_mix(args: argparse.Namespace) -> int:
             list(mix.profiles()),
             args.policy,
             args.cap,
-            config=ServerConfig(),
             duration_s=args.duration,
             warmup_s=args.warmup,
             use_oracle_estimates=args.oracle,
-            dt_s=0.1,
             seed=args.seed,
             faults=faults,
-            resilience=None,
             engine=args.engine,
         )
         supervisor = Supervisor(

@@ -32,7 +32,6 @@ from repro.cluster.controlplane import (
 from repro.cluster.manager import (
     CLUSTER_POLICY_NAMES,
     evaluate_equal_policy_bin,
-    evaluate_consolidation_bin,
 )
 from repro.cluster.migration import ConsolidationPlanner, ConsolidationWalker, PackedServer
 from repro.cluster.scheduler import (
@@ -54,7 +53,6 @@ __all__ = [
     "validate_outages",
     "CLUSTER_POLICY_NAMES",
     "evaluate_equal_policy_bin",
-    "evaluate_consolidation_bin",
     "ConsolidationPlanner",
     "ConsolidationWalker",
     "PackedServer",

@@ -5,15 +5,11 @@ server tick-by-tick for 24 hours is wasteful: within one cap *bin* (the cap
 quantized to a grid) every policy reaches a steady state, so the cluster
 simulator decomposes the trace into bins, evaluates each (policy, bin) once,
 and time-weights the results by bin residency. This module provides the
-per-bin evaluators:
-
-* :func:`evaluate_equal_policy_bin` - even per-server split, each server
-  simulated under a server policy (Util-Unaware for Equal(RAPL),
-  App+Res+ESD-Aware for Equal(Ours)); results are cached per
-  (mix, policy, per-server cap) since servers with the same mix and cap
-  behave identically.
-* :func:`evaluate_consolidation_bin` - the analytic consolidation packing
-  (uncapped servers have no control dynamics worth simulating).
+per-bin evaluator of the equal-split policies,
+:func:`evaluate_equal_policy_bin`: an even per-server split, each server
+simulated under a server policy (Util-Unaware for Equal(RAPL),
+App+Res+ESD-Aware for Equal(Ours)); results are cached per (mix, policy,
+per-server cap) since servers with the same mix and cap behave identically.
 """
 
 from __future__ import annotations
@@ -21,11 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.cluster.migration import ConsolidationPlan, ConsolidationPlanner
 from repro.core.simulation import run_mix_experiment
 from repro.server.config import ServerConfig
 from repro.workloads.mixes import Mix
-from repro.workloads.profiles import WorkloadProfile
 
 #: The Fig. 12 strategies.
 CLUSTER_POLICY_NAMES = ("equal-rapl", "equal-ours", "consolidation-migration")
@@ -44,13 +38,10 @@ class BinEvaluation:
     Attributes:
         aggregate_perf: Sum over all applications of ``Perf/Perf_nocap``.
         cluster_power_w: Mean cluster wall draw.
-        migrations: Placement changes charged when *entering* this bin
-            (consolidation only).
     """
 
     aggregate_perf: float
     cluster_power_w: float
-    migrations: int = 0
 
 
 def evaluate_equal_policy_bin(
@@ -129,40 +120,3 @@ def evaluate_equal_policy_bin(
         total_perf += perf
         total_power += power
     return BinEvaluation(aggregate_perf=total_perf, cluster_power_w=total_power)
-
-
-def evaluate_consolidation_bin(
-    planner: ConsolidationPlanner,
-    apps: list[WorkloadProfile],
-    cluster_cap_w: float,
-    *,
-    n_servers: int,
-    previous_plan: ConsolidationPlan | None,
-    bin_duration_s: float,
-) -> tuple[BinEvaluation, ConsolidationPlan]:
-    """Evaluate consolidation+migration at one cluster cap.
-
-    Migration downtime is charged against the bin's aggregate performance:
-    each moved application loses ``migration_downtime_s`` of execution out
-    of ``bin_duration_s``.
-
-    Returns the evaluation and the plan (for migration accounting at the
-    next bin).
-    """
-    plan = planner.plan(apps, cluster_cap_w, n_servers=n_servers)
-    migrations = planner.migrations_between(previous_plan, plan)
-    perf = plan.aggregate_perf
-    if migrations and bin_duration_s > 0:
-        lost_fraction = min(1.0, planner.migration_downtime_s / bin_duration_s)
-        # Downtime hits the migrated apps only; approximate their share of
-        # the aggregate by the mean per-app perf.
-        per_app = perf / max(1, len(apps))
-        perf = max(0.0, perf - migrations * per_app * lost_fraction)
-    return (
-        BinEvaluation(
-            aggregate_perf=perf,
-            cluster_power_w=plan.total_power_w,
-            migrations=migrations,
-        ),
-        plan,
-    )

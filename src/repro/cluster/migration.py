@@ -62,13 +62,13 @@ class ConsolidationPlan:
 class ConsolidationPlanner:
     """Packs applications onto the fewest uncapped servers within a budget.
 
+    A server holds at most one application per socket. The paper's premise is
+    that co-located applications do not share direct resources; its
+    migration "considers direct resource interference", i.e. keeps one
+    application per socket (own cores, LLC, DIMM).
+
     Args:
         config: Server hardware description.
-        max_apps_per_socket: Isolation limit. The paper's premise is that
-            co-located applications do not share direct resources; its
-            migration "considers direct resource interference", i.e. keeps
-            one application per socket (own cores, LLC, DIMM). Raising this
-            allows denser, interference-oblivious packing.
         migration_downtime_s: Execution lost per migrated application when
             the placement changes (stop-and-copy of application state over
             the cluster network).
@@ -78,64 +78,37 @@ class ConsolidationPlanner:
         self,
         config: ServerConfig,
         *,
-        max_apps_per_socket: int = 1,
         migration_downtime_s: float = 90.0,
     ) -> None:
-        if max_apps_per_socket < 1:
-            raise ConfigurationError("max_apps_per_socket must be at least 1")
         if migration_downtime_s < 0:
             raise ConfigurationError("migration_downtime_s must be non-negative")
         self._config = config
         self._perf = PerformanceModel(config)
         self._power = PowerModel(config, self._perf)
-        self._max_per_socket = max_apps_per_socket
         self.migration_downtime_s = migration_downtime_s
-
-    def packed_knob(self, apps_on_socket: int) -> KnobSetting:
-        """The knob a packed application runs at: full frequency and DRAM,
-        cores divided evenly across the socket's tenants."""
-        cores = max(
-            self._config.cores_min, self._config.cores_per_socket // max(1, apps_on_socket)
-        )
-        cores = min(cores, self._config.cores_max)
-        return KnobSetting(
-            self._config.freq_max_ghz, cores, self._config.dram_power_max_w
-        )
 
     def server_load(
         self, apps: list[WorkloadProfile]
     ) -> tuple[float, dict[str, float]]:
         """Uncapped draw and per-app relative perf of one packed server.
 
-        Applications are balanced across the two sockets; DRAM allocation is
-        shared when a socket hosts two tenants (each gets half the DIMM
-        power - the direct-resource cost of packing).
+        Each application gets a socket of its own and runs at full
+        frequency and DRAM on that socket's cores.
         """
-        if len(apps) > self._config.sockets * self._max_per_socket:
+        cfg = self._config
+        if len(apps) > cfg.sockets:
             raise ConfigurationError(
-                f"cannot pack {len(apps)} apps onto one server "
-                f"(limit {self._config.sockets * self._max_per_socket})"
+                f"cannot pack {len(apps)} apps onto one server (limit {cfg.sockets})"
             )
-        # Round-robin placement across sockets.
-        sockets: list[list[WorkloadProfile]] = [[] for _ in range(self._config.sockets)]
-        for i, profile in enumerate(apps):
-            sockets[i % self._config.sockets].append(profile)
-        total = self._config.p_idle_w + (self._config.p_cm_w if apps else 0.0)
+        cores = min(max(cfg.cores_min, cfg.cores_per_socket), cfg.cores_max)
+        knob = KnobSetting(cfg.freq_max_ghz, cores, cfg.dram_power_max_w)
+        total = cfg.p_idle_w + (cfg.p_cm_w if apps else 0.0)
         perfs: dict[str, float] = {}
-        for tenants in sockets:
-            for profile in tenants:
-                knob = self.packed_knob(len(tenants))
-                if len(tenants) > 1:
-                    # Halve the DIMM allocation per tenant, on the grid.
-                    half = max(
-                        self._config.dram_power_min_w,
-                        round(self._config.dram_power_max_w / len(tenants)),
-                    )
-                    knob = KnobSetting(knob.freq_ghz, knob.cores, float(half))
-                total += self._power.app_power_w(profile, knob)
-                perfs[profile.name] = self._perf.rate(profile, knob) / self._perf.peak_rate(
-                    profile
-                )
+        for profile in apps:
+            total += self._power.app_power_w(profile, knob)
+            perfs[profile.name] = self._perf.rate(profile, knob) / self._perf.peak_rate(
+                profile
+            )
         return total, perfs
 
     def plan(
@@ -164,7 +137,7 @@ class ConsolidationPlanner:
                 total_power_w=0.0,
                 aggregate_perf=0.0,
             )
-        capacity = n_active * self._config.sockets * self._max_per_socket
+        capacity = n_active * self._config.sockets
         placed = list(apps[:capacity])
         dropped = tuple(p.name for p in apps[capacity:])
         # Native density is one app per socket; consolidate to that density

@@ -123,12 +123,6 @@ class PowerAwareScheduler:
     def strategy(self) -> str:
         return self._strategy
 
-    def set_cap(self, server: int, p_cap_w: float) -> None:
-        """Update one server's cap (cluster-level re-budgeting)."""
-        if p_cap_w <= 0:
-            raise ConfigurationError("cap must be positive")
-        self._servers[server].p_cap_w = p_cap_w
-
     # -------------------------------------------------------------- scoring
 
     def _candidates_of(self, profile: WorkloadProfile) -> CandidateSet:

@@ -32,7 +32,6 @@ from repro.core.utility import (
     UtilityCurve,
     app_utility_curve,
     resource_marginal_utilities,
-    pareto_envelope,
     CandidateSet,
 )
 from repro.core.allocator import PowerAllocator, Allocation, AppAllocation
@@ -66,7 +65,6 @@ __all__ = [
     "UtilityCurve",
     "app_utility_curve",
     "resource_marginal_utilities",
-    "pareto_envelope",
     "CandidateSet",
     "PowerAllocator",
     "Allocation",

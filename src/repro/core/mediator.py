@@ -69,7 +69,12 @@ from repro.faults.plan import FaultPlan
 from repro.learning.collaborative import CollaborativeEstimator
 from repro.learning.crossval import build_exhaustive_corpus
 from repro.learning.matrix import PreferenceMatrix
-from repro.learning.sampling import Sampler, StratifiedSampler
+from repro.learning.sampling import (
+    SAMPLE_PERF_NOISE_REL,
+    SAMPLE_POWER_NOISE_W,
+    Sampler,
+    StratifiedSampler,
+)
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.profiling import PhaseProfiler
 from repro.observability.trace import NULL_TRACE_BUS, TraceBus
@@ -231,10 +236,10 @@ class PowerMediator:
         use_oracle_estimates: Bypass the learning pipeline and hand policies
             the true response surfaces; used to separate policy quality from
             estimation error in ablations.
-        power_noise_std_w / perf_noise_relative_std: Measurement noise on
-            online calibration samples.
         dt_s: Tick length for :meth:`run_for`.
-        seed: Seed for calibration noise.
+        seed: Seed for the calibration samples' measurement noise
+            (:data:`~repro.learning.sampling.SAMPLE_POWER_NOISE_W` and
+            :data:`~repro.learning.sampling.SAMPLE_PERF_NOISE_REL`).
         faults: Optional fault plan; when given, a
             :class:`~repro.faults.injector.FaultInjector` degrades the
             substrate on schedule and the resilience layer earns its keep.
@@ -260,8 +265,6 @@ class PowerMediator:
         corpus: PreferenceMatrix | None = None,
         sampler: Sampler | None = None,
         use_oracle_estimates: bool = False,
-        power_noise_std_w: float = 0.3,
-        perf_noise_relative_std: float = 0.02,
         dt_s: float = 0.1,
         seed: int = 0,
         faults: FaultPlan | None = None,
@@ -280,8 +283,6 @@ class PowerMediator:
         self._battery = battery
         self._dt_s = dt_s
         self._rng = np.random.default_rng(seed)
-        self._power_noise_std_w = power_noise_std_w
-        self._perf_noise_relative_std = perf_noise_relative_std
         self._sampler = sampler if sampler is not None else StratifiedSampler(0.10, seed=seed)
         self._use_oracle = use_oracle_estimates
 
@@ -343,6 +344,11 @@ class PowerMediator:
         return self._policy
 
     @property
+    def sampler(self) -> Sampler:
+        """The online sampling strategy calibration measures with."""
+        return self._sampler
+
+    @property
     def p_cap_w(self) -> float:
         cap = self._accountant.p_cap_w
         assert cap is not None  # set in __init__
@@ -369,10 +375,6 @@ class PowerMediator:
     def fault_stats(self) -> FaultStats:
         """Resilience counters for this run (live object)."""
         return self._fault_stats
-
-    @property
-    def fault_injector(self) -> FaultInjector | None:
-        return self._injector
 
     @property
     def trace_bus(self) -> TraceBus:
@@ -513,7 +515,7 @@ class PowerMediator:
         """Snapshot every piece of mutable mediation state.
 
         Together with the constructor recipe (server config, policy name,
-        sampler spec, seeds, fault plan - see
+        seeds, fault plan - see
         :mod:`repro.persistence.checkpoint`), this is sufficient to rebuild
         a mediator that continues the run **bit-identically**: all RNG
         streams, the event ledger, the coordinator's execution cursor, the
@@ -1460,16 +1462,10 @@ class PowerMediator:
                 perf = self._adversary.distort_calibration(
                     app, self._server.now_s, power, perf, peak_power_w
                 )
-                if self._power_noise_std_w > 0:
-                    power = max(
-                        0.0, power + float(self._rng.normal(0.0, self._power_noise_std_w))
-                    )
-                if self._perf_noise_relative_std > 0:
-                    perf = max(
-                        0.0,
-                        perf
-                        * (1.0 + float(self._rng.normal(0.0, self._perf_noise_relative_std))),
-                    )
+                power = max(0.0, power + float(self._rng.normal(0.0, SAMPLE_POWER_NOISE_W)))
+                perf = max(
+                    0.0, perf * (1.0 + float(self._rng.normal(0.0, SAMPLE_PERF_NOISE_REL)))
+                )
                 if self._watchdog.degraded:
                     # Calibrating on an untrusted sensor: err toward
                     # over-estimating draw so allocations stay defensible.

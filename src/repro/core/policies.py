@@ -241,17 +241,15 @@ class Policy(abc.ABC):
         ctx: PolicyContext,
         on_knobs: dict[str, KnobSetting | None],
         rel_perf: dict[str, float],
-        *,
-        share_floor: float,
     ) -> AllocationPlan:
         """Utility-weighted duty cycling: every runnable app keeps at least
-        ``share_floor`` of the rotation; the remainder goes to the app whose
+        a quarter of the rotation; the remainder goes to the app whose
         ON-configuration delivers the most normalized performance per unit
         time (the linear objective's optimum under the fairness floor)."""
         runnable = sorted(n for n, k in on_knobs.items() if k is not None)
         if not runnable:
             return self._idle_plan(ctx)
-        floor = min(share_floor, 1.0 / len(runnable))
+        floor = min(0.25, 1.0 / len(runnable))
         shares = {name: floor for name in runnable}
         # De-weighted tenants still keep the fairness floor; they just stop
         # winning the discretionary remainder of the rotation.
@@ -434,9 +432,8 @@ class AppAwarePolicy(Policy):
     needs_learning = True
     uses_esd = False
 
-    def __init__(self, *, allocator: PowerAllocator | None = None, share_floor: float = 0.25):
-        self._allocator = allocator if allocator is not None else PowerAllocator()
-        self._share_floor = share_floor
+    def __init__(self) -> None:
+        self._allocator = PowerAllocator()
 
     def plan(self, ctx: PolicyContext) -> AllocationPlan:
         budget = ctx.dynamic_budget_w
@@ -468,9 +465,7 @@ class AppAwarePolicy(Policy):
             on_knobs[name] = cset.knobs[idx] if idx is not None else None
             if idx is not None:
                 rel[name] = float(cset.perf[idx] / cset.perf_nocap)
-        return self._weighted_time_plan(
-            ctx, on_knobs, rel, share_floor=self._share_floor
-        )
+        return self._weighted_time_plan(ctx, on_knobs, rel)
 
 
 class AppResAwarePolicy(Policy):
@@ -485,9 +480,8 @@ class AppResAwarePolicy(Policy):
     needs_learning = True
     uses_esd = False
 
-    def __init__(self, *, allocator: PowerAllocator | None = None, share_floor: float = 0.25):
-        self._allocator = allocator if allocator is not None else PowerAllocator()
-        self._share_floor = share_floor
+    def __init__(self) -> None:
+        self._allocator = PowerAllocator()
 
     def plan(self, ctx: PolicyContext) -> AllocationPlan:
         budget = ctx.dynamic_budget_w
@@ -512,9 +506,7 @@ class AppResAwarePolicy(Policy):
             on_knobs[name] = cset.knobs[idx] if idx is not None else None
             if idx is not None:
                 rel[name] = float(cset.perf[idx] / cset.perf_nocap)
-        return self._weighted_time_plan(
-            ctx, on_knobs, rel, share_floor=self._share_floor
-        )
+        return self._weighted_time_plan(ctx, on_knobs, rel)
 
 
 class AppResEsdAwarePolicy(Policy):
@@ -530,8 +522,8 @@ class AppResEsdAwarePolicy(Policy):
     needs_learning = True
     uses_esd = True
 
-    def __init__(self, *, allocator: PowerAllocator | None = None):
-        self._allocator = allocator if allocator is not None else PowerAllocator()
+    def __init__(self) -> None:
+        self._allocator = PowerAllocator()
 
     def plan(self, ctx: PolicyContext) -> AllocationPlan:
         if ctx.battery is None:

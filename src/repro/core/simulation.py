@@ -32,12 +32,10 @@ from repro.workloads.mixes import Mix
 from repro.workloads.profiles import WorkloadProfile
 
 
-def verify_cap_invariant(
-    mediator: PowerMediator, *, tolerance_w: float = 1e-6
-) -> int:
+def verify_cap_invariant(mediator: PowerMediator) -> int:
     """Post-run audit of the cap invariant over the recorded timeline.
 
-    Every tick must satisfy ``wall <= cap + tolerance`` *unless* the tick is
+    Every tick must satisfy ``wall <= cap + 1e-6 W`` *unless* the tick is
     flagged as a breach (the emergency throttle fired and the next tick is
     clean - persistent breaches raise during the run). Flagged ticks must
     also agree with the mediator's breach counter, so violations surface
@@ -51,7 +49,7 @@ def verify_cap_invariant(
     """
     flagged = 0
     for record in mediator.timeline:
-        over = record.wall_w > record.p_cap_w + tolerance_w
+        over = record.wall_w > record.p_cap_w + 1e-6
         if over and not record.breach:
             raise SimulationError(
                 f"timeline records wall {record.wall_w:.3f} W over cap "
@@ -247,7 +245,6 @@ def run_policy_comparison(
     duration_s: float = 60.0,
     warmup_s: float = 10.0,
     use_oracle_estimates: bool = False,
-    dt_s: float = 0.1,
     seed: int = 0,
     engine: str = "scalar",
 ) -> dict[int, dict[str, MixExperimentResult]]:
@@ -268,7 +265,6 @@ def run_policy_comparison(
                 duration_s=duration_s,
                 warmup_s=warmup_s,
                 use_oracle_estimates=use_oracle_estimates,
-                dt_s=dt_s,
                 seed=seed,
                 engine=engine,
             )
@@ -319,13 +315,9 @@ def run_dynamic_experiment(
     horizon_s: float,
     config: ServerConfig = DEFAULT_SERVER_CONFIG,
     group_width: int | None = None,
-    battery: LeadAcidBattery | None = None,
     use_oracle_estimates: bool = False,
-    dt_s: float = 0.1,
     seed: int = 0,
     faults: FaultPlan | None = None,
-    resilience: ResilienceConfig | None = None,
-    trace_bus: TraceBus | None = None,
     engine: str = "scalar",
 ) -> DynamicExperimentResult:
     """Replay an arrival schedule against one mediated server.
@@ -333,7 +325,8 @@ def run_dynamic_experiment(
     Arrivals that do not fit (no free core group) are rejected - a cluster
     scheduler would place them elsewhere; this driver studies one server.
     Departures happen naturally on completion (event E3). All calibration
-    and re-allocation overheads are charged.
+    and re-allocation overheads are charged. ESD policies get a
+    :func:`default_battery`.
 
     Args:
         schedule: The arrivals to replay (consumed; pass a fresh schedule
@@ -344,30 +337,24 @@ def run_dynamic_experiment(
         config: Server hardware.
         group_width: Core-group width per arrival (narrower admits more
             concurrent applications).
-        battery: ESD; defaults to :func:`default_battery` for ESD policies.
-        use_oracle_estimates / dt_s / seed: As in :func:`run_mix_experiment`.
-        faults / resilience: As in :func:`run_mix_experiment`.
-        engine: As in :func:`run_mix_experiment`.
+        use_oracle_estimates / seed / faults / engine: As in
+            :func:`run_mix_experiment`.
     """
     if horizon_s <= 0:
         raise ConfigurationError("horizon_s must be positive")
     if isinstance(policy, str):
         policy = make_policy(policy)
-    if policy.uses_esd and battery is None:
-        battery = default_battery()
     server = SimulatedServer(config, seed=seed, engine=engine)
     mediator = PowerMediator(
         server,
         policy,
         p_cap_w,
-        battery=battery,
+        battery=default_battery() if policy.uses_esd else None,
         use_oracle_estimates=use_oracle_estimates,
-        dt_s=dt_s,
         seed=seed,
         faults=faults,
-        resilience=resilience,
-        trace_bus=trace_bus,
     )
+    dt_s = mediator.dt_s
     admitted: list[str] = []
     rejected: list[str] = []
     admission_time: dict[str, float] = {}

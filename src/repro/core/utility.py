@@ -226,7 +226,12 @@ class CandidateSet:
 
     @property
     def frontier(self) -> Frontier:
-        """The set's Pareto frontier (see :func:`pareto_envelope`)."""
+        """The set's power-performance Pareto frontier.
+
+        A knob is on the frontier when no other knob delivers at least its
+        performance for strictly less power. The allocator's DP only needs
+        these points (choosing a dominated config is never optimal).
+        """
         frontier = self._frontier
         if frontier is None:
             frontier = Frontier(self.power_w, self.perf, self.perf_nocap)
@@ -241,18 +246,6 @@ class CandidateSet:
             return None
         masked = np.where(feasible, self.perf, -np.inf)
         return int(np.argmax(masked))
-
-
-def pareto_envelope(candidates: CandidateSet) -> list[int]:
-    """Indices of the power-performance Pareto frontier, by ascending power.
-
-    A knob is on the frontier when no other knob delivers at least its
-    performance for strictly less power. The allocator's DP only needs these
-    points (choosing a dominated config is never optimal), which shrinks the
-    per-app choice set from 432 knobs to roughly a third of them on the
-    catalog applications.
-    """
-    return candidates.frontier.indices.tolist()
 
 
 @dataclass(frozen=True)
@@ -280,26 +273,10 @@ class UtilityCurve:
                 break
         return value
 
-    def marginal_utility(self) -> list[float]:
-        """Finite-difference slope (utility per watt) between budget points.
-
-        This is the per-watt "slope" the paper's R1 discussion is about -
-        the quantity that differs across applications and across budget
-        levels, making even apportioning suboptimal.
-        """
-        slopes: list[float] = []
-        for i in range(1, len(self.budgets_w)):
-            dp = self.budgets_w[i] - self.budgets_w[i - 1]
-            dv = self.relative_perf[i] - self.relative_perf[i - 1]
-            slopes.append(dv / dp if dp > 0 else 0.0)
-        return slopes
-
 
 def app_utility_curve(
     candidates: CandidateSet,
     budgets_w: list[float] | None = None,
-    *,
-    grain_w: float = 1.0,
 ) -> UtilityCurve:
     """The Fig. 2 curve: best relative performance vs. power budget.
 
@@ -307,12 +284,11 @@ def app_utility_curve(
         candidates: The app's candidate set (oracle or estimated).
         budgets_w: Budgets to tabulate; defaults to a 1 W grid from just
             below the cheapest config to the unconstrained demand.
-        grain_w: Grid spacing for the default budget list.
     """
     if budgets_w is None:
         lo = np.floor(candidates.min_power_w)
         hi = np.ceil(candidates.max_power_w)
-        budgets_w = [float(b) for b in np.arange(lo, hi + grain_w / 2, grain_w)]
+        budgets_w = [float(b) for b in np.arange(lo, hi + 0.5, 1.0)]
     values: list[float] = []
     for budget in budgets_w:
         idx = candidates.best_index_under(budget)
@@ -331,7 +307,6 @@ def resource_marginal_utilities(
     config: ServerConfig,
     *,
     reference: KnobSetting | None = None,
-    power_model: PowerModel | None = None,
 ) -> dict[str, float]:
     """The Fig. 3 quantities: performance per watt of each direct resource.
 
@@ -346,7 +321,7 @@ def resource_marginal_utilities(
     Returns ``{resource: delta_relative_perf_per_watt}``; a resource already
     at its maximum contributes 0.0.
     """
-    power_model = power_model if power_model is not None else PowerModel(config)
+    power_model = PowerModel(config)
     perf_model = power_model.perf_model
     freqs = config.frequencies_ghz
     if reference is None:

@@ -25,7 +25,7 @@ it affordable at scale, never to redefine it.
 from __future__ import annotations
 
 from repro.engine.models import VectorPerformanceModel, VectorPowerModel
-from repro.engine.surface import ConfigGrid, ResponseSurface, grid_for, surface_for
+from repro.engine.surface import ConfigGrid, ResponseSurface, grid_for
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "VectorPerformanceModel",
     "VectorPowerModel",
     "grid_for",
-    "surface_for",
     "validate_engine",
 ]
 

@@ -12,9 +12,9 @@ faults, no plan epochs, no phase edges, no trust transitions, no
 arrivals/departures) executes ticks whose per-tick quantities are either
 constant or constant-increment accumulators:
 
-* simulated time, per-app work done, heartbeat totals, histogram sums,
-  battery charge ledgers, ESD phase elapsed, TIME slot elapsed, PC6
-  residency — all of the form ``s += c`` with a constant ``c``;
+* simulated time, per-app work done, histogram sums, battery charge
+  ledgers, ESD phase elapsed, TIME slot elapsed — all of the form
+  ``s += c`` with a constant ``c``;
 * trust scores under zero violations — ``s *= decay``;
 * RAPL energy counters — ``s = (s + c) % wrap``.
 
@@ -542,7 +542,6 @@ class MediatedFleet:
             cap_w=cap_w,
             charge_w=charge_w,
             discharge_w=discharge_w,
-            deep_sleep=deep_sleep,
             work_per_app=work_per_app,
             running=running,
             domain_powers=domain_powers,
@@ -570,7 +569,6 @@ class MediatedFleet:
         cap_w: float,
         charge_w: float,
         discharge_w: float,
-        deep_sleep: bool,
         work_per_app: dict[str, float],
         running: dict,
         domain_powers: dict[str, float],
@@ -637,11 +635,6 @@ class MediatedFleet:
                 history.popleft()
             history.extend([HeartbeatRecord(t, beats) for t in survivors])
             hb._last_emit_s[name] = final_t
-            if beats != 0.0:
-                hb._totals[name] = _seq_add_final(hb._totals[name], beats, k)
-        if deep_sleep:
-            sleep = server._sleep
-            sleep._time_in_pc6_s = _seq_add_final(sleep._time_in_pc6_s, dt, k)
 
         # Battery ledgers and the ESD phase cursor.
         socs: Iterable[float | None] = repeat(

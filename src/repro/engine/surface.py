@@ -41,7 +41,7 @@ import numpy as np
 from repro.server.config import KnobSetting, ServerConfig
 from repro.workloads.profiles import WorkloadProfile
 
-__all__ = ["ConfigGrid", "Frontier", "ResponseSurface", "grid_for", "surface_for"]
+__all__ = ["ConfigGrid", "Frontier", "ResponseSurface", "grid_for"]
 
 
 def _pow(base: np.ndarray, exponent: float) -> np.ndarray:
@@ -275,8 +275,3 @@ def grid_for(config: ServerConfig) -> ConfigGrid:
         grid = ConfigGrid(config)
         _GRIDS[config] = grid
     return grid
-
-
-def surface_for(config: ServerConfig, profile: WorkloadProfile) -> ResponseSurface:
-    """Convenience: the cached surface of ``profile`` on ``config``'s grid."""
-    return grid_for(config).surface(profile)

@@ -84,15 +84,6 @@ class FaultError(ReproError):
     """
 
 
-class TelemetryError(ReproError):
-    """A telemetry reading could not be produced or trusted.
-
-    Examples: reading a sensor that is inside a blackout window, or asking
-    the watchdog for an observation when every recent sample was dropped and
-    no model-predicted fallback was configured.
-    """
-
-
 class PersistenceError(ReproError):
     """Checkpoint/journal state could not be saved or restored.
 

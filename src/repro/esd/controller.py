@@ -57,13 +57,6 @@ class DutyCycle:
         """Fraction of wall-clock time the applications execute."""
         return self.on_s / self.period_s if self.period_s > 0 else 0.0
 
-    @property
-    def off_on_ratio(self) -> float:
-        """The left-hand side of Eq. (5)."""
-        if self.on_s <= 0:
-            return float("inf")
-        return self.off_s / self.on_s
-
 
 class Phase(enum.Enum):
     """Where the controller currently is within the duty cycle."""
@@ -175,15 +168,6 @@ class EsdController:
         """``True`` while applications should be executing."""
         return self._phase is Phase.ON
 
-    def replace_cycle(self, cycle: DutyCycle) -> None:
-        """Adopt a new schedule (after a re-allocation); the phase machine
-        restarts in OFF when the new schedule has an OFF phase."""
-        if cycle.period_s <= 0:
-            raise ConfigurationError("duty cycle must have a positive period")
-        self._cycle = cycle
-        self._phase = Phase.OFF if cycle.off_s > 0 else Phase.ON
-        self._phase_elapsed_s = 0.0
-
     def state_dict(self) -> dict:
         """Snapshot the schedule and phase machine for checkpointing."""
         return {
@@ -200,9 +184,9 @@ class EsdController:
     def load_state_dict(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot exactly.
 
-        The phase is written directly rather than via :meth:`replace_cycle`,
-        which would restart the machine in OFF regardless of where the
-        checkpointed run actually was within its period.
+        The phase is written directly rather than by installing a fresh
+        cycle, which would restart the machine in OFF regardless of where
+        the checkpointed run actually was within its period.
         """
         cycle = state["cycle"]
         self._cycle = DutyCycle(

@@ -88,10 +88,6 @@ class FaultInjector:
         """Fault classes with at least one window currently open."""
         return {spec.kind for spec in self._active.values()}
 
-    def telemetry_fault_active(self) -> bool:
-        """Whether any telemetry fault window is open right now."""
-        return "telemetry" in self.active_kinds()
-
     # ------------------------------------------------------------ persistence
 
     def state_dict(self) -> dict:

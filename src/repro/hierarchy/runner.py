@@ -261,9 +261,6 @@ class BudgetTreeSimulator:
     def config(self) -> ControlPlaneConfig:
         return self._config
 
-    def leaf_agent(self, flat_id: int) -> NodeAgent:
-        return self.leaf_agents[flat_id]
-
     def _dark(
         self, step: int, outages: Sequence[SubtreeOutage]
     ) -> tuple[frozenset[int], frozenset[Path]]:

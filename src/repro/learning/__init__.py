@@ -20,16 +20,14 @@ numpy here).
 
 from repro.learning.matrix import PreferenceMatrix
 from repro.learning.collaborative import AlsFactorizer, CollaborativeEstimator
-from repro.learning.sampling import RandomSampler, StratifiedSampler, AdaptiveSampler, Sampler
+from repro.learning.sampling import Sampler, StratifiedSampler
 from repro.learning.crossval import CalibrationPoint, calibrate_sampling_fraction
 
 __all__ = [
     "PreferenceMatrix",
     "AlsFactorizer",
     "CollaborativeEstimator",
-    "RandomSampler",
     "StratifiedSampler",
-    "AdaptiveSampler",
     "Sampler",
     "CalibrationPoint",
     "calibrate_sampling_fraction",

@@ -70,21 +70,6 @@ class AlsFactorizer:
     def rank(self) -> int:
         return self._rank
 
-    @property
-    def is_fitted(self) -> bool:
-        return self._col_factors is not None
-
-    @property
-    def col_factors(self) -> np.ndarray:
-        """Item factors, shape ``(n_cols, rank)``.
-
-        Raises:
-            LearningError: before :meth:`fit`.
-        """
-        if self._col_factors is None:
-            raise LearningError("factorizer has not been fitted")
-        return self._col_factors
-
     def fit(self, values: np.ndarray, mask: np.ndarray) -> None:
         """Factorize ``values`` (NaN-free where ``mask`` is True).
 
@@ -190,28 +175,14 @@ class CollaborativeEstimator:
     """Two-plane (power + performance) collaborative estimator.
 
     Args:
-        rank / ridge / iterations / seed: Forwarded to both factorizers.
+        seed: Initialization seed of the power factorizer; the performance
+            one takes ``seed + 1``.
     """
 
-    def __init__(
-        self,
-        *,
-        rank: int = 6,
-        ridge: float = 0.05,
-        iterations: int = 25,
-        seed: int = 0,
-    ) -> None:
-        self._power_model = AlsFactorizer(
-            rank=rank, ridge=ridge, iterations=iterations, seed=seed
-        )
-        self._perf_model = AlsFactorizer(
-            rank=rank, ridge=ridge, iterations=iterations, seed=seed + 1
-        )
+    def __init__(self, *, seed: int = 0) -> None:
+        self._power_model = AlsFactorizer(seed=seed)
+        self._perf_model = AlsFactorizer(seed=seed + 1)
         self._trained = False
-
-    @property
-    def is_trained(self) -> bool:
-        return self._trained
 
     def train(self, corpus: PreferenceMatrix) -> None:
         """Factorize the corpus of previously seen applications.

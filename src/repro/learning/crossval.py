@@ -35,11 +35,19 @@ from repro.engine.surface import grid_for
 from repro.errors import ConfigurationError, LearningError
 from repro.learning.collaborative import CollaborativeEstimator
 from repro.learning.matrix import PreferenceMatrix
-from repro.learning.sampling import Sampler, StratifiedSampler
+from repro.learning.sampling import (
+    SAMPLE_PERF_NOISE_REL,
+    SAMPLE_POWER_NOISE_W,
+    StratifiedSampler,
+)
 from repro.server.config import ServerConfig
 from repro.server.perf_model import PerformanceModel
 from repro.server.power_model import PowerModel
 from repro.workloads.profiles import WorkloadProfile
+
+#: The chooser's per-application power budget: the equal split of the
+#: paper's 100 W scenario.
+CHOOSER_BUDGET_W = 15.0
 
 
 @dataclass(frozen=True)
@@ -137,32 +145,21 @@ def calibrate_sampling_fraction(
     fractions: list[float],
     *,
     folds: int = 5,
-    budget_w: float = 15.0,
-    power_noise_std_w: float = 0.3,
-    perf_noise_relative_std: float = 0.02,
     seed: int = 0,
-    rank: int = 6,
-    sampler_factory: "type[Sampler] | None" = None,
 ) -> list[CalibrationPoint]:
     """Run the Fig. 7 cross-validation sweep.
+
+    Each held-out app is measured by a :class:`StratifiedSampler`, with the
+    mediator's online measurement noise on every sample (the corpus uses
+    long offline profiling and is treated as clean), and the chooser picks
+    its best knob under :data:`CHOOSER_BUDGET_W`.
 
     Args:
         config: Server (knob space + models).
         profiles: The application corpus (the paper uses its full catalog).
         fractions: Sampling fractions to evaluate (the x-axis).
         folds: Cross-validation folds (5 in the paper).
-        budget_w: Per-application power budget used by the chooser; 15 W is
-            the equal split of the paper's 100 W scenario.
-        power_noise_std_w / perf_noise_relative_std: Measurement noise on
-            the *online samples* (the corpus uses long offline profiling and
-            is treated as clean).
         seed: Controls fold assignment, noise and samplers.
-        rank: Latent rank of the collaborative model.
-        sampler_factory: Sampler class to instantiate per (fraction, app);
-            defaults to :class:`StratifiedSampler`. Pass
-            :class:`~repro.learning.sampling.RandomSampler` to reproduce the
-            harsher low-fraction overshoot regime of the paper's Fig. 7
-            (random samples can miss the high-power corner entirely).
 
     Raises:
         ConfigurationError: with fewer profiles than folds.
@@ -181,7 +178,6 @@ def calibrate_sampling_fraction(
     order = rng.permutation(len(profiles))
     fold_of = {profiles[int(idx)].name: i % folds for i, idx in enumerate(order)}
 
-    factory = sampler_factory if sampler_factory is not None else StratifiedSampler
     by_name = {p.name: p for p in profiles}
     points: list[CalibrationPoint] = []
     for fraction in fractions:
@@ -199,29 +195,28 @@ def calibrate_sampling_fraction(
                 train.add_row(
                     name, power_w=corpus.power_row(name), perf=corpus.perf_row(name)
                 )
-            estimator = CollaborativeEstimator(rank=rank, seed=seed + fold)
+            estimator = CollaborativeEstimator(seed=seed + fold)
             estimator.train(train)
             for name in test_names:
                 profile = by_name[name]
-                sampler = factory(fraction, seed=seed + sum(map(ord, name)))
+                sampler = StratifiedSampler(fraction, seed=seed + sum(map(ord, name)))
                 sampled = {}
                 for knob in sampler.select(config):
                     power = power_model.app_power_w(profile, knob)
                     perf = perf_model.rate(profile, knob)
-                    power = max(
-                        0.0, power + float(rng.normal(0.0, power_noise_std_w))
-                    )
+                    power = max(0.0, power + float(rng.normal(0.0, SAMPLE_POWER_NOISE_W)))
                     perf = max(
-                        0.0,
-                        perf * (1.0 + float(rng.normal(0.0, perf_noise_relative_std))),
+                        0.0, perf * (1.0 + float(rng.normal(0.0, SAMPLE_PERF_NOISE_REL)))
                     )
                     sampled[knob] = (power, perf)
                 estimate = estimator.estimate(train, sampled)
                 true_power = corpus.power_row(name)
                 true_perf = corpus.perf_row(name)
-                chosen = _best_under_budget(estimate.power_w, estimate.perf, budget_w)
-                oracle = _best_under_budget(true_power, true_perf, budget_w)
-                power_ratios.append(true_power[chosen] / budget_w)
+                chosen = _best_under_budget(
+                    estimate.power_w, estimate.perf, CHOOSER_BUDGET_W
+                )
+                oracle = _best_under_budget(true_power, true_perf, CHOOSER_BUDGET_W)
+                power_ratios.append(true_power[chosen] / CHOOSER_BUDGET_W)
                 perf_ratios.append(
                     true_perf[chosen] / true_perf[oracle] if true_perf[oracle] > 0 else 0.0
                 )

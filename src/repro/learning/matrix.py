@@ -22,7 +22,6 @@ Every stored observation is finite and non-negative; NaN is reserved for
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -158,17 +157,6 @@ class PreferenceMatrix:
         """Boolean mask of cells observed in *both* planes."""
         return ~(np.isnan(self._power) | np.isnan(self._perf))
 
-    def row_observation_count(self, app: str) -> int:
-        """How many configs of ``app`` have been measured."""
-        row = self._row_of(app)
-        return int(self.observed_mask()[row].sum())
-
-    def density(self) -> float:
-        """Fraction of observed cells over the whole matrix (0 when empty)."""
-        if not self._rows:
-            return 0.0
-        return float(self.observed_mask().mean())
-
     def power_row(self, app: str) -> np.ndarray:
         """Copy of one app's power row (NaN = missing)."""
         return self._power[self._row_of(app)].copy()
@@ -184,75 +172,3 @@ class PreferenceMatrix:
             raise LearningError(f"application {app!r} has no row") from None
 
     # ---------------------------------------------------------- persistence
-
-    def save(self, path: str | os.PathLike) -> None:
-        """Persist the matrices to a ``.npz`` file.
-
-        On the paper's system the corpus accretes across deployments;
-        persisting it means a restarted mediator keeps everything it has
-        learnt. The knob-space signature is stored so a matrix recorded on
-        one hardware configuration cannot silently be loaded onto another.
-        """
-        signature = np.array(
-            [(k.freq_ghz, k.cores, k.dram_power_w) for k in self._columns]
-        )
-        np.savez(
-            path,
-            apps=np.array(self._rows, dtype=str),
-            power=self._power,
-            perf=self._perf,
-            knob_signature=signature,
-        )
-
-    @classmethod
-    def load(cls, path: str | os.PathLike, config: ServerConfig) -> "PreferenceMatrix":
-        """Load a matrix persisted by :meth:`save`.
-
-        The file is read without unpickling (``allow_pickle=False``), so a
-        corpus from elsewhere cannot run code, and every array is checked
-        before it is adopted.
-
-        Raises:
-            LearningError: when the stored knob space does not match
-                ``config`` (the matrix belongs to different hardware), when
-                the file holds object arrays or misses an array, when a
-                plane's shape is not ``(len(apps), n_columns)``, or when it
-                holds a value that is neither NaN (unobserved) nor finite
-                and non-negative.
-        """
-        matrix = cls(config)
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                apps = data["apps"]
-                power = data["power"]
-                perf = data["perf"]
-                stored_signature = data["knob_signature"]
-        except (KeyError, ValueError) as exc:
-            raise LearningError(f"{path}: not a stored preference matrix: {exc}") from None
-        signature = np.array(
-            [(k.freq_ghz, k.cores, k.dram_power_w) for k in matrix._columns]
-        )
-        if stored_signature.shape != signature.shape or not np.allclose(
-            stored_signature, signature
-        ):
-            raise LearningError(
-                "stored knob space does not match this server configuration"
-            )
-        if apps.ndim != 1 or apps.dtype.kind != "U":
-            raise LearningError(f"{path}: app names must be a 1-D string array")
-        for name, plane in (("power", power), ("perf", perf)):
-            if plane.dtype.kind != "f" or plane.shape != (len(apps), matrix.n_columns):
-                raise LearningError(
-                    f"{path}: {name} plane must be a float array of shape "
-                    f"{(len(apps), matrix.n_columns)}, got {plane.dtype} {plane.shape}"
-                )
-            if not (np.isnan(plane) | (np.isfinite(plane) & (plane >= 0))).all():
-                raise LearningError(
-                    f"{path}: {name} plane holds a value that is neither NaN "
-                    "nor finite and non-negative"
-                )
-        for app in apps.tolist():
-            matrix.add_app(app)
-        matrix._power = power.astype(np.float64)
-        matrix._perf = perf.astype(np.float64)
-        return matrix

@@ -22,7 +22,7 @@ import json
 import math
 import os
 from collections import deque
-from typing import Any, Iterable
+from typing import Any
 
 from repro.errors import ObservabilityError
 from repro.schema import Validator
@@ -115,10 +115,6 @@ class Histogram:
         if value > self.maximum:
             self.maximum = value
 
-    def observe_many(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.observe(value)
-
     def quantile(self, q: float) -> float | None:
         """Nearest-rank quantile over the window; ``None`` when empty."""
         if not 0.0 <= q <= 1.0:
@@ -168,10 +164,10 @@ class MetricsRegistry:
             gauge = self._gauges[name] = Gauge(name)
         return gauge
 
-    def histogram(self, name: str, window_size: int = _DEFAULT_WINDOW) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         histogram = self._histograms.get(name)
         if histogram is None:
-            histogram = self._histograms[name] = Histogram(name, window_size=window_size)
+            histogram = self._histograms[name] = Histogram(name)
         return histogram
 
     def counters(self) -> dict[str, float]:

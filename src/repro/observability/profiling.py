@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 __all__ = ["PhaseProfiler"]
 
@@ -53,8 +53,7 @@ class _PhaseStat:
 class PhaseProfiler:
     """Accumulates wall-clock time per named phase of the control loop."""
 
-    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
-        self._clock = clock
+    def __init__(self) -> None:
         self._phases: dict[str, _PhaseStat] = {}
 
     @contextmanager
@@ -62,11 +61,11 @@ class PhaseProfiler:
         stat = self._phases.get(name)
         if stat is None:
             stat = self._phases[name] = _PhaseStat()
-        start = self._clock()
+        start = time.perf_counter()
         try:
             yield
         finally:
-            stat.add(self._clock() - start)
+            stat.add(time.perf_counter() - start)
 
     def report(self) -> dict[str, dict[str, Any]]:
         """Per-phase call counts, totals and tail latency, sorted by

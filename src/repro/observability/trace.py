@@ -32,7 +32,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 from repro.errors import TraceError
 from repro.schema import Validator
@@ -214,9 +214,6 @@ class TraceBus:
     def events(self) -> list[TraceEvent]:
         return list(self._events)
 
-    def sim_events(self) -> Iterator[TraceEvent]:
-        return (event for event in self._events if not event.is_meta)
-
     def begin_tick(self, tick: int, time_s: float) -> None:
         """Move the tick cursor; emitters inherit it until the next call."""
         self._tick = int(tick)
@@ -366,7 +363,6 @@ def read_trace(path: str | os.PathLike) -> list[TraceEvent]:
 
 def verify_trace(
     events: list[TraceEvent],
-    cap_tolerance_w: float = 1e-6,
     *,
     strict_kinds: bool = True,
 ) -> dict[str, int]:
@@ -375,8 +371,9 @@ def verify_trace(
     The checks are exactly the ones a stitched (crash-restart) trace must
     also satisfy: a schema header, gap-free sim sequence numbers,
     non-decreasing tick cursor, one consecutive ``tick`` event per tick
-    with non-decreasing sim time, wall power within the recorded cap unless
-    the event is breach-flagged, and battery state of charge in [0, 1].
+    with non-decreasing sim time, wall power within 1e-6 W of the recorded
+    cap unless the event is breach-flagged, and battery state of charge in
+    [0, 1].
 
     With ``strict_kinds=False`` unknown event kinds are tolerated (counted
     in the returned ``unknown_kinds``) instead of raising - a newer writer's
@@ -432,7 +429,7 @@ def verify_trace(
                 isinstance(wall_w, (int, float))
                 and isinstance(cap_w, (int, float))
                 and not breach
-                and wall_w > cap_w + cap_tolerance_w
+                and wall_w > cap_w + 1e-6
             ):
                 raise TraceError(
                     f"seq {event.seq}: wall power {wall_w:.6f} W exceeds cap "

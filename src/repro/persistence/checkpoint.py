@@ -6,7 +6,7 @@ beside it. The document has these parts::
 
     {
       "schema": "repro-checkpoint",   # stamp: is this even one of ours?
-      "version": 3,                   # format version; mismatches refuse
+      "version": 4,                   # format version; mismatches refuse
       "tick": 120,                    # ticks executed when snapshotted
       "sim_time_s": 12.0,
       "recipe": { ... },              # how to BUILD the run (RunRecipe)
@@ -17,11 +17,13 @@ beside it. The document has these parts::
     }
 
 The **recipe** holds everything needed to construct a fresh, identical
-mediator - server config, policy name, sampler spec, seeds, fault plan,
-resilience tunables. The **state** is the mediator's composite
-:meth:`~repro.core.mediator.PowerMediator.state_dict`: every RNG stream,
-ledger, cursor and counter - except the histories that only grow with the
-run. Those live in the log, one JSON line ``{"kind": K, "data": {...}}``
+mediator, under exactly these keys: ``policy``, ``p_cap_w``, ``config``
+(every :class:`~repro.server.config.ServerConfig` field),
+``use_oracle_estimates``, ``dt_s``, ``seed``, ``faults``, ``resilience``
+and ``engine``; any other key is refused. The **state** is the mediator's
+composite :meth:`~repro.core.mediator.PowerMediator.state_dict`: every RNG
+stream, ledger, cursor and counter - except the histories that only grow
+with the run. Those live in the log, one JSON line ``{"kind": K, "data": {...}}``
 per item, in four kinds:
 
 * ``tick`` - one ``TickRecord`` of the mediator's timeline;
@@ -39,6 +41,10 @@ client), so ``recipe.build()`` followed by ``mediator.load_state_dict(state)``
 yields a mediator whose next tick is bit-identical to what the checkpointed
 one would have produced.
 
+The ``<owner>`` part is opaque here: the supervisor and the service each
+check every key of their own part, and its JSON type, before restoring
+anything from it.
+
 Deliberately absent from the state, because they are derived: the profiling
 corpus, the trained collaborative estimator, the population view, the
 fallback policy and the oracle candidate sets. They are pure, deterministic
@@ -55,7 +61,8 @@ the previous checkpoint intact. :func:`read_checkpoint` is the one reader:
 it validates schema and version before touching any field and fails with a
 one-line :class:`~repro.errors.CheckpointError` naming the offending path -
 never a traceback from deep inside a codec. A version-1 document (timeline
-inline) or version-2 one (timeline-only log, histories inline) is refused.
+inline), a version-2 one (timeline-only log, histories inline) or a
+version-3 one (recipe with sampler, battery and noise keys) is refused.
 """
 
 from __future__ import annotations
@@ -75,7 +82,6 @@ from repro.core.resilience import ResilienceConfig
 from repro.core.simulation import default_battery
 from repro.engine import ENGINE_KINDS
 from repro.faults.plan import FaultPlan
-from repro.learning.sampling import sampler_from_spec
 from repro.observability.trace import TraceBus
 from repro.server.config import DEFAULT_SERVER_CONFIG, ServerConfig
 from repro.server.server import SimulatedServer
@@ -85,8 +91,9 @@ CHECKPOINT_SCHEMA = "repro-checkpoint"
 
 #: Current checkpoint format version; bump on incompatible layout changes.
 #: Version 3 keeps every growing history out of the document, in
-#: :data:`HISTORY_LOG`, and stores no derived candidate set.
-CHECKPOINT_VERSION = 3
+#: :data:`HISTORY_LOG`, and stores no derived candidate set; version 4's
+#: recipe drops the sampler, battery and calibration-noise keys.
+CHECKPOINT_VERSION = 4
 
 #: The history log beside the documents: one ``{"kind", "data"}`` JSON line
 #: per item of :data:`HISTORY_KINDS`, appended at every checkpoint and never
@@ -117,12 +124,7 @@ class RunRecipe:
         p_cap_w: Initial power cap (later E1 changes live in the journal
             and the accountant's snapshot).
         config: Server hardware parameters.
-        use_battery: Install :func:`~repro.core.simulation.default_battery`;
-            ``None`` defers to ``policy.uses_esd``.
-        sampler: A :func:`~repro.learning.sampling.sampler_spec` dict, or
-            ``None`` for the mediator's default (stratified at 10%).
         use_oracle_estimates: Bypass the learning pipeline.
-        power_noise_std_w / perf_noise_relative_std: Calibration noise.
         dt_s: Tick length.
         seed: Seed for calibration noise (and the server's sensors).
         faults: Optional fault plan injected during the run.
@@ -135,30 +137,12 @@ class RunRecipe:
     policy: str
     p_cap_w: float
     config: ServerConfig = DEFAULT_SERVER_CONFIG
-    use_battery: bool | None = None
-    sampler: dict | None = None
     use_oracle_estimates: bool = False
-    power_noise_std_w: float = 0.3
-    perf_noise_relative_std: float = 0.02
     dt_s: float = 0.1
     seed: int = 0
     faults: FaultPlan | None = None
     resilience: ResilienceConfig | None = None
     engine: str = "scalar"
-
-    @property
-    def wants_battery(self) -> bool:
-        """Whether :meth:`build` installs an ESD."""
-        if self.use_battery is not None:
-            return self.use_battery
-        return make_policy(self.policy).uses_esd
-
-    @property
-    def sampler_fraction(self) -> float:
-        """The calibration budget fraction this recipe's sampler spends."""
-        if self.sampler is None:
-            return 0.10
-        return float(self.sampler["fraction"])
 
     def build(self, trace_bus: TraceBus | None = None) -> PowerMediator:
         """Construct a fresh mediator exactly as this recipe describes.
@@ -168,15 +152,13 @@ class RunRecipe:
         does; a restored mediator is attached after its state is loaded.
         """
         server = SimulatedServer(self.config, seed=self.seed, engine=self.engine)
+        policy = make_policy(self.policy)
         return PowerMediator(
             server,
-            make_policy(self.policy),
+            policy,
             self.p_cap_w,
-            battery=default_battery() if self.wants_battery else None,
-            sampler=None if self.sampler is None else sampler_from_spec(self.sampler),
+            battery=default_battery() if policy.uses_esd else None,
             use_oracle_estimates=self.use_oracle_estimates,
-            power_noise_std_w=self.power_noise_std_w,
-            perf_noise_relative_std=self.perf_noise_relative_std,
             dt_s=self.dt_s,
             seed=self.seed,
             faults=self.faults,
@@ -189,11 +171,7 @@ class RunRecipe:
             "policy": self.policy,
             "p_cap_w": self.p_cap_w,
             "config": dataclasses.asdict(self.config),
-            "use_battery": self.use_battery,
-            "sampler": self.sampler,
             "use_oracle_estimates": self.use_oracle_estimates,
-            "power_noise_std_w": self.power_noise_std_w,
-            "perf_noise_relative_std": self.perf_noise_relative_std,
             "dt_s": self.dt_s,
             "seed": self.seed,
             "faults": None
@@ -217,6 +195,9 @@ class RunRecipe:
                 malformed, unknown, or semantically invalid field.
         """
         obj = _VALID.as_dict(data, where)
+        for key in obj:
+            if key not in _RECIPE_FIELDS:
+                _VALID.fail(f"{where}.{key}", "unknown recipe field")
         policy = _VALID.choice(
             _VALID.require(obj, "policy", where), f"{where}.policy", POLICY_NAMES
         )
@@ -226,16 +207,6 @@ class RunRecipe:
         for key in config_raw:
             if key not in _CONFIG_FIELDS:
                 _VALID.fail(f"{where}.config.{key}", "unknown server-config field")
-        use_battery = obj.get("use_battery")
-        if use_battery is not None:
-            use_battery = _VALID.as_bool(use_battery, f"{where}.use_battery")
-        sampler = obj.get("sampler")
-        if sampler is not None:
-            sampler = dict(_VALID.as_dict(sampler, f"{where}.sampler"))
-            _VALID.as_number(
-                _VALID.require(sampler, "fraction", f"{where}.sampler"),
-                f"{where}.sampler.fraction",
-            )
         faults_raw = obj.get("faults")
         faults = None
         if faults_raw is not None:
@@ -264,18 +235,9 @@ class RunRecipe:
                     _VALID.require(obj, "p_cap_w", where), f"{where}.p_cap_w"
                 ),
                 config=config,
-                use_battery=use_battery,
-                sampler=sampler,
                 use_oracle_estimates=_VALID.as_bool(
                     obj.get("use_oracle_estimates", False),
                     f"{where}.use_oracle_estimates",
-                ),
-                power_noise_std_w=_VALID.as_number(
-                    obj.get("power_noise_std_w", 0.3), f"{where}.power_noise_std_w"
-                ),
-                perf_noise_relative_std=_VALID.as_number(
-                    obj.get("perf_noise_relative_std", 0.02),
-                    f"{where}.perf_noise_relative_std",
                 ),
                 dt_s=_VALID.as_number(obj.get("dt_s", 0.1), f"{where}.dt_s"),
                 seed=_VALID.as_int(obj.get("seed", 0), f"{where}.seed"),
@@ -287,6 +249,9 @@ class RunRecipe:
             )
         except ConfigurationError as exc:
             raise CheckpointError(f"{where}: {exc}") from None
+
+
+_RECIPE_FIELDS = {f.name for f in dataclasses.fields(RunRecipe)}
 
 
 # --------------------------------------------------------------- file layer

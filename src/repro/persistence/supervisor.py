@@ -44,8 +44,12 @@ from repro.learning.sampling import Sampler
 from repro.observability.trace import NULL_TRACE_BUS, TraceBus
 from repro.persistence.checkpoint import RunRecipe
 from repro.persistence.store import RunStore
+from repro.schema import Validator
 from repro.workloads.generator import PhasedProfile
 from repro.workloads.profiles import WorkloadProfile
+
+
+_VALID = Validator(CheckpointError)
 
 
 class MediatorKilled(ReproError):
@@ -145,6 +149,22 @@ class _Position:
     command: int = 0
     end_s: float | None = None
 
+    @classmethod
+    def from_state(cls, state: dict, commands: int) -> "_Position":
+        """The position a checkpoint recorded, validated key by key.
+
+        Raises:
+            CheckpointError: naming the JSON path of a missing key, a value
+                of the wrong type, or a command index outside the script.
+        """
+        where = "checkpoint.supervisor"
+        command = _VALID.as_int(_VALID.require(state, "command", where), f"{where}.command")
+        if not 0 <= command <= commands:
+            _VALID.fail(f"{where}.command", f"{command} is outside a {commands}-command script")
+        end_s = _VALID.require(state, "end_s", where)
+        if end_s is not None:
+            end_s = _VALID.as_number(end_s, f"{where}.end_s")
+        return cls(command, end_s)
 
 
 
@@ -360,8 +380,8 @@ class Supervisor:
         script up to the ticks the durable journal holds, journal afresh."""
         assert self._store is not None
         restored = self._store.recover()
+        self._pos = _Position.from_state(restored.state, len(self._script))
         self._mediator = restored.mediator
-        self._pos = _Position(**restored.state)
         self._credit_restored_learning()
         self._stats.journal_records_replayed += restored.records
         self._execute(stop=restored.reach)
@@ -382,7 +402,7 @@ class Supervisor:
         if not apps:
             return
         per_app = Sampler.budget_from_fraction(
-            self._recipe.config, self._recipe.sampler_fraction
+            self._recipe.config, self._mediator.sampler.fraction
         )
         self._stats.cold_relearns_avoided += len(apps)
         self._stats.samples_restored += len(apps) * per_app

@@ -32,10 +32,25 @@ configuration of an application needs about 10 W.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro.errors import ConfigurationError, KnobError
-from repro.units import frange
+
+
+def frange(start: float, stop: float, step: float) -> list[float]:
+    """Inclusive float range with stable rounding.
+
+    Builds discrete knob spaces like the 9 DVFS steps from 1.2 to 2.0 GHz in
+    0.1 GHz increments without float-accumulation drift:
+
+    >>> frange(1.2, 2.0, 0.1)
+    [1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9, 2.0]
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+    count = int(round((stop - start) / step)) + 1
+    if count < 1:
+        return []
+    return [round(start + i * step, 10) for i in range(count)]
 
 
 @dataclass(frozen=True, order=True)
@@ -126,8 +141,6 @@ class ServerConfig:
     Attributes:
         pc6_wake_latency_s: Package deep-sleep wake latency (hundreds of
             microseconds per the paper's reference [47]).
-        reallocation_latency_s: End-to-end latency of a power re-allocation
-            (the paper measures ~800 ms on their server for Fig. 11a).
         duty_cycle_period_s: Period of one ON/OFF duty cycle used by the
             temporal coordinator.
         resume_penalty_s: Work time lost when a suspended application
@@ -163,7 +176,6 @@ class ServerConfig:
     rapl_guard_band: float = 0.06
 
     pc6_wake_latency_s: float = 300e-6
-    reallocation_latency_s: float = 0.8
     duty_cycle_period_s: float = 10.0
     resume_penalty_s: float = 0.05
 
@@ -234,13 +246,6 @@ class ServerConfig:
             for n in self.core_counts
             for m in self.dram_powers_w
         ]
-
-    def iter_knob_space(self) -> Iterator[KnobSetting]:
-        """Lazy variant of :meth:`knob_space`."""
-        for f in self.frequencies_ghz:
-            for n in self.core_counts:
-                for m in self.dram_powers_w:
-                    yield KnobSetting(f, n, m)
 
     @property
     def max_knob(self) -> KnobSetting:

@@ -61,7 +61,6 @@ class HeartbeatMonitor:
         self._noise = noise_relative_std
         self._rng = np.random.default_rng(seed)
         self._histories: dict[str, deque[HeartbeatRecord]] = {}
-        self._totals: dict[str, float] = {}
         self._blackout = False
         self._frozen_rates: dict[str, float] = {}
         self._last_emit_s: dict[str, float] = {}
@@ -79,13 +78,11 @@ class HeartbeatMonitor:
         if app in self._histories:
             raise SchedulingError(f"application {app!r} already registered for heartbeats")
         self._histories[app] = deque()
-        self._totals[app] = 0.0
 
     def unregister(self, app: str) -> None:
-        """Stop tracking ``app`` (on departure). Its totals are discarded."""
+        """Stop tracking ``app`` (on departure). Its window is discarded."""
         self._history_of(app)
         del self._histories[app]
-        del self._totals[app]
         self._frozen_rates.pop(app, None)
         self._last_emit_s.pop(app, None)
 
@@ -96,13 +93,12 @@ class HeartbeatMonitor:
     # ----------------------------------------------------------- persistence
 
     def state_dict(self) -> dict:
-        """Snapshot registrations, windows, totals, and the noise RNG."""
+        """Snapshot registrations, windows, and the noise RNG."""
         return {
             "histories": {
                 app: [[rec.time_s, rec.beats] for rec in history]
                 for app, history in self._histories.items()
             },
-            "totals": dict(self._totals),
             "blackout": self._blackout,
             "frozen_rates": dict(self._frozen_rates),
             "last_emit_s": dict(self._last_emit_s),
@@ -121,7 +117,6 @@ class HeartbeatMonitor:
             )
             for app, window in state["histories"].items()
         }
-        self._totals = {app: float(v) for app, v in state["totals"].items()}
         self._blackout = bool(state["blackout"])
         self._frozen_rates = {
             app: float(v) for app, v in state["frozen_rates"].items()
@@ -167,7 +162,6 @@ class HeartbeatMonitor:
             )
         self._last_emit_s[app] = time_s
         history.append(HeartbeatRecord(time_s=time_s, beats=beats))
-        self._totals[app] += beats
         cutoff = time_s - self._window_s
         while history and history[0].time_s <= cutoff:
             history.popleft()
@@ -233,11 +227,6 @@ class HeartbeatMonitor:
         if self._noise == 0.0 or rate == 0.0:
             return rate
         return max(0.0, rate * (1.0 + float(self._rng.normal(0.0, self._noise))))
-
-    def total_beats(self, app: str) -> float:
-        """Cumulative work units completed by ``app`` since registration."""
-        self._history_of(app)
-        return self._totals[app]
 
     def _history_of(self, app: str) -> deque[HeartbeatRecord]:
         try:

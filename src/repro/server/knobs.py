@@ -217,21 +217,6 @@ class KnobController:
         self._failed_writes[app] = knob
         return False
 
-    def set_frequency(self, app: str, freq_ghz: float) -> None:
-        """DVFS-only change (``cpupower frequency-set``)."""
-        state = self._state_of(app)
-        self.set_knob(app, KnobSetting(freq_ghz, state.knob.cores, state.knob.dram_power_w))
-
-    def set_cores(self, app: str, cores: int) -> None:
-        """Consolidation-only change (``taskset``)."""
-        state = self._state_of(app)
-        self.set_knob(app, KnobSetting(state.knob.freq_ghz, cores, state.knob.dram_power_w))
-
-    def set_dram_power(self, app: str, dram_power_w: float) -> None:
-        """DRAM-allocation-only change (DRAM RAPL sysfs write)."""
-        state = self._state_of(app)
-        self.set_knob(app, KnobSetting(state.knob.freq_ghz, state.knob.cores, dram_power_w))
-
     def suspend(self, app: str) -> None:
         """``SIGSTOP`` the app: it stops drawing dynamic power and making
         progress. Idempotent."""

@@ -24,7 +24,6 @@ struggle the quantity under study.
 
 from __future__ import annotations
 
-from repro.errors import ConfigurationError
 from repro.server.config import KnobSetting, ServerConfig
 from repro.workloads.profiles import WorkloadProfile
 
@@ -126,20 +125,3 @@ class PerformanceModel:
         isolated rate).
         """
         return self.rate(profile, self._config.max_knob)
-
-    def relative_performance(self, profile: WorkloadProfile, knob: KnobSetting) -> float:
-        """``rate(knob) / rate(max_knob)``, the per-app term of objective (1)."""
-        peak = self.peak_rate(profile)
-        if peak <= 0.0:
-            raise ConfigurationError(
-                f"profile {profile.name!r} has zero peak rate on this server; "
-                "it cannot make progress even uncapped"
-            )
-        return self.rate(profile, knob) / peak
-
-    def completion_time_s(self, profile: WorkloadProfile, knob: KnobSetting) -> float:
-        """Seconds to finish ``profile.total_work`` at a steady knob setting."""
-        r = self.rate(profile, knob)
-        if r <= 0.0:
-            return float("inf")
-        return profile.total_work / r

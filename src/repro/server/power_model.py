@@ -199,20 +199,3 @@ class PowerModel:
             esd_charge_w=esd_charge_w,
             esd_discharge_w=esd_discharge_w,
         )
-
-    def server_power_w(
-        self,
-        running: Mapping[str, tuple[WorkloadProfile, KnobSetting]],
-        *,
-        esd_charge_w: float = 0.0,
-        esd_discharge_w: float = 0.0,
-        deep_sleep: bool = False,
-    ) -> float:
-        """Wall power (Eq. 2 left-hand side) - convenience over
-        :meth:`server_breakdown`."""
-        return self.server_breakdown(
-            running,
-            esd_charge_w=esd_charge_w,
-            esd_discharge_w=esd_discharge_w,
-            deep_sleep=deep_sleep,
-        ).wall_w

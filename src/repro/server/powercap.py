@@ -192,12 +192,6 @@ class HardwarePowercap:
         self._server.knobs.set_knob(app, zone.knob)
         return zone
 
-    def clear_zone(self, app: str) -> None:
-        """Remove the zone (the app keeps its last enforced knob)."""
-        if app not in self._zones:
-            raise SchedulingError(f"no zone around {app!r}")
-        del self._zones[app]
-
     def on_tick(self, result: TickResult) -> None:
         """Feed one tick's measurements into every zone's control loop.
 
@@ -217,7 +211,3 @@ class HardwarePowercap:
                 new_knob = zone.knob  # re-assert a previously failed write
             if new_knob is not None and not self._server.knobs.set_knob(app, new_knob):
                 zone.stats.failed_actuations += 1
-
-    def total_limit_w(self) -> float:
-        """Sum of zone limits - the budget hardware isolation guarantees."""
-        return sum(zone.limit_w for zone in self._zones.values())

@@ -90,11 +90,6 @@ class RaplDomain:
         self.energy_j = (self.energy_j + power_w * dt_s) % self.wrap_range_j
         self.last_power_w = power_w
 
-    @property
-    def violating(self) -> bool:
-        """``True`` when the last recorded power exceeds the limit."""
-        return self.power_limit_w is not None and self.last_power_w > self.power_limit_w + 1e-9
-
 
 class RaplInterface:
     """The set of RAPL domains of one server and a window-based power meter.
@@ -209,11 +204,3 @@ class RaplInterface:
         if limit_w is not None and limit_w <= 0:
             raise ConfigurationError(f"power limit must be positive, got {limit_w}")
         self.domain(name).power_limit_w = limit_w
-
-    def power_limit(self, name: str) -> float | None:
-        """Current limit of a domain (``None`` when uncapped)."""
-        return self.domain(name).power_limit_w
-
-    def violations(self) -> list[str]:
-        """Names of domains whose last recorded power exceeded their limit."""
-        return [name for name, dom in sorted(self._domains.items()) if dom.violating]

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.engine import VectorPerformanceModel, VectorPowerModel, validate_engine
-from repro.errors import ConfigurationError, SchedulingError, SimulationError
+from repro.errors import ConfigurationError, SchedulingError
 from repro.server.config import KnobSetting, ServerConfig, DEFAULT_SERVER_CONFIG
 from repro.server.heartbeats import HeartbeatMonitor
 from repro.server.knobs import KnobController
@@ -268,18 +268,16 @@ class SimulatedServer:
         self,
         profile: WorkloadProfile,
         *,
-        initial_knob: KnobSetting | None = None,
         start_suspended: bool = False,
         group_width: int | None = None,
     ) -> ApplicationHandle:
         """Admit an application: reserve cores, register heartbeats, attach
-        knobs. This is the substrate of arrival event E2.
+        knobs at the uncapped maximum, clamped to the group width. This is
+        the substrate of arrival event E2.
 
         Args:
             profile: The application to admit; ``profile.name`` must be
                 unique on this server.
-            initial_knob: Starting knob (defaults to the uncapped maximum,
-                clamped to the group width when one is given).
             start_suspended: Admit in the suspended state - used when a
                 coordinator wants to stage the app into a duty-cycle slot.
             group_width: Cores to reserve (defaults to the knob space's
@@ -295,7 +293,8 @@ class SimulatedServer:
                 f"application {profile.name!r} is already on this server"
             )
         group = self._topology.admit(profile.name, width=group_width)
-        if initial_knob is None and group.width < self._config.cores_max:
+        initial_knob = None
+        if group.width < self._config.cores_max:
             initial_knob = KnobSetting(
                 self._config.freq_max_ghz, group.width, self._config.dram_power_max_w
             )
@@ -527,7 +526,6 @@ class SimulatedServer:
             self._heartbeats.emit(name, end_time, beats)
 
         self._rapl.advance(self._domain_powers(running, breakdown), dt_s)
-        self._sleep.advance(dt_s)
         self._now_s = end_time
         return TickResult(
             time_s=end_time,
@@ -538,30 +536,6 @@ class SimulatedServer:
         )
 
     # ------------------------------------------------------------ utilities
-
-    def true_response(
-        self, app: str, knob: KnobSetting
-    ) -> tuple[float, float]:
-        """Oracle ``(P_X watts, work rate)`` of ``app`` at ``knob``.
-
-        Used by tests and by exhaustive-oracle baselines; the online learning
-        pipeline instead *runs* the app at sampled knobs and reads the noisy
-        RAPL/heartbeat observations.
-        """
-        profile = self.handle_of(app).profile
-        return (
-            self._power.app_power_w(profile, knob),
-            self._perf.rate(profile, knob),
-        )
-
-    def assert_within_cap(self, cap_w: float, *, tolerance_w: float = 1e-6) -> None:
-        """Raise :class:`SimulationError` when the last tick's wall power
-        exceeded ``cap_w``. Policies call this as a self-check."""
-        last = self._rapl.domain("psys").last_power_w
-        if last > cap_w + tolerance_w:
-            raise SimulationError(
-                f"wall power {last:.3f} W exceeded the cap {cap_w:.3f} W"
-            )
 
     def _domain_powers(
         self,

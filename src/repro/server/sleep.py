@@ -47,9 +47,6 @@ class SleepController:
         self._config = config
         self._state = SleepState.ACTIVE
         self._pending_wake_penalty_s = 0.0
-        self._total_wake_penalty_s = 0.0
-        self._pc6_entries = 0
-        self._time_in_pc6_s = 0.0
 
     @property
     def state(self) -> SleepState:
@@ -60,38 +57,17 @@ class SleepController:
         """``True`` while the package is in PC6 (``P_cm == 0``)."""
         return self._state is SleepState.PC6
 
-    @property
-    def pc6_entries(self) -> int:
-        """How many times PC6 was entered (for reporting)."""
-        return self._pc6_entries
-
-    @property
-    def time_in_pc6_s(self) -> float:
-        """Cumulative seconds spent in PC6."""
-        return self._time_in_pc6_s
-
-    @property
-    def total_wake_penalty_s(self) -> float:
-        """Cumulative work time lost to PC6 wake-ups."""
-        return self._total_wake_penalty_s
-
     def state_dict(self) -> dict:
         """Snapshot the sleep state machine for checkpointing."""
         return {
             "state": self._state.value,
             "pending_wake_penalty_s": self._pending_wake_penalty_s,
-            "total_wake_penalty_s": self._total_wake_penalty_s,
-            "pc6_entries": self._pc6_entries,
-            "time_in_pc6_s": self._time_in_pc6_s,
         }
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot exactly."""
         self._state = SleepState(state["state"])
         self._pending_wake_penalty_s = float(state["pending_wake_penalty_s"])
-        self._total_wake_penalty_s = float(state["total_wake_penalty_s"])
-        self._pc6_entries = int(state["pc6_entries"])
-        self._time_in_pc6_s = float(state["time_in_pc6_s"])
 
     def enter_pc6(self, runnable_apps: int) -> None:
         """Put all sockets into PC6.
@@ -111,7 +87,6 @@ class SleepController:
         if self._state is SleepState.PC6:
             return
         self._state = SleepState.PC6
-        self._pc6_entries += 1
 
     def wake(self) -> float:
         """Wake the package; returns the wake latency charged (seconds).
@@ -124,7 +99,6 @@ class SleepController:
         self._state = SleepState.ACTIVE
         latency = self._config.pc6_wake_latency_s
         self._pending_wake_penalty_s += latency
-        self._total_wake_penalty_s += latency
         return latency
 
     def consume_wake_penalty(self, dt_s: float) -> float:
@@ -144,10 +118,3 @@ class SleepController:
         consumed = min(self._pending_wake_penalty_s, dt_s)
         self._pending_wake_penalty_s -= consumed
         return (dt_s - consumed) / dt_s
-
-    def advance(self, dt_s: float) -> None:
-        """Engine hook: accumulate PC6 residency statistics."""
-        if dt_s < 0:
-            raise ConfigurationError("time cannot move backwards")
-        if self._state is SleepState.PC6:
-            self._time_in_pc6_s += dt_s

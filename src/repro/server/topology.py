@@ -64,11 +64,6 @@ class ServerTopology:
     def config(self) -> ServerConfig:
         return self._config
 
-    @property
-    def groups(self) -> dict[str, CoreGroup]:
-        """Live view of current reservations, keyed by application name."""
-        return dict(self._groups)
-
     def state_dict(self) -> dict:
         """Snapshot every reservation for checkpointing."""
         return {
@@ -109,10 +104,6 @@ class ServerTopology:
         for group in self._groups.values():
             socket_cores -= set(group.cores)
         return sorted(socket_cores)
-
-    def total_free_cores(self) -> int:
-        """Unreserved cores across all sockets."""
-        return sum(len(self.free_cores_on_socket(s)) for s in range(self._config.sockets))
 
     def apps_on_socket(self, socket: int) -> list[str]:
         """Names of applications whose group lives on ``socket``."""
@@ -182,23 +173,6 @@ class ServerTopology:
             return self._groups[app]
         except KeyError:
             raise SchedulingError(f"application {app!r} holds no core group") from None
-
-    def taskset_mask(self, app: str, active_cores: int) -> tuple[int, ...]:
-        """The cores ``app`` runs on when consolidated to ``active_cores``.
-
-        This is the simulated equivalent of ``taskset -pc <cores> <pid>``:
-        the first ``active_cores`` cores of the group, deterministically.
-
-        Raises:
-            ConfigurationError: when ``active_cores`` exceeds the group width.
-        """
-        group = self.group_of(app)
-        if not 1 <= active_cores <= group.width:
-            raise ConfigurationError(
-                f"{app!r} asked for {active_cores} active cores but its group "
-                f"has width {group.width}"
-            )
-        return group.cores[:active_cores]
 
     def _refresh_dimm_flags(self, socket: int) -> None:
         """Keep ``dedicated_dimm`` consistent after admissions/releases."""

@@ -49,12 +49,19 @@ from typing import Callable
 
 from repro.core.mediator import PowerMediator
 from repro.core.policies import POLICY_NAMES
-from repro.errors import ConfigurationError, ReproError, SchedulingError, ServiceError
+from repro.errors import (
+    CheckpointError,
+    ConfigurationError,
+    ReproError,
+    SchedulingError,
+    ServiceError,
+)
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.streaming import StreamingTraceBus
-from repro.observability.trace import NULL_TRACE_BUS, TraceBus
+from repro.observability.trace import TraceBus
 from repro.persistence.checkpoint import RunRecipe
 from repro.persistence.store import RunStore
+from repro.schema import Validator
 from repro.service.commands import (
     CancelJob,
     Command,
@@ -70,6 +77,21 @@ from repro.service.sessions import SessionRegistry
 from repro.workloads.population import BurstWindow, OpenLoopPopulation
 
 __all__ = ["MediatorService", "ServiceConfig", "ServiceKilled"]
+
+_VALID = Validator(CheckpointError)
+
+#: The service's own part of a checkpoint (see ``MediatorService._checkpoint``):
+#: each key and the check its value must pass before recovery reads it.
+_STATE_CHECKS = {
+    "population": _VALID.as_dict,
+    "ingest": _VALID.as_dict,
+    "pending": _VALID.as_list,
+    "outstanding": _VALID.as_dict,
+    "client_seqs": _VALID.as_dict,
+    "cap_cursor": _VALID.as_int,
+    "ingest_seq": _VALID.as_int,
+    "metrics": _VALID.as_dict,
+}
 
 
 class ServiceKilled(ReproError):
@@ -210,8 +232,7 @@ class MediatorService:
             crash at that boundary (the chaos harness's kill schedules).
         tear_journal_bytes_on_crash: On each crash, destroy up to this many
             bytes of the journal's un-fsynced tail.
-        trace: Collect a streaming trace (needed for hash comparisons).
-        trace_spill: Also spill evicted trace events to
+        trace_spill: Also spill the streaming trace's evicted events to
             ``workdir/trace-spill.jsonl``.
     """
 
@@ -223,20 +244,16 @@ class MediatorService:
         churn=None,
         tick_hook: Callable[[int], None] | None = None,
         tear_journal_bytes_on_crash: int = 0,
-        trace: bool = True,
         trace_spill: bool = False,
     ) -> None:
         self.config = config
         workdir = Path(workdir)
         self._churn = churn
         self._tick_hook = tick_hook
-        if trace:
-            self._bus: TraceBus = StreamingTraceBus(
-                retain_events=config.retention.retain_trace_events,
-                sink_path=(workdir / "trace-spill.jsonl") if trace_spill else None,
-            )
-        else:
-            self._bus = NULL_TRACE_BUS
+        self._bus: TraceBus = StreamingTraceBus(
+            retain_events=config.retention.retain_trace_events,
+            sink_path=(workdir / "trace-spill.jsonl") if trace_spill else None,
+        )
         self._recipe = config.recipe()
         self._cap_every_ticks = max(1, round(config.cap_change_every_s / config.dt_s))
 
@@ -629,6 +646,9 @@ class MediatorService:
         restarts = self.metrics.counter("service.restarts").value
         restored = self._store.recover()
         mediator, state = restored.mediator, restored.state
+        where = "checkpoint.service"
+        for key, check in _STATE_CHECKS.items():
+            check(_VALID.require(state, key, where), f"{where}.{key}")
         self._mediator = mediator
         self._mediator.ensure_plan()  # tick-0 checkpoints predate any plan
         # Restore every piece of deterministic state at the checkpoint tick;

@@ -34,7 +34,7 @@ class RetryPolicy:
         base_ticks: Delay before the first retry (attempt 1).
         max_backoff_ticks: Ceiling on the exponential component.
         max_attempts: Attempts (initial try included) before
-            :meth:`exhausted` reports the caller should escalate or park.
+            :meth:`require` tells the caller to escalate or park.
         jitter_ticks: Upper bound (inclusive) of the uniform jitter added
             to every delay; 0 disables jitter entirely (no RNG draw, so
             enabling jitter never perturbs an unrelated RNG stream).
@@ -42,7 +42,7 @@ class RetryPolicy:
             by the caller from the first try; ``None`` (the default) keeps
             the historical attempts-only behaviour. With a deadline set,
             :meth:`backoff_ticks` never schedules a retry past it and
-            :meth:`exhausted` reports spent once the elapsed time reaches
+            :meth:`require` reports it spent once the elapsed time reaches
             it — capped per-attempt backoff alone can otherwise overshoot
             any caller-intended total bound (e.g. a lease that expires
             while attempt 4 is still backing off).
@@ -99,24 +99,6 @@ class RetryPolicy:
         if self.deadline_ticks is not None and elapsed_ticks is not None:
             delay = min(delay, max(1, self.deadline_ticks - elapsed_ticks))
         return delay
-
-    def exhausted(
-        self, attempts: int, elapsed_ticks: int | None = None
-    ) -> bool:
-        """Whether the attempt count or the total deadline is used up.
-
-        Args:
-            attempts: Completed tries so far.
-            elapsed_ticks: Ticks since the first try; only consulted when
-                the policy carries a ``deadline_ticks`` budget.
-        """
-        if attempts >= self.max_attempts:
-            return True
-        return (
-            self.deadline_ticks is not None
-            and elapsed_ticks is not None
-            and elapsed_ticks >= self.deadline_ticks
-        )
 
     def require(
         self, attempts: int, elapsed_ticks: int | None = None, *, what: str

@@ -106,17 +106,17 @@ class ArrivalSchedule:
         horizon_s: float,
         seed: int = 0,
         names: list[str] | None = None,
-        unique_suffixes: bool = True,
     ) -> "ArrivalSchedule":
         """Random schedule: Poisson arrivals of uniformly-drawn catalog apps.
+
+        Each instance is suffixed (``kmeans#3``) so repeated draws of the
+        same application can co-exist on one server.
 
         Args:
             rate_per_s: Mean arrivals per second.
             horizon_s: Schedule length.
             seed: RNG seed (deterministic schedules for experiments).
             names: Catalog names to draw from (defaults to the whole catalog).
-            unique_suffixes: Suffix each instance (``kmeans#3``) so repeated
-                draws of the same application can co-exist on one server.
 
         Raises:
             ConfigurationError: on a non-positive or non-finite rate or
@@ -144,11 +144,9 @@ class ArrivalSchedule:
             if t >= horizon_s:
                 break
             base = CATALOG[pool[int(rng.integers(len(pool)))]]
-            profile = base
-            if unique_suffixes:
-                profile = WorkloadProfile.from_dict(
-                    {**base.to_dict(), "name": f"{base.name}#{index}"}
-                )
+            profile = WorkloadProfile.from_dict(
+                {**base.to_dict(), "name": f"{base.name}#{index}"}
+            )
             events.append(ArrivalEvent(time_s=t, profile=profile))
             index += 1
         return cls(events)
@@ -199,17 +197,13 @@ class PhasedProfile:
         return self._profiles[0]
 
     @property
-    def segment_count(self) -> int:
-        return len(self._profiles)
-
-    @property
     def segments(self) -> list[tuple[float, WorkloadProfile]]:
         """The ``(threshold, profile)`` pairs this profile was built from.
 
-        The profile objects are the stored instances, not copies:
-        :meth:`phase_boundary_crossed` compares segments by identity, so a
-        consumer restoring state from a serialized form must re-link its
-        references to these exact objects.
+        The profile objects are the stored instances, not copies: the
+        mediator finds the current segment by identity, so a consumer
+        restoring state from a serialized form must re-link its references
+        to these exact objects.
         """
         return list(zip(self._thresholds, self._profiles))
 
@@ -221,10 +215,3 @@ class PhasedProfile:
             )
         idx = bisect.bisect_right(self._thresholds, progress_fraction) - 1
         return self._profiles[max(0, idx)]
-
-    def phase_boundary_crossed(self, before: float, after: float) -> bool:
-        """Did progress move into a new segment between two observations?
-
-        The mediator polls progress and fires E4 exactly when this is true.
-        """
-        return self.profile_at(before) is not self.profile_at(after)

@@ -96,7 +96,6 @@ class OpenLoopPopulation:
             ``[0, 1)``; 0 disables modulation.
         diurnal_period_s: Period of the sinusoid (a "day" in sim seconds).
         bursts: Overload windows, each multiplying the instantaneous rate.
-        names: Catalog applications to draw from (default: whole catalog).
         work_scale: Factor applied to each drawn profile's ``total_work``,
             so service jobs finish (and depart) on service-soak timescales.
     """
@@ -110,7 +109,6 @@ class OpenLoopPopulation:
         diurnal_amplitude: float = 0.0,
         diurnal_period_s: float = 600.0,
         bursts: tuple[BurstWindow, ...] = (),
-        names: list[str] | None = None,
         work_scale: float = 1.0,
     ) -> None:
         if not (math.isfinite(base_rate_per_s) and base_rate_per_s > 0):
@@ -131,10 +129,7 @@ class OpenLoopPopulation:
             raise ConfigurationError(
                 f"work scale must be finite and positive, got {work_scale!r}"
             )
-        self._pool = sorted(names) if names else sorted(CATALOG)
-        for name in self._pool:
-            if name not in CATALOG:
-                raise ConfigurationError(f"unknown application {name!r} in pool")
+        self._pool = sorted(CATALOG)
         self.base_rate_per_s = float(base_rate_per_s)
         self.clients = int(clients)
         self.seed = int(seed)

@@ -126,12 +126,6 @@ class WorkloadProfile:
         p = self.parallel_fraction
         return 1.0 / ((1.0 - p) + p / cores)
 
-    @property
-    def is_memory_bound_leaning(self) -> bool:
-        """Heuristic tag: does the app generate enough traffic that DRAM
-        allocation materially affects it? Used only for reporting."""
-        return self.mem_gb_per_work > 0.5
-
     def with_total_work(self, total_work: float) -> "WorkloadProfile":
         """Copy of this profile with a different amount of total work.
 
@@ -139,17 +133,6 @@ class WorkloadProfile:
         application finishes mid-run; this keeps the catalog immutable.
         """
         return replace(self, total_work=total_work)
-
-    def scaled(self, *, base_rate_factor: float = 1.0) -> "WorkloadProfile":
-        """Copy of this profile with its base rate scaled.
-
-        The cluster experiments replicate an application across servers with
-        slight heterogeneity; scaling the base rate models input-size
-        differences without touching the shape of the response surface.
-        """
-        if base_rate_factor <= 0:
-            raise ConfigurationError("base_rate_factor must be positive")
-        return replace(self, base_rate=self.base_rate * base_rate_factor)
 
     def to_dict(self) -> dict[str, Any]:
         """Plain-dict form used by the reporting layer."""

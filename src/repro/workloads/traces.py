@@ -18,8 +18,6 @@ peak).
 
 from __future__ import annotations
 
-import csv
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,46 +63,6 @@ class ClusterPowerTrace:
             raise ConfigurationError("time must be non-negative")
         idx = min(int(time_s / self.step_s), len(self.demand_w) - 1)
         return self.demand_w[idx]
-
-    def to_csv(self, path: str | os.PathLike) -> None:
-        """Write the trace as ``time_s,demand_w`` rows (with a header).
-
-        The format round-trips through :meth:`from_csv` and is trivially
-        produced from any facility's power telemetry export.
-        """
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["time_s", "demand_w"])
-            for i, demand in enumerate(self.demand_w):
-                writer.writerow([i * self.step_s, demand])
-
-    @classmethod
-    def from_csv(cls, path: str | os.PathLike) -> "ClusterPowerTrace":
-        """Load a trace written by :meth:`to_csv` (or any uniform-step
-        ``time_s,demand_w`` CSV - replaying real facility telemetry is the
-        point of the cluster experiments).
-
-        Raises:
-            ConfigurationError: on empty files or non-uniform time steps.
-        """
-        times: list[float] = []
-        demands: list[float] = []
-        with open(path, newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None:
-                raise ConfigurationError(f"{path}: empty trace file")
-            for row in reader:
-                if not row:
-                    continue
-                times.append(float(row[0]))
-                demands.append(float(row[1]))
-        if len(demands) < 2:
-            raise ConfigurationError(f"{path}: need at least two samples")
-        steps = np.diff(times)
-        if not np.allclose(steps, steps[0], rtol=1e-6):
-            raise ConfigurationError(f"{path}: time steps are not uniform")
-        return cls(step_s=float(steps[0]), demand_w=tuple(demands))
 
     @classmethod
     def synthetic_diurnal(

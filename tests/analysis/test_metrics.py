@@ -6,7 +6,6 @@ from repro.errors import ConfigurationError
 from repro.analysis.metrics import (
     mean_server_throughput,
     power_split_stats,
-    speedup_over,
     summarize_policies,
 )
 from repro.core.simulation import MixExperimentResult
@@ -34,17 +33,6 @@ class TestMeans:
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
             mean_server_throughput({})
-
-
-class TestSpeedup:
-    def test_speedup(self):
-        ours = {1: result(1, "ours", 1.2)}
-        base = {1: result(1, "base", 1.0)}
-        assert speedup_over(ours, base) == pytest.approx(1.2)
-
-    def test_mismatched_mixes_rejected(self):
-        with pytest.raises(ConfigurationError):
-            speedup_over({1: result(1, "o", 1.0)}, {2: result(2, "b", 1.0)})
 
 
 class TestPowerSplits:

@@ -95,12 +95,6 @@ class TestPowerAwareness:
         gain = sched.marginal_gain(sched.servers[0], CATALOG["kmeans"])
         assert gain == 0.0
 
-    def test_cap_update_changes_choices(self, config):
-        sched = scheduler(config, caps=(100.0, 100.0))
-        sched.set_cap(0, 70.0)
-        placement = sched.place(CATALOG["kmeans"])
-        assert placement.server == 1
-
     def test_beats_first_fit_under_heterogeneous_caps(self, config):
         """The headline property of the extension (averaged, seeded)."""
         import numpy as np

@@ -76,16 +76,14 @@ class TestOptimality:
 
     def test_matches_exhaustive_two_app_optimum(self, csets):
         """Exact check against brute force over both Pareto frontiers."""
-        from repro.core.utility import pareto_envelope
-
         candidates = pair(csets, "pagerank", "stream")
         budget = 28.0
         allocator = PowerAllocator(grain_w=0.1)
         dp = allocator.allocate(candidates, budget)
 
         best = 0.0
-        fa = pareto_envelope(candidates["pagerank"])
-        fb = pareto_envelope(candidates["stream"])
+        fa = candidates["pagerank"].frontier.indices.tolist()
+        fb = candidates["stream"].frontier.indices.tolist()
         ca, cb = candidates["pagerank"], candidates["stream"]
         for i in fa:
             for j in fb:

@@ -51,7 +51,7 @@ class TestQuarantinePosture:
         # Transitions for the attacker only.
         assert {t.app for t in mediator.trust.transitions} == {"stream"}
 
-        kinds = {e.kind for e in bus.sim_events()}
+        kinds = {e.kind for e in bus.events if not e.is_meta}
         assert "adv-attack-start" in kinds
         assert "adv-quarantine" in kinds
 

@@ -1,4 +1,4 @@
-"""Mediator configuration options: custom corpus, sampler, noise, dt."""
+"""Mediator configuration options: custom corpus, sampler, dt."""
 
 import pytest
 
@@ -6,7 +6,7 @@ from repro.errors import ConfigurationError
 from repro.core.mediator import PowerMediator
 from repro.core.policies import make_policy
 from repro.learning.crossval import build_exhaustive_corpus
-from repro.learning.sampling import RandomSampler, StratifiedSampler
+from repro.learning.sampling import StratifiedSampler
 from repro.server.server import SimulatedServer
 from repro.workloads.catalog import CATALOG
 
@@ -35,31 +35,12 @@ class TestOptions:
             server,
             make_policy("app+res-aware"),
             100.0,
-            sampler=RandomSampler(0.05, seed=9),
+            sampler=StratifiedSampler(0.05, seed=9),
             seed=9,
         )
         mediator.add_application(CATALOG["kmeans"].with_total_work(float("inf")))
         mediator.run_for(2.0)
         assert mediator.server_objective(since_s=0.5) > 0.5
-
-    def test_zero_noise_learning_is_nearly_oracle(self, config):
-        results = {}
-        for noise in (0.0, 1.0):
-            server = SimulatedServer(config)
-            mediator = PowerMediator(
-                server,
-                make_policy("app+res-aware"),
-                100.0,
-                power_noise_std_w=noise,
-                perf_noise_relative_std=0.0 if noise == 0.0 else 0.1,
-                sampler=StratifiedSampler(0.10, seed=1),
-                seed=1,
-            )
-            for name in ("stream", "kmeans"):
-                mediator.add_application(CATALOG[name].with_total_work(float("inf")))
-            mediator.run_for(5.0)
-            results[noise] = mediator.server_objective(since_s=1.0)
-        assert results[0.0] >= results[1.0] - 0.15
 
     def test_invalid_dt_rejected(self, config):
         with pytest.raises(ConfigurationError):

@@ -189,7 +189,7 @@ class TestBudgets:
             running = {
                 name: (CATALOG[name], knob) for name, knob in plan.knobs.items()
             }
-            assert power_model.server_power_w(running) <= 100.0 + 1e-6
+            assert power_model.server_breakdown(running).wall_w <= 100.0 + 1e-6
 
     def test_time_slots_fit_the_cap(self, config, oracle_sets, population, power_model):
         for policy_cls in (UtilUnawarePolicy, AppResAwarePolicy):
@@ -199,7 +199,7 @@ class TestBudgets:
                 running = {
                     name: (CATALOG[name], slot.knobs[name]) for name in slot.apps
                 }
-                assert power_model.server_power_w(running) <= 80.0 + 1e-6
+                assert power_model.server_breakdown(running).wall_w <= 80.0 + 1e-6
 
     def test_esd_on_phase_overshoot_within_battery(self, config, oracle_sets, population):
         battery = LeadAcidBattery(capacity_j=10_000.0, max_discharge_w=60.0)

@@ -11,7 +11,6 @@ from repro.core.utility import (
     CandidateSet,
     UtilityCurve,
     app_utility_curve,
-    pareto_envelope,
     resource_marginal_utilities,
 )
 from repro.server.config import KnobSetting
@@ -123,12 +122,12 @@ class TestKnobLookup:
 class TestParetoEnvelope:
     def test_frontier_is_smaller_than_space(self, config, power_model, kmeans):
         cset = CandidateSet.from_models(kmeans, config, power_model=power_model)
-        frontier = pareto_envelope(cset)
+        frontier = cset.frontier.indices.tolist()
         assert 2 <= len(frontier) < len(cset.knobs)
 
     def test_frontier_sorted_by_power_and_perf(self, config, power_model, kmeans):
         cset = CandidateSet.from_models(kmeans, config, power_model=power_model)
-        frontier = pareto_envelope(cset)
+        frontier = cset.frontier.indices.tolist()
         powers = [cset.power_w[i] for i in frontier]
         perfs = [cset.perf[i] for i in frontier]
         assert powers == sorted(powers)
@@ -136,7 +135,7 @@ class TestParetoEnvelope:
 
     def test_no_frontier_point_is_dominated(self, config, power_model, stream):
         cset = CandidateSet.from_models(stream, config, power_model=power_model)
-        frontier = pareto_envelope(cset)
+        frontier = cset.frontier.indices.tolist()
         for i in frontier:
             dominating = (cset.power_w < cset.power_w[i] - 1e-12) & (
                 cset.perf >= cset.perf[i]
@@ -147,7 +146,7 @@ class TestParetoEnvelope:
         self, config, power_model, kmeans
     ):
         cset = CandidateSet.from_models(kmeans, config, power_model=power_model)
-        frontier = set(pareto_envelope(cset))
+        frontier = set(cset.frontier.indices.tolist())
         for budget in (10.0, 14.0, 18.0, 25.0):
             best = cset.best_index_under(budget)
             if best is None:
@@ -184,12 +183,6 @@ class TestUtilityCurve:
         assert curve.value_at(15.0) == 0.5
         assert curve.value_at(25.0) == 1.0
         assert curve.value_at(5.0) == 0.0
-
-    def test_marginal_utility_length(self):
-        curve = UtilityCurve("x", (10.0, 20.0, 30.0), (0.2, 0.6, 0.8))
-        slopes = curve.marginal_utility()
-        assert len(slopes) == 2
-        assert slopes[0] == pytest.approx(0.04)
 
     def test_curves_differ_across_apps(self, config, power_model):
         """The premise of R1: utility curves differ between applications."""

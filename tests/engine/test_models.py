@@ -98,14 +98,18 @@ def test_candidate_set_fast_path_matches_the_scalar_build():
 
 
 def test_surface_cache_shares_grids_but_not_profile_surfaces():
-    from repro.engine import grid_for, surface_for
+    from dataclasses import replace
+
+    from repro.engine import grid_for
 
     config = DEFAULT_SERVER_CONFIG
-    assert grid_for(config) is grid_for(ServerConfig())
-    a = surface_for(config, CATALOG["stream"])
-    b = surface_for(config, CATALOG["stream"].with_total_work(50.0))
+    grid = grid_for(config)
+    assert grid is grid_for(ServerConfig())
+    stream = CATALOG["stream"]
+    a = grid.surface(stream)
+    b = grid.surface(stream.with_total_work(50.0))
     assert a is b, "total_work does not change the response surface"
-    c = surface_for(config, CATALOG["stream"].scaled(base_rate_factor=0.5))
+    c = grid.surface(replace(stream, base_rate=stream.base_rate * 0.5))
     assert c is not a
 
 

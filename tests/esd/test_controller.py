@@ -19,7 +19,7 @@ class TestEquationFive:
             period_s=10.0,
         )
         # Eq. (5): off/on = (50+20+40-80) / (0.7 * (80-50)) = 30/21
-        assert cycle.off_on_ratio == pytest.approx(30.0 / 21.0)
+        assert cycle.off_s / cycle.on_s == pytest.approx(30.0 / 21.0)
         assert cycle.on_fraction == pytest.approx(21.0 / 51.0)
         assert 0.55 <= cycle.off_s / cycle.period_s <= 0.65  # "60-40"
 
@@ -204,14 +204,6 @@ class TestController:
         assert not controller.can_boost(0.1)
         battery.charge(50.0, 10.0)
         assert controller.can_boost(0.1)
-
-    def test_replace_cycle_restarts_off(self, battery, cycle):
-        controller = EsdController(battery, cycle)
-        battery.charge(50.0, 100.0)
-        while controller.begin_tick(0.1) is Phase.OFF:
-            controller.bank(0.1)
-        controller.replace_cycle(cycle)
-        assert controller.phase is Phase.OFF
 
     def test_no_off_phase_cycle_stays_on(self, battery):
         cycle = DutyCycle(off_s=0.0, on_s=10.0, charge_w=0.0, discharge_w=0.0)

@@ -95,7 +95,7 @@ class TestTelemetryFaults:
         inj = make_injector(server, spec)
         inj.begin_tick(0.0)
         assert inj.filter_wall_sample(80.0) == (None, False)
-        assert inj.telemetry_fault_active()
+        assert "telemetry" in inj.active_kinds()
 
     def test_stale_freezes_last_healthy_sample(self, server):
         spec = FaultSpec(kind="telemetry", mode="stale", start_s=1.0, duration_s=1.0)

@@ -147,7 +147,7 @@ class TestInvariantFires:
 
     def test_tampered_leaf_names_its_parent(self):
         sim, loaded = _warm_tree()
-        _tamper(sim.leaf_agent(4))
+        _tamper(sim.leaf_agents[4])
         with pytest.raises(SimulationError, match="node 1:"):
             sim.step(5, loaded)
 
@@ -159,7 +159,7 @@ class TestInvariantFires:
 
     def test_tampered_leaf_of_a_flat_tree_names_the_root(self):
         sim, loaded = _warm_tree(fanouts=(4,), budget_w=400.0)
-        _tamper(sim.leaf_agent(2))
+        _tamper(sim.leaf_agents[2])
         with pytest.raises(SimulationError, match="node root:"):
             sim.step(5, loaded)
 

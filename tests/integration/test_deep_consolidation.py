@@ -34,7 +34,8 @@ class TestAdmission:
     def test_four_three_core_apps_fit(self, config):
         mediator = quad_mediator(config, 130.0)
         assert mediator.managed_apps() == sorted(QUAD)
-        assert mediator.server.topology.total_free_cores() == 0
+        topology = mediator.server.topology
+        assert not topology.free_cores_on_socket(0) and not topology.free_cores_on_socket(1)
 
     def test_fifth_app_rejected(self, config):
         mediator = quad_mediator(config, 130.0)

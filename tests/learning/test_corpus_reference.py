@@ -71,7 +71,7 @@ EDGE_PROFILES = {
     "compute-only": replace(KMEANS, name="compute-only", mem_gb_per_work=0.0),
     "serial": replace(KMEANS, name="serial", parallel_fraction=0.0),
     "fully-parallel": replace(KMEANS, name="fully-parallel", parallel_fraction=1.0),
-    "kmeans-scaled": KMEANS.scaled(base_rate_factor=1.7),
+    "kmeans-scaled": replace(KMEANS, base_rate=KMEANS.base_rate * 1.7),
 }
 
 

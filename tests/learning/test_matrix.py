@@ -28,7 +28,7 @@ class TestStructure:
 
     def test_empty_matrix(self, matrix):
         assert matrix.apps == []
-        assert matrix.density() == 0.0
+        assert matrix.observed_mask().size == 0
 
 
 class TestObservation:
@@ -39,7 +39,7 @@ class TestObservation:
         col = matrix.column_of(knob)
         assert matrix.power_row("kmeans")[col] == 20.0
         assert matrix.perf_row("kmeans")[col] == 3.0
-        assert matrix.row_observation_count("kmeans") == 1
+        assert matrix.observed_mask().sum() == 1
 
     def test_unobserved_cells_are_nan(self, matrix, config):
         matrix.add_app("a")
@@ -83,7 +83,7 @@ class TestMasks:
         matrix.add_app("a")
         for knob in config.knob_space():
             matrix.observe("a", knob, power_w=1.0, perf=1.0)
-        assert matrix.density() == 1.0
+        assert matrix.observed_mask().all()
 
     def test_rows_are_copies(self, matrix, config):
         matrix.add_app("a")
@@ -105,7 +105,7 @@ class TestValidation:
         matrix.add_app("a")
         with pytest.raises(ConfigurationError, match="finite and non-negative"):
             matrix.observe("a", config.max_knob, power_w=power_w, perf=perf)
-        assert matrix.row_observation_count("a") == 0
+        assert not matrix.observed_mask().any()
 
 
 class TestAddRow:
@@ -119,7 +119,7 @@ class TestAddRow:
             cellwise.observe("a", knob, power_w=power[j], perf=perf[j])
         assert np.array_equal(matrix.power_rows(), cellwise.power_rows())
         assert np.array_equal(matrix.perf_rows(), cellwise.perf_rows())
-        assert matrix.density() == 1.0
+        assert matrix.observed_mask().all()
 
     def test_row_is_copied(self, matrix):
         power = np.ones(matrix.n_columns)

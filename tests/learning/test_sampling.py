@@ -3,12 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.learning.sampling import (
-    AdaptiveSampler,
-    RandomSampler,
-    Sampler,
-    StratifiedSampler,
-)
+from repro.learning.sampling import Sampler, StratifiedSampler
 from repro.server.config import ServerConfig
 
 
@@ -35,35 +30,10 @@ class TestBudget:
                 1, int(round(fraction * len(config.knob_space())))
             )
 
-    @pytest.mark.parametrize("sampler", [RandomSampler, StratifiedSampler, AdaptiveSampler])
     @pytest.mark.parametrize("fraction", [0.0, 1.0001, -0.5, float("nan")])
-    def test_samplers_reject_fraction_at_construction(self, sampler, fraction):
+    def test_samplers_reject_fraction_at_construction(self, fraction):
         with pytest.raises(ConfigurationError, match=r"fraction must be in \(0, 1\]"):
-            sampler(fraction)
-
-
-class TestRandomSampler:
-    def test_respects_budget(self, config):
-        samples = RandomSampler(0.10, seed=1).select(config)
-        assert len(samples) == Sampler.budget_from_fraction(config, 0.10)
-
-    def test_no_duplicates(self, config):
-        samples = RandomSampler(0.25, seed=2).select(config)
-        assert len(samples) == len(set(samples))
-
-    def test_deterministic_per_seed(self, config):
-        a = RandomSampler(0.10, seed=3).select(config)
-        b = RandomSampler(0.10, seed=3).select(config)
-        assert a == b
-
-    def test_different_seeds_differ(self, config):
-        a = RandomSampler(0.10, seed=3).select(config)
-        b = RandomSampler(0.10, seed=4).select(config)
-        assert a != b
-
-    def test_samples_are_in_knob_space(self, config):
-        space = set(config.knob_space())
-        assert all(k in space for k in RandomSampler(0.05, seed=5).select(config))
+            StratifiedSampler(fraction)
 
 
 class TestStratifiedSampler:

@@ -43,7 +43,8 @@ class TestGauge:
 class TestHistogram:
     def test_cumulative_stats_survive_window_eviction(self):
         hist = Histogram("h", window_size=4)
-        hist.observe_many(range(100))
+        for value in range(100):
+            hist.observe(value)
         assert hist.count == 100
         assert hist.total == sum(range(100))
         assert hist.minimum == 0
@@ -52,7 +53,8 @@ class TestHistogram:
 
     def test_quantiles_nearest_rank(self):
         hist = Histogram("h")
-        hist.observe_many([1.0, 2.0, 3.0, 4.0])
+        for value in [1.0, 2.0, 3.0, 4.0]:
+            hist.observe(value)
         assert hist.quantile(0.0) == 1.0
         assert hist.quantile(0.5) == 2.0
         assert hist.quantile(1.0) == 4.0
@@ -94,7 +96,8 @@ class TestRegistry:
         registry.counter("c").inc(3)
         registry.gauge("g").set(0.5)
         registry.gauge("unset")
-        registry.histogram("h").observe_many([1.0, 2.0, 3.0])
+        for value in [1.0, 2.0, 3.0]:
+            registry.histogram("h").observe(value)
         doc = registry.to_json()
         back = MetricsRegistry.from_json(doc)
         assert back.to_json() == doc
@@ -130,10 +133,13 @@ class TestRegistry:
 
     def test_merge_histograms_equal_concat(self):
         a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("h").observe_many([1.0, 5.0])
-        b.histogram("h").observe_many([3.0])
+        for value in [1.0, 5.0]:
+            a.histogram("h").observe(value)
+        for value in [3.0]:
+            b.histogram("h").observe(value)
         replayed = MetricsRegistry()
-        replayed.histogram("h").observe_many([1.0, 5.0, 3.0])
+        for value in [1.0, 5.0, 3.0]:
+            replayed.histogram("h").observe(value)
         assert a.merge(b).to_json() == replayed.to_json()
 
 

@@ -38,7 +38,8 @@ class TestHistogramProperties:
     @settings(max_examples=120, deadline=None)
     def test_quantile_bounded_by_window_min_max(self, values, q):
         hist = Histogram("h")
-        hist.observe_many(values)
+        for value in values:
+            hist.observe(value)
         quantile = hist.quantile(q)
         assert min(hist.window) <= quantile <= max(hist.window)
         # ...which the cumulative extrema bound in turn.
@@ -48,7 +49,8 @@ class TestHistogramProperties:
     @settings(max_examples=80, deadline=None)
     def test_quantiles_are_observed_values(self, values, window):
         hist = Histogram("h", window_size=window)
-        hist.observe_many(values)
+        for value in values:
+            hist.observe(value)
         for q in (0.0, 0.5, 0.9, 0.99, 1.0):
             assert hist.quantile(q) in values
 
@@ -56,7 +58,8 @@ class TestHistogramProperties:
     @settings(max_examples=80, deadline=None)
     def test_cumulative_stats_exact_regardless_of_eviction(self, values):
         hist = Histogram("h", window_size=4)
-        hist.observe_many(values)
+        for value in values:
+            hist.observe(value)
         assert hist.count == len(values)
         if values:
             assert hist.minimum == min(values)
@@ -69,12 +72,15 @@ class TestMergeProperties:
     @settings(max_examples=100, deadline=None)
     def test_merge_equals_concatenated_replay(self, first, second):
         a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("h").observe_many(first)
-        b.histogram("h").observe_many(second)
+        for value in first:
+            a.histogram("h").observe(value)
+        for value in second:
+            b.histogram("h").observe(value)
         a.counter("c").inc(len(first))
         b.counter("c").inc(len(second))
         replayed = MetricsRegistry()
-        replayed.histogram("h").observe_many(first + second)
+        for value in first + second:
+            replayed.histogram("h").observe(value)
         replayed.counter("c").inc(len(first) + len(second))
         assert a.merge(b).to_json() == replayed.to_json()
 
@@ -83,7 +89,8 @@ class TestMergeProperties:
     def test_merge_is_associative(self, first, second, third):
         def registry(values):
             r = MetricsRegistry()
-            r.histogram("h").observe_many(values)
+            for value in values:
+                r.histogram("h").observe(value)
             return r
 
         a, b, c = registry(first), registry(second), registry(third)
@@ -95,7 +102,8 @@ class TestMergeProperties:
     @settings(max_examples=40, deadline=None)
     def test_merge_with_empty_is_identity(self, values):
         a = MetricsRegistry()
-        a.histogram("h").observe_many(values)
+        for value in values:
+            a.histogram("h").observe(value)
         a.counter("c").inc(len(values))
         a.gauge("g").set(1.5)
         empty = MetricsRegistry()

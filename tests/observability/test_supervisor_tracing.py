@@ -8,7 +8,6 @@ from repro.core.simulation import run_mix_experiment
 from repro.errors import ChaosError
 from repro.observability.trace import TraceBus, summarize_trace, verify_trace
 from repro.persistence.supervisor import Supervisor
-from repro.server.config import ServerConfig
 from repro.workloads.mixes import get_mix
 
 
@@ -88,14 +87,11 @@ def _uncrashed_mix():
         _apps(),
         "app+res-aware",
         80.0,
-        config=ServerConfig(),
         duration_s=6.0,
         warmup_s=2.0,
         use_oracle_estimates=True,
-        dt_s=0.1,
         seed=0,
         faults=None,
-        resilience=None,
     )
 
 

@@ -157,3 +157,22 @@ def tamper_ids(kinds):
 def tamper(case, workdir, tick):
     """Apply ``case`` to the checkpoint at ``tick``; the expected error."""
     return _TAMPERS[case](workdir, tick)
+
+
+#: Ways to damage one key of a caller's own state, and the start of the
+#: one-line error each must end in.
+OWNER_DAMAGE = {
+    "missing": (lambda state, key: state.pop(key), "required field is missing"),
+    "wrong-type": (lambda state, key: state.update({key: "damaged"}), "expected "),
+}
+
+
+def damage_owner_state(workdir, tick, owner, key, how):
+    """Damage ``key`` of the caller state in the checkpoint at ``tick``;
+    returns the error fragment recovery must fail with."""
+    path = workdir / "checkpoints" / checkpoint_filename(tick)
+    doc = json.loads(path.read_text())
+    damage, message = OWNER_DAMAGE[how]
+    damage(doc[owner], key)
+    path.write_text(json.dumps(doc))
+    return f"checkpoint.{owner}.{key}: {message}"

@@ -20,7 +20,6 @@ from repro.persistence import (
     read_checkpoint,
     restore_mediator,
 )
-from repro.server.config import ServerConfig
 from repro.workloads.catalog import CATALOG
 from repro.workloads.generator import PhasedProfile
 from repro.workloads.profiles import WorkloadProfile
@@ -31,14 +30,11 @@ def _recipe_and_script(stream, kmeans, *, policy="app+res-aware", seed=0, faults
         [stream, kmeans],
         policy,
         100.0,
-        config=ServerConfig(),
         duration_s=4.0,
         warmup_s=2.0,
         use_oracle_estimates=False,
-        dt_s=0.1,
         seed=seed,
         faults=faults,
-        resilience=None,
     )
 
 
@@ -164,8 +160,12 @@ def test_filenames_sort_chronologically(tmp_path, stream, kmeans):
             "version 42 is not supported",
         ),
         (
-            json.dumps({"schema": "repro-checkpoint", "version": 3}),
+            json.dumps({"schema": "repro-checkpoint", "version": 4}),
             "checkpoint.tick",
+        ),
+        (
+            json.dumps({"schema": "repro-checkpoint", "version": 3}),
+            "checkpoint version 3 is not supported",
         ),
         (
             json.dumps({"schema": "repro-checkpoint", "version": 1}),
@@ -203,8 +203,22 @@ def test_missing_file_is_one_line(tmp_path):
         (lambda r: r.pop("policy"), "recipe.policy: required"),
         (lambda r: r["config"].update(warp_factor=9), "recipe.config.warp_factor"),
         (lambda r: r.update(p_cap_w="plenty"), "recipe.p_cap_w"),
-        (lambda r: r.update(sampler={"type": "stratified"}), "recipe.sampler.fraction"),
-        (lambda r: r.update(use_battery="yes"), "recipe.use_battery"),
+        # The keys a version-3 recipe still carried, and any other stranger.
+        (lambda r: r.update(sampler=None), "recipe.sampler: unknown recipe field"),
+        (lambda r: r.update(use_battery=None), "recipe.use_battery: unknown recipe field"),
+        (
+            lambda r: r.update(power_noise_std_w=0.3),
+            "recipe.power_noise_std_w: unknown recipe field",
+        ),
+        (
+            lambda r: r.update(perf_noise_relative_std=0.02),
+            "recipe.perf_noise_relative_std: unknown recipe field",
+        ),
+        (
+            lambda r: r["config"].update(reallocation_latency_s=0.8),
+            "recipe.config.reallocation_latency_s: unknown server-config field",
+        ),
+        (lambda r: r.update(warp_factor=9), "recipe.warp_factor: unknown recipe field"),
         (lambda r: r.update(faults={"seed": 0, "faults": [{"kind": "gremlin"}]}), "recipe.faults"),
         (lambda r: r.update(resilience={"bogus_knob": 1}), "recipe.resilience.bogus_knob"),
     ],
@@ -244,7 +258,7 @@ def test_document_leaves_the_timeline_to_the_log(tmp_path, stream, kmeans):
     path = _write(tmp_path, mediator, recipe)
     doc = json.loads(path.read_text())
     full = mediator.state_dict()
-    assert doc["version"] == 3 and doc["tick"] == 15
+    assert doc["version"] == 4 and doc["tick"] == 15
     assert "timeline" not in doc["state"]
     assert "log" not in doc["state"]["accountant"]
     assert "finished" not in doc["state"]

@@ -12,7 +12,6 @@ import os
 
 from repro.chaos import mix_recipe
 from repro.persistence import HISTORY_LOG, Supervisor, checkpoint_filename
-from repro.server.config import ServerConfig
 from repro.service import MediatorService, ServiceConfig
 
 SOAK = os.environ.get("REPRO_SOAK") == "1"
@@ -76,14 +75,11 @@ def test_supervised_mix_checkpoints_cost_as_much_late_as_early(tmp_path, stream,
         [stream, kmeans],
         "app+res-aware",
         100.0,
-        config=ServerConfig(),
         duration_s=(LATE + 1) * 0.1,  # one tick past LATE, for the hook
         warmup_s=0.0,
         use_oracle_estimates=False,
-        dt_s=0.1,
         seed=0,
         faults=None,
-        resilience=None,
     )
     written = _Written(tmp_path)
 

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from repro.chaos import mix_recipe, run_script
 from repro.persistence import MediatorKilled, Supervisor
 from repro.persistence.supervisor import Advance
-from repro.server.config import ServerConfig
 from repro.workloads.catalog import get_application
 
 _TOTAL_TICKS = 30
@@ -33,14 +32,11 @@ def _recipe_and_script(seed: int, policy: str = "app+res-aware"):
         [get_application("stream"), get_application("kmeans")],
         policy,
         100.0,
-        config=ServerConfig(),
         duration_s=2.0,
         warmup_s=1.0,
         use_oracle_estimates=False,
-        dt_s=0.1,
         seed=seed,
         faults=None,
-        resilience=None,
     )
 
 

@@ -19,9 +19,10 @@ from repro.persistence import (
     Supervisor,
     read_journal,
 )
-from repro.server.config import ServerConfig
 from tests.persistence.history_log import (
+    OWNER_DAMAGE,
     append_strays,
+    damage_owner_state,
     documents,
     log_items,
     log_records,
@@ -35,14 +36,11 @@ def _recipe_and_script(stream, kmeans, *, policy="app+res-aware"):
         [stream, kmeans],
         policy,
         100.0,
-        config=ServerConfig(),
         duration_s=4.0,
         warmup_s=2.0,
         use_oracle_estimates=False,
-        dt_s=0.1,
         seed=0,
         faults=None,
-        resilience=None,
     )
 
 
@@ -244,7 +242,8 @@ def test_recovery_accounting(tmp_path, stream, kmeans):
     assert stats.journal_records_replayed >= stats.downtime_ticks
     assert stats.checkpoints_written >= 4  # t0, 20, post-recovery, 40, final
     assert stats.cold_relearns_avoided == 2  # both managed apps kept their state
-    per_app = Sampler.budget_from_fraction(recipe.config, recipe.sampler_fraction)
+    # A recipe's mediator calibrates with its default sampler: 10% of the knobs.
+    per_app = Sampler.budget_from_fraction(recipe.config, 0.10)
     assert stats.samples_restored == 2 * per_app
 
     summary = summarize_recovery(stats, dt_s=0.1)
@@ -302,7 +301,7 @@ def test_checkpoints_append_the_timeline_to_the_log(tmp_path, stream, kmeans):
     docs = documents(tmp_path)
     assert [doc["tick"] for doc in docs] == [0, 20, 40, 60]
     for doc in docs:
-        assert doc["version"] == 3
+        assert doc["version"] == 4
         assert doc["sessions"] is None
         assert "timeline" not in doc["state"]
         assert "log" not in doc["state"]["accountant"]
@@ -345,3 +344,26 @@ def test_a_log_that_disagrees_fails_in_one_line(tmp_path, stream, kmeans, case):
     text = str(excinfo.value)
     assert expected[0] in text
     assert "\n" not in text
+
+
+@pytest.mark.parametrize("how", sorted(OWNER_DAMAGE))
+@pytest.mark.parametrize("key", ["command", "end_s"])
+def test_a_damaged_position_fails_in_one_line(tmp_path, stream, kmeans, key, how):
+    # The kill at 30 recovers from the checkpoint at 20, mid-Advance.
+    recipe, script = _recipe_and_script(stream, kmeans)
+    expected = []
+    supervisor = Supervisor(
+        recipe, script, tmp_path, checkpoint_every_ticks=20,
+        tick_hook=_kill_in_order(
+            [30],
+            before=lambda: expected.append(
+                damage_owner_state(tmp_path, 20, "supervisor", key, how)
+            ),
+        ),
+    )
+    with pytest.raises(CheckpointError) as excinfo:
+        supervisor.run()
+    text = str(excinfo.value)
+    assert expected[0] in text
+    assert "\n" not in text
+

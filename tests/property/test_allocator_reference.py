@@ -4,7 +4,7 @@
 earlier implementation, kept here verbatim in substance as the reference:
 a Python loop over every Pareto option of every app, each option scanned
 into the DP row with a strict ``>``, and an envelope scan over numpy
-scalars. ``PowerAllocator.allocate`` and ``pareto_envelope`` must
+scalars. ``PowerAllocator.allocate`` and ``CandidateSet.frontier`` must
 reproduce them exactly - same choices, same objective bits, same errors -
 on the inputs where ties decide the answer: equal grid costs, equal
 performance and performance equal to within the envelope's 1e-12
@@ -21,7 +21,7 @@ import numpy as np
 from hypothesis import example, given, settings
 
 from repro.core.allocator import Allocation, AppAllocation, PowerAllocator
-from repro.core.utility import CandidateSet, pareto_envelope
+from repro.core.utility import CandidateSet
 from repro.engine import VectorPowerModel
 from repro.errors import PowerBudgetError
 from repro.server.config import KnobSetting, ServerConfig
@@ -311,7 +311,7 @@ class TestMatchesLoopReference:
     def test_synthetic_sets(self, problem):
         candidates, budget, grain, allow_exclusion, weights = problem
         for cset in candidates.values():
-            assert pareto_envelope(cset) == reference_envelope(cset)
+            assert cset.frontier.indices.tolist() == reference_envelope(cset)
         allocator = PowerAllocator(grain_w=grain, allow_exclusion=allow_exclusion)
         assert outcome(
             lambda: allocator.allocate(candidates, budget, weights=weights)
@@ -351,7 +351,7 @@ class TestMatchesLoopReference:
 
     def test_catalog_envelopes(self):
         for cset in _CATALOG_SETS.values():
-            assert pareto_envelope(cset) == reference_envelope(cset)
+            assert cset.frontier.indices.tolist() == reference_envelope(cset)
 
 
 class TestSharedFrontiers:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError, KnobError
-from repro.server.config import DEFAULT_SERVER_CONFIG, KnobSetting, ServerConfig
+from repro.server.config import DEFAULT_SERVER_CONFIG, KnobSetting, ServerConfig, frange
 
 
 class TestTableI:
@@ -40,7 +40,8 @@ class TestKnobSpace:
 
     def test_knob_space_order_is_stable(self, config):
         assert config.knob_space() == config.knob_space()
-        assert config.knob_space() == list(config.iter_knob_space())
+        # Frequency-major, then cores, then DRAM power: ascending tuples.
+        assert config.knob_space() == sorted(config.knob_space())
 
     def test_max_and_min_knobs_are_members(self, config):
         space = config.knob_space()
@@ -117,3 +118,22 @@ class TestDynamicBudget:
 class TestDefaultInstance:
     def test_default_is_table_i(self):
         assert DEFAULT_SERVER_CONFIG == ServerConfig()
+
+
+class TestFrange:
+    def test_paper_dvfs_steps(self):
+        steps = frange(1.2, 2.0, 0.1)
+        assert len(steps) == 9
+        assert steps[0] == 1.2
+        assert steps[-1] == 2.0
+
+    def test_no_float_drift(self):
+        steps = frange(3.0, 10.0, 1.0)
+        assert steps == [3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]
+
+    def test_single_point(self):
+        assert frange(1.0, 1.0, 0.5) == [1.0]
+
+    def test_negative_step_raises(self):
+        with pytest.raises(ValueError):
+            frange(0.0, 1.0, -0.1)

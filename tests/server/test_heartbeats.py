@@ -56,12 +56,6 @@ class TestRates:
         monitor.register("a")
         assert monitor.heart_rate("a") == 0.0
 
-    def test_total_beats_accumulate(self, monitor):
-        monitor.register("a")
-        for i in range(1, 11):
-            monitor.emit("a", i * 0.1, 2.0)
-        assert monitor.total_beats("a") == pytest.approx(20.0)
-
     def test_negative_beats_rejected(self, monitor):
         monitor.register("a")
         with pytest.raises(ConfigurationError):
@@ -100,9 +94,9 @@ class TestEmitValidation:
         monitor.emit("a", 0.1, 1.0)
         with pytest.raises(ConfigurationError):
             monitor.emit("a", 0.1, float("nan"))
-        assert monitor.total_beats("a") == pytest.approx(1.0)
+        assert monitor.exact_rate("a") == pytest.approx(1.0 / 2.0)  # window 2 s
         monitor.emit("a", 0.2, 1.0)  # the stream recovers after the reject
-        assert monitor.total_beats("a") == pytest.approx(2.0)
+        assert monitor.exact_rate("a") == pytest.approx(2.0 / 2.0)
 
 
 class TestNoise:

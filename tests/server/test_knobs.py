@@ -50,31 +50,11 @@ class TestAttachment:
 
 
 class TestActuation:
-    def test_set_frequency_only(self, setup):
-        _, _, knobs = setup
-        knobs.attach("a")
-        knobs.set_frequency("a", 1.4)
-        knob = knobs.knob_of("a")
-        assert knob.freq_ghz == 1.4
-        assert knob.cores == 6
-
-    def test_set_cores_only(self, setup):
-        _, _, knobs = setup
-        knobs.attach("a")
-        knobs.set_cores("a", 3)
-        assert knobs.knob_of("a").cores == 3
-
-    def test_set_dram_only(self, setup):
-        _, _, knobs = setup
-        knobs.attach("a")
-        knobs.set_dram_power("a", 5.0)
-        assert knobs.knob_of("a").dram_power_w == 5.0
-
     def test_off_grid_setting_rejected(self, setup):
         _, _, knobs = setup
         knobs.attach("a")
         with pytest.raises(KnobError):
-            knobs.set_frequency("a", 1.55)
+            knobs.set_knob("a", KnobSetting(1.55, 6, 10.0))
 
     def test_knob_just_off_a_grid_step_validates(self, setup, config):
         # Not a grid point, so the exact lookup misses; the config's 1e-9
@@ -107,7 +87,7 @@ class TestActuation:
         narrow = KnobController(config, narrow_topo, RaplInterface(config.sockets))
         narrow.attach("n", KnobSetting(2.0, 3, 10.0))
         with pytest.raises(KnobError):
-            narrow.set_cores("n", 4)
+            narrow.set_knob("n", KnobSetting(2.0, 4, 10.0))
 
 
 class TestDramLimitMirroring:
@@ -115,14 +95,14 @@ class TestDramLimitMirroring:
         topo, rapl, knobs = setup
         knobs.attach("a")
         socket = topo.group_of("a").socket
-        assert rapl.power_limit(f"dram-{socket}") == 10.0
+        assert rapl.domain(f"dram-{socket}").power_limit_w == 10.0
 
     def test_set_dram_updates_limit(self, setup):
         topo, rapl, knobs = setup
         knobs.attach("a")
-        knobs.set_dram_power("a", 4.0)
+        knobs.set_knob("a", KnobSetting(2.0, 6, 4.0))
         socket = topo.group_of("a").socket
-        assert rapl.power_limit(f"dram-{socket}") == 4.0
+        assert rapl.domain(f"dram-{socket}").power_limit_w == 4.0
 
     def test_shared_socket_sums_limits(self, config):
         topo = ServerTopology(config)
@@ -133,7 +113,7 @@ class TestDramLimitMirroring:
         topo.admit("c", width=3)  # shares with a
         knobs.attach("a", KnobSetting(2.0, 3, 6.0))
         knobs.attach("c", KnobSetting(2.0, 3, 4.0))
-        assert rapl.power_limit(f"dram-{a.socket}") == 10.0
+        assert rapl.domain(f"dram-{a.socket}").power_limit_w == 10.0
 
 
 class TestSuspendResume:

@@ -110,20 +110,17 @@ class TestMonotonicity:
 
 class TestNormalization:
     def test_relative_performance_at_max_knob_is_one(self, perf_model, config, kmeans):
-        assert perf_model.relative_performance(kmeans, config.max_knob) == pytest.approx(1.0)
+        rate = perf_model.rate(kmeans, config.max_knob)
+        assert rate / perf_model.peak_rate(kmeans) == pytest.approx(1.0)
 
     def test_relative_performance_below_one_elsewhere(self, perf_model, config, kmeans):
-        assert perf_model.relative_performance(kmeans, config.min_knob) < 1.0
+        assert perf_model.rate(kmeans, config.min_knob) < perf_model.peak_rate(kmeans)
 
     def test_peak_rate_positive_for_catalog(self, perf_model):
         from repro.workloads.catalog import CATALOG
 
         for profile in CATALOG.values():
             assert perf_model.peak_rate(profile) > 0
-
-    def test_completion_time(self, perf_model, config, kmeans):
-        t = perf_model.completion_time_s(kmeans, config.max_knob)
-        assert t == pytest.approx(kmeans.total_work / perf_model.peak_rate(kmeans))
 
 
 class TestUtilization:

@@ -88,30 +88,16 @@ class TestPowerReadings:
 class TestLimits:
     def test_set_and_read_limit(self, rapl):
         rapl.set_power_limit("dram-0", 7.0)
-        assert rapl.power_limit("dram-0") == 7.0
+        assert rapl.domain("dram-0").power_limit_w == 7.0
 
     def test_clear_limit(self, rapl):
         rapl.set_power_limit("dram-0", 7.0)
         rapl.set_power_limit("dram-0", None)
-        assert rapl.power_limit("dram-0") is None
+        assert rapl.domain("dram-0").power_limit_w is None
 
     def test_nonpositive_limit_rejected(self, rapl):
         with pytest.raises(ConfigurationError):
             rapl.set_power_limit("dram-0", 0.0)
-
-    def test_violation_detection(self, rapl):
-        rapl.set_power_limit("package-0", 20.0)
-        rapl.advance({"package-0": 25.0}, 0.1)
-        assert rapl.violations() == ["package-0"]
-
-    def test_no_violation_at_limit(self, rapl):
-        rapl.set_power_limit("package-0", 20.0)
-        rapl.advance({"package-0": 20.0}, 0.1)
-        assert rapl.violations() == []
-
-    def test_uncapped_domain_never_violates(self, rapl):
-        rapl.advance({"package-0": 1000.0}, 0.1)
-        assert rapl.violations() == []
 
 
 class TestWraparound:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError, SchedulingError, SimulationError
-from repro.server.config import KnobSetting, ServerConfig
+from repro.server.config import ServerConfig
 from repro.server.server import SimulatedServer
 
 
@@ -66,12 +66,12 @@ class TestTick:
         server.admit(kmeans)
         server.admit(stream)
         result = server.tick(0.1)
-        expected = server.power_model.server_power_w(
+        expected = server.power_model.server_breakdown(
             {
                 "kmeans": (kmeans, server.config.max_knob),
                 "stream": (stream, server.config.max_knob),
             }
-        )
+        ).wall_w
         assert result.breakdown.wall_w == pytest.approx(expected)
 
     def test_rapl_psys_tracks_wall(self, server, kmeans):
@@ -169,25 +169,3 @@ class TestDeepSleep:
         full = server.perf_model.rate(kmeans, server.config.max_knob) * 0.1
         # Both the PC6 wake latency and the resume refill are charged.
         assert result.progressed["kmeans"] < full
-
-
-class TestCapAssertion:
-    def test_within_cap_passes(self, server, kmeans):
-        server.admit(kmeans)
-        server.tick(0.1)
-        server.assert_within_cap(200.0)
-
-    def test_violation_raises(self, server, kmeans):
-        server.admit(kmeans)
-        server.tick(0.1)
-        with pytest.raises(SimulationError):
-            server.assert_within_cap(60.0)
-
-
-class TestTrueResponse:
-    def test_oracle_matches_models(self, server, kmeans):
-        server.admit(kmeans)
-        knob = KnobSetting(1.5, 3, 6.0)
-        power, rate = server.true_response("kmeans", knob)
-        assert power == pytest.approx(server.power_model.app_power_w(kmeans, knob))
-        assert rate == pytest.approx(server.perf_model.rate(kmeans, knob))

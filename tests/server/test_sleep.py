@@ -27,14 +27,16 @@ class TestStateMachine:
         with pytest.raises(SimulationError):
             sleep.enter_pc6(runnable_apps=2)
 
-    def test_reentry_is_idempotent(self, sleep):
+    def test_reentry_is_idempotent(self, sleep, config):
         sleep.enter_pc6(0)
         sleep.enter_pc6(0)
-        assert sleep.pc6_entries == 1
+        assert sleep.in_deep_sleep
+        assert sleep.wake() == config.pc6_wake_latency_s
+        assert not sleep.in_deep_sleep
 
     def test_wake_when_awake_is_free(self, sleep):
         assert sleep.wake() == 0.0
-        assert sleep.total_wake_penalty_s == 0.0
+        assert sleep.consume_wake_penalty(0.1) == 1.0
 
 
 class TestWakePenalty:
@@ -62,30 +64,7 @@ class TestWakePenalty:
         assert slow.consume_wake_penalty(0.1) == 0.0  # fully eaten
         assert slow.consume_wake_penalty(0.1) == pytest.approx(0.5)
 
-    def test_cumulative_penalty(self, sleep, config):
-        for _ in range(3):
-            sleep.enter_pc6(0)
-            sleep.wake()
-        assert sleep.total_wake_penalty_s == pytest.approx(
-            3 * config.pc6_wake_latency_s
-        )
-
     def test_invalid_tick_rejected(self, sleep):
         with pytest.raises(ConfigurationError):
             sleep.consume_wake_penalty(0.0)
 
-
-class TestResidency:
-    def test_pc6_time_accumulates(self, sleep):
-        sleep.enter_pc6(0)
-        sleep.advance(1.5)
-        sleep.advance(0.5)
-        assert sleep.time_in_pc6_s == pytest.approx(2.0)
-
-    def test_active_time_not_counted(self, sleep):
-        sleep.advance(5.0)
-        assert sleep.time_in_pc6_s == 0.0
-
-    def test_negative_time_rejected(self, sleep):
-        with pytest.raises(ConfigurationError):
-            sleep.advance(-1.0)

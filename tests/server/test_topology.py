@@ -1,4 +1,4 @@
-"""Topology: core-group reservations, placement, the taskset substrate."""
+"""Topology: core-group reservations and placement."""
 
 import pytest
 
@@ -45,7 +45,7 @@ class TestAdmission:
         topo.admit("b", width=3)
         c = topo.admit("c", width=3)
         d = topo.admit("d", width=3)
-        assert topo.total_free_cores() == 0
+        assert not topo.free_cores_on_socket(0) and not topo.free_cores_on_socket(1)
         assert not c.dedicated_dimm or not d.dedicated_dimm
 
     def test_socket_sharing_clears_dedicated_dimm(self, topo):
@@ -68,7 +68,8 @@ class TestRelease:
     def test_release_frees_cores(self, topo, config):
         topo.admit("a")
         topo.release("a")
-        assert topo.total_free_cores() == config.total_cores
+        free = sum(len(topo.free_cores_on_socket(s)) for s in range(config.sockets))
+        assert free == config.total_cores
 
     def test_release_restores_dedication(self, topo):
         topo.admit("a", width=3)
@@ -88,27 +89,6 @@ class TestRelease:
         topo.admit("c")  # reuses the freed socket
 
 
-class TestTasksetMask:
-    def test_mask_is_prefix_of_group(self, topo):
-        group = topo.admit("a")
-        mask = topo.taskset_mask("a", 3)
-        assert mask == group.cores[:3]
-
-    def test_full_mask(self, topo):
-        group = topo.admit("a")
-        assert topo.taskset_mask("a", group.width) == group.cores
-
-    def test_mask_beyond_width_rejected(self, topo):
-        topo.admit("a", width=3)
-        with pytest.raises(ConfigurationError):
-            topo.taskset_mask("a", 4)
-
-    def test_zero_cores_rejected(self, topo):
-        topo.admit("a")
-        with pytest.raises(ConfigurationError):
-            topo.taskset_mask("a", 0)
-
-
 class TestQueries:
     def test_apps_on_socket(self, topo):
         a = topo.admit("a")
@@ -117,9 +97,3 @@ class TestQueries:
     def test_free_cores_on_bad_socket(self, topo):
         with pytest.raises(ConfigurationError):
             topo.free_cores_on_socket(5)
-
-    def test_groups_view_is_a_copy(self, topo):
-        topo.admit("a")
-        view = topo.groups
-        view.clear()
-        assert topo.group_of("a")  # unaffected

@@ -10,7 +10,9 @@ from repro.persistence import HISTORY_LOG, read_journal
 from repro.service import MediatorService, ServiceConfig, ServiceKilled
 from repro.workloads import BurstWindow
 from tests.persistence.history_log import (
+    OWNER_DAMAGE,
     append_strays,
+    damage_owner_state,
     document,
     log_items,
     log_records,
@@ -226,7 +228,7 @@ def test_checkpoints_append_the_timeline_to_the_log(service_cfg, tmp_path):
     assert log_items(tmp_path, "event") == full["accountant"]["log"]
     assert log_items(tmp_path, "finished") == full["finished"] != []
     doc = document(tmp_path, 100)
-    assert doc["version"] == 3
+    assert doc["version"] == 4
     assert doc["history_lines"] == len(log.read_bytes().splitlines())
     assert "timeline" not in doc["state"] and "finished" not in doc["state"]
     assert "sessions" not in doc["service"]
@@ -295,3 +297,33 @@ def test_run_for_ticks_validates(service_cfg, tmp_path):
     with pytest.raises(ConfigurationError):
         service.run_for_ticks(0)
     service.close()
+
+
+@pytest.mark.parametrize("how", sorted(OWNER_DAMAGE))
+@pytest.mark.parametrize(
+    "key",
+    [
+        "population", "ingest", "pending", "outstanding", "client_seqs",
+        "cap_cursor", "ingest_seq", "metrics",
+    ],
+)
+def test_a_damaged_service_state_fails_in_one_line(service_cfg, tmp_path, key, how):
+    # The kill at 120 recovers from the checkpoint at 100.
+    expected = []
+    service = MediatorService(
+        ServiceConfig(**service_cfg),
+        tmp_path,
+        tick_hook=_killer(
+            120,
+            before=lambda: expected.append(
+                damage_owner_state(tmp_path, 100, "service", key, how)
+            ),
+        ),
+    )
+    with pytest.raises(CheckpointError) as excinfo:
+        service.run_for_ticks(160)
+    service.close()
+    text = str(excinfo.value)
+    assert expected[0] in text
+    assert "\n" not in text
+

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, RetryExhaustedError
 from repro.util.retry import RetryPolicy
 
 
@@ -64,6 +64,7 @@ class TestBackoff:
 class TestExhaustion:
     def test_exhausted_at_max_attempts(self):
         policy = RetryPolicy(max_attempts=3)
-        assert not policy.exhausted(2)
-        assert policy.exhausted(3)
-        assert policy.exhausted(4)
+        policy.require(2, what="write")
+        for attempts in (3, 4):
+            with pytest.raises(RetryExhaustedError, match="retry attempts exhausted"):
+                policy.require(attempts, what="write")

@@ -122,15 +122,9 @@ class TestPhasedProfile:
         assert phased.profile_at(0.5) is heavy
         assert phased.profile_at(0.9) is heavy
 
-    def test_boundary_crossing(self, kmeans):
-        heavy = self._variant(kmeans, 1.0)
-        phased = PhasedProfile([(0.0, kmeans), (0.5, heavy)])
-        assert phased.phase_boundary_crossed(0.4, 0.6)
-        assert not phased.phase_boundary_crossed(0.1, 0.4)
-
     def test_single_segment(self, kmeans):
         phased = PhasedProfile([(0.0, kmeans)])
-        assert phased.segment_count == 1
+        assert phased.segments == [(0.0, kmeans)]
         assert phased.profile_at(1.0) is kmeans
 
     def test_must_start_at_zero(self, kmeans):

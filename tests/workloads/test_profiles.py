@@ -96,13 +96,6 @@ class TestDerivation:
     def test_with_infinite_work(self):
         assert make().with_total_work(float("inf")).total_work == float("inf")
 
-    def test_scaled_base_rate(self):
-        assert make().scaled(base_rate_factor=2.0).base_rate == 2.0
-
-    def test_scaled_rejects_nonpositive(self):
-        with pytest.raises(ConfigurationError):
-            make().scaled(base_rate_factor=0.0)
-
     def test_dict_roundtrip(self):
         profile = make()
         assert WorkloadProfile.from_dict(profile.to_dict()) == profile
@@ -111,7 +104,3 @@ class TestDerivation:
         data = make().to_dict()
         data["mystery"] = 42
         WorkloadProfile.from_dict(data)
-
-    def test_memory_bound_tag(self):
-        assert make(mem_gb_per_work=2.0).is_memory_bound_leaning
-        assert not make(mem_gb_per_work=0.1).is_memory_bound_leaning
