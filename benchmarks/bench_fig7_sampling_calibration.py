@@ -19,7 +19,7 @@ def test_fig7_sampling_fraction_calibration(benchmark, config, emit):
     points = benchmark.pedantic(
         calibrate_sampling_fraction,
         args=(config, list(CATALOG.values()), FRACTIONS),
-        kwargs=dict(folds=5, seed=7),
+        kwargs=dict(seed=7),
         rounds=1,
         iterations=1,
     )

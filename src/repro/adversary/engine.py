@@ -88,9 +88,6 @@ class AdversaryEngine:
         """Registered specs, sorted by app name."""
         return [self._specs[app] for app in sorted(self._specs)]
 
-    def spec_for(self, app: str) -> AdversarySpec | None:
-        return self._specs.get(app)
-
     # ------------------------------------------------------------- stepping
 
     def begin_tick(self, now_s: float, *, esd_on: bool = False) -> list[tuple[str, str, str]]:

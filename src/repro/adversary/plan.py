@@ -1,4 +1,4 @@
-"""Adversary schedules: declarative, seeded, JSON-serializable attack plans.
+"""Adversary schedules: declarative, seeded attack plans.
 
 An :class:`AdversarySchedule` is the experiment-side description of every
 strategic behaviour one run's tenants exhibit. Like a
@@ -6,8 +6,9 @@ strategic behaviour one run's tenants exhibit. Like a
 schedule says *who* misbehaves, *how*, *when* and *how hard*; the
 :class:`~repro.adversary.engine.AdversaryEngine` owns the mechanics of
 misbehaving and the mediator's :class:`~repro.core.trust.TrustScorer` owns
-catching it. Schedules are frozen and serializable so an adversarial run is
-exactly reproducible from a JSON file plus a seed.
+catching it. Schedules are frozen, and each spec serializes (the engine's
+checkpoint state carries them), so an adversarial run is exactly
+reproducible from its specs plus a seed.
 
 Attack classes (``AdversarySpec.kind``):
 
@@ -40,14 +41,13 @@ simulation's own RNG streams (the determinism audit covers this).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from repro.errors import AdversaryError
 from repro.schema import Validator
 
-#: Validator used by every schedule loader: malformed input fails with a
-#: single :class:`AdversaryError` naming the offending JSON path.
+#: Validator used by the spec loader: malformed input fails with a single
+#: :class:`AdversaryError` naming the offending JSON path.
 _VALID = Validator(AdversaryError)
 
 #: The strategic-workload classes, mirroring the table above.
@@ -220,53 +220,12 @@ class AdversarySchedule:
         """The adversarial application names, sorted."""
         return sorted(spec.app for spec in self.specs)
 
-    def kinds(self) -> set[str]:
-        """The attack classes this schedule exercises."""
-        return {spec.kind for spec in self.specs}
-
     def spec_for(self, app: str) -> AdversarySpec | None:
         """The spec targeting ``app``, or ``None``."""
         for spec in self.specs:
             if spec.app == app:
                 return spec
         return None
-
-    # -------------------------------------------------------- serialization
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"seed": self.seed, "adversaries": [s.to_dict() for s in self.specs]},
-            indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "AdversarySchedule":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise AdversaryError(
-                f"adversary schedule is not valid JSON: {exc}"
-            ) from None
-        obj = _VALID.as_dict(data, "adversary schedule")
-        items = _VALID.as_list(
-            _VALID.require(obj, "adversaries", "adversary schedule"), "adversaries"
-        )
-        specs = tuple(
-            AdversarySpec.from_dict(item, where=f"adversaries[{i}]")
-            for i, item in enumerate(items)
-        )
-        return cls(specs=specs, seed=_VALID.as_int(obj.get("seed", 0), "seed"))
-
-    @classmethod
-    def load(cls, path: str) -> "AdversarySchedule":
-        """Read a schedule from a JSON file."""
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                return cls.from_json(handle.read())
-        except OSError as exc:
-            raise AdversaryError(
-                f"cannot read adversary schedule {path!r}: {exc}"
-            ) from None
 
 
 def default_adversary_schedule(

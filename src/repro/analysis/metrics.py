@@ -19,6 +19,9 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only
 #: application calibration that a checkpoint restore made unnecessary.
 RELEARN_COST_S = 0.8
 
+#: The policy :func:`summarize_policies` reports every speedup against.
+SPEEDUP_BASELINE = "util-unaware"
+
 
 @dataclass(frozen=True)
 class PolicySummary:
@@ -191,18 +194,17 @@ def summarize_recovery(
 
 def summarize_policies(
     comparison: dict[int, dict[str, MixExperimentResult]],
-    *,
-    baseline: str = "util-unaware",
 ) -> dict[str, PolicySummary]:
-    """Condense a ``run_policy_comparison`` output into per-policy summaries.
+    """Condense a ``run_policy_comparison`` output into per-policy summaries,
+    with speedups against :data:`SPEEDUP_BASELINE`.
 
     Args:
         comparison: ``{mix_id: {policy: result}}``.
-        baseline: The policy all speedups are reported against.
 
     Raises:
-        ConfigurationError: when ``baseline`` is missing from the results.
+        ConfigurationError: when the baseline is missing from the results.
     """
+    baseline = SPEEDUP_BASELINE
     if not comparison:
         raise ConfigurationError("empty comparison")
     policies = sorted(next(iter(comparison.values())))

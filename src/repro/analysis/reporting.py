@@ -12,9 +12,13 @@ from typing import Sequence
 from repro.errors import ConfigurationError
 
 
-def banner(title: str, *, width: int = 78) -> str:
+#: Characters in one :func:`banner` line.
+BANNER_WIDTH = 78
+
+
+def banner(title: str) -> str:
     """A section banner for benchmark output."""
-    pad = max(0, width - len(title) - 2)
+    pad = max(0, BANNER_WIDTH - len(title) - 2)
     left = pad // 2
     right = pad - left
     return f"{'=' * left} {title} {'=' * right}"

@@ -22,6 +22,9 @@ from repro.errors import ConfigurationError
 #: Glyphs from empty to full, used to quantize a sample into one cell.
 _LEVELS = " .:-=+*#%@"
 
+#: Cells in one strip.
+STRIP_WIDTH = 72
+
 
 def _sample(values: Sequence[float], buckets: int) -> list[float]:
     """Down-sample ``values`` to ``buckets`` means (the cells of the strip)."""
@@ -41,16 +44,15 @@ def render_series(
     times_s: Sequence[float],
     values: Sequence[float],
     *,
-    width: int = 72,
     ceiling: float | None = None,
 ) -> str:
-    """One labelled strip: each cell's glyph encodes the bucket mean.
+    """One labelled strip of :data:`STRIP_WIDTH` cells: each cell's glyph
+    encodes the bucket mean.
 
     Args:
         label: Row label.
         times_s: Sample times (only the ends are printed).
         values: Samples, same length as ``times_s``.
-        width: Cells in the strip.
         ceiling: Value mapped to the densest glyph; defaults to the max.
 
     Raises:
@@ -58,11 +60,9 @@ def render_series(
     """
     if not values or len(values) != len(times_s):
         raise ConfigurationError("need equal-length, non-empty times and values")
-    if width < 8:
-        raise ConfigurationError("width must be at least 8")
     top = ceiling if ceiling is not None else max(values)
     top = max(top, 1e-12)
-    cells = _sample(list(values), width)
+    cells = _sample(list(values), STRIP_WIDTH)
     glyphs = "".join(
         _LEVELS[min(len(_LEVELS) - 1, int(round(v / top * (len(_LEVELS) - 1))))]
         for v in (max(0.0, c) for c in cells)
@@ -73,19 +73,13 @@ def render_series(
     )
 
 
-def render_power_timeline(
-    timeline: Sequence,
-    *,
-    apps: Sequence[str] | None = None,
-) -> str:
-    """Strip chart of a mediator timeline: wall power, cap, per-app power,
-    in strips of :func:`render_series`'s default width.
+def render_power_timeline(timeline: Sequence) -> str:
+    """Strip chart of a mediator timeline: wall power, cap, and a row for
+    every app that ever drew power.
 
     Args:
         timeline: ``TickRecord`` sequence (anything with ``time_s``,
             ``wall_w``, ``p_cap_w`` and ``app_power_w``).
-        apps: Applications to include as their own rows; defaults to every
-            app that ever drew power.
 
     Raises:
         ConfigurationError: on an empty timeline.
@@ -104,12 +98,10 @@ def render_power_timeline(
         )
         + f"  (cap {cap:.0f} W)"
     ]
-    if apps is None:
-        seen: set[str] = set()
-        for r in records:
-            seen.update(r.app_power_w)
-        apps = sorted(seen)
-    for app in apps:
+    seen: set[str] = set()
+    for r in records:
+        seen.update(r.app_power_w)
+    for app in sorted(seen):
         series = [r.app_power_w.get(app, 0.0) for r in records]
         if any(series):
             lines.append(render_series(app, times, series))
@@ -117,7 +109,8 @@ def render_power_timeline(
 
 
 def render_modes(timeline: Sequence) -> str:
-    """One 72-cell strip showing the coordination mode over time.
+    """One strip of at most :data:`STRIP_WIDTH` cells showing the
+    coordination mode over time.
 
     Glyphs: ``S`` space, ``T`` time, ``E`` ESD, ``.`` idle.
     """
@@ -126,6 +119,6 @@ def render_modes(timeline: Sequence) -> str:
         raise ConfigurationError("timeline is empty")
     glyph_of = {"space": "S", "time": "T", "esd": "E", "idle": "."}
     modes = [glyph_of.get(r.mode.value, "?") for r in records]
-    width = min(72, len(modes))
+    width = min(STRIP_WIDTH, len(modes))
     cells = [modes[i * len(modes) // width] for i in range(width)]
     return f"{'mode':>12s} |{''.join(cells)}|  (S space, T time, E esd, . idle)"

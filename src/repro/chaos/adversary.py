@@ -333,8 +333,6 @@ def run_adversary_mix(
     *,
     mix_id: int = 1,
     scenario: AttackScenario | None = None,
-    schedule: AdversarySchedule | None = None,
-    attacker_index: int = 0,
     seed: int = 0,
     compare_undefended: bool = True,
     baseline: PowerMediator | None = None,
@@ -346,11 +344,6 @@ def run_adversary_mix(
             unless ``scenario`` overrides it.
         mix_id: Table II mix to co-locate.
         scenario: Regime override (policy, cap, timing, bounds).
-        schedule: Attack schedule override; by default one attacker (the
-            ``attacker_index``-th mix app) runs
-            :func:`~repro.adversary.plan.default_adversary_schedule`.
-        attacker_index: Which mix app turns adversarial (default schedule
-            only).
         seed: Simulation seed, shared by every arm so the arms differ only
             in the attack and the defense; it also seeds the attack's own
             RNG stream (probe phase jitter).
@@ -372,31 +365,12 @@ def run_adversary_mix(
         )
     mix = get_mix(mix_id)
     apps = list(mix.profiles())
-    if schedule is None:
-        if not 0 <= attacker_index < len(apps):
-            raise ConfigurationError(
-                f"attacker index {attacker_index} out of range for "
-                f"{len(apps)} mix apps"
-            )
-        schedule = default_adversary_schedule(
-            apps[attacker_index].name,
-            kind=kind,
-            start_s=scenario.attack_start_s,
-            seed=seed,
-        )
+    # The mix's first app turns adversarial under the kind's default schedule.
+    schedule = default_adversary_schedule(
+        apps[0].name, kind=kind, start_s=scenario.attack_start_s, seed=seed
+    )
     attackers = tuple(schedule.apps())
-    names = {p.name for p in apps}
-    missing = [a for a in attackers if a not in names]
-    if missing:
-        raise ConfigurationError(
-            f"adversarial apps {missing} are not in mix {mix_id} ({sorted(names)})"
-        )
     honest = [p.name for p in apps if p.name not in attackers]
-    if not honest:
-        raise ConfigurationError(
-            "every mix app is adversarial; the harness measures honest-tenant "
-            "utility, so at least one tenant must stay honest"
-        )
     defense_on = DefenseConfig()
 
     # --- arm 1: all-honest control (defense armed, nothing to catch) ------

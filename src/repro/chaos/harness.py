@@ -83,11 +83,7 @@ def run_script(
         if isinstance(command, Advance):
             mediator.run_for(command.duration_s)
         elif isinstance(command, AdmitApp):
-            mediator.add_application(
-                command.profile,
-                phased=command.phased,
-                group_width=command.group_width,
-            )
+            mediator.add_application(command.profile)
         elif isinstance(command, SetCap):
             mediator.set_power_cap(command.p_cap_w)
         else:

@@ -78,6 +78,12 @@ _DRAIN_STEPS = 40
 #: How far below its twin a sibling of a dark domain may average.
 _CONTAINMENT_TOLERANCE = 0.25
 
+#: Failure-domain (PDU/rack) outage windows one chaos run schedules.
+DOMAIN_OUTAGES = 2
+
+#: Interior-controller crashes one chaos run schedules.
+CONTROLLER_KILLS = 1
+
 
 def partition_schedule(
     n_steps: int,
@@ -344,8 +350,6 @@ def run_hierarchy_chaos(
     n_steps: int = 120,
     budget_w: float | None = None,
     loss: float = 0.3,
-    domain_outages: int = 2,
-    controller_kills: int = 1,
     trace_bus: TraceBus = NULL_TRACE_BUS,
     metrics: MetricsRegistry | None = None,
 ) -> HierarchyChaosResult:
@@ -354,7 +358,9 @@ def run_hierarchy_chaos(
     Every stressor - load walk, root partitions, leaf kills, domain
     outages, controller crash ticks, and all network draws - derives from
     ``seed``; there are up to two root-fabric partition windows, each at
-    most a quarter of the schedule long, and up to two leaf kills. The run
+    most a quarter of the schedule long, up to two leaf kills, up to
+    :data:`DOMAIN_OUTAGES` domain outages and :data:`CONTROLLER_KILLS`
+    controller crash. The run
     replays twice: once with everything, once without the domain outages
     and controller crashes (the containment twin). Fabrics are lossy for
     the scheduled portion and clean during the drain, so the hygiene
@@ -417,7 +423,7 @@ def run_hierarchy_chaos(
         subtree_outage_schedule(
             n_steps,
             interior,
-            outages=domain_outages,
+            outages=DOMAIN_OUTAGES,
             max_down_steps=max(3, n_steps // 6),
             seed=seed + 303,
         ),
@@ -427,7 +433,7 @@ def run_hierarchy_chaos(
     crash_rng = np.random.default_rng(seed + 404)
     restart_events: dict[int, list[Path]] = {}
     targets = list(sim.topology.interior_paths())
-    for tick in kill_schedule(n_steps, controller_kills, seed + 404):
+    for tick in kill_schedule(n_steps, CONTROLLER_KILLS, seed + 404):
         path = targets[int(crash_rng.integers(0, len(targets)))]
         restart_events.setdefault(tick, []).append(path)
 
@@ -532,10 +538,9 @@ def run_hierarchy_soak(
     n_steps: int = 120,
     budget_w: float | None = None,
     max_loss: float = 0.3,
-    domain_outages: int = 2,
-    controller_kills: int = 1,
 ) -> HierarchySoakResult:
-    """Repeat :func:`run_hierarchy_chaos` across a seed matrix.
+    """Repeat :func:`run_hierarchy_chaos` across a seed matrix, each run
+    with its default outages and controller kills.
 
     Loss severity sweeps deterministically from mild to ``max_loss`` across
     the matrix, so one soak covers the whole severity range rather than
@@ -555,8 +560,6 @@ def run_hierarchy_soak(
                 n_steps=n_steps,
                 budget_w=budget_w,
                 loss=max_loss * (index + 1) / len(seeds),
-                domain_outages=domain_outages,
-                controller_kills=controller_kills,
             )
         )
     return HierarchySoakResult(runs=tuple(runs))

@@ -13,8 +13,8 @@ the service invariants (each failure raises
    :func:`~repro.core.simulation.verify_cap_invariant`: wall power at or
    under the cap at every tick, any flagged breach accounted.
 2. **Safety lane integrity** - zero ``service.ingest.safety_shed``, every
-   scheduled cap change applied; when overload was provoked, the regular
-   ``service.ingest.shed`` counter proves arrivals were shed instead.
+   scheduled cap change applied; the report's ``shed_commands`` counts the
+   regular arrivals shed instead.
 3. **Determinism through crashes** - every sim-side service counter
    (ingest dispositions, admissions, deliveries, replays, completions)
    matches the uninterrupted baseline exactly, and the stitched streaming
@@ -172,8 +172,6 @@ def run_service_soak(
     churn_events: int = 8,
     chaos_seed: int = 0,
     tear_journal_bytes: int = 256,
-    expect_sheds: bool = False,
-    expect_overload: bool = False,
 ) -> ServiceSoakReport:
     """Run baseline + chaos service runs and enforce the soak invariants.
 
@@ -185,9 +183,6 @@ def run_service_soak(
         churn_events: Client disconnect/reconnect pairs to schedule.
         chaos_seed: Seed for kill ticks and churn (never the sim's RNG).
         tear_journal_bytes: Un-fsynced journal tail destroyed per crash.
-        expect_sheds: Require that overload actually shed arrivals (use
-            with a config whose bursts overrun the ingest buffer).
-        expect_overload: Require that the overload posture was entered.
 
     Returns:
         The :class:`ServiceSoakReport`; raises :class:`ChaosError` on any
@@ -253,10 +248,6 @@ def run_service_soak(
             f"only {applied:.0f} were applied"
         )
     sheds = _counter(counters, "service.ingest.shed")
-    if expect_sheds and sheds == 0:
-        raise ChaosError("overload was expected to shed arrivals but shed none")
-    if expect_overload and _counter(counters, "service.overload.entered") == 0:
-        raise ChaosError("the overload posture was never entered")
 
     # 3. Determinism: sim-side counters and the stitched trace.
     for name in DETERMINISTIC_COUNTERS:

@@ -1103,7 +1103,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=str,
         default=None,
         metavar="DIR",
-        help="run supervised, checkpointing into DIR (with a write-ahead journal)",
+        help="run supervised, checkpointing into DIR (with a progress journal)",
     )
     p_mix.add_argument(
         "--checkpoint-every",

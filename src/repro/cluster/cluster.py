@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.cluster.controlplane import ControlPlaneConfig
 from repro.cluster.manager import (
     CLUSTER_POLICY_NAMES,
     evaluate_equal_policy_bin,
@@ -41,6 +40,12 @@ from repro.server.config import ServerConfig, DEFAULT_SERVER_CONFIG
 from repro.workloads.mixes import Mix, all_mixes
 from repro.workloads.profiles import WorkloadProfile
 from repro.workloads.traces import ClusterPowerTrace, peak_shaving_caps
+
+#: Draw of a server with no load. The cluster manager parks empty servers in
+#: a standby state (suspend-to-RAM class, ~10 W) rather than burning full
+#: idle power - standard practice for diurnal fleets since the
+#: energy-proportionality literature the paper builds on.
+UNLOADED_SERVER_POWER_W = 10.0
 
 
 @dataclass(frozen=True)
@@ -215,11 +220,6 @@ class ClusterSimulator:
             load ``k`` activates the first ``k`` mixes.
         cap_grid_w: Quantization grid for the cluster cap when binning the
             trace (coarser = faster; 20 W is 2 W per server).
-        unloaded_server_power_w: Draw of a server with no load. The cluster
-            manager parks empty servers in a standby state (suspend-to-RAM
-            class, ~10 W) rather than burning full idle power - standard
-            practice for diurnal fleets since the energy-proportionality
-            literature the paper builds on.
         engine: Server model implementation (``"scalar"``/``"vector"``)
             forwarded to every per-bin server simulation; bit-identical
             results either way, so it only changes sweep wall-clock.
@@ -231,16 +231,12 @@ class ClusterSimulator:
         *,
         mixes: list[Mix] | None = None,
         cap_grid_w: float = 20.0,
-        unloaded_server_power_w: float = 10.0,
         engine: str = "scalar",
     ) -> None:
         from repro.engine import validate_engine
 
         if cap_grid_w <= 0:
             raise ConfigurationError("cap_grid_w must be positive")
-        if unloaded_server_power_w < 0:
-            raise ConfigurationError("unloaded_server_power_w must be non-negative")
-        self._unloaded_w = unloaded_server_power_w
         self._engine = validate_engine(engine)
         self._config = config
         self._mixes = mixes if mixes is not None else all_mixes()[:10]
@@ -256,36 +252,6 @@ class ClusterSimulator:
     @property
     def n_servers(self) -> int:
         return len(self._mixes)
-
-    def state_dict(self) -> dict:
-        """Snapshot the memoized per-bin evaluations (JSON-serializable).
-
-        Cluster sweeps spend nearly all their time filling these caches;
-        checkpointing them lets a restarted sweep skip straight to the
-        unevaluated bins. Keys are flattened to ``"k|policy|cap"`` strings
-        so the snapshot round-trips through JSON.
-        """
-        return {
-            "equal": {
-                f"{k}|{policy}|{cap!r}": list(value)
-                for (k, policy, cap), value in self._equal_cache.items()
-            },
-            "loaded_power": {
-                str(idx): power for idx, power in self._loaded_power_cache.items()
-            },
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot (caches only; the mixes and
-        config come from the constructor and must match)."""
-        equal: dict[tuple[int, str, float], tuple[float, float]] = {}
-        for key, value in state["equal"].items():
-            k, policy, cap = key.split("|")
-            equal[(int(k), policy, float(cap))] = (float(value[0]), float(value[1]))
-        self._equal_cache = equal
-        self._loaded_power_cache = {
-            int(idx): float(power) for idx, power in state["loaded_power"].items()
-        }
 
     def loaded_server_power_w(self, index: int) -> float:
         """Uncapped draw of server ``index`` carrying its mix."""
@@ -321,7 +287,7 @@ class ClusterSimulator:
         best_k, best_err = 0, float("inf")
         for k in range(0, self.n_servers + 1):
             draw = sum(self.loaded_server_power_w(i) for i in range(k))
-            draw += (self.n_servers - k) * self._unloaded_w
+            draw += (self.n_servers - k) * UNLOADED_SERVER_POWER_W
             err = abs(draw - demand_w)
             if err < best_err:
                 best_k, best_err = k, err
@@ -336,13 +302,11 @@ class ClusterSimulator:
         trace: ClusterPowerTrace | None = None,
         duration_s: float = 40.0,
         warmup_s: float = 15.0,
-        dt_s: float = 0.1,
         seed: int = 0,
         outages: tuple[NodeOutage, ...] = (),
         trace_bus: TraceBus | None = None,
         metrics: MetricsRegistry | None = None,
         netsim: NetConfig | None = None,
-        controlplane: ControlPlaneConfig | None = None,
     ) -> ClusterExperiment:
         """Evaluate every strategy at every shaving level.
 
@@ -351,7 +315,7 @@ class ClusterSimulator:
             trace: Demand trace; defaults to a synthetic diurnal trace whose
                 peak equals this cluster's fully loaded draw and whose
                 trough matches the published characterization (~55%).
-            duration_s / warmup_s / dt_s: Per-bin steady-state simulation
+            duration_s / warmup_s: Per-bin steady-state simulation
                 parameters for the equal-split strategies.
             seed: Forwarded to the server simulations.
             outages: Node-failure intervals. While a server is down the
@@ -375,7 +339,6 @@ class ClusterSimulator:
                 migration machinery is a baseline, not the system under
                 test). ``None`` (the default) preserves the oracle path
                 bit-for-bit.
-            controlplane: Protocol tunables for the netsim path.
         """
         self._trace = trace_bus if trace_bus is not None else NULL_TRACE_BUS
         self._metrics = metrics if metrics is not None else MetricsRegistry()
@@ -396,11 +359,9 @@ class ClusterSimulator:
                 shave,
                 duration_s=duration_s,
                 warmup_s=warmup_s,
-                dt_s=dt_s,
                 seed=seed,
                 outages=outages,
                 netsim=netsim,
-                controlplane=controlplane,
             )
         return ClusterExperiment(results=results, cap_traces=cap_traces)
 
@@ -421,11 +382,9 @@ class ClusterSimulator:
         *,
         duration_s: float,
         warmup_s: float,
-        dt_s: float,
         seed: int,
         outages: tuple[NodeOutage, ...] = (),
         netsim: NetConfig | None = None,
-        controlplane: ControlPlaneConfig | None = None,
     ) -> dict[str, ClusterPolicyResult]:
         step_s = demand.step_s
         ceiling_w = (1.0 - shave) * demand.peak_w
@@ -444,7 +403,7 @@ class ClusterSimulator:
         # normalization and the caps agree with the policies' physics).
         uncapped_draw = {
             k: sum(self.loaded_server_power_w(i) for i in range(k))
-            + (self.n_servers - k) * self._unloaded_w
+            + (self.n_servers - k) * UNLOADED_SERVER_POWER_W
             for k in set(loads)
         }
         # Peak shaving binds only when the load's draw would exceed the
@@ -474,10 +433,8 @@ class ClusterSimulator:
                     shave=shave,
                     step_s=step_s,
                     netsim=netsim,
-                    controlplane=controlplane,
                     duration_s=duration_s,
                     warmup_s=warmup_s,
-                    dt_s=dt_s,
                     seed=seed,
                     uncapped_perf_time=uncapped_perf_time,
                     uncapped_power_time=uncapped_power_time,
@@ -495,7 +452,7 @@ class ClusterSimulator:
                 alive_unloaded = (self.n_servers - k) - sum(
                     1 for f in failed if f >= k
                 )
-                idle_w = alive_unloaded * self._unloaded_w
+                idle_w = alive_unloaded * UNLOADED_SERVER_POWER_W
                 draw = (
                     sum(self.loaded_server_power_w(i) for i in alive_loaded) + idle_w
                 )
@@ -527,7 +484,6 @@ class ClusterSimulator:
                         ],
                         duration_s=duration_s,
                         warmup_s=warmup_s,
-                        dt_s=dt_s,
                         seed=seed,
                         engine=self._engine,
                     )
@@ -627,10 +583,8 @@ class ClusterSimulator:
         shave: float,
         step_s: float,
         netsim: NetConfig,
-        controlplane: ControlPlaneConfig | None,
         duration_s: float,
         warmup_s: float,
-        dt_s: float,
         seed: int,
         uncapped_perf_time: float,
         uncapped_power_time: float,
@@ -664,7 +618,6 @@ class ClusterSimulator:
             ),
             loads,
             net=netsim,
-            config=controlplane,
             leaf_down_sets=failed_sets,
             rated_leaf_cap_w=self._config.uncapped_power_w,
             trace_bus=self._trace,
@@ -689,7 +642,7 @@ class ClusterSimulator:
                 alive_unloaded = (self.n_servers - k) - sum(
                     1 for f in failed if f >= k
                 )
-                power_time += alive_unloaded * self._unloaded_w * step_s
+                power_time += alive_unloaded * UNLOADED_SERVER_POWER_W * step_s
                 for i in range(k):
                     if i in failed:
                         continue
@@ -702,7 +655,6 @@ class ClusterSimulator:
                         loaded_powers_w=[self.loaded_server_power_w(i)],
                         duration_s=duration_s,
                         warmup_s=warmup_s,
-                        dt_s=dt_s,
                         seed=seed,
                         engine=self._engine,
                     )

@@ -45,7 +45,7 @@ controller over its nodes, and the tree computes every safe cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,7 +71,7 @@ _EPS = 1e-6
 
 @dataclass(frozen=True)
 class ControlPlaneConfig:
-    """Protocol tunables, all in trace steps.
+    """Protocol constants, all in trace steps; none is settable.
 
     Attributes:
         lease_steps: Lifetime of a grant; a node falls back to its safe cap
@@ -81,38 +81,23 @@ class ControlPlaneConfig:
         heartbeat_every_steps: Per-node heartbeat period (staggered by node
             id so the fabric sees a smooth stream).
         suspect_after_steps: Silence (no heartbeat or ack) before the
-            controller declares a node suspect.
+            controller declares a node suspect; above the heartbeat period,
+            so one late heartbeat is not an outage.
         safe_guard_band: Fraction of the even budget share withheld from
             safe caps and pooled for dynamic grants.
         retry: RPC retry/backoff policy (jitter decorrelates the per-node
             retransmit clocks; draws come from the controller's seeded rng).
     """
 
-    lease_steps: int = 10
-    renew_before_steps: int = 4
-    heartbeat_every_steps: int = 2
-    suspect_after_steps: int = 5
-    safe_guard_band: float = 0.10
-    retry: RetryPolicy = RetryPolicy(
-        base_ticks=1, max_backoff_ticks=8, max_attempts=5, jitter_ticks=1
+    lease_steps: int = field(default=10, init=False)
+    renew_before_steps: int = field(default=4, init=False)
+    heartbeat_every_steps: int = field(default=2, init=False)
+    suspect_after_steps: int = field(default=5, init=False)
+    safe_guard_band: float = field(default=0.10, init=False)
+    retry: RetryPolicy = field(
+        default=RetryPolicy(base_ticks=1, max_backoff_ticks=8, max_attempts=5, jitter_ticks=1),
+        init=False,
     )
-
-    def __post_init__(self) -> None:
-        if self.lease_steps < 2:
-            raise NetworkError("lease_steps must be >= 2")
-        if not 1 <= self.renew_before_steps < self.lease_steps:
-            raise NetworkError(
-                "renew_before_steps must be >= 1 and below lease_steps"
-            )
-        if self.heartbeat_every_steps < 1:
-            raise NetworkError("heartbeat_every_steps must be >= 1")
-        if self.suspect_after_steps <= self.heartbeat_every_steps:
-            raise NetworkError(
-                "suspect_after_steps must exceed heartbeat_every_steps "
-                "(one late heartbeat is not an outage)"
-            )
-        if not 0.0 < self.safe_guard_band < 1.0:
-            raise NetworkError("safe_guard_band must be in (0, 1)")
 
 
 # ------------------------------------------------------------------ messages
@@ -348,9 +333,6 @@ class _PendingRpc:
     grant: _Grant
     attempts: int
     next_retry_step: int
-    #: Step the first send happened, so a deadline-carrying RetryPolicy can
-    #: bound the whole sequence, not just the attempt count.
-    first_step: int = 0
 
 
 class ClusterController:
@@ -544,7 +526,6 @@ class ClusterController:
                     },
                     "attempts": p.attempts,
                     "next_retry_step": p.next_retry_step,
-                    "first_step": p.first_step,
                 }
                 for p in self._pending
             ],
@@ -587,7 +568,6 @@ class ClusterController:
                 grant=_grant(p["grant"]),
                 attempts=int(p["attempts"]),
                 next_retry_step=int(p["next_retry_step"]),
-                first_step=int(p.get("first_step", 0)),
             )
             for p in state["pending"]
         ]
@@ -845,7 +825,6 @@ class ClusterController:
             attempts=1,
             next_retry_step=step
             + self._config.retry.backoff_ticks(1, self._rng),
-            first_step=step,
         )
         self._send(step, network, node, grant, attempt=1)
         return grant
@@ -890,10 +869,9 @@ class ClusterController:
             pending = self._pending[node]
             if pending is None or step < pending.next_retry_step:
                 continue
-            elapsed = step - pending.first_step
             try:
                 self._config.retry.require(
-                    pending.attempts, elapsed, what=f"SetCap rpc to node {node}"
+                    pending.attempts, what=f"SetCap rpc to node {node}"
                 )
             except RetryExhaustedError:
                 # Park: anti-entropy (heartbeat evidence) will reissue.
@@ -903,6 +881,6 @@ class ClusterController:
                 continue
             pending.attempts += 1
             pending.next_retry_step = step + self._config.retry.backoff_ticks(
-                pending.attempts, self._rng, elapsed_ticks=elapsed
+                pending.attempts, self._rng
             )
             self._send(step, network, node, pending.grant, attempt=pending.attempts)

@@ -54,7 +54,6 @@ def evaluate_equal_policy_bin(
     loaded_powers_w: list[float] | None = None,
     duration_s: float = 40.0,
     warmup_s: float = 15.0,
-    dt_s: float = 0.1,
     seed: int = 0,
     engine: str = "scalar",
 ) -> BinEvaluation:
@@ -73,8 +72,7 @@ def evaluate_equal_policy_bin(
             When the cap is at or above a server's uncapped draw it is
             non-binding: the server runs uncapped (perf 2.0) without
             simulation.
-        duration_s / warmup_s / dt_s / seed: Forwarded to the server
-            experiment.
+        duration_s / warmup_s / seed: Forwarded to the server experiment.
         engine: Server model implementation forwarded to the experiment.
 
     Raises:
@@ -111,7 +109,6 @@ def evaluate_equal_policy_bin(
                     config=config,
                     duration_s=duration_s,
                     warmup_s=warmup_s,
-                    dt_s=dt_s,
                     seed=seed,
                     engine=engine,
                 )

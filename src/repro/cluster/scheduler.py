@@ -37,6 +37,9 @@ from repro.workloads.profiles import WorkloadProfile
 #: The placement strategies the benchmark compares.
 PLACEMENT_POLICIES = ("power-aware", "first-fit", "least-loaded", "round-robin")
 
+#: Core groups per server (2 on the Table I platform).
+CORE_GROUPS = 2
+
 
 @dataclass
 class ServerSlot:
@@ -45,18 +48,16 @@ class ServerSlot:
     Attributes:
         index: Server id within the cluster.
         p_cap_w: The server's current power cap.
-        capacity: Core groups available (2 on the Table I platform).
         apps: Profiles currently placed here.
     """
 
     index: int
     p_cap_w: float
-    capacity: int = 2
     apps: list[WorkloadProfile] = field(default_factory=list)
 
     @property
     def free_slots(self) -> int:
-        return self.capacity - len(self.apps)
+        return CORE_GROUPS - len(self.apps)
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,6 @@ class PowerAwareScheduler:
         config: Server hardware (all servers are assumed homogeneous; caps
             may differ per server).
         caps_w: Per-server power caps.
-        capacity: Core groups per server.
         strategy: One of :data:`PLACEMENT_POLICIES`.
     """
 
@@ -91,15 +91,12 @@ class PowerAwareScheduler:
         config: ServerConfig,
         caps_w: list[float],
         *,
-        capacity: int = 2,
         strategy: str = "power-aware",
     ) -> None:
         if not caps_w:
             raise ConfigurationError("need at least one server")
         if any(c <= 0 for c in caps_w):
             raise ConfigurationError("caps must be positive")
-        if capacity < 1:
-            raise ConfigurationError("capacity must be at least 1")
         if strategy not in PLACEMENT_POLICIES:
             raise ConfigurationError(
                 f"unknown strategy {strategy!r}; expected one of {PLACEMENT_POLICIES}"
@@ -108,7 +105,7 @@ class PowerAwareScheduler:
         self._power_model = PowerModel(config)
         self._allocator = PowerAllocator()
         self._servers = [
-            ServerSlot(index=i, p_cap_w=cap, capacity=capacity)
+            ServerSlot(index=i, p_cap_w=cap)
             for i, cap in enumerate(caps_w)
         ]
         self._strategy = strategy
@@ -185,15 +182,6 @@ class PowerAwareScheduler:
             score = 0.0
         chosen.apps.append(profile)
         return Placement(app=profile.name, server=chosen.index, score=score)
-
-    def remove(self, app: str) -> None:
-        """Remove a placed application (its departure)."""
-        for slot in self._servers:
-            for profile in slot.apps:
-                if profile.name == app:
-                    slot.apps.remove(profile)
-                    return
-        raise SchedulingError(f"{app!r} is not placed on any server")
 
     def cluster_objective(self) -> float:
         """Sum of per-server knapsack optima - the quantity placement

@@ -8,8 +8,8 @@ application changes significantly from its allocated power budget."
 
 E1 (cap change) and E2 (arrival) are explicit messages; the Accountant
 stamps and logs them. E3 and E4 come out of :meth:`Accountant.poll`, which
-the mediator calls once per tick. E4 detection is debounced (a configurable
-number of consecutive deviating polls) so transient knob-switching noise and
+the mediator calls once per tick. E4 detection is debounced
+(:data:`DEVIATION_POLLS` consecutive deviating polls) so transient knob-switching noise and
 duty-cycle edges do not thrash re-calibration, and suppressed entirely in
 temporal-coordination modes, where an application's instantaneous draw is
 *supposed* to swing between zero and its ON power.
@@ -38,30 +38,22 @@ from repro.server.server import SimulatedServer, TickResult
 from repro.workloads.profiles import WorkloadProfile
 
 
+#: Absolute per-app deviation from the allocated budget that counts as
+#: "significant" for E4.
+DEVIATION_THRESHOLD_W = 3.0
+#: Consecutive deviating polls before E4 fires.
+DEVIATION_POLLS = 5
+
+
 class Accountant:
     """Polls server state and raises the E1-E4 events of the paper.
 
     Args:
         server: The server being watched.
-        deviation_threshold_w: Absolute per-app deviation from the allocated
-            budget that counts as "significant" for E4.
-        deviation_polls: Consecutive deviating polls before E4 fires.
     """
 
-    def __init__(
-        self,
-        server: SimulatedServer,
-        *,
-        deviation_threshold_w: float = 3.0,
-        deviation_polls: int = 5,
-    ) -> None:
-        if deviation_threshold_w <= 0:
-            raise ConfigurationError("deviation_threshold_w must be positive")
-        if deviation_polls < 1:
-            raise ConfigurationError("deviation_polls must be at least 1")
+    def __init__(self, server: SimulatedServer) -> None:
         self._server = server
-        self._threshold_w = deviation_threshold_w
-        self._deviation_polls = deviation_polls
         self._p_cap_w: float | None = None
         self._plan: AllocationPlan | None = None
         self._deviation_counts: dict[str, int] = {}
@@ -186,7 +178,7 @@ class Accountant:
 
         E3: applications whose completion this tick reported.
         E4: applications whose measured draw deviated from their allocated
-        budget for ``deviation_polls`` consecutive polls (SPACE mode only -
+        budget for :data:`DEVIATION_POLLS` consecutive polls (SPACE mode only -
         see the module docstring).
 
         Args:
@@ -217,11 +209,11 @@ class Accountant:
                 if name in result.completed or name not in result.breakdown.app_w:
                     continue
                 observed = result.breakdown.app_w[name]
-                if abs(observed - expected.power_w) > self._threshold_w:
+                if abs(observed - expected.power_w) > DEVIATION_THRESHOLD_W:
                     self._deviation_counts[name] = self._deviation_counts.get(name, 0) + 1
                 else:
                     self._deviation_counts[name] = 0
-                if self._deviation_counts[name] >= self._deviation_polls:
+                if self._deviation_counts[name] >= DEVIATION_POLLS:
                     event = PhaseChangeEvent(
                         time_s=result.time_s,
                         app=name,

@@ -31,8 +31,9 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.errors import ConfigurationError, PowerBudgetError
+from repro.errors import ConfigurationError
 from repro.core.utility import CandidateSet
+from repro.engine.surface import GRAIN_W
 from repro.server.config import KnobSetting
 
 
@@ -213,25 +214,9 @@ def _solve(
 
 
 class PowerAllocator:
-    """Exact multiple-choice-knapsack apportioning of the dynamic budget.
-
-    Args:
-        grain_w: Budget discretization. 0.25 W keeps rounding loss well
-            under the knob space's own power granularity.
-        allow_exclusion: Permit scheduling only a subset (needed whenever
-            the budget cannot host every app's cheapest config). Disable to
-            make :meth:`allocate` raise instead - useful in tests.
-    """
-
-    def __init__(self, *, grain_w: float = 0.25, allow_exclusion: bool = True) -> None:
-        if grain_w <= 0:
-            raise ConfigurationError("grain_w must be positive")
-        self._grain_w = grain_w
-        self._allow_exclusion = allow_exclusion
-
-    @property
-    def grain_w(self) -> float:
-        return self._grain_w
+    """Exact multiple-choice-knapsack apportioning of the dynamic budget on
+    the :data:`~repro.engine.surface.GRAIN_W` grid. An app the budget cannot
+    host is excluded (scheduled out this epoch), never an error."""
 
     @staticmethod
     def _check_weights(
@@ -288,8 +273,6 @@ class PowerAllocator:
             utility-blind fallback.
 
         Raises:
-            PowerBudgetError: when exclusion is disabled and the budget
-                cannot host every application simultaneously.
             ConfigurationError: on an empty candidate map, a non-finite
                 budget or a non-positive weight.
         """
@@ -300,7 +283,7 @@ class PowerAllocator:
         names = sorted(candidates)
         weight_of = self._check_weights(names, weights)
         budget = max(0.0, budget_w)
-        steps = int(math.floor(budget / self._grain_w))
+        steps = int(math.floor(budget / GRAIN_W))
 
         # Per-app options as aligned arrays (grid cost, utility, knob index):
         # option 0 is "excluded" (cost 0, utility 0, knob index -1), then
@@ -309,14 +292,8 @@ class PowerAllocator:
         options: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         for name in names:
             cset = candidates[name]
-            cost, utility, knob_index = cset.frontier.options(self._grain_w)
+            cost, utility, knob_index = cset.frontier.options()
             fits = int(cost.searchsorted(steps, side="right"))
-            if fits == 1 and not self._allow_exclusion:
-                raise PowerBudgetError(
-                    f"budget {budget_w:.2f} W cannot host {name!r} "
-                    f"(cheapest config needs {cset.min_power_w:.2f} W) and "
-                    "exclusion is disabled"
-                )
             if weight_of is None:
                 utility = utility[:fits]
             else:
@@ -343,11 +320,6 @@ class PowerAllocator:
                     power_w=0.0,
                     relative_perf=0.0,
                 )
-                if not self._allow_exclusion:
-                    raise PowerBudgetError(
-                        f"budget {budget_w:.2f} W cannot host all of {names} "
-                        "simultaneously and exclusion is disabled"
-                    )
             else:
                 apps[name] = AppAllocation(
                     app=name,
@@ -358,8 +330,6 @@ class PowerAllocator:
                 )
         dp_result = Allocation(budget_w=budget_w, apps=apps, objective=objective)
         fair = self.allocate_fair(candidates, budget_w, weights=weights)
-        if fair.excluded and not self._allow_exclusion:
-            return dp_result
         return dp_result if dp_result.objective >= fair.objective else fair
 
     def allocate_fair(

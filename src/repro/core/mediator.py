@@ -50,12 +50,14 @@ from repro.core.coordinator import AllocationPlan, CoordinationMode, Coordinator
 from repro.core.events import DepartureEvent, Event, PhaseChangeEvent
 from repro.core.policies import AppResAwarePolicy, Policy, PolicyContext
 from repro.core.resilience import (
+    CONSERVATIVE_INFLATION,
+    DEGRADED_GUARD_BAND,
     ActuationRetrier,
     FaultStats,
-    ResilienceConfig,
     TelemetryWatchdog,
 )
 from repro.core.trust import (
+    GUARD_BAND,
     AppObservation,
     DefenseConfig,
     TrustScorer,
@@ -243,7 +245,6 @@ class PowerMediator:
         faults: Optional fault plan; when given, a
             :class:`~repro.faults.injector.FaultInjector` degrades the
             substrate on schedule and the resilience layer earns its keep.
-        resilience: Degraded-mode tunables (defaults are sensible).
         adversaries: Optional strategic-tenant schedule; an
             :class:`~repro.adversary.engine.AdversaryEngine` executes it
             against the server each tick. Attacks act purely through the
@@ -268,7 +269,6 @@ class PowerMediator:
         dt_s: float = 0.1,
         seed: int = 0,
         faults: FaultPlan | None = None,
-        resilience: ResilienceConfig | None = None,
         trace_bus: TraceBus | None = None,
         adversaries: AdversarySchedule | None = None,
         defense: DefenseConfig | None = None,
@@ -317,12 +317,11 @@ class PowerMediator:
         self._finished_peaks: dict[str, float] = {}
         self._departures: list[str] = []  # departed apps, in order
 
-        self._resilience_cfg = resilience if resilience is not None else ResilienceConfig()
         self._injector = (
             FaultInjector(faults, server, battery=battery) if faults is not None else None
         )
-        self._watchdog = TelemetryWatchdog(self._resilience_cfg)
-        self._retrier = ActuationRetrier(server.knobs, self._resilience_cfg)
+        self._watchdog = TelemetryWatchdog()
+        self._retrier = ActuationRetrier(server.knobs)
         self._fault_stats = FaultStats(self._metrics)
         self._fallback_policy: Policy | None = None
         self._actuation_faulted: set[str] = set()
@@ -894,9 +893,9 @@ class PowerMediator:
         unaccounted watts)."""
         cap = self.p_cap_w
         if self._watchdog.degraded or self._safe_hold_ticks > 0:
-            cap *= 1.0 - self._resilience_cfg.degraded_guard_band
+            cap *= 1.0 - DEGRADED_GUARD_BAND
         if self._trust.distrusted():
-            cap *= 1.0 - self._trust.config.guard_band
+            cap *= 1.0 - GUARD_BAND
         return cap
 
     def begin_safe_hold(self, ticks: int) -> None:
@@ -1469,7 +1468,7 @@ class PowerMediator:
                 if self._watchdog.degraded:
                     # Calibrating on an untrusted sensor: err toward
                     # over-estimating draw so allocations stay defensible.
-                    power *= self._resilience_cfg.conservative_inflation
+                    power *= CONSERVATIVE_INFLATION
                 samples[knob] = (power, perf)
             estimate = estimator.estimate(self._corpus, samples)
             estimated = CandidateSet.from_estimates(

@@ -3,17 +3,17 @@
 Three cooperating pieces, all owned by :class:`~repro.core.mediator.PowerMediator`:
 
 * :class:`TelemetryWatchdog` - classifies each tick's wall-power sample as
-  fresh or not. After ``stale_threshold`` consecutive non-fresh samples the
+  fresh or not. After ``STALE_THRESHOLD`` consecutive non-fresh samples the
   mediator enters *degraded telemetry* mode: it plans against a reduced
-  effective cap (guard band widened by ``degraded_guard_band``), substitutes
+  effective cap (guard band widened by ``DEGRADED_GUARD_BAND``), substitutes
   the power model's predicted wall power for the missing observation, and
   treats calibration samples conservatively. Recovery requires
-  ``recovery_threshold`` consecutive fresh samples (hysteresis, so a single
+  ``RECOVERY_THRESHOLD`` consecutive fresh samples (hysteresis, so a single
   good sample mid-blackout does not flap the mode).
 
 * :class:`ActuationRetrier` - drains the knob controller's failed-writes
   registry with exponential backoff (retry after 1, 2, 4, ... ticks). After
-  ``max_attempts`` failed verifications of the same write it escalates: the
+  ``MAX_ACTUATION_ATTEMPTS`` failed verifications of the same write it escalates: the
   app is suspended (``SIGSTOP`` bypasses the RAPL actuation path entirely),
   which bounds the damage a stuck actuator can do to the cap.
 
@@ -40,34 +40,21 @@ from repro.server.knobs import KnobController
 from repro.util.retry import RetryPolicy
 
 
-@dataclass(frozen=True)
-class ResilienceConfig:
-    """Tunables of the degraded-mode machinery.
-
-    Attributes:
-        stale_threshold: Consecutive non-fresh wall samples before entering
-            degraded telemetry mode (the paper's 0.5 s ticks make 3 ticks a
-            1.5 s detection latency - comparable to one reallocation).
-        recovery_threshold: Consecutive fresh samples required to leave it.
-        degraded_guard_band: Extra fractional guard band applied to the cap
-            while degraded (on top of the RAPL guard band).
-        conservative_inflation: Factor applied to sampled per-app powers
-            while degraded, so calibration errs toward over-estimating
-            draw.
-        max_actuation_attempts: Verified-write attempts per app before the
-            retrier escalates to suspension.
-        actuation_deadline_ticks: Optional total tick budget for one app's
-            retry sequence; when set, the retrier escalates to suspension
-            once the sequence has been outstanding this long even if
-            attempts remain (``None`` keeps the attempts-only default).
-    """
-
-    stale_threshold: int = 3
-    recovery_threshold: int = 2
-    degraded_guard_band: float = 0.10
-    conservative_inflation: float = 1.15
-    max_actuation_attempts: int = 4
-    actuation_deadline_ticks: int | None = None
+# The degraded-mode machinery's tuning, one value each.
+#: Consecutive non-fresh wall samples before entering degraded telemetry mode
+#: (the paper's 0.5 s ticks make 3 ticks a 1.5 s detection latency -
+#: comparable to one reallocation).
+STALE_THRESHOLD = 3
+#: Consecutive fresh samples required to leave it.
+RECOVERY_THRESHOLD = 2
+#: Extra fractional guard band applied to the cap while degraded (on top of
+#: the RAPL guard band).
+DEGRADED_GUARD_BAND = 0.10
+#: Factor applied to sampled per-app powers while degraded, so calibration
+#: errs toward over-estimating draw.
+CONSERVATIVE_INFLATION = 1.15
+#: Verified-write attempts per app before the retrier escalates to suspension.
+MAX_ACTUATION_ATTEMPTS = 4
 
 
 @dataclass
@@ -225,8 +212,7 @@ class TelemetryWatchdog:
     the mediator can journal F/R events exactly once.
     """
 
-    def __init__(self, config: ResilienceConfig) -> None:
-        self._config = config
+    def __init__(self) -> None:
         self._consecutive_bad = 0
         self._consecutive_good = 0
         self._degraded = False
@@ -263,13 +249,13 @@ class TelemetryWatchdog:
         if fresh:
             self._consecutive_good += 1
             self._consecutive_bad = 0
-            if self._degraded and self._consecutive_good >= self._config.recovery_threshold:
+            if self._degraded and self._consecutive_good >= RECOVERY_THRESHOLD:
                 self._degraded = False
                 return "recovered"
             return None
         self._consecutive_bad += 1
         self._consecutive_good = 0
-        if not self._degraded and self._consecutive_bad >= self._config.stale_threshold:
+        if not self._degraded and self._consecutive_bad >= STALE_THRESHOLD:
             self._degraded = True
             return "degraded"
         return None
@@ -280,7 +266,6 @@ class _RetryState:
     desired: KnobSetting
     attempts: int
     next_retry_tick: int
-    first_tick: int = 0
 
 
 class ActuationRetrier:
@@ -289,29 +274,20 @@ class ActuationRetrier:
     The knob controller verifies every write by readback and parks failures
     in its registry; the mediator calls :meth:`service` once per tick. Each
     failed write is retried after 1, 2, 4, ... ticks; after
-    ``max_actuation_attempts`` total attempts the app is suspended -
+    ``MAX_ACTUATION_ATTEMPTS`` total attempts the app is suspended -
     signals bypass the faulted RAPL path, so suspension always sticks and
     the cap stays defensible.
     """
 
-    def __init__(self, knobs: KnobController, config: ResilienceConfig) -> None:
+    def __init__(self, knobs: KnobController) -> None:
         self._knobs = knobs
-        self._config = config
         # Jitter stays off here: a single server's retrier has nothing to
         # decorrelate from, and the golden traces pin the 1, 2, 4, ... ticks.
         self._policy = RetryPolicy(
-            base_ticks=1,
-            max_attempts=config.max_actuation_attempts,
-            jitter_ticks=0,
-            deadline_ticks=config.actuation_deadline_ticks,
+            base_ticks=1, max_attempts=MAX_ACTUATION_ATTEMPTS, jitter_ticks=0
         )
         self._pending: dict[str, _RetryState] = {}
         self._tick = 0
-
-    @property
-    def pending(self) -> dict[str, KnobSetting]:
-        """Writes still being retried, by app."""
-        return {app: st.desired for app, st in self._pending.items()}
 
     def state_dict(self) -> dict:
         """Snapshot the backoff schedule (tick counter included, since the
@@ -323,7 +299,6 @@ class ActuationRetrier:
                     "desired": st.desired.to_json(),
                     "attempts": st.attempts,
                     "next_retry_tick": st.next_retry_tick,
-                    "first_tick": st.first_tick,
                 }
                 for app, st in self._pending.items()
             },
@@ -337,7 +312,6 @@ class ActuationRetrier:
                 desired=KnobSetting.from_json(st["desired"]),
                 attempts=int(st["attempts"]),
                 next_retry_tick=int(st["next_retry_tick"]),
-                first_tick=int(st.get("first_tick", 0)),
             )
             for app, st in state["pending"].items()
         }
@@ -364,7 +338,6 @@ class ActuationRetrier:
                     desired=desired,
                     attempts=1,
                     next_retry_tick=self._tick + 1,
-                    first_tick=self._tick,
                 )
 
         verified: list[str] = []
@@ -383,11 +356,8 @@ class ActuationRetrier:
                 del self._pending[app]
                 continue
             state.attempts += 1
-            elapsed = self._tick - state.first_tick
             try:
-                self._policy.require(
-                    state.attempts, elapsed, what=f"knob write for {app}"
-                )
+                self._policy.require(state.attempts, what=f"knob write for {app}")
             except RetryExhaustedError:
                 # Give up on RAPL: signals always work.
                 self._knobs.suspend(app)
@@ -398,7 +368,7 @@ class ActuationRetrier:
                 del self._pending[app]
             else:
                 state.next_retry_tick = self._tick + self._policy.backoff_ticks(
-                    state.attempts, elapsed_ticks=elapsed
+                    state.attempts
                 )
         return verified, escalated
 

@@ -21,7 +21,7 @@ from repro.core.trust import DefenseConfig
 from repro.errors import ConfigurationError, SchedulingError, SimulationError
 from repro.core.mediator import PowerMediator
 from repro.core.policies import Policy, make_policy
-from repro.core.resilience import FaultStats, ResilienceConfig
+from repro.core.resilience import FaultStats
 from repro.observability.trace import TraceBus
 from repro.esd.battery import LeadAcidBattery
 from repro.faults.plan import FaultPlan
@@ -131,7 +131,6 @@ def run_mix_experiment(
     dt_s: float = 0.1,
     seed: int = 0,
     faults: FaultPlan | None = None,
-    resilience: ResilienceConfig | None = None,
     trace_bus: TraceBus | None = None,
     adversaries: AdversarySchedule | None = None,
     defense: DefenseConfig | None = None,
@@ -155,7 +154,6 @@ def run_mix_experiment(
         seed: Calibration-noise seed (and the fault plan's noise, through
             the plan's own seed).
         faults: Optional fault plan injected during the run.
-        resilience: Degraded-mode tunables.
         trace_bus: Optional observability sink; same seed and arguments
             produce a byte-identical event stream on it.
         adversaries: Optional strategic-tenant schedule; named apps behave
@@ -184,7 +182,6 @@ def run_mix_experiment(
         dt_s=dt_s,
         seed=seed,
         faults=faults,
-        resilience=resilience,
         trace_bus=trace_bus,
         adversaries=adversaries,
         defense=defense,
@@ -313,8 +310,6 @@ def run_dynamic_experiment(
     p_cap_w: float,
     *,
     horizon_s: float,
-    config: ServerConfig = DEFAULT_SERVER_CONFIG,
-    group_width: int | None = None,
     use_oracle_estimates: bool = False,
     seed: int = 0,
     faults: FaultPlan | None = None,
@@ -330,13 +325,10 @@ def run_dynamic_experiment(
 
     Args:
         schedule: The arrivals to replay (consumed; pass a fresh schedule
-            or call :meth:`ArrivalSchedule.reset` to reuse).
+            to replay it again).
         policy: Policy instance or paper name.
         p_cap_w: Server power cap.
         horizon_s: Simulation length.
-        config: Server hardware.
-        group_width: Core-group width per arrival (narrower admits more
-            concurrent applications).
         use_oracle_estimates / seed / faults / engine: As in
             :func:`run_mix_experiment`.
     """
@@ -344,7 +336,7 @@ def run_dynamic_experiment(
         raise ConfigurationError("horizon_s must be positive")
     if isinstance(policy, str):
         policy = make_policy(policy)
-    server = SimulatedServer(config, seed=seed, engine=engine)
+    server = SimulatedServer(DEFAULT_SERVER_CONFIG, seed=seed, engine=engine)
     mediator = PowerMediator(
         server,
         policy,
@@ -361,7 +353,7 @@ def run_dynamic_experiment(
     while server.now_s < horizon_s - 1e-9:
         for event in schedule.pop_due(server.now_s):
             try:
-                mediator.add_application(event.profile, group_width=group_width)
+                mediator.add_application(event.profile)
                 admitted.append(event.profile.name)
                 admission_time[event.profile.name] = server.now_s
             except SchedulingError:

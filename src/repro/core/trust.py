@@ -11,7 +11,7 @@ and drives a quarantine state machine the allocator consumes:
 * **Overdraw check** - the attributed draw of an app must match the draw its
   in-force knob implies. Honest apps match to float precision (the engine
   computes power from the same model and knob); any excess beyond
-  ``overdraw_margin_w`` is a parasitic thread. Because the check is
+  ``OVERDRAW_MARGIN_W`` is a parasitic thread. Because the check is
   structurally exact, each violation is a high-confidence *strike*.
 * **Efficiency check** - the claimed heart rate must be achievable at the
   app's in-force knob. An inflating tenant reports more progress than its
@@ -30,7 +30,7 @@ State machine::
                                       |
                                       +--any violation--> QUARANTINED
 
-``strikes >= strike_limit`` quarantines from *any* live state - overdraw is
+``strikes >= STRIKE_LIMIT`` quarantines from *any* live state - overdraw is
 unambiguous. Quarantined apps are suspended (omitted from plans) and excluded
 from allocation; SUSPECT/PROBATION apps keep running at reduced allocation
 weight. While anyone is distrusted the planner also shaves a guard band off
@@ -59,64 +59,48 @@ class TrustState(Enum):
     PROBATION = "probation"
 
 
+# The scorer's tuning, one value each.
+#: Fractional slack on the efficiency check: a claimed rate up to
+#: ``1 + EFFICIENCY_MARGIN`` times the knob-supported rate passes. Covers
+#: windowing and measurement noise.
+EFFICIENCY_MARGIN = 0.25
+#: Absolute slack on the overdraw check, in watts.
+OVERDRAW_MARGIN_W = 1.5
+#: Per-tick multiplicative decay of the anomaly score.
+SCORE_DECAY = 0.9
+#: Score at which TRUSTED becomes SUSPECT.
+SUSPECT_THRESHOLD = 2.0
+#: Score at which SUSPECT becomes QUARANTINED.
+QUARANTINE_THRESHOLD = 4.0
+#: Overdraw strikes that quarantine outright.
+STRIKE_LIMIT = 2
+#: Ticks an app sits suspended before probation.
+QUARANTINE_TICKS = 120
+#: Clean ticks required to regain full trust.
+PROBATION_TICKS = 80
+#: Allocation weight multiplier while SUSPECT.
+SUSPECT_WEIGHT = 0.5
+#: Allocation weight multiplier while on PROBATION.
+PROBATION_WEIGHT = 0.5
+#: Fractional cap reduction while any app is distrusted.
+GUARD_BAND = 0.05
+
+
 @dataclass(frozen=True)
 class DefenseConfig:
-    """Tuning of the TrustScorer and quarantine posture.
+    """Whether the TrustScorer runs, and its efficiency-check holdoff.
 
     Attributes:
         enabled: Master switch; disabled scorers observe nothing.
-        efficiency_margin: Fractional slack on the efficiency check - a
-            claimed rate up to ``(1 + margin)`` times the knob-supported
-            rate passes. Covers windowing and measurement noise.
-        overdraw_margin_w: Absolute slack on the overdraw check, in watts.
-        score_decay: Per-tick multiplicative decay of the anomaly score.
-        suspect_threshold: Score at which TRUSTED becomes SUSPECT.
-        quarantine_threshold: Score at which SUSPECT becomes QUARANTINED.
-        strike_limit: Overdraw strikes that quarantine outright.
-        quarantine_ticks: Ticks an app sits suspended before probation.
-        probation_ticks: Clean ticks required to regain full trust.
-        suspect_weight: Allocation weight multiplier while SUSPECT.
-        probation_weight: Allocation weight multiplier while on PROBATION.
-        guard_band: Fractional cap reduction while any app is distrusted.
         cooldown_ticks: Efficiency-check holdoff after a knob, profile, or
             run-state change - long enough for the heartbeat window to flush
-            (window_s / dt_s ticks), or stale beats read as violations.
+            (``WINDOW_S / dt_s`` ticks), or stale beats read as violations.
     """
 
     enabled: bool = True
-    efficiency_margin: float = 0.25
-    overdraw_margin_w: float = 1.5
-    score_decay: float = 0.9
-    suspect_threshold: float = 2.0
-    quarantine_threshold: float = 4.0
-    strike_limit: int = 2
-    quarantine_ticks: int = 120
-    probation_ticks: int = 80
-    suspect_weight: float = 0.5
-    probation_weight: float = 0.5
-    guard_band: float = 0.05
     cooldown_ticks: int = 25
 
     def __post_init__(self) -> None:
-        if self.efficiency_margin <= 0:
-            raise ConfigurationError("efficiency_margin must be positive")
-        if self.overdraw_margin_w <= 0:
-            raise ConfigurationError("overdraw_margin_w must be positive")
-        if not 0.0 < self.score_decay < 1.0:
-            raise ConfigurationError("score_decay must be in (0, 1)")
-        if not 0.0 < self.suspect_threshold <= self.quarantine_threshold:
-            raise ConfigurationError(
-                "thresholds must satisfy 0 < suspect <= quarantine"
-            )
-        if self.strike_limit < 1:
-            raise ConfigurationError("strike_limit must be at least 1")
-        if self.quarantine_ticks < 1 or self.probation_ticks < 1:
-            raise ConfigurationError("quarantine/probation ticks must be positive")
-        for name in ("suspect_weight", "probation_weight"):
-            if not 0.0 < getattr(self, name) <= 1.0:
-                raise ConfigurationError(f"{name} must be in (0, 1]")
-        if not 0.0 <= self.guard_band < 1.0:
-            raise ConfigurationError("guard_band must be in [0, 1)")
         if self.cooldown_ticks < 0:
             raise ConfigurationError("cooldown_ticks must be non-negative")
 
@@ -247,13 +231,12 @@ class TrustScorer:
 
     def weights(self) -> dict[str, float]:
         """Allocation weight multipliers for apps off full trust."""
-        cfg = self._config
         weights: dict[str, float] = {}
         for app, record in self._records.items():
             if record.state is TrustState.SUSPECT:
-                weights[app] = cfg.suspect_weight
+                weights[app] = SUSPECT_WEIGHT
             elif record.state is TrustState.PROBATION:
-                weights[app] = cfg.probation_weight
+                weights[app] = PROBATION_WEIGHT
         return weights
 
     def detection_latency(self, app: str, attack_start_tick: int) -> int | None:
@@ -287,7 +270,6 @@ class TrustScorer:
     def _observe_one(
         self, tick: int, obs: AppObservation
     ) -> TrustTransition | None:
-        cfg = self._config
         record = self._records.get(obs.app)
         if record is None:
             record = TrustRecord(fingerprint=obs.fingerprint)
@@ -299,8 +281,8 @@ class TrustScorer:
                 # Rehabilitation: a clean slate under tightened scrutiny.
                 record.score = 0.0
                 record.strikes = 0
-                record.timer = cfg.probation_ticks
-                record.cooldown = cfg.cooldown_ticks
+                record.timer = PROBATION_TICKS
+                record.cooldown = self._config.cooldown_ticks
                 record.fingerprint = obs.fingerprint
                 return self._move(tick, obs.app, record, TrustState.PROBATION)
             return None
@@ -309,26 +291,26 @@ class TrustScorer:
         # point changes - the heartbeat window still reflects the old one.
         if obs.fingerprint != record.fingerprint:
             record.fingerprint = obs.fingerprint
-            record.cooldown = cfg.cooldown_ticks
+            record.cooldown = self._config.cooldown_ticks
         elif record.cooldown > 0:
             record.cooldown -= 1
 
         violation = 0.0
         if obs.running:
-            if obs.attributed_w > obs.expected_w + cfg.overdraw_margin_w:
+            if obs.attributed_w > obs.expected_w + OVERDRAW_MARGIN_W:
                 record.strikes += 1
                 violation += 1.0
             if (
                 obs.observable
                 and record.cooldown == 0
                 and obs.claimed_rate
-                > obs.supported_rate * (1.0 + cfg.efficiency_margin)
+                > obs.supported_rate * (1.0 + EFFICIENCY_MARGIN)
             ):
                 violation += 1.0
-        record.score = record.score * cfg.score_decay + violation
+        record.score = record.score * SCORE_DECAY + violation
 
         if record.state is TrustState.PROBATION:
-            if violation > 0.0 or record.score >= cfg.suspect_threshold:
+            if violation > 0.0 or record.score >= SUSPECT_THRESHOLD:
                 return self._quarantine(tick, obs.app, record)
             record.timer -= 1
             if record.timer <= 0:
@@ -338,22 +320,22 @@ class TrustScorer:
             return None
 
         if (
-            record.strikes >= cfg.strike_limit
-            or record.score >= cfg.quarantine_threshold
+            record.strikes >= STRIKE_LIMIT
+            or record.score >= QUARANTINE_THRESHOLD
         ):
             return self._quarantine(tick, obs.app, record)
         if record.state is TrustState.TRUSTED:
-            if record.score >= cfg.suspect_threshold:
+            if record.score >= SUSPECT_THRESHOLD:
                 return self._move(tick, obs.app, record, TrustState.SUSPECT)
         elif record.state is TrustState.SUSPECT:
-            if record.score < cfg.suspect_threshold / 2.0:
+            if record.score < SUSPECT_THRESHOLD / 2.0:
                 return self._move(tick, obs.app, record, TrustState.TRUSTED)
         return None
 
     def _quarantine(
         self, tick: int, app: str, record: TrustRecord
     ) -> TrustTransition:
-        record.timer = self._config.quarantine_ticks
+        record.timer = QUARANTINE_TICKS
         return self._move(tick, app, record, TrustState.QUARANTINED)
 
     def _move(

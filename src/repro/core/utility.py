@@ -303,34 +303,28 @@ def app_utility_curve(
 
 
 def resource_marginal_utilities(
-    profile: WorkloadProfile,
-    config: ServerConfig,
-    *,
-    reference: KnobSetting | None = None,
+    profile: WorkloadProfile, config: ServerConfig
 ) -> dict[str, float]:
     """The Fig. 3 quantities: performance per watt of each direct resource.
 
-    From a ``reference`` knob setting (default: one core below max, one DVFS
-    step below max, one DRAM watt below max - so every resource has headroom
-    to grow), computes the marginal utility of spending the next watt on:
+    From a reference knob setting one core below max, one DVFS step below
+    max and one DRAM watt below max (so every resource has headroom to
+    grow), computes the marginal utility of spending the next watt on:
 
     * ``"core"`` - activating one more core,
     * ``"frequency"`` - one DVFS step up on all active cores,
     * ``"memory"`` - one more DRAM watt.
 
-    Returns ``{resource: delta_relative_perf_per_watt}``; a resource already
-    at its maximum contributes 0.0.
+    Returns ``{resource: delta_relative_perf_per_watt}``.
     """
     power_model = PowerModel(config)
     perf_model = power_model.perf_model
     freqs = config.frequencies_ghz
-    if reference is None:
-        reference = KnobSetting(
-            freqs[-2] if len(freqs) > 1 else freqs[-1],
-            max(config.cores_min, config.cores_max - 1),
-            max(config.dram_power_min_w, config.dram_power_max_w - config.dram_power_step_w),
-        )
-    config.validate_knob(reference)
+    reference = KnobSetting(
+        freqs[-2],
+        config.cores_max - 1,
+        config.dram_power_max_w - config.dram_power_step_w,
+    )
     base_power = power_model.app_power_w(profile, reference)
     base_perf = perf_model.rate(profile, reference)
     nocap = perf_model.peak_rate(profile)
@@ -351,25 +345,12 @@ def resource_marginal_utilities(
             return max(0.0, d_perf)
         return d_perf / denom
 
-    utilities: dict[str, float] = {"core": 0.0, "frequency": 0.0, "memory": 0.0}
-    if reference.cores < config.cores_max:
-        utilities["core"] = utility_of(
-            KnobSetting(reference.freq_ghz, reference.cores + 1, reference.dram_power_w)
-        )
-    freq_idx = min(
-        range(len(freqs)), key=lambda i: abs(freqs[i] - reference.freq_ghz)
-    )
-    if freq_idx + 1 < len(freqs):
-        utilities["frequency"] = utility_of(
-            KnobSetting(freqs[freq_idx + 1], reference.cores, reference.dram_power_w)
-        )
-    if reference.dram_power_w + config.dram_power_step_w <= config.dram_power_max_w + 1e-9:
-        utilities["memory"] = utility_of(
-            KnobSetting(
-                reference.freq_ghz,
-                reference.cores,
-                reference.dram_power_w + config.dram_power_step_w,
-            ),
+    freq, cores, dram = reference.freq_ghz, reference.cores, reference.dram_power_w
+    return {
+        "core": utility_of(KnobSetting(freq, cores + 1, dram)),
+        "frequency": utility_of(KnobSetting(freqs[-1], cores, dram)),
+        "memory": utility_of(
+            KnobSetting(freq, cores, dram + config.dram_power_step_w),
             min_delta_w=config.dram_power_step_w,
-        )
-    return utilities
+        ),
+    }

@@ -66,14 +66,21 @@ from itertools import accumulate, repeat
 from operator import add, mul
 from typing import Iterable, Sequence
 
+from repro.core.accountant import DEVIATION_POLLS, DEVIATION_THRESHOLD_W
 from repro.core.coordinator import CoordinationMode
 from repro.core.mediator import PowerMediator, TickRecord
-from repro.core.trust import TrustState
+from repro.core.trust import (
+    EFFICIENCY_MARGIN,
+    OVERDRAW_MARGIN_W,
+    SCORE_DECAY,
+    SUSPECT_THRESHOLD,
+    TrustState,
+)
 from repro.errors import ConfigurationError
 from repro.esd.controller import Phase
 from repro.observability.trace import NULL_TRACE_BUS
-from repro.server.heartbeats import HeartbeatRecord
-from repro.server.rapl import energy_delta_j
+from repro.server.heartbeats import WINDOW_S, HeartbeatRecord
+from repro.server.rapl import ENERGY_WRAP_J, energy_delta_j
 from repro.server.sleep import SleepState
 
 __all__ = ["MediatedFleet", "MIN_FAST_TICKS", "MAX_SEGMENT_TICKS"]
@@ -160,8 +167,8 @@ class MediatedFleet:
 
     Args:
         mediators: The fleet; each mediator is advanced independently.
-        min_fast_ticks: Smallest horizon worth entering the fast path for.
-        max_segment_ticks: Cap on a single fast segment.
+        min_fast_ticks: Smallest horizon worth entering the fast path for;
+            a single fast segment is capped at :data:`MAX_SEGMENT_TICKS`.
 
     Attributes:
         fast_ticks / scalar_ticks: How many ticks each path executed.
@@ -175,7 +182,6 @@ class MediatedFleet:
         mediators: Iterable[PowerMediator],
         *,
         min_fast_ticks: int = MIN_FAST_TICKS,
-        max_segment_ticks: int = MAX_SEGMENT_TICKS,
     ) -> None:
         self._mediators: list[PowerMediator] = list(mediators)
         if not self._mediators:
@@ -185,12 +191,11 @@ class MediatedFleet:
                 raise ConfigurationError(
                     f"MediatedFleet manages PowerMediator instances, got {type(m).__name__}"
                 )
-        if min_fast_ticks < 1:
-            raise ConfigurationError("min_fast_ticks must be >= 1")
-        if max_segment_ticks < min_fast_ticks:
-            raise ConfigurationError("max_segment_ticks must be >= min_fast_ticks")
+        if not 1 <= min_fast_ticks <= MAX_SEGMENT_TICKS:
+            raise ConfigurationError(
+                f"min_fast_ticks must be in [1, {MAX_SEGMENT_TICKS}]"
+            )
         self._min_fast = int(min_fast_ticks)
-        self._max_segment = int(max_segment_ticks)
         self.fast_ticks = 0
         self.scalar_ticks = 0
         self.fast_segments = 0
@@ -419,7 +424,6 @@ class MediatedFleet:
             for record in trust._records.values():
                 if record.state is not TrustState.TRUSTED:
                     return 0, "trust-state"
-            window_s = hb._window_s
             for name in sorted(m._managed):
                 managed = m._managed[name]
                 knob = knobs.knob_of(name)
@@ -435,15 +439,15 @@ class MediatedFleet:
                     cooldown0 = record.cooldown
                 else:
                     cooldown0 = cfg.cooldown_ticks + 1
-                if not record.score < cfg.suspect_threshold:
+                if not record.score < SUSPECT_THRESHOLD:
                     return 0, "trust-score"
                 if run_flag:
                     attributed = breakdown.app_w.get(name, 0.0)
                     expected = server.power_model.app_power_w(managed.profile, knob)
-                    if attributed > expected + cfg.overdraw_margin_w:
+                    if attributed > expected + OVERDRAW_MARGIN_W:
                         return 0, "trust-overdraw"
                     supported = server.perf_model.rate(managed.profile, knob)
-                    limit = supported * (1.0 + cfg.efficiency_margin)
+                    limit = supported * (1.0 + EFFICIENCY_MARGIN)
                     # Worst windowed rate: every slot filled with the largest
                     # beat the window can ever hold during the segment.
                     beats = work_per_app.get(name, 0.0)
@@ -451,8 +455,8 @@ class MediatedFleet:
                     peak_beats = max(
                         beats, max((r.beats for r in history), default=0.0)
                     )
-                    slots = math.floor(window_s / dt) + 2
-                    if slots * peak_beats / window_s <= limit * (1.0 - 1e-9):
+                    slots = math.floor(WINDOW_S / dt) + 2
+                    if slots * peak_beats / WINDOW_S <= limit * (1.0 - 1e-9):
                         pass  # efficiency check can never fire at this knob
                     elif cooldown0 > 0:
                         defense_horizon = min(defense_horizon, cooldown0 - 1)
@@ -476,11 +480,11 @@ class MediatedFleet:
                 if name not in breakdown.app_w:
                     continue
                 observed = breakdown.app_w[name]
-                if abs(observed - expected.power_w) > acct._threshold_w:
+                if abs(observed - expected.power_w) > DEVIATION_THRESHOLD_W:
                     count0 = acct._deviation_counts.get(name, 0)
                     e4_horizon = min(
                         e4_horizon,
-                        acct._deviation_polls - count0 - _HORIZON_MARGIN,
+                        DEVIATION_POLLS - count0 - _HORIZON_MARGIN,
                     )
                     e4_writes.append((name, True, count0))
                 else:
@@ -498,7 +502,7 @@ class MediatedFleet:
             batt_horizon,
             defense_horizon,
             e4_horizon,
-            float(self._max_segment),
+            float(MAX_SEGMENT_TICKS),
         )
         if horizon < self._min_fast:
             return 0, "short-horizon"
@@ -592,10 +596,10 @@ class MediatedFleet:
             power = domain_powers.get(name, 0.0)
             step_j = power * dt
             if name == "psys":
-                psys_values = _rapl_march(dom.energy_j, step_j, dom.wrap_range_j, k)
+                psys_values = _rapl_march(dom.energy_j, step_j, ENERGY_WRAP_J, k)
                 dom.energy_j = psys_values[-1]
             elif step_j != 0.0:
-                dom.energy_j = _rapl_march(dom.energy_j, step_j, dom.wrap_range_j, k)[-1]
+                dom.energy_j = _rapl_march(dom.energy_j, step_j, ENERGY_WRAP_J, k)[-1]
             # else: (e + 0.0) % wrap is the identity on in-range counters.
             dom.last_power_w = power
 
@@ -623,7 +627,7 @@ class MediatedFleet:
             handle = server._handles[name]
             handle.work_done = _seq_add_final(handle.work_done, work_per_app[name], k)
         hb = server._heartbeats
-        cutoff = final_t - hb._window_s
+        cutoff = final_t - WINDOW_S
         # Only records that survive the final cutoff are ever observed
         # again; eviction cutoffs are monotone, so appending just the
         # survivors matches emit-then-evict tick by tick.
@@ -695,12 +699,11 @@ class MediatedFleet:
             _flush_histogram(registry.histogram("esd.discharge_w"), discharge_w, k)
 
         # Trust: zero violations — scores decay, cooldowns drain.
-        decay = m._trust.config.score_decay
         for record, cooldown0, fingerprint in trust_flush:
             record.fingerprint = fingerprint
             record.cooldown = max(cooldown0 - k, 0)
             if record.score != 0.0:
-                record.score = _seq_mul_final(record.score, decay, k)
+                record.score = _seq_mul_final(record.score, SCORE_DECAY, k)
 
         # Accountant: E4 streak counters advance (or reset) per poll.
         for name, deviating, count0 in e4_writes:

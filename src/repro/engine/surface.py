@@ -43,6 +43,10 @@ from repro.workloads.profiles import WorkloadProfile
 
 __all__ = ["ConfigGrid", "Frontier", "ResponseSurface", "grid_for"]
 
+#: The allocator's budget grid: rounding loss stays well under the knob
+#: space's own power granularity.
+GRAIN_W = 0.25
+
 
 def _pow(base: np.ndarray, exponent: float) -> np.ndarray:
     """Elementwise ``base ** exponent`` via CPython's scalar ``pow``.
@@ -63,7 +67,7 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 class Frontier:
     """The power-performance Pareto frontier of one response, with the
-    allocator's option arrays per budget grain.
+    allocator's option arrays on the :data:`GRAIN_W` budget grid.
 
     A knob is on the frontier when no other knob delivers at least its
     performance for strictly less power. Points are listed by ascending
@@ -91,10 +95,10 @@ class Frontier:
         self.indices = _frozen(np.array(frontier, dtype=np.intp))
         self.power_w = _frozen(power_w[self.indices])
         self.relative_perf = _frozen(perf[self.indices] / perf_nocap)
-        self._options: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._options: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    def options(self, grain_w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The allocator's choices on a ``grain_w`` budget grid, cached.
+    def options(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The allocator's choices on the :data:`GRAIN_W` budget grid, cached.
 
         Three aligned arrays: grid cost (power rounded *up* to the grid,
         as floats), unweighted utility (relative perf plus a 1e-9
@@ -102,15 +106,13 @@ class Frontier:
         utility 0, index -1); the frontier follows, so costs ascend and
         the options fitting any budget are a prefix.
         """
-        options = self._options.get(grain_w)
-        if options is None:
-            options = (
-                _frozen(np.concatenate(([0.0], np.ceil(self.power_w / grain_w - 1e-9)))),
+        if self._options is None:
+            self._options = (
+                _frozen(np.concatenate(([0.0], np.ceil(self.power_w / GRAIN_W - 1e-9)))),
                 _frozen(np.concatenate(([0.0], self.relative_perf + 1e-9))),
                 _frozen(np.concatenate(([-1], self.indices))),
             )
-            self._options[grain_w] = options
-        return options
+        return self._options
 
 
 class ConfigGrid:

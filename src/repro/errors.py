@@ -98,7 +98,7 @@ class CheckpointError(PersistenceError):
 
 
 class JournalError(PersistenceError):
-    """A write-ahead journal is corrupt beyond the torn-tail recovery rule.
+    """A run journal is corrupt beyond the torn-tail recovery rule.
 
     A malformed *final* record is expected after a crash (the torn tail) and
     silently dropped; a malformed record in the journal's interior means the
@@ -158,13 +158,13 @@ class AdversaryError(ReproError):
 
 
 class RetryExhaustedError(ReproError):
-    """A retried operation ran out of its attempt or deadline budget.
+    """A retried operation ran out of its attempts.
 
-    Raised by :meth:`repro.util.retry.RetryPolicy.require` when either the
-    bounded attempt count or the total-deadline tick budget is spent. The
-    message is a single line naming the operation and which budget ran out,
-    so callers that degrade gracefully (actuation escalation, control-plane
-    safe-cap fallback) can log it verbatim before parking the work.
+    Raised by :meth:`repro.util.retry.RetryPolicy.require` when the bounded
+    attempt count is spent. The message is a single line naming the
+    operation, so callers that degrade gracefully (actuation escalation,
+    control-plane safe-cap fallback) can log it verbatim before parking the
+    work.
     """
 
 

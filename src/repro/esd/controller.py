@@ -152,10 +152,6 @@ class EsdController:
         self._phase_elapsed_s = 0.0
 
     @property
-    def battery(self) -> LeadAcidBattery:
-        return self._battery
-
-    @property
     def cycle(self) -> DutyCycle:
         return self._cycle
 

@@ -61,13 +61,12 @@ _PRESETS: dict[str, dict[str, float]] = {
 BATTERY_PRESETS = tuple(sorted(_PRESETS))
 
 
-def make_battery(preset: str, *, initial_soc: float | None = None) -> LeadAcidBattery:
-    """Construct a battery from a chemistry preset.
+def make_battery(preset: str) -> LeadAcidBattery:
+    """Construct a battery from a chemistry preset, starting at the preset's
+    reserve floor (empty usable store, like the paper's cold start).
 
     Args:
         preset: One of :data:`BATTERY_PRESETS`.
-        initial_soc: Starting state of charge; defaults to the preset's
-            reserve floor (empty usable store, like the paper's cold start).
 
     Raises:
         ConfigurationError: for unknown preset names.
@@ -78,13 +77,11 @@ def make_battery(preset: str, *, initial_soc: float | None = None) -> LeadAcidBa
         raise ConfigurationError(
             f"unknown battery preset {preset!r}; available: {BATTERY_PRESETS}"
         ) from None
-    if initial_soc is None:
-        initial_soc = params["reserve_fraction"]
     return LeadAcidBattery(
         capacity_j=params["capacity_j"],
         efficiency=params["efficiency"],
         max_charge_w=params["max_charge_w"],
         max_discharge_w=params["max_discharge_w"],
         reserve_fraction=params["reserve_fraction"],
-        initial_soc=initial_soc,
+        initial_soc=params["reserve_fraction"],
     )

@@ -225,10 +225,6 @@ class FaultPlan:
     def __len__(self) -> int:
         return len(self.specs)
 
-    def kinds(self) -> set[str]:
-        """The fault classes this plan exercises."""
-        return {spec.kind for spec in self.specs}
-
     # -------------------------------------------------------- serialization
 
     def to_json(self) -> str:

@@ -124,7 +124,6 @@ class BudgetTreeSimulator:
             cut the ROOT fabric (window node ids are level-local), use
             ``partitions`` for deeper fabrics. Non-root levels get seeds
             derived from ``net.seed`` and the node path.
-        config: Protocol tunables shared by every level.
         partitions: Optional extra partition schedules keyed by dotted
             interior path (``{"0": (PartitionWindow(...),)}``).
         rated_leaf_cap_w: Physical per-server clamp (default none).
@@ -135,13 +134,12 @@ class BudgetTreeSimulator:
         spec: TreeSpec,
         *,
         net: NetConfig,
-        config: ControlPlaneConfig | None = None,
         partitions: Mapping[str, tuple] | None = None,
         rated_leaf_cap_w: float | None = None,
         trace_bus: TraceBus = NULL_TRACE_BUS,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        self._config = config if config is not None else ControlPlaneConfig()
+        self._config = ControlPlaneConfig()
         self.topology = TreeTopology(spec=spec, config=self._config)
         self._trace = trace_bus
         self._metrics = metrics if metrics is not None else MetricsRegistry()
@@ -256,10 +254,6 @@ class BudgetTreeSimulator:
         self._leaf_demand_w = spec.budget_w / spec.n_leaves
 
     # ------------------------------------------------------------- plumbing
-
-    @property
-    def config(self) -> ControlPlaneConfig:
-        return self._config
 
     def _dark(
         self, step: int, outages: Sequence[SubtreeOutage]
@@ -461,7 +455,6 @@ def run_budget_tree(
     loaded_counts: Sequence[int],
     *,
     net: NetConfig,
-    config: ControlPlaneConfig | None = None,
     leaf_down_sets: Sequence[frozenset[int]] | None = None,
     subtree_outages: tuple[SubtreeOutage, ...] = (),
     partitions: Mapping[str, tuple] | None = None,
@@ -514,7 +507,6 @@ def run_budget_tree(
     sim = BudgetTreeSimulator(
         spec,
         net=net,
-        config=config,
         partitions=partitions,
         rated_leaf_cap_w=rated_leaf_cap_w,
         trace_bus=trace_bus,

@@ -87,15 +87,15 @@ class TreeSpec:
             servers.
         budget_w: The datacenter budget delegated from the root.
         quantum_w: Cap grid used by every level's controller.
-        level_names: Optional display names, one per level including the
-            leaf level (``len(fanouts) + 1`` entries); sensible defaults
-            up to datacenter/pdu/rack/server.
+        level_names: Display names, one per level including the leaf
+            level (``len(fanouts) + 1`` entries): datacenter/pdu/rack/server
+            up to depth 3, ``level<i>`` names deeper.
     """
 
     fanouts: tuple[int, ...]
     budget_w: float
     quantum_w: float = 2.0
-    level_names: tuple[str, ...] = ()
+    level_names: tuple[str, ...] = field(default=(), init=False)
 
     def __post_init__(self) -> None:
         if not self.fanouts:
@@ -110,19 +110,11 @@ class TreeSpec:
             raise NetworkError("tree budget must be positive")
         if self.quantum_w <= 0:
             raise NetworkError("cap quantum must be positive")
-        names = self.level_names
-        if not names:
-            names = _DEFAULT_LEVEL_NAMES.get(
-                len(self.fanouts),
-                tuple(f"level{i}" for i in range(len(self.fanouts)))
-                + ("server",),
-            )
-            object.__setattr__(self, "level_names", names)
-        if len(self.level_names) != len(self.fanouts) + 1:
-            raise NetworkError(
-                f"level_names needs {len(self.fanouts) + 1} entries "
-                f"(levels including the leaf level), got {len(self.level_names)}"
-            )
+        names = _DEFAULT_LEVEL_NAMES.get(
+            len(self.fanouts),
+            tuple(f"level{i}" for i in range(len(self.fanouts))) + ("server",),
+        )
+        object.__setattr__(self, "level_names", names)
 
     @property
     def depth(self) -> int:
@@ -131,26 +123,6 @@ class TreeSpec:
     @property
     def n_leaves(self) -> int:
         return math.prod(self.fanouts)
-
-    def to_dict(self) -> dict:
-        return {
-            "fanouts": list(self.fanouts),
-            "budget_w": self.budget_w,
-            "quantum_w": self.quantum_w,
-            "level_names": list(self.level_names),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TreeSpec":
-        try:
-            return cls(
-                fanouts=tuple(int(f) for f in doc["fanouts"]),
-                budget_w=float(doc["budget_w"]),
-                quantum_w=float(doc.get("quantum_w", 2.0)),
-                level_names=tuple(doc.get("level_names", ())),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed tree spec: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -165,11 +137,9 @@ class TreeTopology:
     spec: TreeSpec
     config: ControlPlaneConfig
     #: Every node path -> its static safe cap (the root maps to the budget).
-    safe_caps_w: dict[Path, float] = field(default_factory=dict)
+    safe_caps_w: dict[Path, float] = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.safe_caps_w:
-            return
         quantum = self.spec.quantum_w
         guard = self.config.safe_guard_band
 

@@ -7,7 +7,7 @@ matrix" - Section III-A.
 
 Implementation notes:
 
-* **ALS on observed entries.** Rank-``k`` alternating least squares with
+* **ALS on observed entries.** Rank-``k`` (:data:`RANK`) alternating least squares with
   ridge regularization: each user/item factor is the closed-form ridge
   solution over its observed entries only. The response surfaces are smooth
   functions of three knobs, so low rank captures them well.
@@ -35,40 +35,25 @@ from repro.learning.matrix import PreferenceMatrix
 from repro.server.config import KnobSetting
 
 
+#: Latent dimension ``k`` of the factorization.
+RANK = 6
+#: L2 regularization weight for both factor solves.
+RIDGE = 0.05
+#: Alternating sweeps per fit.
+ITERATIONS = 25
+
+
 class AlsFactorizer:
-    """Rank-``k`` ALS on a partially observed matrix.
+    """Rank-:data:`RANK` ALS on a partially observed matrix.
 
     Args:
-        rank: Latent dimension ``k``.
-        ridge: L2 regularization weight for both factor solves.
-        iterations: Alternating sweeps.
         seed: Factor initialization seed.
     """
 
-    def __init__(
-        self,
-        *,
-        rank: int = 6,
-        ridge: float = 0.05,
-        iterations: int = 25,
-        seed: int = 0,
-    ) -> None:
-        if rank < 1:
-            raise LearningError("rank must be at least 1")
-        if ridge < 0:
-            raise LearningError("ridge must be non-negative")
-        if iterations < 1:
-            raise LearningError("need at least one ALS sweep")
-        self._rank = rank
-        self._ridge = ridge
-        self._iterations = iterations
+    def __init__(self, *, seed: int = 0) -> None:
         self._seed = seed
         self._row_factors: np.ndarray | None = None
         self._col_factors: np.ndarray | None = None
-
-    @property
-    def rank(self) -> int:
-        return self._rank
 
     def fit(self, values: np.ndarray, mask: np.ndarray) -> None:
         """Factorize ``values`` (NaN-free where ``mask`` is True).
@@ -91,12 +76,12 @@ class AlsFactorizer:
         if (~mask.any(axis=1)).any():
             raise LearningError("every row needs at least one observation")
         rng = np.random.default_rng(self._seed)
-        scale = float(np.sqrt(np.nanmean(np.where(mask, values, np.nan)) / self._rank + 1e-12))
-        rows = rng.normal(0.0, 0.1, (n_rows, self._rank)) + scale
-        cols = rng.normal(0.0, 0.1, (n_cols, self._rank)) + scale
-        eye = self._ridge * np.eye(self._rank)
+        scale = float(np.sqrt(np.nanmean(np.where(mask, values, np.nan)) / RANK + 1e-12))
+        rows = rng.normal(0.0, 0.1, (n_rows, RANK)) + scale
+        cols = rng.normal(0.0, 0.1, (n_cols, RANK)) + scale
+        eye = RIDGE * np.eye(RANK)
         fully_observed = bool(mask.all())
-        for _ in range(self._iterations):
+        for _ in range(ITERATIONS):
             if fully_observed:
                 # Dense fast path: all rows share the same Gram matrix, so
                 # one solve updates every factor at once.
@@ -149,7 +134,7 @@ class AlsFactorizer:
             raise LearningError("columns and values must align")
         v = self._col_factors[np.asarray(observed_cols, dtype=int)]
         y = np.asarray(observed_values, dtype=float)
-        eye = self._ridge * np.eye(self._rank)
+        eye = RIDGE * np.eye(RANK)
         factor = np.linalg.solve(v.T @ v + eye, v.T @ y)
         prediction = self._col_factors @ factor
         prediction[np.asarray(observed_cols, dtype=int)] = y

@@ -49,6 +49,9 @@ from repro.workloads.profiles import WorkloadProfile
 #: paper's 100 W scenario.
 CHOOSER_BUDGET_W = 15.0
 
+#: Cross-validation folds (5 in the paper).
+FOLDS = 5
+
 
 @dataclass(frozen=True)
 class CalibrationPoint:
@@ -81,46 +84,25 @@ class CalibrationPoint:
 
 
 def build_exhaustive_corpus(
-    config: ServerConfig,
-    profiles: list[WorkloadProfile],
-    *,
-    power_noise_std_w: float = 0.0,
-    perf_noise_relative_std: float = 0.0,
-    seed: int = 0,
+    config: ServerConfig, profiles: list[WorkloadProfile]
 ) -> PreferenceMatrix:
     """Fully observed preference matrices for ``profiles``.
 
     This is the "previously seen applications" store: on the paper's system
     it accretes over time; experiments bootstrap it by exhaustive offline
-    profiling, optionally with measurement noise.
+    profiling, which is long enough to be treated as noise-free.
 
     The exhaustive profile of an app is its response surface
     (:mod:`repro.engine.surface`): the whole knob space characterized once
     per (config, profile), cached, and bitwise equal to the scalar models.
-    Noise, when asked for, is drawn knob by knob in column order - power
-    draw first, then perf draw - so a seed reproduces one exact corpus.
     """
     if not profiles:
         raise ConfigurationError("need at least one profile")
     grid = grid_for(config)
-    rng = np.random.default_rng(seed)
     corpus = PreferenceMatrix(config)
     for profile in profiles:
         surface = grid.surface(profile)
-        power, perf = surface.app_power_w, surface.rate
-        if power_noise_std_w > 0 or perf_noise_relative_std > 0:
-            power, perf = power.tolist(), perf.tolist()
-            for j in range(len(power)):
-                if power_noise_std_w > 0:
-                    power[j] = max(
-                        0.0, power[j] + float(rng.normal(0.0, power_noise_std_w))
-                    )
-                if perf_noise_relative_std > 0:
-                    perf[j] = max(
-                        0.0,
-                        perf[j] * (1.0 + float(rng.normal(0.0, perf_noise_relative_std))),
-                    )
-        corpus.add_row(profile.name, power_w=power, perf=perf)
+        corpus.add_row(profile.name, power_w=surface.app_power_w, perf=surface.rate)
     return corpus
 
 
@@ -144,7 +126,6 @@ def calibrate_sampling_fraction(
     profiles: list[WorkloadProfile],
     fractions: list[float],
     *,
-    folds: int = 5,
     seed: int = 0,
 ) -> list[CalibrationPoint]:
     """Run the Fig. 7 cross-validation sweep.
@@ -158,25 +139,24 @@ def calibrate_sampling_fraction(
         config: Server (knob space + models).
         profiles: The application corpus (the paper uses its full catalog).
         fractions: Sampling fractions to evaluate (the x-axis).
-        folds: Cross-validation folds (5 in the paper).
         seed: Controls fold assignment, noise and samplers.
 
     Raises:
         ConfigurationError: with fewer profiles than folds.
     """
-    if len(profiles) < folds:
+    if len(profiles) < FOLDS:
         raise ConfigurationError(
-            f"need at least {folds} profiles for {folds}-fold CV, got {len(profiles)}"
+            f"need at least {FOLDS} profiles for {FOLDS}-fold CV, got {len(profiles)}"
         )
     if not fractions:
         raise ConfigurationError("need at least one fraction to evaluate")
     perf_model = PerformanceModel(config)
     power_model = PowerModel(config, perf_model)
-    # Noise-free, so each row is also the held-out app's true surface.
+    # Each row is also the held-out app's true surface.
     corpus = build_exhaustive_corpus(config, profiles)
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(profiles))
-    fold_of = {profiles[int(idx)].name: i % folds for i, idx in enumerate(order)}
+    fold_of = {profiles[int(idx)].name: i % FOLDS for i, idx in enumerate(order)}
 
     by_name = {p.name: p for p in profiles}
     points: list[CalibrationPoint] = []
@@ -185,7 +165,7 @@ def calibrate_sampling_fraction(
         perf_ratios: list[float] = []
         power_sq_errs: list[float] = []
         perf_sq_errs: list[float] = []
-        for fold in range(folds):
+        for fold in range(FOLDS):
             train_names = [n for n in corpus.apps if fold_of[n] != fold]
             test_names = [n for n in corpus.apps if fold_of[n] == fold]
             if not train_names or not test_names:

@@ -177,10 +177,6 @@ class SimNetwork:
         self._uid = 0
         self.stats = NetStats()
 
-    @property
-    def config(self) -> NetConfig:
-        return self._config
-
     def _endpoint_node(self, src: int, dst: int) -> int:
         """The non-controller endpoint of a message (partitions cut nodes)."""
         return dst if src == CONTROLLER else src

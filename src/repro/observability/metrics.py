@@ -18,9 +18,7 @@ the property the hypothesis suite pins.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from collections import deque
 from typing import Any
 
@@ -187,7 +185,8 @@ class MetricsRegistry:
         }
 
     @classmethod
-    def from_json(cls, doc: Any, path: str = "metrics") -> "MetricsRegistry":
+    def from_json(cls, doc: Any) -> "MetricsRegistry":
+        path = "metrics"  # the JSON-path prefix of every error message
         data = _VALIDATE.as_dict(doc, path)
         schema = data.get("schema")
         if schema != METRICS_SCHEMA_VERSION:
@@ -234,19 +233,6 @@ class MetricsRegistry:
             )
             registry._histograms[name] = hist
         return registry
-
-    @classmethod
-    def load(cls, path: str | os.PathLike) -> "MetricsRegistry":
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                doc = json.load(handle)
-        except OSError as exc:
-            raise ObservabilityError(
-                f"cannot read metrics {path}: {exc.strerror or exc}"
-            ) from exc
-        except json.JSONDecodeError as exc:
-            raise ObservabilityError(f"{path}: not valid JSON: {exc.msg}") from exc
-        return cls.from_json(doc, path=str(path))
 
     def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
         """A new registry equal to replaying both observation streams in order.

@@ -1,4 +1,4 @@
-"""Crash-tolerant mediation: checkpoints, write-ahead journal, supervision.
+"""Crash-tolerant mediation: checkpoints, progress journal, supervision.
 
 The mediator of :mod:`repro.core.mediator` is a long-running control loop;
 this package makes one run survive the loop's *own* death. Four layers:
@@ -11,9 +11,9 @@ this package makes one run survive the loop's *own* death. Four layers:
   **bit-identically**; every growing history (timeline, accountant events,
   departures, session deliveries) lives in one append-only log beside the
   documents, so a checkpoint costs what changed since the last one;
-* :mod:`repro.persistence.journal` - a segmented, append-only write-ahead
-  event journal (JSONL) recording commands before they execute and ticks as
-  they complete, with explicit fsync points and a torn-tail recovery rule;
+* :mod:`repro.persistence.journal` - a segmented, append-only journal
+  (JSONL) recording ticks as they complete and each landed checkpoint, with
+  explicit fsync points and a torn-tail recovery rule;
 * :mod:`repro.persistence.store` - :class:`RunStore`, the one core that
   owns a run's journal, checkpoints and trace marks and applies the one
   recovery rule: restore the newest marked checkpoint, then re-execute up
@@ -57,7 +57,6 @@ from repro.persistence.supervisor import (
     RecoveryStats,
     SetCap,
     Supervisor,
-    command_to_dict,
 )
 
 __all__ = [
@@ -78,7 +77,6 @@ __all__ = [
     "SetCap",
     "Supervisor",
     "checkpoint_filename",
-    "command_to_dict",
     "list_segments",
     "prune_segments",
     "read_checkpoint",

@@ -6,7 +6,7 @@ beside it. The document has these parts::
 
     {
       "schema": "repro-checkpoint",   # stamp: is this even one of ours?
-      "version": 4,                   # format version; mismatches refuse
+      "version": 5,                   # format version; mismatches refuse
       "tick": 120,                    # ticks executed when snapshotted
       "sim_time_s": 12.0,
       "recipe": { ... },              # how to BUILD the run (RunRecipe)
@@ -17,11 +17,13 @@ beside it. The document has these parts::
     }
 
 The **recipe** holds everything needed to construct a fresh, identical
-mediator, under exactly these keys: ``policy``, ``p_cap_w``, ``config``
-(every :class:`~repro.server.config.ServerConfig` field),
-``use_oracle_estimates``, ``dt_s``, ``seed``, ``faults``, ``resilience``
-and ``engine``; any other key is refused. The **state** is the mediator's
-composite :meth:`~repro.core.mediator.PowerMediator.state_dict`: every RNG
+mediator, under exactly these keys: ``policy``, ``p_cap_w``,
+``use_oracle_estimates``, ``dt_s``, ``seed``, ``faults`` and ``engine``;
+any other key is refused. Every run is on the Table I server
+(:data:`~repro.server.config.DEFAULT_SERVER_CONFIG`) with the fixed
+degraded-mode constants of :mod:`repro.core.resilience`. The **state** is
+the mediator's composite
+:meth:`~repro.core.mediator.PowerMediator.state_dict`: every RNG
 stream, ledger, cursor and counter - except the histories that only grow
 with the run. Those live in the log, one JSON line ``{"kind": K, "data": {...}}``
 per item, in four kinds:
@@ -61,8 +63,9 @@ the previous checkpoint intact. :func:`read_checkpoint` is the one reader:
 it validates schema and version before touching any field and fails with a
 one-line :class:`~repro.errors.CheckpointError` naming the offending path -
 never a traceback from deep inside a codec. A version-1 document (timeline
-inline), a version-2 one (timeline-only log, histories inline) or a
-version-3 one (recipe with sampler, battery and noise keys) is refused.
+inline), a version-2 one (timeline-only log, histories inline), a version-3
+one (recipe with sampler, battery and noise keys) or a version-4 one
+(recipe with ``config`` and ``resilience`` keys) is refused.
 """
 
 from __future__ import annotations
@@ -78,12 +81,11 @@ from repro.errors import CheckpointError, ConfigurationError, ReproError
 from repro.schema import Validator
 from repro.core.mediator import PowerMediator
 from repro.core.policies import POLICY_NAMES, make_policy
-from repro.core.resilience import ResilienceConfig
 from repro.core.simulation import default_battery
 from repro.engine import ENGINE_KINDS
 from repro.faults.plan import FaultPlan
 from repro.observability.trace import TraceBus
-from repro.server.config import DEFAULT_SERVER_CONFIG, ServerConfig
+from repro.server.config import DEFAULT_SERVER_CONFIG
 from repro.server.server import SimulatedServer
 
 #: Schema stamp written into every checkpoint document.
@@ -92,8 +94,9 @@ CHECKPOINT_SCHEMA = "repro-checkpoint"
 #: Current checkpoint format version; bump on incompatible layout changes.
 #: Version 3 keeps every growing history out of the document, in
 #: :data:`HISTORY_LOG`, and stores no derived candidate set; version 4's
-#: recipe drops the sampler, battery and calibration-noise keys.
-CHECKPOINT_VERSION = 4
+#: recipe drops the sampler, battery and calibration-noise keys; version 5's
+#: drops ``config`` and ``resilience``.
+CHECKPOINT_VERSION = 5
 
 #: The history log beside the documents: one ``{"kind", "data"}`` JSON line
 #: per item of :data:`HISTORY_KINDS`, appended at every checkpoint and never
@@ -104,9 +107,6 @@ HISTORY_LOG = "history.jsonl"
 HISTORY_KINDS = ("tick", "event", "finished", "delivery")
 
 _VALID = Validator(CheckpointError)
-
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(ServerConfig)}
-_RESILIENCE_FIELDS = {f.name for f in dataclasses.fields(ResilienceConfig)}
 
 
 @dataclass(frozen=True)
@@ -123,12 +123,10 @@ class RunRecipe:
             :data:`~repro.core.policies.POLICY_NAMES`).
         p_cap_w: Initial power cap (later E1 changes live in the journal
             and the accountant's snapshot).
-        config: Server hardware parameters.
         use_oracle_estimates: Bypass the learning pipeline.
         dt_s: Tick length.
         seed: Seed for calibration noise (and the server's sensors).
         faults: Optional fault plan injected during the run.
-        resilience: Degraded-mode tunables, or ``None`` for defaults.
         engine: Server model implementation (``"scalar"``/``"vector"``).
             Bit-identical results, so restoring a checkpoint under either
             engine is legal; the recipe records the one the run requested.
@@ -136,12 +134,10 @@ class RunRecipe:
 
     policy: str
     p_cap_w: float
-    config: ServerConfig = DEFAULT_SERVER_CONFIG
     use_oracle_estimates: bool = False
     dt_s: float = 0.1
     seed: int = 0
     faults: FaultPlan | None = None
-    resilience: ResilienceConfig | None = None
     engine: str = "scalar"
 
     def build(self, trace_bus: TraceBus | None = None) -> PowerMediator:
@@ -151,7 +147,7 @@ class RunRecipe:
         initial cap-change (E1) event, as a traced ``run_mix_experiment``
         does; a restored mediator is attached after its state is loaded.
         """
-        server = SimulatedServer(self.config, seed=self.seed, engine=self.engine)
+        server = SimulatedServer(DEFAULT_SERVER_CONFIG, seed=self.seed, engine=self.engine)
         policy = make_policy(self.policy)
         return PowerMediator(
             server,
@@ -162,7 +158,6 @@ class RunRecipe:
             dt_s=self.dt_s,
             seed=self.seed,
             faults=self.faults,
-            resilience=self.resilience,
             trace_bus=trace_bus,
         )
 
@@ -170,7 +165,6 @@ class RunRecipe:
         return {
             "policy": self.policy,
             "p_cap_w": self.p_cap_w,
-            "config": dataclasses.asdict(self.config),
             "use_oracle_estimates": self.use_oracle_estimates,
             "dt_s": self.dt_s,
             "seed": self.seed,
@@ -180,9 +174,6 @@ class RunRecipe:
                 "seed": self.faults.seed,
                 "faults": [spec.to_dict() for spec in self.faults.specs],
             },
-            "resilience": None
-            if self.resilience is None
-            else dataclasses.asdict(self.resilience),
             "engine": self.engine,
         }
 
@@ -201,12 +192,6 @@ class RunRecipe:
         policy = _VALID.choice(
             _VALID.require(obj, "policy", where), f"{where}.policy", POLICY_NAMES
         )
-        config_raw = _VALID.as_dict(
-            _VALID.require(obj, "config", where), f"{where}.config"
-        )
-        for key in config_raw:
-            if key not in _CONFIG_FIELDS:
-                _VALID.fail(f"{where}.config.{key}", "unknown server-config field")
         faults_raw = obj.get("faults")
         faults = None
         if faults_raw is not None:
@@ -214,27 +199,12 @@ class RunRecipe:
                 faults = FaultPlan.from_json(json.dumps(faults_raw))
             except ReproError as exc:
                 raise CheckpointError(f"{where}.faults: {exc}") from None
-        resilience_raw = obj.get("resilience")
-        resilience = None
-        if resilience_raw is not None:
-            resilience_raw = _VALID.as_dict(resilience_raw, f"{where}.resilience")
-            for key in resilience_raw:
-                if key not in _RESILIENCE_FIELDS:
-                    _VALID.fail(
-                        f"{where}.resilience.{key}", "unknown resilience field"
-                    )
-            resilience = ResilienceConfig(**resilience_raw)
-        try:
-            config = ServerConfig(**config_raw)
-        except (ConfigurationError, TypeError) as exc:
-            raise CheckpointError(f"{where}.config: {exc}") from None
         try:
             return cls(
                 policy=policy,
                 p_cap_w=_VALID.as_number(
                     _VALID.require(obj, "p_cap_w", where), f"{where}.p_cap_w"
                 ),
-                config=config,
                 use_oracle_estimates=_VALID.as_bool(
                     obj.get("use_oracle_estimates", False),
                     f"{where}.use_oracle_estimates",
@@ -242,7 +212,6 @@ class RunRecipe:
                 dt_s=_VALID.as_number(obj.get("dt_s", 0.1), f"{where}.dt_s"),
                 seed=_VALID.as_int(obj.get("seed", 0), f"{where}.seed"),
                 faults=faults,
-                resilience=resilience,
                 engine=_VALID.choice(
                     obj.get("engine", "scalar"), f"{where}.engine", ENGINE_KINDS
                 ),

@@ -1,7 +1,7 @@
-"""Write-ahead event journal: segmented, append-only JSONL with a torn-tail rule.
+"""Progress journal: segmented, append-only JSONL with a torn-tail rule.
 
 The journal is the fine-grained complement to checkpoints: checkpoints are
-heavyweight and periodic, the journal records every unit of progress between
+heavyweight and periodic, the journal records every tick of progress between
 them. One record per line, each a JSON object with a strictly increasing
 ``seq`` and an ``op``:
 
@@ -9,8 +9,6 @@ them. One record per line, each a JSON object with a strictly increasing
 op          meaning / durability
 ========== ===========================================================
 meta        run header (schema stamp, version, tick length); fsynced
-command     a command *about to execute* (write-ahead); fsynced
-            before the command runs, so a command is never half-known
 tick        the number of ticks completed so far; fsynced in batches of
             ``fsync_every_ticks`` (ticks are deterministic, so losing
             the un-synced tail only costs re-execution, never truth)
@@ -18,11 +16,11 @@ checkpoint  a checkpoint document landed; carries its tick and file
             name; fsynced
 ========== ===========================================================
 
-Recovery never decodes command records: it restores the newest marked
-checkpoint and re-executes as many ticks as the durable tick records reach
-(:class:`~repro.persistence.store.RunStore`). Command records are the
-write-ahead evidence of what ran; a duplicate journaled by a re-executed
-stretch is inert.
+Recovery restores the newest marked checkpoint and re-executes as many
+ticks as the durable tick records reach
+(:class:`~repro.persistence.store.RunStore`). Commands are not journaled:
+re-execution is deterministic, so the supervisor's script and the service's
+seeded arrivals issue them again, in the same ticks.
 
 **Segments.** One file would grow without bound, so the record stream is
 sharded across files named ``journal-<start_seq>.jsonl``, where
@@ -56,12 +54,13 @@ JOURNAL_SCHEMA = "repro-journal"
 
 #: Current journal format version; bump on incompatible record changes.
 #: Version 2: a ``tick`` record holds the ticks completed, and a
-#: ``checkpoint`` marker only the document's tick and name.
-JOURNAL_VERSION = 2
+#: ``checkpoint`` marker only the document's tick and name. Version 3 drops
+#: the ``command`` record.
+JOURNAL_VERSION = 3
 
 _VALID = Validator(JournalError)
 
-_KNOWN_OPS = ("meta", "command", "tick", "checkpoint")
+_KNOWN_OPS = ("meta", "tick", "checkpoint")
 
 _SEGMENT_RE = re.compile(r"^journal-(\d{10})\.jsonl$")
 
@@ -108,7 +107,7 @@ class JournalWriter:
     Args:
         directory: Segment directory; created if missing.
         records_per_segment: Records per file before rotating.
-        fsync_every_ticks: Tick records between fsyncs. Commands, meta and
+        fsync_every_ticks: Tick records between fsyncs. Meta records and
             checkpoint markers always fsync immediately.
         start_seq: First sequence number to assign; a recovering run passes
             ``last durable seq + 1`` so the ordering survives the restart
@@ -189,10 +188,6 @@ class JournalWriter:
             },
             durable=True,
         )
-
-    def append_command(self, index: int, command: dict) -> None:
-        """Write-ahead record of command ``index`` about to run."""
-        self._append({"op": "command", "index": index, "command": command}, durable=True)
 
     def append_tick(self, ticks: int) -> None:
         """Record that ``ticks`` ticks have completed (batched durability)."""
@@ -382,9 +377,6 @@ def _read_segment(path: Path) -> list[dict]:
                     f"{path}:{lineno}: journal version {version} is not supported "
                     f"(this build reads version {JOURNAL_VERSION})"
                 )
-        elif op == "command":
-            _VALID.as_int(_VALID.require(obj, "index", where), f"{where}.index")
-            _VALID.as_dict(_VALID.require(obj, "command", where), f"{where}.command")
         else:  # tick or checkpoint
             _VALID.as_int(_VALID.require(obj, "tick", where), f"{where}.tick")
             if op == "checkpoint":

@@ -2,9 +2,8 @@
 
 The :class:`Supervisor` owns the whole crash-tolerance loop. It drives a
 mediator through a declarative *script* of commands (:class:`AdmitApp`,
-:class:`SetCap`, :class:`Advance`), journaling each command before it
-executes and each tick as it completes, and checkpointing every
-``checkpoint_every_ticks`` ticks through a
+:class:`SetCap`, :class:`Advance`), journaling each tick as it completes,
+and checkpointing every ``checkpoint_every_ticks`` ticks through a
 :class:`~repro.persistence.store.RunStore`. When the mediator dies
 (:class:`MediatorKilled`, raised by a crash-injection hook or a real bug)
 or hangs past the per-tick deadline (:class:`MediatorHung`), the supervisor
@@ -14,8 +13,8 @@ or hangs past the per-tick deadline (:class:`MediatorHung`), the supervisor
 2. restores the newest marked checkpoint and **re-executes** the script
    from the position that checkpoint recorded, up to the tick count the
    durable journal reaches - everything is deterministic, so re-execution
-   lands bit-identically on the pre-crash state (journaled commands are
-   evidence, never decoded),
+   lands bit-identically on the pre-crash state (the script itself is the
+   command log),
 3. writes a *fresh* checkpoint, so repeated crashes always make forward
    progress, and
 4. optionally holds the server in the PR 1 guard-banded safe posture
@@ -45,11 +44,16 @@ from repro.observability.trace import NULL_TRACE_BUS, TraceBus
 from repro.persistence.checkpoint import RunRecipe
 from repro.persistence.store import RunStore
 from repro.schema import Validator
-from repro.workloads.generator import PhasedProfile
 from repro.workloads.profiles import WorkloadProfile
 
 
 _VALID = Validator(CheckpointError)
+
+#: Journal tick-record durability cadence.
+FSYNC_EVERY_TICKS = 25
+
+#: Hard stop against a deterministically crashing loop.
+MAX_RESTARTS = 50
 
 
 class MediatorKilled(ReproError):
@@ -68,8 +72,6 @@ class AdmitApp:
     """Script command: admit one application (mediator event E2)."""
 
     profile: WorkloadProfile
-    phased: PhasedProfile | None = None
-    group_width: int | None = None
 
 
 @dataclass(frozen=True)
@@ -89,24 +91,6 @@ class Advance:
 Command = AdmitApp | SetCap | Advance
 
 
-def command_to_dict(command: Command) -> dict:
-    """Serialize a script command for the write-ahead journal."""
-    if isinstance(command, AdmitApp):
-        return {
-            "kind": "admit",
-            "profile": command.profile.to_dict(),
-            "phased": None
-            if command.phased is None
-            else [[t, p.to_dict()] for t, p in command.phased.segments],
-            "group_width": command.group_width,
-        }
-    if isinstance(command, SetCap):
-        return {"kind": "set_cap", "p_cap_w": command.p_cap_w}
-    if isinstance(command, Advance):
-        return {"kind": "advance", "duration_s": command.duration_s}
-    raise TypeError(f"not a script command: {command!r}")
-
-
 # ---------------------------------------------------------------- accounting
 
 
@@ -121,7 +105,7 @@ class RecoveryStats:
             than outright death.
         downtime_ticks: Ticks re-executed because they happened after the
             checkpoint a recovery restored.
-        journal_records_replayed: Journal records (commands + ticks) past
+        journal_records_replayed: Journal tick records past
             the restored checkpoints' markers, across all recoveries.
         checkpoints_written: Snapshots written, including the post-recovery
             ones.
@@ -182,7 +166,6 @@ class Supervisor:
             checkpoints (``checkpoints/``); see
             :class:`~repro.persistence.store.RunStore`.
         checkpoint_every_ticks: Snapshot cadence during ``Advance``.
-        fsync_every_ticks: Journal tick-record durability cadence.
         tick_deadline_s: Wall-clock budget for one mediator tick; ``None``
             disables hang detection.
         tick_hook: Called as ``tick_hook(mediator, tick_count)`` before
@@ -193,7 +176,6 @@ class Supervisor:
         tear_journal_bytes_on_crash: On each crash, drop up to this many
             bytes from the journal tail - clamped so fsynced bytes never
             disappear - to exercise the torn-tail rule.
-        max_restarts: Hard stop against a deterministically crashing loop.
         trace_bus: Optional trace sink. The supervisor attaches it to every
             mediator incarnation, and the store records the bus mark
             alongside each checkpoint and truncates to the restored
@@ -210,24 +192,20 @@ class Supervisor:
         workdir: str | Path,
         *,
         checkpoint_every_ticks: int = 50,
-        fsync_every_ticks: int = 25,
         tick_deadline_s: float | None = None,
         tick_hook: Callable[[PowerMediator, int], None] | None = None,
         safe_hold_ticks: int = 0,
         tear_journal_bytes_on_crash: int = 0,
-        max_restarts: int = 50,
         trace_bus: TraceBus | None = None,
     ) -> None:
         self._recipe = recipe
         self._script = list(script)
         self._workdir = Path(workdir)
         self._checkpoint_every_ticks = checkpoint_every_ticks
-        self._fsync_every_ticks = fsync_every_ticks
         self._tick_deadline_s = tick_deadline_s
         self._tick_hook = tick_hook
         self._safe_hold_ticks = safe_hold_ticks
         self._tear_bytes = tear_journal_bytes_on_crash
-        self._max_restarts = max_restarts
         self._stats = RecoveryStats()
         self._mediator: PowerMediator | None = None
         self._store: RunStore | None = None
@@ -239,11 +217,6 @@ class Supervisor:
     def stats(self) -> RecoveryStats:
         return self._stats
 
-    @property
-    def mediator(self) -> PowerMediator | None:
-        """The currently supervised mediator (changes across restarts)."""
-        return self._mediator
-
     def run(self) -> PowerMediator:
         """Execute the whole script, surviving kills and hangs.
 
@@ -252,7 +225,7 @@ class Supervisor:
             of warm restarts).
 
         Raises:
-            CheckpointError: if recovery exceeds ``max_restarts``.
+            CheckpointError: if recovery exceeds :data:`MAX_RESTARTS`.
         """
         self._mediator = self._recipe.build(trace_bus=self._trace)
         self._store = RunStore(
@@ -260,7 +233,7 @@ class Supervisor:
             self._recipe,
             owner="supervisor",
             bus=self._trace,
-            fsync_every_ticks=self._fsync_every_ticks,
+            fsync_every_ticks=FSYNC_EVERY_TICKS,
             tear_journal_bytes_on_crash=self._tear_bytes,
         )
         self._checkpoint()
@@ -273,7 +246,7 @@ class Supervisor:
             except (MediatorKilled, MediatorHung) as exc:
                 if isinstance(exc, MediatorHung):
                     self._stats.hangs_detected += 1
-                if self._stats.restarts >= self._max_restarts:
+                if self._stats.restarts >= MAX_RESTARTS:
                     raise CheckpointError(
                         f"gave up after {self._stats.restarts} restarts: {exc}"
                     ) from exc
@@ -295,9 +268,9 @@ class Supervisor:
         """Run the script from the current position to its end - or, while
         recovery re-executes, until the mediator has completed ``stop``
         ticks. A command that falls at ``stop`` waits for the reopened
-        journal (so it is journaled a second time; the copy is inert)."""
-        mediator, store = self._mediator, self._store
-        assert mediator is not None and store is not None
+        journal."""
+        mediator = self._mediator
+        assert mediator is not None
         while self._pos.command < len(self._script):
             if stop is not None and mediator.tick_count >= stop:
                 return
@@ -308,16 +281,10 @@ class Supervisor:
                     # The deadline is fixed once per command and carried in
                     # checkpoints; recomputing it mid-command could drift.
                     end_s = mediator.server.now_s + command.duration_s
-                    if store.journal is not None:
-                        record = command_to_dict(command)
-                        record["end_s"] = end_s
-                        store.journal.append_command(index, record)
                     self._pos = _Position(command=index, end_s=end_s)
                 if not self._advance(self._pos.end_s, stop):
                     return
             else:
-                if store.journal is not None:
-                    store.journal.append_command(index, command_to_dict(command))
                 self._apply(command)
             self._pos = _Position(command=index + 1, end_s=None)
         if stop is None:
@@ -357,11 +324,7 @@ class Supervisor:
     def _apply(self, command: Command) -> None:
         assert self._mediator is not None
         if isinstance(command, AdmitApp):
-            self._mediator.add_application(
-                command.profile,
-                phased=command.phased,
-                group_width=command.group_width,
-            )
+            self._mediator.add_application(command.profile)
         elif isinstance(command, SetCap):
             self._mediator.set_power_cap(command.p_cap_w)
         else:  # pragma: no cover - Advance is handled by _execute
@@ -402,7 +365,7 @@ class Supervisor:
         if not apps:
             return
         per_app = Sampler.budget_from_fraction(
-            self._recipe.config, self._mediator.sampler.fraction
+            self._mediator.server.config, self._mediator.sampler.fraction
         )
         self._stats.cold_relearns_avoided += len(apps)
         self._stats.samples_restored += len(apps) * per_app

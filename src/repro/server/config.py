@@ -83,7 +83,9 @@ class KnobSetting:
 
 @dataclass(frozen=True)
 class ServerConfig:
-    """Immutable description of the simulated server. Defaults match Table I.
+    """Immutable description of the simulated server: Table I's values, as
+    constants. Only ``rapl_guard_band`` is settable (the guard-band ablation
+    sweeps it).
 
     Structural parameters:
 
@@ -148,68 +150,40 @@ class ServerConfig:
             period (the paper's stated drawback of time coordination, R3b).
     """
 
-    sockets: int = 2
-    cores_per_socket: int = 6
-    llc_mb_per_socket: float = 15.0
-    memory_gb: float = 8.0
+    sockets: int = field(default=2, init=False)
+    cores_per_socket: int = field(default=6, init=False)
+    llc_mb_per_socket: float = field(default=15.0, init=False)
+    memory_gb: float = field(default=8.0, init=False)
 
-    freq_min_ghz: float = 1.2
-    freq_max_ghz: float = 2.0
-    freq_step_ghz: float = 0.1
-    cores_min: int = 1
-    cores_max: int = 6
-    dram_power_min_w: float = 3.0
-    dram_power_max_w: float = 10.0
-    dram_power_step_w: float = 1.0
+    freq_min_ghz: float = field(default=1.2, init=False)
+    freq_max_ghz: float = field(default=2.0, init=False)
+    freq_step_ghz: float = field(default=0.1, init=False)
+    cores_min: int = field(default=1, init=False)
+    cores_max: int = field(default=6, init=False)
+    dram_power_min_w: float = field(default=3.0, init=False)
+    dram_power_max_w: float = field(default=10.0, init=False)
+    dram_power_step_w: float = field(default=1.0, init=False)
 
-    p_idle_w: float = 50.0
-    p_cm_w: float = 20.0
-    p_dynamic_max_w: float = 60.0
-    p_core_peak_w: float = 2.5
-    core_power_exponent: float = 1.5
-    p_app_floor_w: float = 4.5
-    dram_static_w: float = 2.5
-    dram_w_per_gbs: float = 0.75
-    core_bw_gbs: float = 3.0
-    bottleneck_sharpness: float = 4.0
+    p_idle_w: float = field(default=50.0, init=False)
+    p_cm_w: float = field(default=20.0, init=False)
+    p_dynamic_max_w: float = field(default=60.0, init=False)
+    p_core_peak_w: float = field(default=2.5, init=False)
+    core_power_exponent: float = field(default=1.5, init=False)
+    p_app_floor_w: float = field(default=4.5, init=False)
+    dram_static_w: float = field(default=2.5, init=False)
+    dram_w_per_gbs: float = field(default=0.75, init=False)
+    core_bw_gbs: float = field(default=3.0, init=False)
+    bottleneck_sharpness: float = field(default=4.0, init=False)
 
     rapl_guard_band: float = 0.06
 
-    pc6_wake_latency_s: float = 300e-6
-    duty_cycle_period_s: float = 10.0
-    resume_penalty_s: float = 0.05
+    pc6_wake_latency_s: float = field(default=300e-6, init=False)
+    duty_cycle_period_s: float = field(default=10.0, init=False)
+    resume_penalty_s: float = field(default=0.05, init=False)
 
     def __post_init__(self) -> None:
-        if self.sockets < 1 or self.cores_per_socket < 1:
-            raise ConfigurationError("server must have at least one socket and core")
-        if self.freq_min_ghz <= 0 or self.freq_max_ghz < self.freq_min_ghz:
-            raise ConfigurationError(
-                f"invalid frequency range [{self.freq_min_ghz}, {self.freq_max_ghz}]"
-            )
-        if self.freq_step_ghz <= 0:
-            raise ConfigurationError("freq_step_ghz must be positive")
-        if not 1 <= self.cores_min <= self.cores_max <= self.cores_per_socket:
-            raise ConfigurationError(
-                "core range must satisfy 1 <= cores_min <= cores_max <= cores_per_socket"
-            )
-        if self.dram_power_min_w <= 0 or self.dram_power_max_w < self.dram_power_min_w:
-            raise ConfigurationError("invalid DRAM power range")
-        if self.dram_power_min_w < self.dram_static_w:
-            raise ConfigurationError(
-                "dram_power_min_w below dram_static_w would make the minimum "
-                "DRAM allocation unable to cover background power"
-            )
-        for name in ("p_idle_w", "p_cm_w", "p_core_peak_w", "p_app_floor_w"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be non-negative")
-        if self.dram_w_per_gbs <= 0 or self.core_bw_gbs <= 0:
-            raise ConfigurationError("DRAM bandwidth calibration must be positive")
-        if self.bottleneck_sharpness <= 0:
-            raise ConfigurationError("bottleneck_sharpness must be positive")
         if not 0.0 <= self.rapl_guard_band < 1.0:
             raise ConfigurationError("rapl_guard_band must be in [0, 1)")
-        if self.duty_cycle_period_s <= 0:
-            raise ConfigurationError("duty_cycle_period_s must be positive")
 
     # ------------------------------------------------------------------ knobs
 

@@ -36,11 +36,14 @@ class HeartbeatRecord:
     beats: float
 
 
+#: Length of the sliding window :meth:`HeartbeatMonitor.heart_rate` reads.
+WINDOW_S = 2.0
+
+
 class HeartbeatMonitor:
     """Windowed heart-rate monitor for the applications on one server.
 
     Args:
-        window_s: Length of the sliding window used by :meth:`heart_rate`.
         noise_relative_std: Relative (multiplicative) gaussian noise applied
             to rate readings; zero for exact readings.
         seed: Noise generator seed.
@@ -49,25 +52,17 @@ class HeartbeatMonitor:
     def __init__(
         self,
         *,
-        window_s: float = 2.0,
         noise_relative_std: float = 0.0,
         seed: int = 0,
     ) -> None:
-        if window_s <= 0:
-            raise ConfigurationError("window_s must be positive")
         if noise_relative_std < 0:
             raise ConfigurationError("noise_relative_std must be non-negative")
-        self._window_s = window_s
         self._noise = noise_relative_std
         self._rng = np.random.default_rng(seed)
         self._histories: dict[str, deque[HeartbeatRecord]] = {}
         self._blackout = False
         self._frozen_rates: dict[str, float] = {}
         self._last_emit_s: dict[str, float] = {}
-
-    @property
-    def window_s(self) -> float:
-        return self._window_s
 
     def register(self, app: str) -> None:
         """Start tracking ``app``.
@@ -162,7 +157,7 @@ class HeartbeatMonitor:
             )
         self._last_emit_s[app] = time_s
         history.append(HeartbeatRecord(time_s=time_s, beats=beats))
-        cutoff = time_s - self._window_s
+        cutoff = time_s - WINDOW_S
         while history and history[0].time_s <= cutoff:
             history.popleft()
 
@@ -219,7 +214,7 @@ class HeartbeatMonitor:
         history = self._history_of(app)
         if not history:
             return 0.0
-        span = max(self._window_s, history[-1].time_s - history[0].time_s)
+        span = max(WINDOW_S, history[-1].time_s - history[0].time_s)
         return sum(record.beats for record in history) / span
 
     def _fresh_rate(self, app: str) -> float:

@@ -35,7 +35,7 @@ from repro.errors import ConfigurationError
 ENERGY_WRAP_J = 2**32 * 1e-6
 
 
-def energy_delta_j(later_j: float, earlier_j: float, *, wrap_range_j: float = ENERGY_WRAP_J) -> float:
+def energy_delta_j(later_j: float, earlier_j: float) -> float:
     """Wraparound-safe difference between two energy-counter readings.
 
     Mirrors how real RAPL consumers (e.g. ``turbostat``) difference the
@@ -46,16 +46,13 @@ def energy_delta_j(later_j: float, earlier_j: float, *, wrap_range_j: float = EN
     Args:
         later_j: The more recent counter reading.
         earlier_j: The older counter reading.
-        wrap_range_j: Counter modulus in joules.
 
     Returns:
         The energy accumulated between the two readings, in joules.
     """
-    if wrap_range_j <= 0:
-        raise ConfigurationError(f"wrap range must be positive, got {wrap_range_j}")
     delta = later_j - earlier_j
     if delta < 0:
-        delta += wrap_range_j
+        delta += ENERGY_WRAP_J
     return delta
 
 
@@ -64,22 +61,20 @@ class RaplDomain:
     """One RAPL domain: an energy counter plus a power limit.
 
     The counter emulates the 32-bit ``energy_uj`` register of real parts: it
-    accumulates modulo :attr:`wrap_range_j` (about 4294.97 J), so readers must
+    accumulates modulo :data:`ENERGY_WRAP_J` (about 4294.97 J), so readers must
     use :func:`energy_delta_j` to difference two samples.
 
     Attributes:
         name: Domain name, e.g. ``"package-0"`` or ``"dram-1"``.
-        energy_j: Energy counter in joules, modulo :attr:`wrap_range_j`.
+        energy_j: Energy counter in joules, modulo :data:`ENERGY_WRAP_J`.
         power_limit_w: Current average-power limit; ``None`` means uncapped.
         last_power_w: Most recent instantaneous power written by the engine.
-        wrap_range_j: Counter modulus; the hardware's 2^32 uJ by default.
     """
 
     name: str
     energy_j: float = 0.0
     power_limit_w: float | None = None
     last_power_w: float = 0.0
-    wrap_range_j: float = ENERGY_WRAP_J
 
     def advance(self, power_w: float, dt_s: float) -> None:
         """Accumulate ``power_w`` watts over ``dt_s`` seconds (with wrap)."""
@@ -87,7 +82,7 @@ class RaplDomain:
             raise ConfigurationError(f"negative power {power_w} on domain {self.name}")
         if dt_s < 0:
             raise ConfigurationError("time cannot move backwards")
-        self.energy_j = (self.energy_j + power_w * dt_s) % self.wrap_range_j
+        self.energy_j = (self.energy_j + power_w * dt_s) % ENERGY_WRAP_J
         self.last_power_w = power_w
 
 

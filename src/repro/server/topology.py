@@ -60,10 +60,6 @@ class ServerTopology:
         self._config = config
         self._groups: dict[str, CoreGroup] = {}
 
-    @property
-    def config(self) -> ServerConfig:
-        return self._config
-
     def state_dict(self) -> dict:
         """Snapshot every reservation for checkpointing."""
         return {

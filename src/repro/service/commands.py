@@ -12,9 +12,8 @@ a cap change is how the power budget invariant is enforced from outside, so
 first every tick and is never subject to backpressure shedding. Everything
 else competes for the bounded regular lane.
 
-Commands serialize to the same ``{"kind": ...}`` dict shape the supervisor's
-script commands use, so the PR 2 journal machinery accepts them unchanged
-(``op: "command"`` records with an arbitrary dict payload).
+Commands serialize to a ``{"kind": ...}`` dict, the form the ingest buffer
+and the deferred offers take in a checkpoint.
 """
 
 from __future__ import annotations
@@ -119,8 +118,7 @@ def is_cap_safety(command: Command) -> bool:
 
 
 def command_to_dict(command: Command) -> dict:
-    """Serialize for the write-ahead journal (inverse of
-    :func:`command_from_dict`)."""
+    """Serialize for a checkpoint (inverse of :func:`command_from_dict`)."""
     if isinstance(command, SubmitJob):
         doc = {
             "kind": "submit",
@@ -149,10 +147,10 @@ def command_to_dict(command: Command) -> dict:
 
 
 def command_from_dict(data: dict) -> Command:
-    """Rebuild a command from its journaled dict form.
+    """Rebuild a command from its checkpointed dict form.
 
     Raises:
-        ServiceError: on an unknown kind (a journal from a different
+        ServiceError: on an unknown kind (a document from a different
             subsystem, or schema drift).
     """
     kind = data.get("kind")

@@ -37,6 +37,12 @@ __all__ = ["BACKPRESSURE_POLICIES", "IngestBuffer"]
 #: The backpressure policies the buffer understands.
 BACKPRESSURE_POLICIES = ("block", "reject", "shed-oldest")
 
+#: Occupancy hysteresis of the overload posture: crossing the enter mark
+#: flips :attr:`IngestBuffer.overloaded` on, falling to the exit mark flips
+#: it off (enter > exit, so the posture does not flap).
+OVERLOAD_ENTER_FRACTION = 0.8
+OVERLOAD_EXIT_FRACTION = 0.5
+
 #: Dispositions :meth:`IngestBuffer.offer` can return.
 ACCEPTED = "accepted"
 REJECTED = "rejected"
@@ -50,10 +56,6 @@ class IngestBuffer:
         capacity: Maximum buffered regular commands.
         policy: One of :data:`BACKPRESSURE_POLICIES`.
         metrics: Registry receiving the ``service.ingest.*`` counters.
-        overload_enter_fraction / overload_exit_fraction: Occupancy
-            hysteresis for the overload posture; crossing the enter mark
-            flips :attr:`overloaded` on, falling below the exit mark flips
-            it off (enter > exit so the posture does not flap).
     """
 
     def __init__(
@@ -62,8 +64,6 @@ class IngestBuffer:
         capacity: int,
         policy: str,
         metrics: MetricsRegistry,
-        overload_enter_fraction: float = 0.8,
-        overload_exit_fraction: float = 0.5,
     ) -> None:
         if capacity < 1:
             raise ConfigurationError(f"ingest capacity must be >= 1, got {capacity}")
@@ -72,16 +72,9 @@ class IngestBuffer:
                 f"unknown backpressure policy {policy!r} "
                 f"(choose from {', '.join(BACKPRESSURE_POLICIES)})"
             )
-        if not 0.0 < overload_exit_fraction < overload_enter_fraction <= 1.0:
-            raise ConfigurationError(
-                "overload watermarks need 0 < exit < enter <= 1, got "
-                f"exit={overload_exit_fraction!r} enter={overload_enter_fraction!r}"
-            )
         self.capacity = int(capacity)
         self.policy = policy
         self._metrics = metrics
-        self._enter = overload_enter_fraction
-        self._exit = overload_exit_fraction
         self._safety: deque[Command] = deque()
         self._regular: deque[Command] = deque()
         self.overloaded = False
@@ -100,11 +93,11 @@ class IngestBuffer:
         """Update the overload posture; returns ``"enter"``/``"exit"`` on a
         transition, ``None`` otherwise. Called once per tick by the loop."""
         fraction = len(self._regular) / self.capacity
-        if not self.overloaded and fraction >= self._enter:
+        if not self.overloaded and fraction >= OVERLOAD_ENTER_FRACTION:
             self.overloaded = True
             self._metrics.counter("service.overload.entered").inc()
             return "enter"
-        if self.overloaded and fraction <= self._exit:
+        if self.overloaded and fraction <= OVERLOAD_EXIT_FRACTION:
             self.overloaded = False
             self._metrics.counter("service.overload.exited").inc()
             return "exit"

@@ -14,8 +14,8 @@ traffic. Each sim-time tick executes a fixed pipeline:
 4. **overload posture** - occupancy hysteresis; while overloaded the
    regular drain shrinks so cap-safety commands strictly outrank arrivals;
 5. **drain** - the cap-safety lane fully, then a bounded slice of the
-   regular lane; each command is journaled write-ahead, applied to the
-   mediator, and acknowledged to its client;
+   regular lane; each command is applied to the mediator and acknowledged
+   to its client;
 6. **mediate** - one mediator tick (allocation, actuation, accounting);
 7. **publish** - completion deliveries and periodic telemetry broadcasts;
 8. **durability** - the tick count is journaled; on the checkpoint cadence
@@ -30,7 +30,7 @@ traffic. Each sim-time tick executes a fixed pipeline:
 the in-flight process state; the journal keeps only what was fsynced (a
 configurable tail tear simulates lost buffered writes). Recovery follows
 the store's one rule: restore the newest marked checkpoint, then
-**re-execute full ticks** - never journaled commands - up to the tick count
+**re-execute full ticks** - commands are never journaled - up to the tick count
 the durable journal reaches, with the journal down. The offer stream,
 churn, backpressure decisions, and deliveries are all deterministic
 functions of the restored state, so re-execution regenerates the identical
@@ -80,6 +80,9 @@ __all__ = ["MediatorService", "ServiceConfig", "ServiceKilled"]
 
 _VALID = Validator(CheckpointError)
 
+#: Cores reserved per admitted job, so a 12-core server hosts four at once.
+GROUP_WIDTH = 3
+
 #: The service's own part of a checkpoint (see ``MediatorService._checkpoint``):
 #: each key and the check its value must pass before recovery reads it.
 _STATE_CHECKS = {
@@ -89,7 +92,6 @@ _STATE_CHECKS = {
     "outstanding": _VALID.as_dict,
     "client_seqs": _VALID.as_dict,
     "cap_cursor": _VALID.as_int,
-    "ingest_seq": _VALID.as_int,
     "metrics": _VALID.as_dict,
 }
 
@@ -113,7 +115,6 @@ class ServiceConfig:
     use_oracle_estimates: bool = True
     dt_s: float = 0.1
     seed: int = 0
-    group_width: int = 3
     # --- offered load (open loop)
     rate_per_s: float = 0.05
     clients: int = 6
@@ -126,8 +127,6 @@ class ServiceConfig:
     backpressure: str = "shed-oldest"
     drain_per_tick: int = 2
     overload_drain_per_tick: int = 1
-    overload_enter_fraction: float = 0.8
-    overload_exit_fraction: float = 0.5
     # --- provisioner cap schedule (in-band cap-safety commands)
     cap_levels: tuple[float, ...] = ()
     cap_change_every_s: float = 60.0
@@ -183,8 +182,6 @@ class ServiceConfig:
             capacity=self.ingest_capacity,
             policy=self.backpressure,
             metrics=MetricsRegistry(),
-            overload_enter_fraction=self.overload_enter_fraction,
-            overload_exit_fraction=self.overload_exit_fraction,
         )
 
     @property
@@ -212,6 +209,18 @@ class ServiceConfig:
             bursts=self.bursts,
             work_scale=self.work_scale,
         )
+
+
+def _decode(part: str, codec: Callable, value):
+    """Run one part's codec on its checkpointed value. A damaged inner key
+    or value ends in one :class:`~repro.errors.CheckpointError` line naming
+    the part, never a traceback from inside the codec."""
+    try:
+        return codec(value)
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"checkpoint.{part}: does not restore ({type(exc).__name__}: {exc})"
+        ) from None
 
 
 class MediatorService:
@@ -267,7 +276,6 @@ class MediatorService:
         self._retention = RetentionManager(config.retention, metrics=self.metrics)
         # Deterministic service state that travels in the checkpoint:
         self._tick = 0
-        self._ingest_seq = 0  # commands drained (journal "index")
         self._cap_cursor = 0
         self._client_seqs = {c: 0 for c in range(config.clients + 1)}
         self._pending: list[Command] = []  # deferred ("blocked") offers
@@ -330,8 +338,6 @@ class MediatorService:
             capacity=self.config.ingest_capacity,
             policy=self.config.backpressure,
             metrics=self.metrics,
-            overload_enter_fraction=self.config.overload_enter_fraction,
-            overload_exit_fraction=self.config.overload_exit_fraction,
         )
 
     def _make_sessions(self) -> SessionRegistry:
@@ -509,7 +515,6 @@ class MediatorService:
         # Cap-safety first, always all of it: the budget invariant must not
         # wait behind arrivals, no matter how saturated ingest is.
         for command in self._ingest.pop_safety():
-            self._journal_command(command)
             assert isinstance(command, SetCapCommand)
             self._mediator.set_power_cap(command.p_cap_w)
             self.metrics.counter("service.commands.cap_applied").inc()
@@ -525,7 +530,6 @@ class MediatorService:
             else self.config.drain_per_tick
         )
         for command in self._ingest.pop_regular(limit):
-            self._journal_command(command)
             if isinstance(command, SubmitJob):
                 self._admit(tick, command)
             elif isinstance(command, CancelJob):
@@ -533,21 +537,9 @@ class MediatorService:
             else:  # pragma: no cover - the safety lane owns SetCapCommand
                 raise ServiceError(f"cap-safety command in the regular lane: {command!r}")
 
-    def _journal_command(self, command: Command) -> None:
-        # WAL: the command is durable before it executes. While recovery
-        # re-executes, the journal is down; commands a dying tick journaled
-        # past the last durable tick record are journaled again once the
-        # journal reopens - recovery counts ticks, never command records,
-        # so duplicates are inert.
-        if self._store.journal is not None:
-            self._store.journal.append_command(self._ingest_seq, command_to_dict(command))
-        self._ingest_seq += 1
-
     def _admit(self, tick: int, command: SubmitJob) -> None:
         try:
-            self._mediator.add_application(
-                command.profile, group_width=self.config.group_width
-            )
+            self._mediator.add_application(command.profile, group_width=GROUP_WIDTH)
         except SchedulingError:
             self.metrics.counter("service.admit.rejected").inc()
             self._sessions.deliver(
@@ -560,8 +552,8 @@ class MediatorService:
             self.metrics.counter("service.admit.admitted").inc()
             spec = command.adversary_spec()
             if spec is not None:
-                # Idempotent for an identical spec, so journal replay can
-                # re-drive the admission without tripping it.
+                # Idempotent for an identical spec, so re-execution after a
+                # recovery can re-drive the admission without tripping it.
                 self._mediator.register_adversary(spec)
                 self.metrics.counter("service.admit.adversarial").inc()
             self._outstanding[command.profile.name] = command.client
@@ -622,7 +614,6 @@ class MediatorService:
                 "outstanding": dict(self._outstanding),
                 "client_seqs": {str(c): s for c, s in self._client_seqs.items()},
                 "cap_cursor": self._cap_cursor,
-                "ingest_seq": self._ingest_seq,
                 "metrics": self.metrics.to_json(),
             },
             self._sessions,
@@ -654,20 +645,28 @@ class MediatorService:
         # Restore every piece of deterministic state at the checkpoint tick;
         # the restart count alone survives the rewind, so it counts every
         # kill, one inside a recovery included.
-        self.metrics = MetricsRegistry.from_json(state["metrics"])
+        self.metrics = _decode("service.metrics", MetricsRegistry.from_json, state["metrics"])
         self.metrics.counter("service.restarts").reset(restarts)
         self._population = self.config.make_population()
-        self._population.load_state_dict(state["population"])
+        _decode("service.population", self._population.load_state_dict, state["population"])
         self._ingest = self._make_ingest()
-        self._ingest.load_state_dict(state["ingest"])
+        _decode("service.ingest", self._ingest.load_state_dict, state["ingest"])
         self._sessions = self._make_sessions()
-        self._sessions.load_state_dict(restored.sessions)
+        _decode("sessions", self._sessions.load_state_dict, restored.sessions)
         self._retention = RetentionManager(self.config.retention, metrics=self.metrics)
-        self._pending = [command_from_dict(c) for c in state["pending"]]
-        self._outstanding = {str(k): int(v) for k, v in state["outstanding"].items()}
-        self._client_seqs = {int(k): int(v) for k, v in state["client_seqs"].items()}
+        self._pending = _decode(
+            "service.pending", lambda pending: [command_from_dict(c) for c in pending],
+            state["pending"],
+        )
+        self._outstanding = _decode(
+            "service.outstanding", lambda d: {str(k): int(v) for k, v in d.items()},
+            state["outstanding"],
+        )
+        self._client_seqs = _decode(
+            "service.client_seqs", lambda d: {int(k): int(v) for k, v in d.items()},
+            state["client_seqs"],
+        )
         self._cap_cursor = int(state["cap_cursor"])
-        self._ingest_seq = int(state["ingest_seq"])
         self._tick = mediator.tick_count
 
         # Re-execute exactly the span the durable journal holds, with the

@@ -75,17 +75,8 @@ class ClientSession:
         self._delivered_through = -1
 
     @property
-    def next_seq(self) -> int:
-        return self._next_seq
-
-    @property
     def delivered_through(self) -> int:
         return self._delivered_through
-
-    @property
-    def pending(self) -> int:
-        """Deliveries accrued but not yet consumed by the client."""
-        return (self._next_seq - 1) - self._delivered_through
 
     def deliver(self, tick: int, kind: str, payload: dict[str, Any]) -> Delivery:
         """Stamp and retain one delivery; a connected client consumes it now."""

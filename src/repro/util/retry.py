@@ -38,21 +38,12 @@ class RetryPolicy:
         jitter_ticks: Upper bound (inclusive) of the uniform jitter added
             to every delay; 0 disables jitter entirely (no RNG draw, so
             enabling jitter never perturbs an unrelated RNG stream).
-        deadline_ticks: Total tick budget across *all* attempts, measured
-            by the caller from the first try; ``None`` (the default) keeps
-            the historical attempts-only behaviour. With a deadline set,
-            :meth:`backoff_ticks` never schedules a retry past it and
-            :meth:`require` reports it spent once the elapsed time reaches
-            it — capped per-attempt backoff alone can otherwise overshoot
-            any caller-intended total bound (e.g. a lease that expires
-            while attempt 4 is still backing off).
     """
 
     base_ticks: int = 1
     max_backoff_ticks: int = 64
     max_attempts: int = 4
     jitter_ticks: int = 0
-    deadline_ticks: int | None = None
 
     def __post_init__(self) -> None:
         if self.base_ticks < 1:
@@ -65,15 +56,9 @@ class RetryPolicy:
             raise ConfigurationError("retry max_attempts must be >= 1")
         if self.jitter_ticks < 0:
             raise ConfigurationError("retry jitter_ticks must be non-negative")
-        if self.deadline_ticks is not None and self.deadline_ticks < 1:
-            raise ConfigurationError("retry deadline_ticks must be >= 1")
 
     def backoff_ticks(
-        self,
-        attempt: int,
-        rng: np.random.Generator | None = None,
-        *,
-        elapsed_ticks: int | None = None,
+        self, attempt: int, rng: np.random.Generator | None = None
     ) -> int:
         """Delay before the retry following failed attempt ``attempt`` (>= 1).
 
@@ -81,11 +66,6 @@ class RetryPolicy:
             attempt: How many attempts have completed (1 = the initial try).
             rng: Generator for the jitter draw; required when
                 ``jitter_ticks > 0`` so the caller controls determinism.
-            elapsed_ticks: Ticks spent since the first try; when the policy
-                carries a deadline, the returned delay is clamped so the
-                retry lands on or before it (never below one tick). The
-                jitter draw is taken regardless, so enabling a deadline
-                never shifts a seeded RNG stream.
         """
         if attempt < 1:
             raise ConfigurationError(f"retry attempt must be >= 1, got {attempt}")
@@ -96,30 +76,16 @@ class RetryPolicy:
                     "a jittered RetryPolicy needs the caller's rng"
                 )
             delay += int(rng.integers(0, self.jitter_ticks + 1))
-        if self.deadline_ticks is not None and elapsed_ticks is not None:
-            delay = min(delay, max(1, self.deadline_ticks - elapsed_ticks))
         return delay
 
-    def require(
-        self, attempts: int, elapsed_ticks: int | None = None, *, what: str
-    ) -> None:
-        """Raise :class:`RetryExhaustedError` when the budget is spent.
+    def require(self, attempts: int, *, what: str) -> None:
+        """Raise :class:`RetryExhaustedError` when the attempts are spent.
 
-        The single-line message names the operation (``what``) and which
-        budget ran out, so degrade-gracefully callers can count/log it
-        before parking the work.
+        The single-line message names the operation (``what``), so
+        degrade-gracefully callers can count/log it before parking the work.
         """
         if attempts >= self.max_attempts:
             raise RetryExhaustedError(
                 f"{what}: retry attempts exhausted "
                 f"({attempts}/{self.max_attempts})"
-            )
-        if (
-            self.deadline_ticks is not None
-            and elapsed_ticks is not None
-            and elapsed_ticks >= self.deadline_ticks
-        ):
-            raise RetryExhaustedError(
-                f"{what}: retry deadline exhausted "
-                f"({elapsed_ticks}/{self.deadline_ticks} ticks)"
             )

@@ -6,8 +6,8 @@ application arriving mid-run (event E2, Fig. 11a), departing on completion
 provides the workload-side machinery for those experiments:
 
 * :class:`ArrivalEvent` / :class:`ArrivalSchedule` - a time-ordered list of
-  admissions (with optional forced departures for open-ended apps), plus a
-  Poisson generator for randomized cluster-scale runs;
+  admissions, each departing when its work completes, plus a Poisson
+  generator for randomized cluster-scale runs;
 * :class:`PhasedProfile` - a workload whose response surface changes at given
   progress fractions, driving E4 re-calibrations.
 """
@@ -31,15 +31,12 @@ class ArrivalEvent:
 
     Attributes:
         time_s: Arrival time.
-        profile: The application to admit. Its ``total_work`` governs the
-            natural departure; ``forced_departure_s`` (if set) removes it
-            earlier regardless of progress (e.g. a cancelled job).
-        forced_departure_s: Optional absolute removal time.
+        profile: The application to admit. Its ``total_work`` governs its
+            departure.
     """
 
     time_s: float
     profile: WorkloadProfile
-    forced_departure_s: float | None = None
 
     def __post_init__(self) -> None:
         # A bare ``< 0`` check lets NaN through (every comparison against
@@ -49,13 +46,6 @@ class ArrivalEvent:
             raise ConfigurationError(f"arrival time must be finite, got {self.time_s!r}")
         if self.time_s < 0:
             raise ConfigurationError("arrival time must be non-negative")
-        if self.forced_departure_s is not None:
-            if not math.isfinite(self.forced_departure_s):
-                raise ConfigurationError(
-                    f"forced departure must be finite, got {self.forced_departure_s!r}"
-                )
-            if self.forced_departure_s <= self.time_s:
-                raise ConfigurationError("forced departure must follow the arrival")
 
 
 @dataclass
@@ -88,10 +78,6 @@ class ArrivalSchedule:
             self._cursor += 1
         return due
 
-    def reset(self) -> None:
-        """Rewind delivery (for replaying the same schedule)."""
-        self._cursor = 0
-
     def next_time_s(self) -> float | None:
         """Time of the next undelivered event, or ``None``."""
         if self.exhausted:
@@ -105,7 +91,6 @@ class ArrivalSchedule:
         rate_per_s: float,
         horizon_s: float,
         seed: int = 0,
-        names: list[str] | None = None,
     ) -> "ArrivalSchedule":
         """Random schedule: Poisson arrivals of uniformly-drawn catalog apps.
 
@@ -116,7 +101,6 @@ class ArrivalSchedule:
             rate_per_s: Mean arrivals per second.
             horizon_s: Schedule length.
             seed: RNG seed (deterministic schedules for experiments).
-            names: Catalog names to draw from (defaults to the whole catalog).
 
         Raises:
             ConfigurationError: on a non-positive or non-finite rate or
@@ -132,10 +116,7 @@ class ArrivalSchedule:
                 f"schedule horizon must be finite and positive, got {horizon_s!r}"
             )
         rng = np.random.default_rng(seed)
-        pool = sorted(names) if names else sorted(CATALOG)
-        for name in pool:
-            if name not in CATALOG:
-                raise ConfigurationError(f"unknown application {name!r} in pool")
+        pool = sorted(CATALOG)
         events: list[ArrivalEvent] = []
         t = 0.0
         index = 0

@@ -24,6 +24,15 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
+#: Overnight trough of :meth:`ClusterPowerTrace.synthetic_diurnal`, as a
+#: fraction of peak.
+DIURNAL_TROUGH_FRACTION = 0.55
+#: Relative standard deviation of its multiplicative noise.
+DIURNAL_NOISE_FRACTION = 0.02
+#: Exponent on its normalized shape: 1.0 is a plain sinusoid, larger values
+#: concentrate time near the trough.
+DIURNAL_PEAKEDNESS = 2.5
+
 
 @dataclass(frozen=True)
 class ClusterPowerTrace:
@@ -44,10 +53,6 @@ class ClusterPowerTrace:
             raise ConfigurationError("trace must have at least one sample")
         if any(v < 0 for v in self.demand_w):
             raise ConfigurationError("demand cannot be negative")
-
-    @property
-    def duration_s(self) -> float:
-        return self.step_s * len(self.demand_w)
 
     @property
     def peak_w(self) -> float:
@@ -71,9 +76,6 @@ class ClusterPowerTrace:
         peak_w: float,
         days: float = 1.0,
         step_s: float = 60.0,
-        trough_fraction: float = 0.55,
-        noise_fraction: float = 0.02,
-        peakedness: float = 2.5,
         seed: int = 0,
     ) -> "ClusterPowerTrace":
         """Generate a connection-intensive-service-shaped demand trace.
@@ -83,28 +85,19 @@ class ClusterPowerTrace:
         /login traffic), normalized, *peaked* by an exponent (connection
         -intensive services spend most of the day well below peak, with a
         pronounced evening spike), scaled into ``[trough, peak]``, and
-        perturbed with multiplicative gaussian noise.
+        perturbed with multiplicative gaussian noise (the ``DIURNAL_*``
+        constants).
 
         Args:
             peak_w: Peak demand (e.g. 10 servers x 130 W = 1300 W).
             days: Trace length in days.
             step_s: Sample spacing.
-            trough_fraction: Overnight trough as a fraction of peak.
-            noise_fraction: Relative noise standard deviation.
-            peakedness: Exponent on the normalized shape; 1.0 is a plain
-                sinusoid, larger values concentrate time near the trough.
             seed: RNG seed.
         """
         if peak_w <= 0:
             raise ConfigurationError("peak_w must be positive")
-        if not 0.0 < trough_fraction < 1.0:
-            raise ConfigurationError("trough_fraction must be in (0, 1)")
         if days <= 0:
             raise ConfigurationError("days must be positive")
-        if noise_fraction < 0:
-            raise ConfigurationError("noise_fraction must be non-negative")
-        if peakedness <= 0:
-            raise ConfigurationError("peakedness must be positive")
         rng = np.random.default_rng(seed)
         n = max(2, int(round(days * 86400.0 / step_s)))
         t = np.arange(n) * step_s
@@ -115,10 +108,11 @@ class ClusterPowerTrace:
         shoulder = 0.35 * np.cos(2.0 * np.pi * (hours - 14.0) / 12.0)
         shape = fundamental + shoulder
         shape = (shape - shape.min()) / (shape.max() - shape.min())
-        shape = shape**peakedness
-        demand = peak_w * (trough_fraction + (1.0 - trough_fraction) * shape)
-        if noise_fraction > 0:
-            demand = demand * (1.0 + rng.normal(0.0, noise_fraction, size=n))
+        shape = shape**DIURNAL_PEAKEDNESS
+        demand = peak_w * (
+            DIURNAL_TROUGH_FRACTION + (1.0 - DIURNAL_TROUGH_FRACTION) * shape
+        )
+        demand = demand * (1.0 + rng.normal(0.0, DIURNAL_NOISE_FRACTION, size=n))
         demand = np.clip(demand, 0.0, peak_w)
         return cls(step_s=step_s, demand_w=tuple(float(v) for v in demand))
 

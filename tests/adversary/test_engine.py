@@ -31,10 +31,9 @@ class TestRegistration:
         s = probe_spec()
         engine.register(s)
         assert engine.specs() == [s]
-        assert engine.spec_for("stream") == s
 
     def test_identical_reregistration_is_a_noop(self, server):
-        # Journal replay re-drives admissions; the same spec must not trip.
+        # Recovery re-executes admissions; the same spec must not trip.
         engine = AdversaryEngine(server)
         engine.register(probe_spec())
         engine.register(probe_spec())

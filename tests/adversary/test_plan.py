@@ -86,39 +86,10 @@ class TestSchedule:
         with pytest.raises(AdversaryError, match="one strategy"):
             AdversarySchedule(specs=(spec(), spec(kind="spike")))
 
-    def test_json_round_trip(self):
-        sched = AdversarySchedule(
-            specs=(spec(app="a"), spec(app="b", kind="inflate", magnitude=0.5)),
-            seed=3,
-        )
-        assert AdversarySchedule.from_json(sched.to_json()) == sched
-
-    def test_from_json_rejects_garbage(self):
-        with pytest.raises(AdversaryError, match="not valid JSON"):
-            AdversarySchedule.from_json("{nope")
-        with pytest.raises(AdversaryError, match="adversaries"):
-            AdversarySchedule.from_json("{}")
-
-    def test_load_missing_file_fails_loudly(self, tmp_path):
-        with pytest.raises(AdversaryError, match="cannot read"):
-            AdversarySchedule.load(str(tmp_path / "nope.json"))
-
-    def test_load_from_file(self, tmp_path):
-        sched = default_adversary_schedule("x", kind="freeride")
-        path = tmp_path / "plan.json"
-        path.write_text(sched.to_json())
-        assert AdversarySchedule.load(str(path)) == sched
-
     def test_spec_for(self):
         sched = AdversarySchedule(specs=(spec(app="a"),))
         assert sched.spec_for("a").app == "a"
         assert sched.spec_for("b") is None
-
-    def test_kinds(self):
-        sched = AdversarySchedule(
-            specs=(spec(app="a"), spec(app="b", kind="spike"))
-        )
-        assert sched.kinds() == {"probe", "spike"}
 
 
 class TestDefaultSchedule:

@@ -79,7 +79,12 @@ class TestSummaries:
 
     def test_missing_baseline_rejected(self):
         with pytest.raises(ConfigurationError):
-            summarize_policies(self.make_comparison(), baseline="heracles")
+            summarize_policies(
+                {
+                    mid: {"app+res-aware": results["app+res-aware"]}
+                    for mid, results in self.make_comparison().items()
+                }
+            )
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):

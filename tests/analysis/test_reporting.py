@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.analysis.reporting import banner, format_series, format_table
+from repro.analysis.reporting import BANNER_WIDTH, banner, format_series, format_table
 
 
 class TestBanner:
@@ -11,7 +11,7 @@ class TestBanner:
         assert "Fig. 8" in banner("Fig. 8")
 
     def test_width(self):
-        assert len(banner("x", width=40)) == 40
+        assert len(banner("x")) == BANNER_WIDTH
 
 
 class TestTable:

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.analysis.timeline import render_modes, render_power_timeline, render_series
+from repro.analysis.timeline import (
+    STRIP_WIDTH,
+    render_modes,
+    render_power_timeline,
+    render_series,
+)
 from repro.core.coordinator import CoordinationMode
 from repro.core.mediator import TickRecord
 
@@ -36,14 +41,10 @@ class TestRenderSeries:
         with pytest.raises(ConfigurationError):
             render_series("x", [0.0], [1.0, 2.0])
 
-    def test_narrow_width_rejected(self):
-        with pytest.raises(ConfigurationError):
-            render_series("x", [0.0], [1.0], width=2)
-
     def test_downsampling_preserves_strip_width(self):
-        text = render_series("x", list(range(1000)), [1.0] * 1000, width=40)
+        text = render_series("x", list(range(1000)), [1.0] * 1000)
         strip = text.split("|")[1]
-        assert len(strip) == 40
+        assert len(strip) == STRIP_WIDTH
 
     def test_zero_series_renders_blank(self):
         text = render_series("x", [0.0, 1.0], [0.0, 0.0])
@@ -66,14 +67,6 @@ class TestRenderPowerTimeline:
         assert "wall [W]" in text
         assert "kmeans" in text and "stream" in text
         assert "(cap 100 W)" in text
-
-    def test_app_filter(self):
-        timeline = [
-            record(t * 0.1, 90.0, apps={"kmeans": 15.0, "stream": 12.0})
-            for t in range(20)
-        ]
-        text = render_power_timeline(timeline, apps=["kmeans"])
-        assert "stream" not in text
 
     def test_silent_apps_omitted(self):
         timeline = [record(t * 0.1, 70.0, apps={"idle-app": 0.0}) for t in range(20)]

@@ -176,8 +176,6 @@ class TestAcceptanceSoak:
             budget_w=12000.0,
             n_steps=120,
             max_loss=0.3,
-            domain_outages=2,
-            controller_kills=1,
         )
         assert len(soak.runs) == 12
         assert soak.min_headroom_w >= 0.0

@@ -1,8 +1,6 @@
 """Cluster simulator edge cases: standby power, custom mixes, small fleets."""
 
-import pytest
-
-from repro.cluster.cluster import ClusterSimulator
+from repro.cluster.cluster import UNLOADED_SERVER_POWER_W, ClusterSimulator
 from repro.workloads.mixes import get_mix
 from repro.workloads.traces import ClusterPowerTrace
 
@@ -33,19 +31,8 @@ class TestCustomFleets:
 
 
 class TestStandbyPower:
-    def test_standby_enters_uncapped_draw(self, config):
-        frugal = ClusterSimulator(config, unloaded_server_power_w=5.0)
-        wasteful = ClusterSimulator(config, unloaded_server_power_w=45.0)
-        demand = 600.0
-        # The same demand maps to more loaded servers when standby is cheap.
-        assert frugal.offered_load(demand) >= wasteful.offered_load(demand)
-
-    def test_negative_standby_rejected(self, config):
-        with pytest.raises(Exception):
-            ClusterSimulator(config, unloaded_server_power_w=-1.0)
-
     def test_standby_cost_shifts_equal_policy_power(self, config):
-        sim = ClusterSimulator(config, unloaded_server_power_w=40.0)
+        sim = ClusterSimulator(config)
         trace = ClusterPowerTrace.synthetic_diurnal(
             peak_w=sim.uncapped_cluster_power_w(), step_s=1800.0, seed=3
         )
@@ -53,8 +40,8 @@ class TestStandbyPower:
             trace=trace, shave_fractions=(0.15,), duration_s=8.0, warmup_s=4.0
         )
         result = experiment.results[0.15]["equal-rapl"]
-        # Ten servers at >= 40 W standby floor the mean power accordingly.
-        assert result.mean_power_w > 10 * 40.0 * 0.5
+        # Ten servers at >= the standby draw floor the mean power accordingly.
+        assert result.mean_power_w > 10 * UNLOADED_SERVER_POWER_W * 0.5
 
 
 class TestLoadedPowerCache:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.core.accountant import Accountant
+from repro.core.accountant import DEVIATION_POLLS, Accountant
 from repro.core.allocator import Allocation, AppAllocation
 from repro.core.coordinator import AllocationPlan, CoordinationMode, TimeSlot
 from repro.core.events import (
@@ -49,7 +49,7 @@ def space_plan(expected_w, cap=100.0):
 
 @pytest.fixture()
 def accountant(server):
-    return Accountant(server, deviation_threshold_w=3.0, deviation_polls=3)
+    return Accountant(server)
 
 
 class TestMessages:
@@ -92,7 +92,7 @@ class TestPhaseChange:
     def test_sustained_deviation_raises_e4(self, accountant):
         accountant.adopt_plan(space_plan({"kmeans": 15.0}))
         events = []
-        for i in range(3):
+        for i in range(DEVIATION_POLLS):
             events += accountant.poll(tick(i * 0.1, {"kmeans": 22.0}))
         assert len(events) == 1
         assert isinstance(events[0], PhaseChangeEvent)
@@ -102,10 +102,11 @@ class TestPhaseChange:
     def test_transient_deviation_debounced(self, accountant):
         accountant.adopt_plan(space_plan({"kmeans": 15.0}))
         events = []
-        events += accountant.poll(tick(0.1, {"kmeans": 22.0}))
-        events += accountant.poll(tick(0.2, {"kmeans": 15.0}))  # resets
-        events += accountant.poll(tick(0.3, {"kmeans": 22.0}))
-        events += accountant.poll(tick(0.4, {"kmeans": 22.0}))
+        for i in range(DEVIATION_POLLS - 1):
+            events += accountant.poll(tick(i * 0.1, {"kmeans": 22.0}))
+        events += accountant.poll(tick(1.0, {"kmeans": 15.0}))  # resets
+        for i in range(DEVIATION_POLLS - 1):
+            events += accountant.poll(tick(1.1 + i * 0.1, {"kmeans": 22.0}))
         assert events == []
 
     def test_small_deviation_ignored(self, accountant):
@@ -165,13 +166,3 @@ class TestPhaseChange:
         for i in range(5):
             events += accountant.poll(tick(i * 0.1, {"kmeans": 25.0}))
         assert events == []
-
-
-class TestValidation:
-    def test_invalid_threshold_rejected(self, server):
-        with pytest.raises(ConfigurationError):
-            Accountant(server, deviation_threshold_w=0.0)
-
-    def test_invalid_polls_rejected(self, server):
-        with pytest.raises(ConfigurationError):
-            Accountant(server, deviation_polls=0)

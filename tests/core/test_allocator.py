@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, PowerBudgetError
+from repro.errors import ConfigurationError
 from repro.core.allocator import PowerAllocator
 from repro.core.utility import CandidateSet
+from repro.engine.surface import GRAIN_W
 from repro.workloads.catalog import CATALOG
 
 
@@ -44,18 +45,9 @@ class TestFeasibility:
         assert len(allocation.included) == 1
         assert len(allocation.excluded) == 1
 
-    def test_exclusion_disabled_raises(self, csets):
-        allocator = PowerAllocator(allow_exclusion=False)
-        with pytest.raises(PowerBudgetError):
-            allocator.allocate(pair(csets, "pagerank", "kmeans"), 10.0)
-
     def test_empty_candidates_rejected(self):
         with pytest.raises(ConfigurationError):
             PowerAllocator().allocate({}, 30.0)
-
-    def test_invalid_grain_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PowerAllocator(grain_w=0.0)
 
     @pytest.mark.parametrize("budget", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_budget_rejected(self, csets, budget):
@@ -75,28 +67,33 @@ class TestOptimality:
                 assert dp.objective >= fair.objective - 1e-6
 
     def test_matches_exhaustive_two_app_optimum(self, csets):
-        """Exact check against brute force over both Pareto frontiers."""
+        """Check against brute force over both Pareto frontiers: the DP
+        never beats the exact optimum, and rounding each app's cost up to
+        the grid loses at most one grain per app."""
         candidates = pair(csets, "pagerank", "stream")
         budget = 28.0
-        allocator = PowerAllocator(grain_w=0.1)
-        dp = allocator.allocate(candidates, budget)
+        dp = PowerAllocator().allocate(candidates, budget)
 
-        best = 0.0
         fa = candidates["pagerank"].frontier.indices.tolist()
         fb = candidates["stream"].frontier.indices.tolist()
         ca, cb = candidates["pagerank"], candidates["stream"]
-        for i in fa:
-            for j in fb:
-                if ca.power_w[i] + cb.power_w[j] <= budget:
-                    value = (
-                        ca.perf[i] / ca.perf_nocap + cb.perf[j] / cb.perf_nocap
-                    )
-                    best = max(best, value)
-        assert dp.objective == pytest.approx(best, abs=0.02)
+
+        def best(limit):
+            return max(
+                (
+                    ca.perf[i] / ca.perf_nocap + cb.perf[j] / cb.perf_nocap
+                    for i in fa
+                    for j in fb
+                    if ca.power_w[i] + cb.power_w[j] <= limit
+                ),
+                default=0.0,
+            )
+
+        assert best(budget - 2 * GRAIN_W) - 1e-9 <= dp.objective <= best(budget) + 1e-9
 
     def test_single_app_gets_best_under_budget(self, csets):
         cset = csets["kmeans"]
-        allocation = PowerAllocator(grain_w=0.1).allocate({"kmeans": cset}, 15.0)
+        allocation = PowerAllocator().allocate({"kmeans": cset}, 15.0)
         idx = cset.best_index_under(15.0)
         assert allocation.apps["kmeans"].relative_perf == pytest.approx(
             float(cset.perf[idx] / cset.perf_nocap), abs=0.02

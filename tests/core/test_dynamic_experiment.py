@@ -17,7 +17,7 @@ def short(name, work, suffix=""):
 
 
 class TestDynamicExperiment:
-    def test_arrivals_and_completions(self, config):
+    def test_arrivals_and_completions(self):
         schedule = ArrivalSchedule(
             [
                 ArrivalEvent(0.0, short("kmeans", 20.0)),
@@ -29,7 +29,6 @@ class TestDynamicExperiment:
             "app+res-aware",
             100.0,
             horizon_s=60.0,
-            config=config,
             use_oracle_estimates=True,
         )
         assert result.admitted == ("kmeans", "x264")
@@ -39,7 +38,7 @@ class TestDynamicExperiment:
         assert result.events["DepartureEvent"] == 2
         assert result.mean_normalized_throughput > 0.3
 
-    def test_overflow_arrivals_rejected(self, config):
+    def test_overflow_arrivals_rejected(self):
         schedule = ArrivalSchedule(
             [
                 ArrivalEvent(0.0, short("kmeans", 1e6)),
@@ -52,30 +51,10 @@ class TestDynamicExperiment:
             "util-unaware",
             110.0,
             horizon_s=10.0,
-            config=config,
         )
         assert result.rejected == ("sssp",)
 
-    def test_narrow_groups_admit_more(self, config):
-        schedule = ArrivalSchedule(
-            [
-                ArrivalEvent(float(i), short(name, 1e6, f"#{i}"))
-                for i, name in enumerate(("kmeans", "stream", "sssp", "x264"))
-            ]
-        )
-        result = run_dynamic_experiment(
-            schedule,
-            "app+res-aware",
-            120.0,
-            horizon_s=12.0,
-            config=config,
-            group_width=3,
-            use_oracle_estimates=True,
-        )
-        assert len(result.admitted) == 4
-        assert result.rejected == ()
-
-    def test_idle_gaps_are_skipped(self, config):
+    def test_idle_gaps_are_skipped(self):
         """A long quiet period before the first arrival must not crash or
         stall the driver."""
         schedule = ArrivalSchedule([ArrivalEvent(50.0, short("kmeans", 10.0))])
@@ -84,24 +63,22 @@ class TestDynamicExperiment:
             "app+res-aware",
             100.0,
             horizon_s=70.0,
-            config=config,
             use_oracle_estimates=True,
         )
         assert result.admitted == ("kmeans",)
         assert result.completed == ("kmeans",)
 
-    def test_invalid_horizon_rejected(self, config):
+    def test_invalid_horizon_rejected(self):
         with pytest.raises(ConfigurationError):
             run_dynamic_experiment(
-                ArrivalSchedule([]), "util-unaware", 100.0, horizon_s=0.0, config=config
+                ArrivalSchedule([]), "util-unaware", 100.0, horizon_s=0.0
             )
 
-    def test_poisson_stream_end_to_end(self, config):
+    def test_poisson_stream_end_to_end(self):
         schedule = ArrivalSchedule.poisson(
             rate_per_s=0.05,
             horizon_s=100.0,
             seed=9,
-            names=["kmeans", "x264"],
         )
         # Shrink everyone's work so departures actually happen.
         schedule = ArrivalSchedule(
@@ -115,7 +92,6 @@ class TestDynamicExperiment:
             "app+res-aware",
             100.0,
             horizon_s=120.0,
-            config=config,
             use_oracle_estimates=True,
         )
         assert len(result.admitted) + len(result.rejected) == len(schedule)

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.core import trust
 from repro.core.trust import (
     AppObservation,
     DefenseConfig,
@@ -48,28 +49,14 @@ def drive(scorer, observation, ticks, start=0):
 
 @pytest.fixture()
 def cfg():
-    # Zero cooldown so efficiency evidence counts immediately; small
-    # quarantine/probation windows keep the tests short.
-    return DefenseConfig(cooldown_ticks=0, quarantine_ticks=5, probation_ticks=4)
+    # Zero cooldown so efficiency evidence counts immediately.
+    return DefenseConfig(cooldown_ticks=0)
 
 
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "overrides",
-        [
-            {"efficiency_margin": 0.0},
-            {"overdraw_margin_w": -1.0},
-            {"score_decay": 1.0},
-            {"score_decay": 0.0},
-            {"suspect_threshold": 5.0, "quarantine_threshold": 4.0},
-            {"strike_limit": 0},
-            {"quarantine_ticks": 0},
-            {"probation_ticks": 0},
-            {"suspect_weight": 0.0},
-            {"probation_weight": 1.5},
-            {"guard_band": 1.0},
-            {"cooldown_ticks": -1},
-        ],
+        [{"cooldown_ticks": -1}],
     )
     def test_bad_config_rejected(self, overrides):
         with pytest.raises(ConfigurationError):
@@ -100,15 +87,15 @@ class TestHonestBehaviour:
 class TestOverdrawStrikes:
     def test_strikes_quarantine_outright(self, cfg):
         scorer = TrustScorer(cfg)
-        overdraw = obs(attributed_w=5.0 + cfg.overdraw_margin_w + 0.1)
-        transitions = drive(scorer, overdraw, cfg.strike_limit)
+        overdraw = obs(attributed_w=5.0 + trust.OVERDRAW_MARGIN_W + 0.1)
+        transitions = drive(scorer, overdraw, trust.STRIKE_LIMIT)
         assert scorer.state_of("a") is TrustState.QUARANTINED
         assert transitions[-1].to_state is TrustState.QUARANTINED
-        assert transitions[-1].strikes == cfg.strike_limit
+        assert transitions[-1].strikes == trust.STRIKE_LIMIT
 
     def test_overdraw_within_margin_passes(self, cfg):
         scorer = TrustScorer(cfg)
-        ok = obs(attributed_w=5.0 + cfg.overdraw_margin_w - 0.1)
+        ok = obs(attributed_w=5.0 + trust.OVERDRAW_MARGIN_W - 0.1)
         assert drive(scorer, ok, 100) == []
 
     def test_suspended_apps_never_strike(self, cfg):
@@ -121,7 +108,7 @@ class TestOverdrawStrikes:
 class TestEfficiencyScore:
     def test_inflated_rate_walks_to_quarantine(self, cfg):
         scorer = TrustScorer(cfg)
-        lying = obs(claimed_rate=10.0 * (1.0 + cfg.efficiency_margin) + 1.0)
+        lying = obs(claimed_rate=10.0 * (1.0 + trust.EFFICIENCY_MARGIN) + 1.0)
         transitions = drive(scorer, lying, 50)
         states = [t.to_state for t in transitions]
         assert states[0] is TrustState.SUSPECT
@@ -129,7 +116,7 @@ class TestEfficiencyScore:
 
     def test_rate_within_margin_passes(self, cfg):
         scorer = TrustScorer(cfg)
-        ok = obs(claimed_rate=10.0 * (1.0 + cfg.efficiency_margin) - 0.1)
+        ok = obs(claimed_rate=10.0 * (1.0 + trust.EFFICIENCY_MARGIN) - 0.1)
         assert drive(scorer, ok, 100) == []
 
     def test_blackout_suppresses_the_check(self, cfg):
@@ -138,7 +125,7 @@ class TestEfficiencyScore:
         assert drive(scorer, frozen, 100) == []
 
     def test_fingerprint_change_arms_the_cooldown(self):
-        cfg = DefenseConfig(cooldown_ticks=10, quarantine_ticks=5, probation_ticks=4)
+        cfg = DefenseConfig(cooldown_ticks=10)
         scorer = TrustScorer(cfg)
         drive(scorer, obs(), 5)  # honest history at the first operating point
         # The knob moves and the stale heartbeat window briefly reads high:
@@ -165,27 +152,29 @@ class TestQuarantineLifecycle:
     def quarantined_scorer(self, cfg):
         scorer = TrustScorer(cfg)
         overdraw = obs(attributed_w=20.0)
-        drive(scorer, overdraw, cfg.strike_limit)
+        drive(scorer, overdraw, trust.STRIKE_LIMIT)
         assert scorer.state_of("a") is TrustState.QUARANTINED
         return scorer
 
     def test_quarantine_expires_into_probation_with_clean_slate(self, cfg):
         scorer = self.quarantined_scorer(cfg)
-        transitions = drive(scorer, obs(), cfg.quarantine_ticks, start=10)
+        transitions = drive(scorer, obs(), trust.QUARANTINE_TICKS, start=10)
         assert transitions[-1].to_state is TrustState.PROBATION
         assert scorer.score_of("a") == 0.0
-        assert scorer.weights() == {"a": cfg.probation_weight}
+        assert scorer.weights() == {"a": trust.PROBATION_WEIGHT}
 
     def test_probation_violation_requarantines(self, cfg):
         scorer = self.quarantined_scorer(cfg)
-        drive(scorer, obs(), cfg.quarantine_ticks, start=10)
-        transitions = scorer.observe(100, [obs(attributed_w=20.0)])
+        drive(scorer, obs(), trust.QUARANTINE_TICKS, start=10)
+        transitions = scorer.observe(10 + trust.QUARANTINE_TICKS, [obs(attributed_w=20.0)])
         assert transitions[0].to_state is TrustState.QUARANTINED
 
     def test_clean_probation_restores_full_trust(self, cfg):
         scorer = self.quarantined_scorer(cfg)
-        drive(scorer, obs(), cfg.quarantine_ticks, start=10)
-        transitions = drive(scorer, obs(), cfg.probation_ticks, start=100)
+        drive(scorer, obs(), trust.QUARANTINE_TICKS, start=10)
+        transitions = drive(
+            scorer, obs(), trust.PROBATION_TICKS, start=10 + trust.QUARANTINE_TICKS
+        )
         assert transitions[-1].to_state is TrustState.TRUSTED
         assert not scorer.distrusted()
 

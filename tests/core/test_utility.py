@@ -208,16 +208,3 @@ class TestResourceMarginalUtilities:
     def test_kmeans_values_compute(self, config, kmeans):
         utilities = resource_marginal_utilities(kmeans, config)
         assert max(utilities["core"], utilities["frequency"]) > utilities["memory"]
-
-    def test_saturated_resource_has_zero_utility(self, config, kmeans):
-        ref = config.max_knob  # nothing can grow
-        utilities = resource_marginal_utilities(kmeans, config, reference=ref)
-        assert utilities == {"core": 0.0, "frequency": 0.0, "memory": 0.0}
-
-    def test_off_grid_reference_rejected(self, config, kmeans):
-        from repro.errors import KnobError
-
-        with pytest.raises(KnobError):
-            resource_marginal_utilities(
-                kmeans, config, reference=KnobSetting(1.55, 3, 7.0)
-            )

@@ -38,10 +38,6 @@ class TestPresets:
         assert battery.usable_j == 0.0  # starts at the reserve floor
         assert battery.soc == pytest.approx(0.5)
 
-    def test_initial_soc_override(self):
-        battery = make_battery("li-ion", initial_soc=1.0)
-        assert battery.soc == 1.0
-
 
 class TestPresetsEndToEnd:
     def test_chemistry_orders_esd_throughput(self, config):

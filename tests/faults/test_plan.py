@@ -68,13 +68,14 @@ class TestPlan:
     def test_len_and_kinds(self):
         plan = default_fault_plan()
         assert len(plan) == 6
-        assert plan.kinds() == {"app", "rapl", "telemetry", "battery"}
+        assert {spec.kind for spec in plan.specs} == {"app", "rapl", "telemetry", "battery"}
 
     def test_default_plan_exercises_every_kind(self):
         # Every kind except the scoped ones: node/pdu/rack outages are
         # cluster- and hierarchy-scope while the default plan drives a
         # single server's substrate.
-        assert default_fault_plan().kinds() == set(FAULT_MODES) - SCOPED_KINDS
+        kinds = {spec.kind for spec in default_fault_plan().specs}
+        assert kinds == set(FAULT_MODES) - SCOPED_KINDS
 
 
 class TestSerialization:

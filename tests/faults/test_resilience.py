@@ -4,9 +4,10 @@ accounting."""
 import pytest
 
 from repro.core.resilience import (
+    RECOVERY_THRESHOLD,
+    STALE_THRESHOLD,
     ActuationRetrier,
     FaultStats,
-    ResilienceConfig,
     TelemetryWatchdog,
 )
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
@@ -16,34 +17,37 @@ from repro.workloads.catalog import CATALOG
 
 class TestWatchdog:
     def test_degrades_after_threshold(self):
-        wd = TelemetryWatchdog(ResilienceConfig(stale_threshold=3))
-        assert wd.observe(False) is None
-        assert wd.observe(False) is None
+        wd = TelemetryWatchdog()
+        for _ in range(STALE_THRESHOLD - 1):
+            assert wd.observe(False) is None
         assert wd.observe(False) == "degraded"
         assert wd.degraded
 
     def test_single_good_sample_does_not_recover(self):
-        wd = TelemetryWatchdog(ResilienceConfig(stale_threshold=2, recovery_threshold=2))
-        wd.observe(False)
-        wd.observe(False)
+        wd = TelemetryWatchdog()
+        for _ in range(STALE_THRESHOLD):
+            wd.observe(False)
         assert wd.degraded
-        assert wd.observe(True) is None
-        assert wd.degraded
+        for _ in range(RECOVERY_THRESHOLD - 1):
+            assert wd.observe(True) is None
+            assert wd.degraded
         assert wd.observe(True) == "recovered"
         assert not wd.degraded
 
     def test_flapping_resets_counters(self):
-        wd = TelemetryWatchdog(ResilienceConfig(stale_threshold=3))
-        wd.observe(False)
-        wd.observe(False)
+        wd = TelemetryWatchdog()
+        for _ in range(STALE_THRESHOLD - 1):
+            wd.observe(False)
         wd.observe(True)  # resets the bad streak
-        wd.observe(False)
-        wd.observe(False)
+        for _ in range(STALE_THRESHOLD - 1):
+            wd.observe(False)
         assert not wd.degraded
         assert wd.observe(False) == "degraded"
 
     def test_transitions_fire_once(self):
-        wd = TelemetryWatchdog(ResilienceConfig(stale_threshold=1))
+        wd = TelemetryWatchdog()
+        for _ in range(STALE_THRESHOLD - 1):
+            wd.observe(False)
         assert wd.observe(False) == "degraded"
         assert wd.observe(False) is None
 
@@ -89,8 +93,7 @@ class TestActuationRetrier:
             server,
         )
         injector.begin_tick(0.0)
-        config = ResilienceConfig(max_actuation_attempts=3)
-        return server, injector, ActuationRetrier(server.knobs, config)
+        return server, injector, ActuationRetrier(server.knobs)
 
     def test_retries_follow_exponential_backoff(self, rig):
         server, _, retrier = rig
@@ -129,7 +132,7 @@ class TestActuationRetrier:
         verified, escalated = retrier.service(stats)
         assert verified == ["kmeans"] and not escalated
         assert server.knobs.knob_of("kmeans") == server.config.min_knob
-        assert retrier.pending == {}
+        assert retrier.state_dict()["pending"] == {}
 
     def test_out_of_band_clear_drops_pending(self, rig):
         server, injector, retrier = rig
@@ -141,7 +144,7 @@ class TestActuationRetrier:
         assert server.knobs.set_knob("kmeans", server.config.max_knob)
         verified, escalated = retrier.service(stats)
         assert verified == [] and escalated == []
-        assert retrier.pending == {}
+        assert retrier.state_dict()["pending"] == {}
 
     def test_forget_stops_tracking(self, rig):
         server, _, retrier = rig
@@ -149,4 +152,4 @@ class TestActuationRetrier:
         assert not server.knobs.set_knob("kmeans", server.config.min_knob)
         retrier.service(stats)
         retrier.forget("kmeans")
-        assert retrier.pending == {}
+        assert retrier.state_dict()["pending"] == {}

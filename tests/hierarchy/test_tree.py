@@ -32,7 +32,6 @@ class TestSpecValidation:
             {"fanouts": (2, 0)},
             {"fanouts": (2,), "budget_w": 0.0},
             {"fanouts": (2,), "quantum_w": 0.0},
-            {"fanouts": (2, 2), "level_names": ("a", "b")},
         ],
     )
     def test_bad_spec(self, kwargs):
@@ -51,14 +50,6 @@ class TestSpecValidation:
             "rack",
             "server",
         )
-
-    def test_codec_roundtrip(self):
-        spec = TreeSpec(fanouts=(2, 3), budget_w=1200.0, quantum_w=4.0)
-        assert TreeSpec.from_dict(spec.to_dict()) == spec
-
-    def test_malformed_doc_rejected(self):
-        with pytest.raises(ConfigurationError, match="malformed tree spec"):
-            TreeSpec.from_dict({"budget_w": 10.0})
 
 
 class TestPaths:

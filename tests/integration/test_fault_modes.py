@@ -14,6 +14,7 @@
 from repro.core.coordinator import Coordinator
 from repro.core.mediator import PowerMediator
 from repro.core.policies import make_policy
+from repro.core.resilience import DEGRADED_GUARD_BAND
 from repro.core.simulation import default_battery, run_mix_experiment
 from repro.faults import FaultPlan, FaultSpec, default_fault_plan
 from repro.server.server import SimulatedServer
@@ -143,7 +144,7 @@ class TestArrivalDuringDegradedTelemetry:
         mediator.run_for(10.0)
         degraded = [r for r in mediator.timeline if r.degraded]
         assert degraded
-        guard = mediator._resilience_cfg.degraded_guard_band  # noqa: SLF001
+        guard = DEGRADED_GUARD_BAND
         reduced = CAP_W * (1.0 - guard)
         # While degraded the plan targets the reduced cap; the wall tracks it.
         assert all(r.wall_w <= CAP_W + 1e-6 for r in degraded)

@@ -24,15 +24,6 @@ class TestCorpusBuilding:
             power_model.app_power_w(CATALOG["kmeans"], knob)
         )
 
-    def test_noisy_corpus_is_seeded(self, config):
-        a = build_exhaustive_corpus(
-            config, [CATALOG["kmeans"]], power_noise_std_w=0.5, seed=9
-        )
-        b = build_exhaustive_corpus(
-            config, [CATALOG["kmeans"]], power_noise_std_w=0.5, seed=9
-        )
-        assert (a.power_row("kmeans") == b.power_row("kmeans")).all()
-
     def test_empty_profiles_rejected(self, config):
         with pytest.raises(ConfigurationError):
             build_exhaustive_corpus(config, [])
@@ -78,7 +69,7 @@ class TestCalibration:
     def test_too_few_profiles_rejected(self, config):
         with pytest.raises(ConfigurationError):
             calibrate_sampling_fraction(
-                config, [CATALOG["kmeans"]], [0.1], folds=5
+                config, [CATALOG["kmeans"]], [0.1]
             )
 
     def test_empty_fractions_rejected(self, config):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.learning.sampling import Sampler, StratifiedSampler
-from repro.server.config import ServerConfig
 
 
 class TestBudget:
@@ -19,12 +18,7 @@ class TestBudget:
         with pytest.raises(ConfigurationError):
             Sampler.budget_from_fraction(config, fraction)
 
-    @pytest.mark.parametrize(
-        "narrow",
-        [{}, {"cores_min": 2, "cores_max": 4}, {"freq_max_ghz": 1.6, "dram_power_max_w": 8.0}],
-    )
-    def test_budget_counts_the_knob_space(self, narrow):
-        config = ServerConfig(**narrow)
+    def test_budget_counts_the_knob_space(self, config):
         for fraction in (0.0001, 0.1, 0.37, 1.0):
             assert Sampler.budget_from_fraction(config, fraction) == max(
                 1, int(round(fraction * len(config.knob_space())))

@@ -102,14 +102,6 @@ class TestRegistry:
         back = MetricsRegistry.from_json(doc)
         assert back.to_json() == doc
 
-    def test_load_rejects_damage(self, tmp_path):
-        path = tmp_path / "m.json"
-        path.write_text("{bad")
-        with pytest.raises(ObservabilityError, match="not valid JSON"):
-            MetricsRegistry.load(path)
-        with pytest.raises(ObservabilityError, match="cannot read"):
-            MetricsRegistry.load(tmp_path / "missing.json")
-
     def test_from_json_rejects_wrong_schema(self):
         with pytest.raises(ObservabilityError, match="unsupported version"):
             MetricsRegistry.from_json({"schema": 99})

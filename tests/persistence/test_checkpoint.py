@@ -160,8 +160,12 @@ def test_filenames_sort_chronologically(tmp_path, stream, kmeans):
             "version 42 is not supported",
         ),
         (
-            json.dumps({"schema": "repro-checkpoint", "version": 4}),
+            json.dumps({"schema": "repro-checkpoint", "version": 5}),
             "checkpoint.tick",
+        ),
+        (
+            json.dumps({"schema": "repro-checkpoint", "version": 4}),
+            "checkpoint version 4 is not supported",
         ),
         (
             json.dumps({"schema": "repro-checkpoint", "version": 3}),
@@ -201,7 +205,6 @@ def test_missing_file_is_one_line(tmp_path):
     [
         (lambda r: r.update(policy="galactic"), "recipe.policy"),
         (lambda r: r.pop("policy"), "recipe.policy: required"),
-        (lambda r: r["config"].update(warp_factor=9), "recipe.config.warp_factor"),
         (lambda r: r.update(p_cap_w="plenty"), "recipe.p_cap_w"),
         # The keys a version-3 recipe still carried, and any other stranger.
         (lambda r: r.update(sampler=None), "recipe.sampler: unknown recipe field"),
@@ -214,13 +217,11 @@ def test_missing_file_is_one_line(tmp_path):
             lambda r: r.update(perf_noise_relative_std=0.02),
             "recipe.perf_noise_relative_std: unknown recipe field",
         ),
-        (
-            lambda r: r["config"].update(reallocation_latency_s=0.8),
-            "recipe.config.reallocation_latency_s: unknown server-config field",
-        ),
+        # The keys a version-4 recipe still carried.
+        (lambda r: r.update(config={}), "recipe.config: unknown recipe field"),
+        (lambda r: r.update(resilience=None), "recipe.resilience: unknown recipe field"),
         (lambda r: r.update(warp_factor=9), "recipe.warp_factor: unknown recipe field"),
         (lambda r: r.update(faults={"seed": 0, "faults": [{"kind": "gremlin"}]}), "recipe.faults"),
-        (lambda r: r.update(resilience={"bogus_knob": 1}), "recipe.resilience.bogus_knob"),
     ],
 )
 def test_recipe_validation_names_offending_field(stream, kmeans, mutate, fragment):
@@ -258,7 +259,7 @@ def test_document_leaves_the_timeline_to_the_log(tmp_path, stream, kmeans):
     path = _write(tmp_path, mediator, recipe)
     doc = json.loads(path.read_text())
     full = mediator.state_dict()
-    assert doc["version"] == 4 and doc["tick"] == 15
+    assert doc["version"] == 5 and doc["tick"] == 15
     assert "timeline" not in doc["state"]
     assert "log" not in doc["state"]["accountant"]
     assert "finished" not in doc["state"]
@@ -331,13 +332,9 @@ def _phased_run(engine, use_oracle_estimates):
         seed=4,
         engine=engine,
     )
-    mediator = run_script(
-        recipe,
-        [
-            AdmitApp(kmeans, phased=PhasedProfile([(0.0, kmeans), (0.3, lighter)])),
-            AdmitApp(CATALOG["stream"].with_total_work(float("inf")), group_width=3),
-        ],
-    )
+    mediator = recipe.build()
+    mediator.add_application(kmeans, phased=PhasedProfile([(0.0, kmeans), (0.3, lighter)]))
+    mediator.add_application(CATALOG["stream"].with_total_work(float("inf")), group_width=3)
     managed = mediator._managed["kmeans"]
     while managed.calibrated is managed.profile:
         mediator.step()

@@ -1,4 +1,4 @@
-"""Write-ahead journal: durability points, torn-tail rule, validation."""
+"""Progress journal: durability points, torn-tail rule, validation."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from repro.persistence import (
 def _write_basic(directory, *, fsync_every_ticks=25):
     writer = JournalWriter(directory, fsync_every_ticks=fsync_every_ticks)
     writer.append_meta(dt_s=0.1)
-    writer.append_command(0, {"kind": "set_cap", "p_cap_w": 90.0})
     for tick in range(1, 4):
         writer.append_tick(tick)
     writer.append_checkpoint(tick=3, path="ckpt-00000003.json")
@@ -30,12 +29,9 @@ def test_round_trip(tmp_path):
     writer = _write_basic(tmp_path)
     writer.close()
     records = read_journal(tmp_path)
-    assert [r["op"] for r in records] == [
-        "meta", "command", "tick", "tick", "tick", "checkpoint",
-    ]
+    assert [r["op"] for r in records] == ["meta", "tick", "tick", "tick", "checkpoint"]
     seqs = [r["seq"] for r in records]
     assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
-    assert records[1]["command"]["p_cap_w"] == 90.0
     assert records[-1]["path"] == "ckpt-00000003.json"
 
 
@@ -51,11 +47,12 @@ def test_tick_fsync_is_batched(tmp_path):
     writer.close()
 
 
-def test_commands_fsync_immediately(tmp_path):
+def test_checkpoint_markers_fsync_immediately(tmp_path):
     writer = JournalWriter(tmp_path, fsync_every_ticks=1000)
     writer.append_meta(dt_s=0.1)
+    writer.append_tick(1)  # buffered, not synced
     before = writer.durable_offset
-    writer.append_command(0, {"kind": "set_cap", "p_cap_w": 80.0})
+    writer.append_checkpoint(tick=1, path="ckpt-00000001.json")
     assert writer.durable_offset > before
     writer.close()
 

@@ -163,7 +163,6 @@ def test_record_stream_matches_unsegmented_journal(tmp_path):
     single = JournalWriter(one_dir, records_per_segment=1000)
     for target in (writer, single):
         target.append_meta(dt_s=0.1)
-        target.append_command(0, {"kind": "set-cap", "p_cap_w": 90.0})
         for tick in range(5):
             target.append_tick(tick)
         target.append_checkpoint(tick=5, path="ckpt-00000005.json")

@@ -19,6 +19,8 @@ from repro.persistence import (
     Supervisor,
     read_journal,
 )
+from repro.persistence.supervisor import MAX_RESTARTS
+from repro.server.config import DEFAULT_SERVER_CONFIG
 from tests.persistence.history_log import (
     OWNER_DAMAGE,
     append_strays,
@@ -151,7 +153,6 @@ def test_torn_journal_still_recovers(tmp_path, stream, kmeans):
         script,
         tmp_path,
         checkpoint_every_ticks=20,
-        fsync_every_ticks=10,
         tick_hook=_kill_once_at({13, 37}),
         tear_journal_bytes_on_crash=300,
     )
@@ -194,10 +195,8 @@ def test_max_restarts_guards_crash_loops(tmp_path, stream, kmeans):
         if tick >= 2:
             raise MediatorKilled("deterministic bug")
 
-    supervisor = Supervisor(
-        recipe, script, tmp_path, tick_hook=always_dies, max_restarts=3
-    )
-    with pytest.raises(CheckpointError, match="gave up after 3 restarts"):
+    supervisor = Supervisor(recipe, script, tmp_path, tick_hook=always_dies)
+    with pytest.raises(CheckpointError, match=f"gave up after {MAX_RESTARTS} restarts"):
         supervisor.run()
 
 
@@ -243,7 +242,7 @@ def test_recovery_accounting(tmp_path, stream, kmeans):
     assert stats.checkpoints_written >= 4  # t0, 20, post-recovery, 40, final
     assert stats.cold_relearns_avoided == 2  # both managed apps kept their state
     # A recipe's mediator calibrates with its default sampler: 10% of the knobs.
-    per_app = Sampler.budget_from_fraction(recipe.config, 0.10)
+    per_app = Sampler.budget_from_fraction(DEFAULT_SERVER_CONFIG, 0.10)
     assert stats.samples_restored == 2 * per_app
 
     summary = summarize_recovery(stats, dt_s=0.1)
@@ -301,7 +300,7 @@ def test_checkpoints_append_the_timeline_to_the_log(tmp_path, stream, kmeans):
     docs = documents(tmp_path)
     assert [doc["tick"] for doc in docs] == [0, 20, 40, 60]
     for doc in docs:
-        assert doc["version"] == 4
+        assert doc["version"] == 5
         assert doc["sessions"] is None
         assert "timeline" not in doc["state"]
         assert "log" not in doc["state"]["accountant"]

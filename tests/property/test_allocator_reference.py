@@ -5,8 +5,8 @@ earlier implementation, kept here verbatim in substance as the reference:
 a Python loop over every Pareto option of every app, each option scanned
 into the DP row with a strict ``>``, and an envelope scan over numpy
 scalars. ``PowerAllocator.allocate`` and ``CandidateSet.frontier`` must
-reproduce them exactly - same choices, same objective bits, same errors -
-on the inputs where ties decide the answer: equal grid costs, equal
+reproduce them exactly - same choices, same objective bits - on the
+inputs where ties decide the answer: equal grid costs, equal
 performance and performance equal to within the envelope's 1e-12
 tolerance, utilities that tie only after the 1e-9 inclusion bonus,
 budgets of zero, below one grain, and above every demand; with one, two
@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from repro.core.allocator import Allocation, AppAllocation, PowerAllocator
 from repro.core.utility import CandidateSet
 from repro.engine import VectorPowerModel
-from repro.errors import PowerBudgetError
+from repro.engine.surface import GRAIN_W
 from repro.server.config import KnobSetting, ServerConfig
 from repro.server.power_model import PowerModel
 from repro.workloads.catalog import CATALOG
@@ -46,35 +46,27 @@ def reference_allocate(
     candidates: dict[str, CandidateSet],
     budget_w: float,
     *,
-    grain_w: float = 0.25,
-    allow_exclusion: bool = True,
     weights: dict[str, float] | None = None,
 ) -> Allocation:
     """The knapsack DP with one masked update per option."""
-    allocator = PowerAllocator(grain_w=grain_w, allow_exclusion=allow_exclusion)
+    allocator = PowerAllocator()
     names = sorted(candidates)
     weight_of = allocator._check_weights(names, weights)  # noqa: SLF001
     budget = max(0.0, budget_w)
-    steps = int(math.floor(budget / grain_w))
+    steps = int(math.floor(budget / GRAIN_W))
 
     options: dict[str, list[tuple[int, float, int | None]]] = {}
     for name in names:
         cset = candidates[name]
         opts: list[tuple[int, float, int | None]] = [(0, 0.0, None)]
         for idx in reference_envelope(cset):
-            cost = int(math.ceil(cset.power_w[idx] / grain_w - 1e-9))
+            cost = int(math.ceil(cset.power_w[idx] / GRAIN_W - 1e-9))
             if cost <= steps:
                 utility = float(cset.perf[idx] / cset.perf_nocap)
                 if weight_of is not None:
                     utility *= weight_of[name]
                 opts.append((cost, utility + 1e-9, idx))
         options[name] = opts
-        if len(opts) == 1 and not allow_exclusion:
-            raise PowerBudgetError(
-                f"budget {budget_w:.2f} W cannot host {name!r} "
-                f"(cheapest config needs {cset.min_power_w:.2f} W) and "
-                "exclusion is disabled"
-            )
 
     neg_inf = -np.inf
     value = np.zeros(steps + 1)
@@ -113,11 +105,6 @@ def reference_allocate(
                 power_w=0.0,
                 relative_perf=0.0,
             )
-            if not allow_exclusion:
-                raise PowerBudgetError(
-                    f"budget {budget_w:.2f} W cannot host all of {names} "
-                    "simultaneously and exclusion is disabled"
-                )
         else:
             apps[name] = AppAllocation(
                 app=name,
@@ -129,17 +116,7 @@ def reference_allocate(
         w -= cost
     dp_result = Allocation(budget_w=budget_w, apps=apps, objective=objective)
     fair = allocator.allocate_fair(candidates, budget_w, weights=weights)
-    if fair.excluded and not allow_exclusion:
-        return dp_result
     return dp_result if dp_result.objective >= fair.objective else fair
-
-
-def outcome(solve) -> tuple:
-    """A solve's result as comparable data: the allocation or the error."""
-    try:
-        return ("allocation", solve().to_dict())
-    except PowerBudgetError as exc:
-        return ("refused", str(exc))
 
 
 _CONFIG = ServerConfig()
@@ -178,13 +155,11 @@ def curve_set(app: str, power: list[float], perf: list[float], nocap: float) -> 
 _CLONE_TIE = (
     {name: curve_set(name, [1.0, 3.0], [0.5, 1.0], 1.0) for name in ("a", "b")},
     4.0,
-    0.25,
-    True,
     None,
 )
 
 
-#: Two frontier points on one grid cost: at a 0.25 W grain, 1.01 W and
+#: Two frontier points on one grid cost: on the 0.25 W grid, 1.01 W and
 #: 1.2 W both round up to 5 cells.
 _SHARED_COST = (
     {
@@ -192,8 +167,6 @@ _SHARED_COST = (
         "b": curve_set("b", [1.01, 1.2], [0.4, 0.9], 1.0),
     },
     2.5,
-    0.25,
-    True,
     None,
 )
 
@@ -204,8 +177,6 @@ _BONUS_TIE_CURVE = ([1.0, 2.0], [30000.0, 30000.000000000004], 60000.00000000001
 _BONUS_TIE = (
     {name: curve_set(name, *_BONUS_TIE_CURVE) for name in ("a", "b")},
     4.0,
-    0.25,
-    True,
     None,
 )
 
@@ -218,8 +189,6 @@ _EARLY_MAXIMUM = (
         "b": curve_set("b", [0.5, 1.0], [0.3, 0.7], 1.0),
     },
     2.3,
-    0.25,
-    True,
     None,
 )
 
@@ -231,8 +200,6 @@ _NEGATIVE_PERF = (
         "b": curve_set("b", [1.0], [1.0], 1.0),
     },
     2.5,
-    0.25,
-    True,
     None,
 )
 
@@ -241,8 +208,6 @@ _NEGATIVE_PERF = (
 _THREE_APPS = (
     {name: curve_set(name, [1.0, 2.5, 4.0], [0.5, 0.8, 1.0], 1.0) for name in ("a", "b", "c")},
     6.0,
-    0.25,
-    True,
     None,
 )
 _FOUR_APPS = (
@@ -253,8 +218,6 @@ _FOUR_APPS = (
         "d": curve_set("d", [2.0, 3.0], [1.0, 2.0], 2.0),
     },
     7.3,
-    0.25,
-    False,
     {"b": 0.5},
 )
 
@@ -278,12 +241,11 @@ def problems(draw) -> tuple:
     names = [f"app{i}" for i in range(draw(st.integers(min_value=1, max_value=4)))]
     shared = draw(st.lists(curves(), min_size=1, max_size=len(names)))
     candidates = {name: curve_set(name, *draw(st.sampled_from(shared))) for name in names}
-    grain = draw(st.sampled_from([0.25, 0.25, 0.1, 1.0]))
     above_all = sum(c.max_power_w for c in candidates.values()) + 1.0
     budget = draw(
         st.one_of(
             st.just(0.0),
-            st.floats(min_value=0.0, max_value=grain, exclude_max=True),
+            st.floats(min_value=0.0, max_value=GRAIN_W, exclude_max=True),
             st.floats(min_value=-5.0, max_value=above_all, allow_nan=False),
             st.just(above_all),
         )
@@ -294,7 +256,7 @@ def problems(draw) -> tuple:
             st.sampled_from(names), st.floats(min_value=0.05, max_value=1.0)
         )
     )
-    return candidates, budget, grain, draw(st.booleans()), weights
+    return candidates, budget, weights
 
 
 class TestMatchesLoopReference:
@@ -302,28 +264,19 @@ class TestMatchesLoopReference:
     @example(problem=_CLONE_TIE)
     @example(problem=_SHARED_COST)
     @example(problem=_BONUS_TIE)
-    @example(problem=({"a": curve_set("a", *_BONUS_TIE_CURVE)}, 2.0, 0.25, True, None))
+    @example(problem=({"a": curve_set("a", *_BONUS_TIE_CURVE)}, 2.0, None))
     @example(problem=_EARLY_MAXIMUM)
     @example(problem=_NEGATIVE_PERF)
     @example(problem=_THREE_APPS)
     @example(problem=_FOUR_APPS)
     @settings(max_examples=200, deadline=None)
     def test_synthetic_sets(self, problem):
-        candidates, budget, grain, allow_exclusion, weights = problem
+        candidates, budget, weights = problem
         for cset in candidates.values():
             assert cset.frontier.indices.tolist() == reference_envelope(cset)
-        allocator = PowerAllocator(grain_w=grain, allow_exclusion=allow_exclusion)
-        assert outcome(
-            lambda: allocator.allocate(candidates, budget, weights=weights)
-        ) == outcome(
-            lambda: reference_allocate(
-                candidates,
-                budget,
-                grain_w=grain,
-                allow_exclusion=allow_exclusion,
-                weights=weights,
-            )
-        )
+        got = PowerAllocator().allocate(candidates, budget, weights=weights)
+        want = reference_allocate(candidates, budget, weights=weights)
+        assert got.to_dict() == want.to_dict()
 
     @given(
         apps=st.lists(st.sampled_from(sorted(CATALOG)), min_size=1, max_size=4, unique=True),
@@ -334,20 +287,14 @@ class TestMatchesLoopReference:
             st.just(200.0),
         ),
         weighted=st.booleans(),
-        allow_exclusion=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_catalog_sets(self, apps, budget, weighted, allow_exclusion):
+    def test_catalog_sets(self, apps, budget, weighted):
         candidates = {name: _CATALOG_SETS[name] for name in apps}
         weights = {apps[0]: 0.4} if weighted else None
-        allocator = PowerAllocator(allow_exclusion=allow_exclusion)
-        assert outcome(
-            lambda: allocator.allocate(candidates, budget, weights=weights)
-        ) == outcome(
-            lambda: reference_allocate(
-                candidates, budget, allow_exclusion=allow_exclusion, weights=weights
-            )
-        )
+        got = PowerAllocator().allocate(candidates, budget, weights=weights)
+        want = reference_allocate(candidates, budget, weights=weights)
+        assert got.to_dict() == want.to_dict()
 
     def test_catalog_envelopes(self):
         for cset in _CATALOG_SETS.values():

@@ -22,7 +22,7 @@ class TestFactorizationProperties:
     @settings(max_examples=20, deadline=None)
     def test_full_observation_reconstruction(self, seed, rank):
         values = low_rank(seed, 6, 30, rank)
-        als = AlsFactorizer(rank=rank + 1, ridge=1e-3, iterations=40, seed=seed)
+        als = AlsFactorizer(seed=seed)
         als.fit(values, np.ones_like(values, dtype=bool))
         rel = np.abs(als.predict_full() - values).max() / values.max()
         assert rel < 0.05
@@ -31,7 +31,7 @@ class TestFactorizationProperties:
     @settings(max_examples=20, deadline=None)
     def test_fold_in_exact_on_measured_cells(self, seed):
         values = low_rank(seed, 6, 30, 3)
-        als = AlsFactorizer(rank=4, iterations=20, seed=seed)
+        als = AlsFactorizer(seed=seed)
         als.fit(values, np.ones_like(values, dtype=bool))
         rng = np.random.default_rng(seed)
         cols = rng.choice(30, size=8, replace=False)
@@ -44,8 +44,8 @@ class TestFactorizationProperties:
     def test_determinism(self, seed):
         values = low_rank(seed, 5, 20, 2)
         mask = np.ones_like(values, dtype=bool)
-        a = AlsFactorizer(rank=3, iterations=15, seed=seed)
-        b = AlsFactorizer(rank=3, iterations=15, seed=seed)
+        a = AlsFactorizer(seed=seed)
+        b = AlsFactorizer(seed=seed)
         a.fit(values, mask)
         b.fit(values, mask)
         assert np.allclose(a.predict_full(), b.predict_full())
@@ -61,7 +61,7 @@ class TestFactorizationProperties:
         mask = rng.uniform(size=values.shape) < density
         mask[:, 0] = True
         mask[0, :] = True
-        als = AlsFactorizer(rank=3, ridge=1e-2, iterations=50, seed=seed)
+        als = AlsFactorizer(seed=seed)
         als.fit(values, mask)
         hidden = ~mask
         if hidden.any():

@@ -78,29 +78,9 @@ class TestValidation:
         with pytest.raises(KnobError):
             config.validate_knob(KnobSetting(1.5, 3, 2.0))
 
-    def test_invalid_frequency_range_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ServerConfig(freq_min_ghz=2.0, freq_max_ghz=1.0)
-
-    def test_invalid_core_range_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ServerConfig(cores_min=0)
-
-    def test_invalid_dram_range_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ServerConfig(dram_power_min_w=10.0, dram_power_max_w=3.0)
-
-    def test_dram_min_below_static_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ServerConfig(dram_power_min_w=1.0)
-
     def test_bad_guard_band_rejected(self):
         with pytest.raises(ConfigurationError):
             ServerConfig(rapl_guard_band=1.5)
-
-    def test_zero_sockets_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ServerConfig(sockets=0)
 
 
 class TestDynamicBudget:

@@ -108,9 +108,8 @@ class TestWraparound:
         assert ENERGY_WRAP_J == pytest.approx(2**32 * 1e-6)
 
     def test_counter_wraps_at_range(self):
-        dom = RaplDomain("psys", wrap_range_j=100.0)
-        dom.advance(30.0, 3.0)  # 90 J
-        dom.advance(30.0, 1.0)  # +30 J -> 120 J -> wraps to 20 J
+        dom = RaplDomain("psys", energy_j=ENERGY_WRAP_J - 10.0)
+        dom.advance(30.0, 1.0)  # +30 J -> 10 J past the range -> wraps to 20 J
         assert dom.energy_j == pytest.approx(20.0)
 
     def test_counter_stays_below_range_under_long_accumulation(self):
@@ -123,21 +122,11 @@ class TestWraparound:
         assert energy_delta_j(50.0, 20.0) == pytest.approx(30.0)
 
     def test_delta_across_wrap(self):
-        assert energy_delta_j(5.0, 95.0, wrap_range_j=100.0) == pytest.approx(10.0)
+        assert energy_delta_j(5.0, ENERGY_WRAP_J - 5.0) == pytest.approx(10.0)
 
     def test_delta_recovers_true_energy_across_wrap(self):
-        dom = RaplDomain("psys", wrap_range_j=100.0)
-        dom.advance(40.0, 2.0)  # 80 J
+        dom = RaplDomain("psys", energy_j=ENERGY_WRAP_J - 20.0)
         before = dom.energy_j
         dom.advance(40.0, 1.0)  # +40 J, wraps
         assert dom.energy_j < before  # raw subtraction would go negative
-        assert energy_delta_j(
-            dom.energy_j, before, wrap_range_j=100.0
-        ) == pytest.approx(40.0)
-
-    def test_bad_wrap_range_rejected(self):
-        with pytest.raises(ConfigurationError):
-            energy_delta_j(1.0, 0.0, wrap_range_j=0.0)
-
-    def test_interface_domains_use_hardware_wrap_range(self, rapl):
-        assert rapl.domain("psys").wrap_range_j == ENERGY_WRAP_J
+        assert energy_delta_j(dom.energy_j, before) == pytest.approx(40.0)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.server.config import ServerConfig
 from repro.server.sleep import SleepController, SleepState
 
 
@@ -57,12 +56,13 @@ class TestWakePenalty:
         sleep.consume_wake_penalty(0.1)
         assert sleep.consume_wake_penalty(0.1) == 1.0
 
-    def test_long_penalty_spills_over_ticks(self, config):
-        slow = SleepController(ServerConfig(pc6_wake_latency_s=0.15))
-        slow.enter_pc6(0)
-        slow.wake()
-        assert slow.consume_wake_penalty(0.1) == 0.0  # fully eaten
-        assert slow.consume_wake_penalty(0.1) == pytest.approx(0.5)
+    def test_long_penalty_spills_over_ticks(self, sleep, config):
+        # A tick shorter than the wake latency: 2/3 of it per tick.
+        tick = config.pc6_wake_latency_s * 2.0 / 3.0
+        sleep.enter_pc6(0)
+        sleep.wake()
+        assert sleep.consume_wake_penalty(tick) == 0.0  # fully eaten
+        assert sleep.consume_wake_penalty(tick) == pytest.approx(0.5)
 
     def test_invalid_tick_rejected(self, sleep):
         with pytest.raises(ConfigurationError):

@@ -8,7 +8,7 @@ import pytest
 from repro.adversary.plan import AdversarySpec
 from repro.core.trust import TrustState
 from repro.errors import AdversaryError
-from repro.service import MediatorService, ServiceConfig
+from repro.service import MediatorService, ServiceConfig, ServiceKilled
 from repro.service.commands import SubmitJob, command_from_dict, command_to_dict
 from repro.workloads.catalog import CATALOG
 
@@ -77,27 +77,25 @@ class TestServiceDefense:
         mediator_counters = service.mediator.export_metrics()["counters"]
         assert mediator_counters["defense.transitions.quarantined"] >= 1
 
-    def test_adversary_declaration_survives_the_journal(self, tmp_path):
-        """The journal carries the declaration verbatim, so replay re-arms
-        the same attack (register_adversary is idempotent on replay)."""
-        from repro.persistence import read_journal
+    def test_adversary_declaration_survives_a_restart(self, tmp_path):
+        """The admitted declaration rides the checkpoint, so a service
+        killed after it was admitted recovers with the same attack armed
+        (register_adversary is idempotent on re-execution)."""
+        fired = []
+
+        def kill_once(tick):
+            if tick == 15 and not fired:
+                fired.append(tick)
+                raise ServiceKilled("chaos")
 
         config = ServiceConfig(
             rate_per_s=1e-9, clients=1, cap_levels=(),
-            checkpoint_every_ticks=200,
+            checkpoint_every_ticks=10,
         )
-        service = MediatorService(config, tmp_path)
+        service = MediatorService(config, tmp_path, tick_hook=kill_once)
         service._offer_all(0, [submit(adversary=dict(ADV))])
         service.run_for_ticks(20)
         service.close()
 
-        journaled = [
-            doc["command"] for doc in read_journal(service.journal_dir)
-            if doc.get("op") == "command"
-            and doc["command"].get("kind") == "submit"
-            and "adversary" in doc["command"]
-        ]
-        assert len(journaled) == 1
-        assert command_from_dict(journaled[0]).adversary_spec() == (
-            AdversarySpec.from_dict(ADV)
-        )
+        assert service.metrics.counter("service.restarts").value == 1
+        assert service.mediator.adversary_engine.specs() == [AdversarySpec.from_dict(ADV)]

@@ -35,8 +35,6 @@ def test_validation():
     with pytest.raises(ConfigurationError):
         _buffer("round-robin")
     with pytest.raises(ConfigurationError):
-        _buffer("reject", overload_enter_fraction=0.4, overload_exit_fraction=0.5)
-    with pytest.raises(ConfigurationError):
         SetCapCommand(client=0, client_seq=0, p_cap_w=float("nan"))
     with pytest.raises(ConfigurationError):
         SubmitJob(client=-1, client_seq=0, profile=CATALOG["stream"])

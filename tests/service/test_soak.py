@@ -15,7 +15,6 @@ import os
 import pytest
 
 from repro.chaos import ChurnSchedule, kill_schedule, run_service_soak
-from repro.errors import ChaosError
 from repro.service import ServiceConfig
 from repro.workloads import BurstWindow
 
@@ -62,29 +61,14 @@ def test_miniature_soak(tmp_path):
         churn_events=6,
         chaos_seed=7,
         tear_journal_bytes=256,
-        expect_sheds=True,
-        expect_overload=True,
     )
     assert report.restarts == 2
     assert report.replayed_ticks > 0
     assert report.shed_commands > 0
+    assert report.counters["service.overload.entered"] > 0
     assert report.replayed_deliveries > 0
     assert report.counters["service.ingest.safety_shed"] == 0
     assert report.counters["service.commands.cap_applied"] == 3
-
-
-def test_soak_rejects_unmet_expectations(tmp_path):
-    # No bursts -> no sheds -> expect_sheds must fail loudly.
-    with pytest.raises(ChaosError, match="shed none"):
-        run_service_soak(
-            _config(bursts=()),
-            tmp_path,
-            total_ticks=200,
-            kills=1,
-            churn_events=2,
-            chaos_seed=1,
-            expect_sheds=True,
-        )
 
 
 @pytest.mark.soak
@@ -114,13 +98,12 @@ def test_acceptance_soak_50k(tmp_path):
         churn_events=12,
         chaos_seed=2020,
         tear_journal_bytes=512,
-        expect_sheds=True,
-        expect_overload=True,
     )
     assert report.ticks == 50_000
     assert report.restarts == 3
     assert report.counters["service.ingest.safety_shed"] == 0
     assert report.shed_commands > 0
+    assert report.counters["service.overload.entered"] > 0
     assert report.replayed_deliveries > 0
     out = os.environ.get("REPRO_SOAK_REPORT")
     if out:

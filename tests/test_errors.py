@@ -39,7 +39,7 @@ class TestHierarchy:
         from repro.server.server import SimulatedServer
 
         with pytest.raises(errors.ReproError):
-            PowerAllocator(grain_w=-1.0)
+            PowerAllocator().allocate({}, 30.0)
         with pytest.raises(errors.ReproError):
             LeadAcidBattery(capacity_j=-5.0)
         with pytest.raises(errors.ReproError):
