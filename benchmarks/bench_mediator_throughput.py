@@ -1,20 +1,21 @@
-"""Mediator-in-the-loop throughput: the horizon-segmented fleet vs the loop.
+"""Mediator-in-the-loop throughput: horizon-segmented ``run_for`` vs the loop.
 
 Not a paper figure - this benchmark prices the *end-to-end* fast path.
 ``bench_engine_throughput`` prices the vector models alone, but a mediated
 tick also walks telemetry, heartbeats, learning, allocation, coordination,
 events and defense; this benchmark measures how much of that planning
-stack :class:`~repro.engine.planner.MediatedFleet` recovers. The same
-fleet - Table II mixes cycled across N servers, every app with unbounded
-work - advances the same simulated span two ways:
+stack a vector-engine :meth:`~repro.core.mediator.PowerMediator.run_for`
+recovers. The same fleet - Table II mixes cycled across N servers, every
+app with unbounded work - advances the same simulated span two ways:
 
 * **scalar** - one :class:`~repro.core.mediator.PowerMediator` per server
-  on the scalar engine, each ``run_for`` in a Python loop: the golden
-  reference;
+  on the scalar engine, each ``run_for`` (the literal tick loop) in a
+  Python loop: the golden reference;
 * **vector** - the same mediators on the vector engine, advanced by a
-  :class:`~repro.engine.planner.MediatedFleet`, which replays steady
-  stretches in closed-form horizon segments and drops to ``step()``
-  whenever any entry gate fails.
+  :class:`~repro.engine.planner.MediatedFleet`, a loop over their
+  ``run_for``, which replays steady stretches in closed-form horizon
+  segments and drops to ``step()`` whenever any entry gate fails; the
+  fleet sums the mediators' fast-path counts.
 
 Both arms first run an untimed warmup so the measured window is the steady
 state the fast path targets (cold-start allocation epochs are scalar by

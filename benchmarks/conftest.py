@@ -62,6 +62,8 @@ class MetricsSink:
         profile = doc.pop("profile", {})
         self.registry = self.registry.merge(MetricsRegistry.from_json(doc))
         for phase, stats in profile.items():
+            if phase == "fast_path":
+                continue  # tick counts, not a phase timer
             agg = self.profile.setdefault(
                 phase, {"calls": 0, "total_s": 0.0, "max_s": 0.0}
             )

@@ -1028,6 +1028,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
             raise ObservabilityError(
                 f"metrics file {args.metrics} is not valid JSON: {exc}"
             ) from exc
+        fast = profile.pop("fast_path", None)
         top = sorted(profile.items(), key=lambda kv: -kv[1].get("total_s", 0.0))[:3]
         if top:
             print("hottest phases (from " + args.metrics + "):")
@@ -1039,6 +1040,14 @@ def cmd_trace(args: argparse.Namespace) -> int:
                 )
         else:
             print(f"no phase profile found in {args.metrics}")
+        if fast:
+            demotions = sorted(fast["demotions"].items(), key=lambda kv: (-kv[1], kv[0]))
+            print(
+                f"fast path: {fast['fast_ticks']} of "
+                f"{fast['fast_ticks'] + fast['scalar_ticks']} ticks in "
+                f"{fast['segments']} segments; demotions: "
+                + (", ".join(f"{reason}={n}" for reason, n in demotions) or "none")
+            )
     print(f"verified ok; sha256 {summary['hash']}")
     return 0
 
@@ -1059,7 +1068,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="bypass online learning (true response surfaces)",
         )
 
-    def engine_arg(p: argparse.ArgumentParser, *, default: str | None = "scalar") -> None:
+    def engine_arg(p: argparse.ArgumentParser, *, default: str | None = "vector") -> None:
         p.add_argument(
             "--engine",
             choices=list(ENGINE_KINDS),

@@ -163,6 +163,57 @@ def _tick_record_from_dict(data: dict) -> TickRecord:
     )
 
 
+def _tick_events(
+    record: TickRecord, charge_w: float, discharge_w: float
+) -> list[tuple[str, dict]]:
+    """The trace events of one steady tick: ``tick``, then ``battery``
+    while the battery flows. The scalar loop and the fast segments emit
+    exactly these, so both build them here."""
+    events = [
+        (
+            "tick",
+            {
+                "time_s": record.time_s,
+                "cap_w": record.p_cap_w,
+                "wall_w": record.wall_w,
+                "mode": record.mode.value,
+                "soc": record.battery_soc,
+                "degraded": record.degraded,
+                "breach": record.breach,
+                "app_w": record.app_power_w,
+            },
+        )
+    ]
+    if charge_w > 0 or discharge_w > 0:
+        events.append(
+            (
+                "battery",
+                {"charge_w": charge_w, "discharge_w": discharge_w, "soc": record.battery_soc},
+            )
+        )
+    return events
+
+
+class FastPathCounts:
+    """How a vector-engine :meth:`PowerMediator.run_for` advanced its
+    mediator: ticks replayed in fast segments, ticks stepped scalar, and
+    each scalar tick's demotion reason (:mod:`repro.engine.planner`).
+
+    Execution facts, like the phase timers: they go in the metrics JSON's
+    ``profile`` section, never in the registry or on the trace bus. The
+    record holds numbers only, never its mediator, so a finished run is
+    freed by reference counting alone.
+    """
+
+    __slots__ = ("fast_ticks", "scalar_ticks", "segments", "demotions")
+
+    def __init__(self) -> None:
+        self.fast_ticks = 0
+        self.scalar_ticks = 0
+        self.segments = 0
+        self.demotions: dict[str, int] = {}
+
+
 def _suffix(items: list, start: int, name: str) -> list:
     """``items[start:]``, refusing a cursor past either end."""
     if not 0 <= start <= len(items):
@@ -288,6 +339,7 @@ class PowerMediator:
 
         self._metrics = MetricsRegistry()
         self._profiler = PhaseProfiler()
+        self._fast_path = FastPathCounts()
         self._trace = NULL_TRACE_BUS
         self._timeline: list[TickRecord] = []
 
@@ -390,6 +442,11 @@ class PowerMediator:
         """Wall-clock timers around the control loop's phases."""
         return self._profiler
 
+    @property
+    def fast_path(self) -> FastPathCounts:
+        """Fast-segment and scalar tick counts of vector-engine ``run_for``."""
+        return self._fast_path
+
     def attach_trace_bus(self, bus: TraceBus) -> None:
         """Route this mediator's (and its components') events to ``bus``.
 
@@ -413,7 +470,10 @@ class PowerMediator:
         """The run's metrics JSON: registry plus the per-phase profile.
 
         Counters/gauges/histograms are deterministic per seed; the
-        ``profile`` section is wall-clock and is not.
+        ``profile`` section is wall-clock and is not. Once a vector-engine
+        :meth:`run_for` has run, ``profile["fast_path"]`` holds its
+        :class:`FastPathCounts`; they differ between the engines, so they
+        stay out of the registry.
         """
         self._metrics.gauge("mediator.ticks").set(float(len(self._timeline)))
         self._metrics.gauge("mediator.managed_apps").set(float(len(self._managed)))
@@ -433,6 +493,14 @@ class PowerMediator:
                 counter.inc(fallbacks - counter.value)
         doc = self._metrics.to_json()
         doc["profile"] = self._profiler.report()
+        counts = self._fast_path
+        if counts.fast_ticks or counts.scalar_ticks:
+            doc["profile"]["fast_path"] = {
+                "fast_ticks": counts.fast_ticks,
+                "scalar_ticks": counts.scalar_ticks,
+                "segments": counts.segments,
+                "demotions": dict(sorted(counts.demotions.items())),
+            }
         return doc
 
     @property
@@ -1025,12 +1093,22 @@ class PowerMediator:
     def run_for(self, duration_s: float) -> None:
         """Advance the simulation, handling events as they arise.
 
+        On the scalar engine this is the literal tick loop, the reference.
+        On the vector engine, steady stretches are replayed as fast
+        segments (:func:`repro.engine.planner.advance`), bit-identical to
+        that loop, and every other tick is one scalar tick.
+
         Raises:
             ConfigurationError: on a non-positive duration.
         """
         if duration_s <= 0:
             raise ConfigurationError("duration_s must be positive")
         end = self._server.now_s + duration_s
+        if self._server.engine == "vector":
+            from repro.engine.planner import advance  # the planner imports this module
+
+            advance(self, end)
+            return
         while self._server.now_s < end - 1e-9:
             self._one_tick()
 
@@ -1116,28 +1194,10 @@ class PowerMediator:
             self._metrics.histogram("esd.discharge_w").observe(action.esd_discharge_w)
         if not self._trace.active:
             return
-        self._trace.emit(
-            "tick",
-            {
-                "time_s": record.time_s,
-                "cap_w": record.p_cap_w,
-                "wall_w": record.wall_w,
-                "mode": record.mode.value,
-                "soc": record.battery_soc,
-                "degraded": record.degraded,
-                "breach": record.breach,
-                "app_w": record.app_power_w,
-            },
-        )
-        if action.esd_charge_w > 0 or action.esd_discharge_w > 0:
-            self._trace.emit(
-                "battery",
-                {
-                    "charge_w": action.esd_charge_w,
-                    "discharge_w": action.esd_discharge_w,
-                    "soc": record.battery_soc,
-                },
-            )
+        for kind, payload in _tick_events(
+            record, action.esd_charge_w, action.esd_discharge_w
+        ):
+            self._trace.emit(kind, payload)
 
     # ------------------------------------------------------------- resilience
 

@@ -134,7 +134,7 @@ def run_mix_experiment(
     trace_bus: TraceBus | None = None,
     adversaries: AdversarySchedule | None = None,
     defense: DefenseConfig | None = None,
-    engine: str = "scalar",
+    engine: str = "vector",
 ) -> MixExperimentResult:
     """Run one co-location under one policy and cap.
 
@@ -159,8 +159,9 @@ def run_mix_experiment(
         adversaries: Optional strategic-tenant schedule; named apps behave
             adversarially (see :mod:`repro.adversary.plan`).
         defense: TrustScorer tunables (defenses default on).
-        engine: Server model implementation, ``"scalar"`` (reference) or
-            ``"vector"`` (fast path); trace hashes and results are
+        engine: Server model implementation, ``"vector"`` (the fast
+            path: vector models, and fast segments in ``run_for``) or
+            ``"scalar"`` (the reference); trace hashes and results are
             bit-identical between the two.
 
     Raises:
@@ -243,7 +244,7 @@ def run_policy_comparison(
     warmup_s: float = 10.0,
     use_oracle_estimates: bool = False,
     seed: int = 0,
-    engine: str = "scalar",
+    engine: str = "vector",
 ) -> dict[int, dict[str, MixExperimentResult]]:
     """The Figs. 8a/10 harness: every mix under every policy at one cap.
 
@@ -313,7 +314,7 @@ def run_dynamic_experiment(
     use_oracle_estimates: bool = False,
     seed: int = 0,
     faults: FaultPlan | None = None,
-    engine: str = "scalar",
+    engine: str = "vector",
 ) -> DynamicExperimentResult:
     """Replay an arrival schedule against one mediated server.
 

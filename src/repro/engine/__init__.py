@@ -11,12 +11,13 @@ Two layers:
   pins both, and ``tests/engine/test_differential.py`` fuzzes the claim.
   ``benchmarks/bench_engine_throughput.py`` times a loop of vector servers
   against a loop of scalar ones.
-* **Mediated fleet** (:mod:`repro.engine.planner`): whole *mediated* ticks —
+* **Fast segments** (:mod:`repro.engine.planner`): whole *mediated* ticks —
   planning stack included — replayed in horizon segments with closed-form
-  accumulator kernels (``benchmarks/bench_mediator_throughput.py``).
-  Exported lazily: the planner imports the mediator, which imports the
-  server, which imports this package, so a top-level import here would be
-  circular.
+  accumulator kernels behind a vector-engine ``PowerMediator.run_for``;
+  ``MediatedFleet`` is a loop over many mediators' ``run_for``
+  (``benchmarks/bench_mediator_throughput.py``). Exported lazily: the
+  planner imports the mediator, which imports the server, which imports
+  this package, so a top-level import here would be circular.
 
 The scalar path remains the golden reference; the vector path exists to make
 it affordable at scale, never to redefine it.

@@ -1,10 +1,13 @@
 """The mediated fast path is pinned to the per-tick scalar loop.
 
-:class:`~repro.engine.planner.MediatedFleet` promises the same contract the
-vector models do - *bit-identical*, not "close": a fleet advanced through
-horizon segments must end every run with exactly the state, metrics and
-timeline a plain ``for m in mediators: m.run_for(...)`` loop produces. Two
-layers enforce it here:
+A vector-engine ``PowerMediator.run_for`` (and a
+:class:`~repro.engine.planner.MediatedFleet`, a loop over it) promises the
+same contract the vector models do - *bit-identical*, not "close": a
+mediator advanced through horizon segments must end every run with exactly
+the state, metrics, timeline and trace a literal ``step()`` loop produces.
+Every reference side below is that literal loop (:func:`_loop_for`), never
+a vector ``run_for``, which takes segments itself. Two layers enforce it
+here:
 
 1. **Kernel pins**: the Python folds (``_seq_add``, ``_seq_add_final``,
    ``_seq_mul_final``, ``_rapl_march``) are checked
@@ -17,9 +20,10 @@ layers enforce it here:
    the fast path replays (SPACE allocation, ESD duty cycling, TIME
    rotation, defense on and off, both engines, mid-run cap changes and
    admissions, app completion to the exact tick,
-   changed trust fingerprints, fractional durations) plus a hypothesis
-   fuzz layer, which runs a larger budget under ``REPRO_SOAK=1``.
-   Equality is ``==`` on state dicts, metrics and the tick timeline.
+   changed trust fingerprints, fractional durations, a trace bus attached,
+   the experiment drivers' default engine) plus a hypothesis fuzz layer,
+   which runs a larger budget under ``REPRO_SOAK=1``. Equality is ``==``
+   on state dicts, metrics and the tick timeline.
 
 The *speed* of the fast path is priced in
 ``benchmarks/bench_mediator_throughput.py``; this file only proves it legal.
@@ -27,8 +31,10 @@ The *speed* of the fast path is priced in
 
 from __future__ import annotations
 
+import gc
 import math
 import os
+import weakref
 from functools import reduce
 from itertools import repeat
 from operator import add
@@ -39,8 +45,9 @@ import pytest
 from repro.core.coordinator import CoordinationMode
 from repro.core.mediator import PowerMediator
 from repro.core.policies import make_policy
-from repro.core.simulation import default_battery
+from repro.core.simulation import default_battery, run_mix_experiment
 from repro.core.trust import DefenseConfig
+from repro.engine import planner
 from repro.engine.planner import (
     MediatedFleet,
     _clean_work_ticks,
@@ -50,7 +57,7 @@ from repro.engine.planner import (
     _seq_mul_final,
 )
 from repro.errors import ConfigurationError
-from repro.observability.trace import TraceBus
+from repro.observability.trace import TraceBus, trace_hash
 from repro.server.config import DEFAULT_SERVER_CONFIG
 from repro.server.server import SimulatedServer
 from repro.workloads.mixes import get_mix
@@ -198,13 +205,20 @@ def _assert_pair_equal(fast: PowerMediator, ref: PowerMediator) -> None:
     assert fast.timeline == ref.timeline
 
 
-def _run_both(duration_s: float, build_kwargs: dict, **fleet_kwargs):
-    """The same mediator advanced by the fleet and by the plain loop."""
+def _loop_for(m: PowerMediator, duration_s: float) -> None:
+    """The reference: ``run_for``'s scalar loop, written out with ``step()``."""
+    end = m.server.now_s + duration_s
+    while m.server.now_s < end - 1e-9:
+        m.step()
+
+
+def _run_both(duration_s: float, build_kwargs: dict):
+    """The same mediator advanced by the fleet and by the literal loop."""
     fast = _build(**build_kwargs)
     ref = _build(**build_kwargs)
-    fleet = MediatedFleet([fast], **fleet_kwargs)
+    fleet = MediatedFleet([fast])
     fleet.run_for(duration_s)
-    ref.run_for(duration_s)
+    _loop_for(ref, duration_s)
     _assert_pair_equal(fast, ref)
     return fleet
 
@@ -223,7 +237,10 @@ def test_fleet_equals_loop_across_regimes(engine, policy, mix_id, cap):
     fleet = _run_both(
         20.0, dict(engine=engine, mix_id=mix_id, policy=policy, cap=cap)
     )
-    if policy == "util-unaware":
+    if engine == "scalar":
+        # A scalar-engine run_for is the literal loop: no segment, no count.
+        assert fleet.fast_ticks == fleet.scalar_ticks == 0
+    elif policy == "util-unaware":
         # Between slot edges the rotation only advances its cursor, so the
         # fleet replays those ticks and walks each edge on the scalar path.
         assert fleet.fast_ticks > 0
@@ -251,15 +268,15 @@ def test_fleet_equals_loop_when_apps_complete():
 def _segment_spy(monkeypatch) -> list[tuple[int, int, list]]:
     """Record ``(first tick index, k, trust_flush)`` of every flush."""
     flushed: list[tuple[int, int, list]] = []
-    flush = MediatedFleet._flush_segment
+    flush = planner._flush_segment
 
-    def spy(self, m, k, **kwargs):
+    def spy(m, k, **kwargs):
         # Read before the flush writes: (record, cooldown0, new fingerprint).
         trust = [(r, r.fingerprint, fp) for r, _, fp in kwargs["trust_flush"]]
         flushed.append((len(m.timeline), k, trust))
-        flush(self, m, k, **kwargs)
+        flush(m, k, **kwargs)
 
-    monkeypatch.setattr(MediatedFleet, "_flush_segment", spy)
+    monkeypatch.setattr(planner, "_flush_segment", spy)
     return flushed
 
 
@@ -272,7 +289,7 @@ def test_fleet_replays_up_to_the_completion_tick(monkeypatch):
     # before completion, and the scalar path take the completion tick.
     build = dict(engine="vector", mix_id=1, n_apps=1)
     probe = _build(**build)
-    probe.run_for(0.2)
+    _loop_for(probe, 0.2)
     ((name, first),) = probe.timeline[0].progressed.items()
     work = probe.timeline[1].progressed[name]
     for m in range(30, 200):
@@ -287,7 +304,7 @@ def test_fleet_replays_up_to_the_completion_tick(monkeypatch):
     fast, ref = _build(**build), _build(**build)
     fleet = MediatedFleet([fast])
     fleet.run_for((clean + 10) * 0.1)
-    ref.run_for((clean + 10) * 0.1)
+    _loop_for(ref, (clean + 10) * 0.1)
     _assert_pair_equal(fast, ref)
     # Timeline index i is tick i + 1: the clean ticks are 1..clean, and
     # the job completes on index clean + 1.
@@ -314,7 +331,7 @@ def test_fleet_folds_a_changed_trust_fingerprint(monkeypatch, cooldown):
         fast.set_power_cap(cap)
         ref.set_power_cap(cap)
         fleet.run_for(1.5)
-        ref.run_for(1.5)
+        _loop_for(ref, 1.5)
         _assert_pair_equal(fast, ref)
     assert any(old != new for *_, trust in flushed for _, old, new in trust)
     assert "trust-fingerprint" not in fleet.demotions
@@ -333,7 +350,7 @@ def test_fleet_equals_loop_across_mid_run_cap_changes():
         fast.set_power_cap(cap)
         ref.set_power_cap(cap)
         fleet.run_for(6.0)
-        ref.run_for(6.0)
+        _loop_for(ref, 6.0)
     _assert_pair_equal(fast, ref)
 
 
@@ -344,9 +361,9 @@ def test_composed_fleet_equals_loop_through_calibration_slots_and_debt(
     # arrives mid-run, caps change, a TIME mediator crosses two slot edges,
     # and a suspended app holds resume debt it has not repaid.
     flushed: list[tuple[CoordinationMode, bool]] = []
-    flush = MediatedFleet._flush_segment
+    flush = planner._flush_segment
 
-    def spy(self, m, k, **kwargs):
+    def spy(m, k, **kwargs):
         server = m.server
         active = set(server.active_applications())
         frozen_debt = any(
@@ -354,9 +371,9 @@ def test_composed_fleet_equals_loop_through_calibration_slots_and_debt(
             for name, handle in server._handles.items()
         )
         flushed.append((kwargs["mode"], frozen_debt))
-        flush(self, m, k, **kwargs)
+        flush(m, k, **kwargs)
 
-    monkeypatch.setattr(MediatedFleet, "_flush_segment", spy)
+    monkeypatch.setattr(planner, "_flush_segment", spy)
 
     def build() -> list[PowerMediator]:
         return [
@@ -387,7 +404,7 @@ def test_composed_fleet_equals_loop_through_calibration_slots_and_debt(
 
     def loop(duration_s: float) -> None:
         for m in ref:
-            m.run_for(duration_s)
+            _loop_for(m, duration_s)
 
     for _ in zip(drive(fast, fleet.run_for), drive(ref, loop)):
         for f, r in zip(fast, ref):
@@ -401,20 +418,59 @@ def test_composed_fleet_equals_loop_through_calibration_slots_and_debt(
     assert "time-rotation" not in fleet.demotions
 
 
-def test_trace_attached_mediators_stay_scalar_and_equal():
-    # Fast segments cannot synthesize per-tick trace events, so a mediator
-    # with a live bus must demote every tick - and still match the loop's
-    # event stream byte for byte.
-    fast_bus, ref_bus = TraceBus(), TraceBus()
-    fast = _build(engine="vector", mix_id=5, trace_bus=fast_bus)
-    ref = _build(engine="vector", mix_id=5, trace_bus=ref_bus)
-    fleet = MediatedFleet([fast])
-    fleet.run_for(5.0)
-    ref.run_for(5.0)
-    assert fleet.fast_ticks == 0
-    assert "trace-attached" in fleet.demotions
-    assert fast_bus.events == ref_bus.events
-    _assert_pair_equal(fast, ref)
+#: The paper-mixes regimes: (policy, cap, the mode the run settles in).
+REGIMES = (
+    ("app+res-aware", 100.0, CoordinationMode.SPACE),
+    ("app+res-aware", 80.0, CoordinationMode.TIME),
+    ("app+res+esd-aware", 80.0, CoordinationMode.ESD),
+)
+
+
+def test_traced_mediators_take_fast_ticks_and_equal_the_loop(monkeypatch):
+    # A replayed tick emits what a steady scalar tick does: the cursor, the
+    # tick event and, while the battery flows, the battery event. Between
+    # run_for calls the cursor must sit where the loop leaves it, so the
+    # cap change between the two legs is stamped alike.
+    flushed = _segment_spy(monkeypatch)
+    for policy, cap, mode in REGIMES:
+        flushed.clear()
+        build = dict(engine="vector", mix_id=10, policy=policy, cap=cap)
+        fast_bus, ref_bus = TraceBus(), TraceBus()
+        fast = _build(**build, trace_bus=fast_bus)
+        ref = _build(**build, trace_bus=ref_bus)
+        for m, advance in ((fast, fast.run_for), (ref, lambda d: _loop_for(ref, d))):
+            advance(6.0)
+            m.set_power_cap(cap - 5.0)
+            advance(6.0)
+        _assert_pair_equal(fast, ref)
+        assert fast_bus.events == ref_bus.events
+        assert fast_bus.content_hash() == ref_bus.content_hash()
+        assert fast.fast_path.fast_ticks > 0, fast.fast_path.demotions
+        assert "trace-attached" not in fast.fast_path.demotions
+        assert any(r.mode is mode for r in fast.timeline)
+        replayed = {
+            index for start, k, _ in flushed for index in range(start, start + k)
+        }
+        kinds = {e.kind for e in fast_bus.events if e.tick in replayed}
+        assert "tick" in kinds
+        if mode is CoordinationMode.ESD:
+            assert "battery" in kinds
+
+
+def test_a_finished_fast_run_is_freed_without_a_collection():
+    # The fast-path counts live on the mediator and hold no reference back
+    # to it: a cycle would keep every finished run, timeline and all, alive
+    # until a full collection.
+    m = _build(engine="vector", mix_id=10, trace_bus=TraceBus())
+    m.run_for(3.0)
+    assert m.fast_path.fast_ticks > 0
+    ref = weakref.ref(m)
+    gc.disable()
+    try:
+        del m
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_heterogeneous_fleet_advances_every_member():
@@ -429,10 +485,46 @@ def test_heterogeneous_fleet_advances_every_member():
     fleet = MediatedFleet(mediators)
     fleet.run_for(12.0)
     for fast, ref in zip(mediators, refs):
-        ref.run_for(12.0)
+        _loop_for(ref, 12.0)
         assert math.isclose(fast.server.now_s, 12.0)
         _assert_pair_equal(fast, ref)
     assert fleet.fast_ticks + fleet.scalar_ticks == 4 * 120
+    assert fleet.fast_segments == sum(m.fast_path.segments for m in mediators)
+
+
+@pytest.mark.parametrize("mix_id", [1, 8, 14])
+@pytest.mark.parametrize("policy,cap,_mode", REGIMES, ids=["space", "time", "esd"])
+def test_default_engine_runs_equal_the_scalar_reference(mix_id, policy, cap, _mode):
+    # The experiment drivers default to the vector engine, so their runs
+    # take fast segments, traced; the scalar engine stays the reference.
+    runs = {}
+    for engine in (None, "scalar"):
+        bus = TraceBus()
+        result = run_mix_experiment(
+            list(get_mix(mix_id).profiles()),
+            policy,
+            cap,
+            mix_id=mix_id,
+            duration_s=4.0,
+            warmup_s=2.0,
+            seed=mix_id,
+            trace_bus=bus,
+            **({} if engine is None else {"engine": engine}),
+        )
+        metrics = dict(result.metrics)
+        profile = metrics.pop("profile")
+        runs[engine] = (result, metrics, profile, trace_hash(bus.events))
+    fast, fast_metrics, profile, fast_hash = runs[None]
+    ref, ref_metrics, ref_profile, ref_hash = runs["scalar"]
+    assert fast.normalized_throughput == ref.normalized_throughput
+    assert fast.power_share == ref.power_share
+    assert fast.server_throughput == ref.server_throughput
+    assert fast.mean_wall_power_w == ref.mean_wall_power_w
+    assert fast_metrics == ref_metrics
+    assert fast.fault_stats.state_dict() == ref.fault_stats.state_dict()
+    assert fast_hash == ref_hash
+    assert profile["fast_path"]["fast_ticks"] > 0
+    assert "fast_path" not in ref_profile
 
 
 # ------------------------------------------------------------- validation
@@ -444,8 +536,6 @@ def test_fleet_rejects_bad_construction():
     with pytest.raises(ConfigurationError):
         MediatedFleet([object()])
     good = _build(engine="scalar", mix_id=1)
-    with pytest.raises(ConfigurationError):
-        MediatedFleet([good], min_fast_ticks=0)
     with pytest.raises(ConfigurationError):
         MediatedFleet([good]).run_for(0.0)
 
@@ -492,7 +582,8 @@ def test_fuzzed_fleet_runs_equal_the_loop(
     cooldown,
 ):
     # One leg per cap: the cap changes between legs, jobs with finite work
-    # complete mid-run, and the defense cooldown varies.
+    # complete mid-run, the defense cooldown varies, and so does the
+    # shortest segment the planner takes.
     from repro.errors import ReproError
 
     kwargs = dict(
@@ -508,20 +599,22 @@ def test_fuzzed_fleet_runs_equal_the_loop(
 
     def drive(fleet: bool) -> PowerMediator:
         m = _build(**kwargs)
-        advance = (
-            MediatedFleet([m], min_fast_ticks=min_fast).run_for if fleet else m.run_for
-        )
         for leg, cap in enumerate(caps):
             if leg:
                 m.set_power_cap(float(cap))
-            advance(duration)
+            if fleet:
+                m.run_for(duration)
+            else:
+                _loop_for(m, duration)
         return m
 
-    try:
-        ref = drive(fleet=False)
-    except ReproError as ref_exc:
-        with pytest.raises(type(ref_exc)) as fast_exc:
-            drive(fleet=True)
-        assert str(fast_exc.value) == str(ref_exc)
-        return
-    _assert_pair_equal(drive(fleet=True), ref)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(planner, "MIN_FAST_TICKS", min_fast)
+        try:
+            ref = drive(fleet=False)
+        except ReproError as ref_exc:
+            with pytest.raises(type(ref_exc)) as fast_exc:
+                drive(fleet=True)
+            assert str(fast_exc.value) == str(ref_exc)
+            return
+        _assert_pair_equal(drive(fleet=True), ref)

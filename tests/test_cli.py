@@ -585,6 +585,40 @@ class TestObservabilityFlags:
         phase_lines = [l for l in out.splitlines() if l.startswith("  ")]
         assert 1 <= len(phase_lines) <= 3
 
+    def test_trace_summarize_shows_the_fast_path(self, capsys, tmp_path):
+        import json
+        import re
+
+        paths = {}
+        for engine in ("vector", "scalar"):
+            trace_path = tmp_path / f"{engine}.jsonl"
+            metrics_path = tmp_path / f"{engine}-metrics.json"
+            extra = [] if engine == "vector" else ["--engine", "scalar"]
+            assert main(_mix_args(trace_path, metrics_path, extra)) == 0
+            paths[engine] = trace_path, metrics_path
+        capsys.readouterr()
+        trace_path, metrics_path = paths["vector"]  # the default engine
+        fast = json.loads(metrics_path.read_text())["profile"]["fast_path"]
+        assert main(
+            ["trace", "summarize", str(trace_path), "--metrics", str(metrics_path)]
+        ) == 0
+        line = next(l for l in capsys.readouterr().out.splitlines() if "fast path" in l)
+        match = re.fullmatch(
+            r"fast path: (\d+) of 60 ticks in (\d+) segments; demotions: (.+)", line
+        )
+        assert match, line
+        assert int(match[1]) == fast["fast_ticks"] > 0
+        assert int(match[2]) == fast["segments"]
+        demotions = dict(pair.split("=") for pair in match[3].split(", "))
+        assert {k: int(v) for k, v in demotions.items()} == fast["demotions"]
+        assert sum(fast["demotions"].values()) == 60 - fast["fast_ticks"]
+        # The scalar reference counts nothing, and prints no such line.
+        trace_path, metrics_path = paths["scalar"]
+        assert main(
+            ["trace", "summarize", str(trace_path), "--metrics", str(metrics_path)]
+        ) == 0
+        assert "fast path" not in capsys.readouterr().out
+
     def test_trace_summarize_missing_metrics_file_exits_2(self, capsys, tmp_path):
         trace_path = tmp_path / "run.jsonl"
         main(_mix_args(trace_path))

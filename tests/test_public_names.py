@@ -69,7 +69,7 @@ DUCK_TYPED = {
     "VectorPerformanceModel.surface_of": "src/repro/core/utility.py:92",
     "VectorPowerModel.surface_of": "src/repro/core/utility.py:92",
     "NetStats.to_dict": "src/repro/hierarchy/runner.py:448",
-    "Histogram.observe": "src/repro/core/mediator.py:1109",
+    "Histogram.observe": "src/repro/core/mediator.py:1187",
     "JournalWriter.close": "src/repro/persistence/supervisor.py:262",
 }
 
@@ -79,7 +79,6 @@ SETTABLE = {
     # A pin sets it, so removing it would delete a case the pin checks.
     "run_mix_experiment(adversaries=)": _PIN + "the differential suite",
     "DefenseConfig.cooldown_ticks": _PIN + "the fleet-vs-loop fuzz and fingerprint tests",
-    "MediatedFleet(min_fast_ticks=)": _PIN + "the fleet-vs-loop fuzz and fingerprint tests",
     "run_spec(defense=)": _PIN + "the golden traces' defense-invariance check",
     "run_hierarchy_chaos(trace_bus=)": _PIN + "the tree goldens",
     "run_hierarchy_chaos(metrics=)": _PIN + "the tree goldens",
