@@ -87,6 +87,10 @@ class ConsolidationPlanner:
         self._power = PowerModel(config, self._perf)
         self.migration_downtime_s = migration_downtime_s
 
+    @property
+    def config(self) -> ServerConfig:
+        return self._config
+
     def server_load(
         self, apps: list[WorkloadProfile]
     ) -> tuple[float, dict[str, float]]:
@@ -265,7 +269,7 @@ class ConsolidationWalker:
         )
         self._since_replan_s += step_s
         offered = {p.name for p in apps}
-        rated = self._planner._config.uncapped_power_w  # noqa: SLF001
+        rated = self._planner.config.uncapped_power_w
 
         replan_due = self._plan is None or self._since_replan_s >= self._replan_interval_s
         if replan_due:

@@ -35,6 +35,7 @@ from repro.core.events import (
     event_to_dict,
 )
 from repro.server.server import SimulatedServer, TickResult
+from repro.util.folds import HORIZON_MARGIN
 from repro.workloads.profiles import WorkloadProfile
 
 
@@ -96,6 +97,15 @@ class Accountant:
         event = ArrivalEvent(time_s=self._server.now_s, profile=profile)
         self._log.append(event)
         self.trace_bus.emit("arrival", {"at_s": event.time_s, "app": profile.name})
+        return event
+
+    def notify_departure(self, app: str, *, completed: bool) -> DepartureEvent:
+        """E3: ``app`` left the server, by completing or by force."""
+        event = DepartureEvent(time_s=self._server.now_s, app=app, completed=completed)
+        self._log.append(event)
+        self.trace_bus.emit(
+            "departure", {"at_s": event.time_s, "app": app, "completed": completed}
+        )
         return event
 
     def adopt_plan(self, plan: AllocationPlan) -> None:
@@ -189,14 +199,9 @@ class Accountant:
                 the application's behaviour, and re-calibrating from it
                 would poison the utility estimates.
         """
-        events: list[Event] = []
-        for name in result.completed:
-            event = DepartureEvent(time_s=result.time_s, app=name, completed=True)
-            self._log.append(event)
-            self.trace_bus.emit(
-                "departure", {"at_s": result.time_s, "app": name, "completed": True}
-            )
-            events.append(event)
+        events: list[Event] = [
+            self.notify_departure(name, completed=True) for name in result.completed
+        ]
         if (
             telemetry_fresh
             and self._plan is not None
@@ -236,3 +241,29 @@ class Accountant:
                     self._suppressed.add(name)
                     self._deviation_counts[name] = 0
         return events
+
+    def steady_polls(self, app_w: dict[str, float]) -> float:
+        """Polls at these draws before an E4 streak may fire, less the margin."""
+        horizon = math.inf
+        for name, deviating in self._streaks(app_w):
+            if deviating:
+                count = self._deviation_counts.get(name, 0)
+                horizon = min(horizon, DEVIATION_POLLS - count - HORIZON_MARGIN)
+        return horizon
+
+    def fold_polls(self, app_w: dict[str, float], k: int) -> None:
+        """What ``k`` E4-free :meth:`poll` calls at these draws leave."""
+        for name, deviating in self._streaks(app_w):
+            count = self._deviation_counts.get(name, 0)
+            self._deviation_counts[name] = count + k if deviating else 0
+
+    def _streaks(self, app_w: dict[str, float]) -> list[tuple[str, bool]]:
+        """``(app, deviating)`` for each app :meth:`poll` tracks at these draws."""
+        plan = self._plan
+        if plan is None or plan.mode is not CoordinationMode.SPACE or plan.allocation is None:
+            return []
+        return [
+            (name, abs(app_w[name] - expected.power_w) > DEVIATION_THRESHOLD_W)
+            for name, expected in plan.allocation.apps.items()
+            if not expected.excluded and name not in self._suppressed and name in app_w
+        ]

@@ -25,6 +25,7 @@ about *why* the plan looks the way it does.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError, SimulationError
@@ -33,6 +34,7 @@ from repro.esd.controller import DutyCycle, EsdController, Phase
 from repro.observability.trace import NULL_TRACE_BUS, TraceBus
 from repro.server.config import KnobSetting
 from repro.server.server import SimulatedServer
+from repro.util.folds import HORIZON_MARGIN, _seq_add_final
 
 
 class CoordinationMode(enum.Enum):
@@ -108,14 +110,7 @@ class AllocationPlan:
                 }
                 for slot in self.slots
             ],
-            "duty_cycle": None
-            if self.duty_cycle is None
-            else {
-                "off_s": self.duty_cycle.off_s,
-                "on_s": self.duty_cycle.on_s,
-                "charge_w": self.duty_cycle.charge_w,
-                "discharge_w": self.duty_cycle.discharge_w,
-            },
+            "duty_cycle": None if self.duty_cycle is None else self.duty_cycle.to_dict(),
         }
 
     @classmethod
@@ -141,14 +136,7 @@ class AllocationPlan:
                 )
                 for slot in data["slots"]
             ),
-            duty_cycle=None
-            if cycle is None
-            else DutyCycle(
-                off_s=float(cycle["off_s"]),
-                on_s=float(cycle["on_s"]),
-                charge_w=float(cycle["charge_w"]),
-                discharge_w=float(cycle["discharge_w"]),
-            ),
+            duty_cycle=None if cycle is None else DutyCycle.from_dict(cycle),
         )
 
 
@@ -234,6 +222,50 @@ class Coordinator:
             return self._step_esd(dt_s)
         # IDLE: stay suspended; deep-sleep to fit under a sub-P_cm cap.
         return CoordinatorAction(deep_sleep=True)
+
+    def steady_step(self, dt_s: float) -> tuple[str, CoordinatorAction, float]:
+        """What :meth:`step` repeats while the plan runs steady, and for how
+        many ticks, less the margin; or why the next step is not steady."""
+        assert self._plan is not None
+        mode, esd = self._plan.mode, self._esd
+        deep = mode is CoordinationMode.IDLE
+        if mode is CoordinationMode.ESD:
+            assert esd is not None
+            deep = esd.phase is Phase.OFF
+            if not esd.battery.available:
+                return "battery-unavailable", CoordinatorAction(), 0.0
+            if self._esd_on is deep or (deep and esd.cycle.off_s <= 0):
+                return "esd-edge", CoordinatorAction(), 0.0
+        if deep and self._server.active_applications():
+            idle = mode is CoordinationMode.IDLE
+            return "idle-active-apps" if idle else "esd-active-in-off", CoordinatorAction(), 0.0
+        if self._server.sleep.in_deep_sleep is not deep:
+            return "sleep-state", CoordinatorAction(), 0.0
+        if mode is CoordinationMode.TIME:
+            # Between slot edges the rotation only advances its cursor.
+            slot = self._plan.slots[self._slot_index]
+            edge = math.floor((slot.duration_s - self._slot_elapsed_s) / dt_s)
+            return "", CoordinatorAction(), edge - HORIZON_MARGIN
+        if mode is not CoordinationMode.ESD:
+            return "", CoordinatorAction(deep_sleep=deep), math.inf
+        if deep:
+            reason, charge_w, ticks = esd.steady_bank(dt_s)
+            return reason, CoordinatorAction(esd_charge_w=charge_w, deep_sleep=True), ticks
+        reason, discharge_w, ticks = esd.steady_boost(dt_s, self._esd_required_w(dt_s))
+        return reason, CoordinatorAction(esd_discharge_w=discharge_w), ticks
+
+    def fold_steps(self, dt_s: float, k: int) -> list[float] | None:
+        """What ``k`` steady :meth:`step` calls leave; returns each SoC
+        while the battery flows."""
+        assert self._plan is not None
+        if self._plan.mode is CoordinationMode.TIME:
+            self._slot_elapsed_s = _seq_add_final(self._slot_elapsed_s, dt_s, k)
+        elif self._plan.mode is CoordinationMode.ESD:
+            assert self._esd is not None
+            if self._esd.phase is Phase.OFF:
+                return self._esd.fold_bank(dt_s, k)
+            return self._esd.fold_boost(dt_s, k, self._esd_required_w(dt_s))
+        return None
 
     # ---------------------------------------------------------- persistence
 

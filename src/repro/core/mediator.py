@@ -38,7 +38,9 @@ can lie.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import count, repeat
 
 import numpy as np
 
@@ -81,6 +83,8 @@ from repro.observability.metrics import MetricsRegistry
 from repro.observability.profiling import PhaseProfiler
 from repro.observability.trace import NULL_TRACE_BUS, TraceBus
 from repro.server.config import KnobSetting
+from repro.server.heartbeats import WINDOW_S
+from repro.server.power_model import PowerBreakdown
 from repro.server.rapl import energy_delta_j
 from repro.server.server import ApplicationHandle, SimulatedServer
 from repro.workloads.catalog import CATALOG
@@ -219,36 +223,6 @@ def _suffix(items: list, start: int, name: str) -> list:
     if not 0 <= start <= len(items):
         raise ValueError(f"{name} must be in [0, {len(items)}], got {start}")
     return items[start:]
-
-
-def _handle_to_dict(handle: ApplicationHandle) -> dict:
-    """JSON form of a departed application's final handle."""
-    return {
-        "profile": handle.profile.to_dict(),
-        "admitted_at_s": handle.admitted_at_s,
-        "work_done": handle.work_done,
-        "completed": handle.completed,
-        "completed_at_s": handle.completed_at_s,
-        "resume_debt_s": handle.resume_debt_s,
-        "resumes": handle.resumes,
-        "hung": handle.hung,
-    }
-
-
-def _handle_from_dict(name: str, data: dict) -> ApplicationHandle:
-    """Inverse of :func:`_handle_to_dict`."""
-    completed_at = data["completed_at_s"]
-    return ApplicationHandle(
-        name=name,
-        profile=WorkloadProfile.from_dict(data["profile"]),
-        admitted_at_s=float(data["admitted_at_s"]),
-        work_done=float(data["work_done"]),
-        completed=bool(data["completed"]),
-        completed_at_s=None if completed_at is None else float(completed_at),
-        resume_debt_s=float(data["resume_debt_s"]),
-        resumes=int(data["resumes"]),
-        hung=bool(data["hung"]),
-    )
 
 
 @dataclass
@@ -624,7 +598,7 @@ class PowerMediator:
             "finished": [
                 {
                     "app": name,
-                    "handle": _handle_to_dict(self._finished[name]),
+                    "handle": self._finished[name].to_dict(),
                     "peak_rate": float(self._finished_peaks[name]),
                 }
                 for name in _suffix(self._departures, finished_from, "finished_from")
@@ -728,7 +702,7 @@ class PowerMediator:
         self._finished, self._finished_peaks, self._departures = {}, {}, []
         for entry in state["finished"]:
             name = entry["app"]
-            self._finished[name] = _handle_from_dict(name, entry["handle"])
+            self._finished[name] = ApplicationHandle.from_dict(name, entry["handle"])
             self._finished_peaks[name] = float(entry["peak_rate"])
             self._departures.append(name)
         self._oracle = {}
@@ -750,16 +724,8 @@ class PowerMediator:
         esd = None
         if state["esd_controller"] is not None:
             assert self._battery is not None
-            cycle = state["esd_controller"]["cycle"]
-            esd = EsdController(
-                self._battery,
-                DutyCycle(
-                    off_s=float(cycle["off_s"]),
-                    on_s=float(cycle["on_s"]),
-                    charge_w=float(cycle["charge_w"]),
-                    discharge_w=float(cycle["discharge_w"]),
-                ),
-            )
+            cycle = DutyCycle.from_dict(state["esd_controller"]["cycle"])
+            esd = EsdController(self._battery, cycle)
             esd.load_state_dict(state["esd_controller"])
         self._coordinator.load_state_dict(state["coordinator"], esd_controller=esd)
         self._accountant.load_state_dict(
@@ -828,13 +794,7 @@ class PowerMediator:
         self._actuation_faulted.discard(app)
         if not completed:
             # Natural completions were already logged by the Accountant.
-            self._accountant._log.append(  # noqa: SLF001 - mediator is the owner
-                DepartureEvent(time_s=self._server.now_s, app=app, completed=False)
-            )
-            self._trace.emit(
-                "departure",
-                {"at_s": self._server.now_s, "app": app, "completed": False},
-            )
+            self._accountant.notify_departure(app, completed=False)
         if self._managed:
             self.reallocate()
         return handle
@@ -938,12 +898,7 @@ class PowerMediator:
                 for name, a in plan.allocation.apps.items()
             }
         if plan.duty_cycle is not None:
-            payload["duty_cycle"] = {
-                "on_s": plan.duty_cycle.on_s,
-                "off_s": plan.duty_cycle.off_s,
-                "charge_w": plan.duty_cycle.charge_w,
-                "discharge_w": plan.duty_cycle.discharge_w,
-            }
+            payload["duty_cycle"] = plan.duty_cycle.to_dict()
         self._trace.emit("allocation", payload)
 
     def _battery_trusted(self) -> bool:
@@ -1180,6 +1135,131 @@ class PowerMediator:
             self._safe_hold_ticks -= 1
             if self._safe_hold_ticks == 0 and self._managed:
                 self.reallocate()  # the hold expired: restore the full cap
+
+    # ------------------------------------------------------ steady ticks
+
+    def steady_reason(self) -> str:
+        """Why the next tick is not a steady one a fast segment may replay
+        (``""`` when it is): anything event-driven, or a component not yet
+        settled. :func:`repro.engine.planner.advance` counts the reason."""
+        server = self._server
+        if self._injector is not None:
+            return "fault-injector"
+        if self._adversary.specs():
+            return "adversary"
+        if self._safe_hold_ticks > 0:
+            return "safe-hold"
+        if self._breach_last_tick:
+            return "breach-recovery"
+        if self._watchdog.degraded:
+            return "watchdog-degraded"
+        if server.knobs.failed_writes() or not self._retrier.idle or self._actuation_faulted:
+            return "actuation-retry"
+        if server.heartbeats.in_blackout:
+            return "hb-blackout"
+        plan = self._coordinator.plan
+        if plan is None:
+            return "no-plan"
+        if not self._timeline:
+            return "cold-start"
+        reason = server.steady_tick_reason()
+        if reason:
+            return reason
+        if any(managed.phased is not None for managed in self._managed.values()):
+            return "phase-schedule"
+        if not server.heartbeats.all_reported():
+            return "cold-start"
+        if self._last_psys_energy_j != server.rapl.read_energy_j("psys"):
+            return "telemetry-resync"
+        if plan.mode is CoordinationMode.ESD:
+            esd = self._coordinator.esd_controller
+            if esd is None or esd.battery is not self._battery:
+                return "esd-wiring"
+        return ""
+
+    def steady_defense(
+        self, breakdown: PowerBreakdown, work: dict[str, float]
+    ) -> tuple[str, float, list[AppObservation]]:
+        """The cap and trust checks of steady ticks at ``breakdown``: why
+        they fail, or how many ticks the scorer stays quiet and what
+        :meth:`TrustScorer.fold_clean` replays."""
+        if breakdown.wall_w > self.p_cap_w + 1e-6:
+            return "cap-breach", 0.0, []
+        if not (self._trust.config.enabled and self._managed):
+            return "", math.inf, []
+        server = self._server
+        power, perf = server.power_model, server.perf_model
+        # The worst windowed rate: every slot filled with the largest beat
+        # the window can hold during the segment.
+        slots = math.floor(WINDOW_S / self._dt_s) + 2
+        observations = []
+        for name in sorted(self._managed):
+            profile, knob = self._managed[name].profile, server.knobs.knob_of(name)
+            running = name in breakdown.app_w
+            peak = max(work[name], server.heartbeats.peak_beats(name)) if running else 0.0
+            observations.append(
+                AppObservation(
+                    app=name,
+                    running=running,
+                    claimed_rate=slots * peak / WINDOW_S,
+                    attributed_w=breakdown.app_w.get(name, 0.0),
+                    expected_w=power.app_power_w(profile, knob) if running else 0.0,
+                    supported_rate=perf.rate(profile, knob) if running else 0.0,
+                    fingerprint=(knob.freq_ghz, knob.cores, knob.dram_power_w, running, -1),
+                )
+            )
+        reason, horizon = self._trust.steady_observe(observations)
+        return reason, horizon, observations
+
+    def fold_records(
+        self,
+        times: list[float],
+        psys_j: list[float],
+        socs: list[float] | None,
+        breakdown: PowerBreakdown,
+        work: dict[str, float],
+        action,
+    ) -> None:
+        """What steady :meth:`step` calls from each of ``times[:-1]`` record
+        after the engine: the wall-sensor readback of ``psys_j``, the
+        watchdog and retry loop, the timeline (``socs`` is ``None`` while
+        the battery does not flow), the trace and the metrics."""
+        dt, k = self._dt_s, len(times) - 1
+        observed = [
+            energy_delta_j(later, earlier) / dt
+            for earlier, later in zip([self._last_psys_energy_j, *psys_j], psys_j)
+        ]
+        self._last_psys_energy_j = psys_j[-1]
+        self._watchdog.fold_fresh(k)
+        self._retrier.fold_idle(k)
+        if socs is None:
+            socs = repeat(self._battery.soc if self._battery is not None else None, k)
+        # Records are frozen and nothing writes into their dicts, so the
+        # segment's k records share one set.
+        wall_w, cap_w, mode = breakdown.wall_w, self.p_cap_w, self._coordinator.plan.mode
+        charge_w, discharge_w = action.esd_charge_w, action.esd_discharge_w
+        app_power, progressed = dict(breakdown.app_w), dict(work)
+        app_knobs = {name: self._server.knobs.knob_of(name) for name in app_power}
+        records = [
+            TickRecord(t, cap_w, wall_w, mode, app_power, app_knobs, progressed, soc, seen_w)
+            for t, soc, seen_w in zip(times[1:], socs, observed)
+        ]
+        first = len(self._timeline)
+        self._timeline.extend(records)
+        # Each tick's cursor and events as the scalar loop emits them, so
+        # the cursor also ends where that loop leaves it.
+        if self._trace.active:
+            for index, start, record in zip(count(first), times, records):
+                self._trace.begin_tick(index, start)
+                for event in _tick_events(record, charge_w, discharge_w):
+                    self._trace.emit(*event)
+        self._metrics.counter("mediator.ticks").inc(k)
+        self._metrics.histogram("mediator.wall_w").observe_repeated(wall_w, k)
+        self._metrics.histogram("mediator.headroom_w").observe_repeated(cap_w - wall_w, k)
+        if charge_w > 0:
+            self._metrics.histogram("esd.charge_w").observe_repeated(charge_w, k)
+        if discharge_w > 0:
+            self._metrics.histogram("esd.discharge_w").observe_repeated(discharge_w, k)
 
     def _record_tick(self, record: TickRecord, action) -> None:
         """Feed the tick into the metrics registry and the trace bus."""

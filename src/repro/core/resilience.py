@@ -260,6 +260,11 @@ class TelemetryWatchdog:
             return "degraded"
         return None
 
+    def fold_fresh(self, k: int) -> None:
+        """What ``k`` fresh :meth:`observe` calls leave while not degraded."""
+        self._consecutive_good += k
+        self._consecutive_bad = 0
+
 
 @dataclass
 class _RetryState:
@@ -315,6 +320,15 @@ class ActuationRetrier:
             )
             for app, st in state["pending"].items()
         }
+
+    @property
+    def idle(self) -> bool:
+        """Whether no failed write awaits a retry."""
+        return not self._pending
+
+    def fold_idle(self, k: int) -> None:
+        """What ``k`` :meth:`service` calls with nothing failed leave."""
+        self._tick += k
 
     def service(self, stats: FaultStats) -> tuple[list[str], list[str]]:
         """Run one tick of the retry loop.

@@ -371,29 +371,21 @@ def run_dynamic_experiment(
 
     # Crashed apps also land in the finished registry (forced E3) - only a
     # handle that actually ran out of work counts as completed.
-    completed = tuple(
-        name
-        for name in admitted
-        if name in mediator._finished  # noqa: SLF001
-        and mediator.finished_handle(name).completed
-    )
-    crashed = tuple(
-        name
-        for name in admitted
-        if name in mediator._finished  # noqa: SLF001
-        and not mediator.finished_handle(name).completed
-    )
+    running = set(mediator.managed_apps())
+    finished = {n: mediator.finished_handle(n) for n in admitted if n not in running}
+    completed = tuple(name for name, handle in finished.items() if handle.completed)
+    crashed = tuple(name for name, handle in finished.items() if not handle.completed)
     # Per-app throughput over its *residency* (admission to completion, or
     # to the horizon for apps still running) - averaging over the whole
     # horizon would dilute finished apps with their own absence.
     throughputs = []
     for name in admitted:
         if name in completed:
-            handle = mediator.finished_handle(name)
+            handle = finished[name]
             end = handle.completed_at_s if handle.completed_at_s is not None else horizon_s
         elif name in crashed:
             # Residency ends at the crash; the work it did still counts.
-            handle = mediator.finished_handle(name)
+            handle = finished[name]
             end = server.now_s
         else:
             handle = server.handle_of(name)

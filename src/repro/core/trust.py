@@ -44,10 +44,12 @@ golden-trace regression pins this).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 from repro.errors import ConfigurationError
+from repro.util.folds import _seq_mul_final
 
 
 class TrustState(Enum):
@@ -153,7 +155,7 @@ class TrustTransition:
     strikes: int
 
 
-@dataclass(frozen=True)
+@dataclass
 class AppObservation:
     """One tick's evidence about one application, as the mediator sees it.
 
@@ -266,6 +268,52 @@ class TrustScorer:
             if transition is not None:
                 emitted.append(transition)
         return emitted
+
+    def steady_observe(self, observations: list[AppObservation]) -> tuple[str, float]:
+        """How many ticks :meth:`observe` stays quiet at ``observations``
+        (each ``claimed_rate`` the window's worst), or why it may not."""
+        if any(record.state is not TrustState.TRUSTED for record in self._records.values()):
+            return "trust-state", 0.0
+        horizon = math.inf
+        for obs in observations:
+            record = self._records.get(obs.app)
+            if record is None:
+                return "trust-cold", 0.0
+            # A changed operating point resets the cooldown on the first
+            # tick, where an unchanged one drains it: the same fold from
+            # one tick higher.
+            cooldown = self._steady_cooldown(record, obs)
+            if not record.score < SUSPECT_THRESHOLD:
+                return "trust-score", 0.0
+            if not obs.running:
+                continue
+            if obs.attributed_w > obs.expected_w + OVERDRAW_MARGIN_W:
+                return "trust-overdraw", 0.0
+            limit = obs.supported_rate * (1.0 + EFFICIENCY_MARGIN)
+            if not obs.claimed_rate <= limit * (1.0 - 1e-9):
+                # The efficiency check can fire at this knob: fold only
+                # while the cooldown holds it off.
+                if not cooldown > 0:
+                    return "trust-efficiency", 0.0
+                horizon = min(horizon, cooldown - 1)
+        return "", horizon
+
+    def fold_clean(self, observations: list[AppObservation], k: int) -> None:
+        """What ``k`` quiet :meth:`observe` calls leave: scores decay,
+        cooldowns drain."""
+        for obs in observations:
+            record = self._records[obs.app]
+            cooldown = self._steady_cooldown(record, obs)
+            record.fingerprint = obs.fingerprint
+            record.cooldown = max(cooldown - k, 0)
+            if record.score != 0.0:
+                record.score = _seq_mul_final(record.score, SCORE_DECAY, k)
+
+    def _steady_cooldown(self, record: TrustRecord, obs: AppObservation) -> int:
+        """The cooldown a quiet fold at ``obs`` drains from."""
+        if record.fingerprint == obs.fingerprint:
+            return record.cooldown
+        return self._config.cooldown_ticks + 1
 
     def _observe_one(
         self, tick: int, obs: AppObservation

@@ -32,9 +32,11 @@ cases.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import BatteryError, ConfigurationError
+from repro.util.folds import HORIZON_MARGIN, _seq_add, _seq_add_final
 
 
 @dataclass(frozen=True)
@@ -317,6 +319,30 @@ class LeadAcidBattery:
         self._total_stored_j += storable_j
         return wall_j / dt_s
 
+    def steady_charge(self, power_w: float, dt_s: float) -> tuple[str, float, float]:
+        """:meth:`charge`'s wall draw and how many ticks, less the margin,
+        it repeats unclipped; ``"battery-clip"`` if the next one clips."""
+        storable_j = min(self._efficiency * power_w * dt_s, self.headroom_j)
+        if storable_j <= 0.0:
+            return "", 0.0, math.inf
+        if storable_j != self._efficiency * power_w * dt_s:
+            return "battery-clip", 0.0, 0.0
+        ticks = math.floor(self.headroom_j / storable_j) - HORIZON_MARGIN
+        return "", storable_j / self._efficiency / dt_s, ticks
+
+    def fold_charge(self, power_w: float, dt_s: float, k: int) -> list[float]:
+        """What ``k`` unclipped :meth:`charge` calls leave; returns each SoC."""
+        storable_j = min(self._efficiency * power_w * dt_s, self.headroom_j)
+        if storable_j <= 0.0:
+            return [self.soc] * k
+        stored = _seq_add(self._stored_j, storable_j, k)
+        self._stored_j = stored[-1]
+        self._total_charged_j = _seq_add_final(
+            self._total_charged_j, storable_j / self._efficiency, k
+        )
+        self._total_stored_j = _seq_add_final(self._total_stored_j, storable_j, k)
+        return [s / self._capacity_j for s in stored[1:]]
+
     def discharge(self, power_w: float, dt_s: float) -> float:
         """Discharge at ``power_w`` for ``dt_s``; returns the power delivered.
 
@@ -342,3 +368,26 @@ class LeadAcidBattery:
         self._stored_j -= deliverable_j
         self._total_discharged_j += deliverable_j
         return deliverable_j / dt_s
+
+    def steady_discharge(self, power_w: float, dt_s: float) -> tuple[str, float, float]:
+        """As :meth:`steady_charge`, for :meth:`discharge`. Twice the margin:
+        ``EsdController.can_boost`` also needs ``usable_j / dt`` above it."""
+        deliverable_j = min(power_w * dt_s, self.usable_j)
+        if deliverable_j != power_w * dt_s:
+            return "battery-clip", 0.0, 0.0
+        if deliverable_j <= 0.0:
+            return "", 0.0, math.inf
+        ticks = math.floor(self.usable_j / deliverable_j) - 2 * HORIZON_MARGIN
+        return "", deliverable_j / dt_s, ticks
+
+    def fold_discharge(self, power_w: float, dt_s: float, k: int) -> list[float]:
+        """What ``k`` unclipped :meth:`discharge` calls leave; returns each SoC."""
+        deliverable_j = min(power_w * dt_s, self.usable_j)
+        if deliverable_j <= 0.0:
+            return [self.soc] * k
+        stored = _seq_add(self._stored_j, -deliverable_j, k)
+        self._stored_j = stored[-1]
+        self._total_discharged_j = _seq_add_final(
+            self._total_discharged_j, deliverable_j, k
+        )
+        return [s / self._capacity_j for s in stored[1:]]

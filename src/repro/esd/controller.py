@@ -26,10 +26,12 @@ the corresponding battery flow with :meth:`EsdController.bank` or
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, PowerBudgetError
 from repro.esd.battery import LeadAcidBattery
+from repro.util.folds import HORIZON_MARGIN, _seq_add_final
 
 
 @dataclass(frozen=True)
@@ -56,6 +58,25 @@ class DutyCycle:
     def on_fraction(self) -> float:
         """Fraction of wall-clock time the applications execute."""
         return self.on_s / self.period_s if self.period_s > 0 else 0.0
+
+    def to_dict(self) -> dict:
+        """JSON form, used by checkpoints."""
+        return {
+            "off_s": self.off_s,
+            "on_s": self.on_s,
+            "charge_w": self.charge_w,
+            "discharge_w": self.discharge_w,
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "DutyCycle":
+        """Inverse of :meth:`to_dict`."""
+        return cls(
+            off_s=float(data["off_s"]),
+            on_s=float(data["on_s"]),
+            charge_w=float(data["charge_w"]),
+            discharge_w=float(data["discharge_w"]),
+        )
 
 
 class Phase(enum.Enum):
@@ -152,6 +173,10 @@ class EsdController:
         self._phase_elapsed_s = 0.0
 
     @property
+    def battery(self) -> LeadAcidBattery:
+        return self._battery
+
+    @property
     def cycle(self) -> DutyCycle:
         return self._cycle
 
@@ -167,12 +192,7 @@ class EsdController:
     def state_dict(self) -> dict:
         """Snapshot the schedule and phase machine for checkpointing."""
         return {
-            "cycle": {
-                "off_s": self._cycle.off_s,
-                "on_s": self._cycle.on_s,
-                "charge_w": self._cycle.charge_w,
-                "discharge_w": self._cycle.discharge_w,
-            },
+            "cycle": self._cycle.to_dict(),
             "phase": self._phase.value,
             "phase_elapsed_s": self._phase_elapsed_s,
         }
@@ -184,13 +204,7 @@ class EsdController:
         cycle, which would restart the machine in OFF regardless of where
         the checkpointed run actually was within its period.
         """
-        cycle = state["cycle"]
-        self._cycle = DutyCycle(
-            off_s=float(cycle["off_s"]),
-            on_s=float(cycle["on_s"]),
-            charge_w=float(cycle["charge_w"]),
-            discharge_w=float(cycle["discharge_w"]),
-        )
+        self._cycle = DutyCycle.from_dict(state["cycle"])
         self._phase = Phase(state["phase"])
         self._phase_elapsed_s = float(state["phase_elapsed_s"])
 
@@ -229,6 +243,20 @@ class EsdController:
         self._phase_elapsed_s += dt_s
         return drawn
 
+    def steady_bank(self, dt_s: float) -> tuple[str, float, float]:
+        """:meth:`bank`'s wall draw and its ticks before the phase edge or a
+        full battery, less the margin; or why the next one is not steady."""
+        admissible = self._battery.admissible_charge_w(self._cycle.charge_w)
+        reason, drawn_w, ticks = self._battery.steady_charge(admissible, dt_s)
+        edge = math.floor((self._cycle.off_s - self._phase_elapsed_s) / dt_s)
+        return reason, drawn_w, min(ticks, edge - HORIZON_MARGIN)
+
+    def fold_bank(self, dt_s: float, k: int) -> list[float]:
+        """What ``k`` steady :meth:`bank` calls leave; returns each SoC."""
+        self._phase_elapsed_s = _seq_add_final(self._phase_elapsed_s, dt_s, k)
+        admissible = self._battery.admissible_charge_w(self._cycle.charge_w)
+        return self._battery.fold_charge(admissible, dt_s, k)
+
     def boost(self, dt_s: float, *, required_w: float | None = None) -> float:
         """ON-phase tick: discharge to cover the overshoot; returns the
         power actually delivered.
@@ -251,6 +279,22 @@ class EsdController:
         delivered = self._battery.discharge(admissible, dt_s)
         self._phase_elapsed_s += dt_s
         return delivered
+
+    def steady_boost(self, dt_s: float, required_w: float) -> tuple[str, float, float]:
+        """As :meth:`steady_bank`, for :meth:`boost` of ``required_w``."""
+        ticks = math.inf
+        if self._cycle.off_s > 0:
+            edge = math.floor((self._cycle.on_s - self._phase_elapsed_s) / dt_s)
+            ticks = edge - HORIZON_MARGIN
+        if required_w > self._battery.max_discharge_w:
+            return "esd-underpowered", 0.0, 0.0
+        reason, delivered_w, battery_ticks = self._battery.steady_discharge(required_w, dt_s)
+        return reason, delivered_w, min(ticks, battery_ticks)
+
+    def fold_boost(self, dt_s: float, k: int, required_w: float) -> list[float]:
+        """What ``k`` steady :meth:`boost` calls leave; returns each SoC."""
+        self._phase_elapsed_s = _seq_add_final(self._phase_elapsed_s, dt_s, k)
+        return self._battery.fold_discharge(required_w, dt_s, k)
 
     def abort_on_phase(self) -> None:
         """Cut the ON phase short (battery exhausted mid-phase) and return

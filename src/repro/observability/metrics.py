@@ -24,6 +24,7 @@ from typing import Any
 
 from repro.errors import ObservabilityError
 from repro.schema import Validator
+from repro.util.folds import _seq_add_final
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "METRICS_SCHEMA_VERSION"]
 
@@ -108,6 +109,17 @@ class Histogram:
         self._window.append(value)
         self.count += 1
         self.total += value
+        if value < self.minimum:
+            self.minimum = value
+        if value > self.maximum:
+            self.maximum = value
+
+    def observe_repeated(self, value: float, k: int) -> None:
+        """What ``k`` :meth:`observe` calls with ``value`` leave."""
+        value = float(value)
+        self._window.extend([value] * k)  # deque(maxlen=...) keeps the tail
+        self.count += k
+        self.total = _seq_add_final(self.total, value, k)
         if value < self.minimum:
             self.minimum = value
         if value > self.maximum:

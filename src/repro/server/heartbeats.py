@@ -15,6 +15,7 @@ must be exercised against imperfect observations.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 
@@ -160,6 +161,30 @@ class HeartbeatMonitor:
         cutoff = time_s - WINDOW_S
         while history and history[0].time_s <= cutoff:
             history.popleft()
+
+    def all_reported(self) -> bool:
+        """Whether every tracked app has emitted at least once."""
+        return all(app in self._last_emit_s for app in self._histories)
+
+    def peak_beats(self, app: str) -> float:
+        """The largest beat count ``app``'s window holds (0 when empty)."""
+        return max((record.beats for record in self._history_of(app)), default=0.0)
+
+    def fold_emits(self, times: list[float], beats: dict[str, float]) -> None:
+        """What :meth:`emit` of each app's ``beats`` (0 when absent) at each
+        of ``times[1:]`` leaves."""
+        final_t = times[-1]
+        cutoff = final_t - WINDOW_S
+        # Only records that survive the final cutoff are ever observed
+        # again; eviction cutoffs are monotone, so appending just the
+        # survivors matches emit-then-evict tick by tick.
+        survivors = times[bisect_right(times, cutoff, 1) :]
+        for app, history in self._histories.items():
+            while history and history[0].time_s <= cutoff:
+                history.popleft()
+            value = beats.get(app, 0.0)
+            history.extend([HeartbeatRecord(t, value) for t in survivors])
+            self._last_emit_s[app] = final_t
 
     # ---------------------------------------------------------- fault surface
 

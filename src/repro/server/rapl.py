@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.util.folds import _rapl_march
 
 #: Wrap range of the hardware ``energy_uj`` counter: 2^32 microjoules.
 #: At an 80 W draw the counter wraps roughly every 54 seconds, so any
@@ -172,6 +173,25 @@ class RaplInterface:
         """
         for name, dom in self._domains.items():
             dom.advance(powers_w.get(name, 0.0), dt_s)
+
+    def steady_advance(self, powers_w: dict[str, float]) -> bool:
+        """Whether :meth:`advance` takes ``powers_w`` (a negative power raises)."""
+        return not any(powers_w.get(name, 0.0) < 0 for name in self._domains)
+
+    def fold_advance(self, powers_w: dict[str, float], dt_s: float, k: int) -> list[float]:
+        """What ``k`` :meth:`advance` calls leave; returns psys after each."""
+        psys: list[float] = []
+        for name, dom in self._domains.items():
+            power = powers_w.get(name, 0.0)
+            step_j = power * dt_s
+            if name == "psys":
+                psys = _rapl_march(dom.energy_j, step_j, ENERGY_WRAP_J, k)
+                dom.energy_j = psys[-1]
+            elif step_j != 0.0:
+                dom.energy_j = _rapl_march(dom.energy_j, step_j, ENERGY_WRAP_J, k)[-1]
+            # else: (e + 0.0) % wrap is the identity on in-range counters.
+            dom.last_power_w = power
+        return psys
 
     # ----------------------------------------------------------- client side
 

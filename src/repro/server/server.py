@@ -35,6 +35,7 @@ from repro.server.power_model import PowerBreakdown, PowerModel
 from repro.server.rapl import RaplInterface
 from repro.server.sleep import SleepController
 from repro.server.topology import ServerTopology
+from repro.util.folds import HORIZON_MARGIN, _clean_work_ticks, _seq_add_final
 from repro.workloads.profiles import WorkloadProfile
 
 
@@ -79,6 +80,35 @@ class ApplicationHandle:
         if self.profile.total_work == float("inf"):
             return 0.0
         return min(1.0, self.work_done / self.profile.total_work)
+
+    def to_dict(self) -> dict:
+        """JSON form, without the name (checkpoints key handles by name)."""
+        return {
+            "profile": self.profile.to_dict(),
+            "admitted_at_s": self.admitted_at_s,
+            "work_done": self.work_done,
+            "completed": self.completed,
+            "completed_at_s": self.completed_at_s,
+            "resume_debt_s": self.resume_debt_s,
+            "resumes": self.resumes,
+            "hung": self.hung,
+        }
+
+    @classmethod
+    def from_dict(cls, name: str, data: dict) -> "ApplicationHandle":
+        """Inverse of :meth:`to_dict`."""
+        completed_at = data["completed_at_s"]
+        return cls(
+            name=name,
+            profile=WorkloadProfile.from_dict(data["profile"]),
+            admitted_at_s=float(data["admitted_at_s"]),
+            work_done=float(data["work_done"]),
+            completed=bool(data["completed"]),
+            completed_at_s=None if completed_at is None else float(completed_at),
+            resume_debt_s=float(data["resume_debt_s"]),
+            resumes=int(data["resumes"]),
+            hung=bool(data["hung"]),
+        )
 
 
 @dataclass(frozen=True)
@@ -203,19 +233,7 @@ class SimulatedServer:
         """
         return {
             "now_s": self._now_s,
-            "handles": {
-                name: {
-                    "profile": handle.profile.to_dict(),
-                    "admitted_at_s": handle.admitted_at_s,
-                    "work_done": handle.work_done,
-                    "completed": handle.completed,
-                    "completed_at_s": handle.completed_at_s,
-                    "resume_debt_s": handle.resume_debt_s,
-                    "resumes": handle.resumes,
-                    "hung": handle.hung,
-                }
-                for name, handle in self._handles.items()
-            },
+            "handles": {name: handle.to_dict() for name, handle in self._handles.items()},
             "topology": self._topology.state_dict(),
             "rapl": self._rapl.state_dict(),
             "heartbeats": self._heartbeats.state_dict(),
@@ -235,20 +253,10 @@ class SimulatedServer:
         segment instances afterwards (see the mediator's restore).
         """
         self._now_s = float(state["now_s"])
-        self._handles = {}
-        for name, fields in state["handles"].items():
-            completed_at = fields["completed_at_s"]
-            self._handles[name] = ApplicationHandle(
-                name=name,
-                profile=WorkloadProfile.from_dict(fields["profile"]),
-                admitted_at_s=float(fields["admitted_at_s"]),
-                work_done=float(fields["work_done"]),
-                completed=bool(fields["completed"]),
-                completed_at_s=None if completed_at is None else float(completed_at),
-                resume_debt_s=float(fields["resume_debt_s"]),
-                resumes=int(fields["resumes"]),
-                hung=bool(fields["hung"]),
-            )
+        self._handles = {
+            name: ApplicationHandle.from_dict(name, fields)
+            for name, fields in state["handles"].items()
+        }
         self._topology.load_state_dict(state["topology"])
         self._rapl.load_state_dict(state["rapl"])
         self._heartbeats.load_state_dict(state["heartbeats"])
@@ -534,6 +542,69 @@ class SimulatedServer:
             progressed=progressed,
             completed=tuple(sorted(completed)),
         )
+
+    def steady_tick_reason(self) -> str:
+        """Why the next :meth:`tick` is not steady (``""`` when it is). A
+        suspended app's resume debt stays frozen until it runs again."""
+        if self._sleep.waking:
+            return "wake-penalty"
+        if self._parasitic_w or self._hb_inflation:
+            return "co-tenant-hooks"
+        if any(handle.hung for handle in self._handles.values()):
+            return "hung-app"
+        for name in self.active_applications():
+            if self._handles[name].resume_debt_s != 0.0:
+                return "resume-debt"
+        return ""
+
+    def steady_tick(
+        self, dt_s: float, esd_charge_w: float, esd_discharge_w: float, deep_sleep: bool
+    ) -> tuple[dict[str, float], PowerBreakdown, dict[str, float]]:
+        """A steady :meth:`tick`'s work per running app, power breakdown
+        and RAPL domain powers, without taking it."""
+        active = self.active_applications()
+        running = {
+            name: (self._handles[name].profile, self._knobs.knob_of(name))
+            for name in active
+        }
+        work = {  # useful_s == dt_s exactly
+            name: self._perf.rate(profile, knob) * dt_s
+            for name, (profile, knob) in running.items()
+        }
+        breakdown = self._power.server_breakdown(
+            running,
+            esd_charge_w=esd_charge_w,
+            esd_discharge_w=esd_discharge_w,
+            deep_sleep=deep_sleep and not active,
+        )
+        return work, breakdown, self._domain_powers(running, breakdown)
+
+    def clean_ticks(self, work: dict[str, float], k: int) -> int:
+        """How many of the next ``k`` steady ticks complete no job: a job
+        that may end inside them is walked to the tick before the one that
+        clips or completes it, which the scalar path takes."""
+        for name, step in work.items():
+            handle = self._handles[name]
+            total = handle.profile.total_work
+            if math.isfinite(total) and not (
+                step > 0.0
+                and math.floor(handle.remaining_work / step) - HORIZON_MARGIN >= k
+            ):
+                k = _clean_work_ticks(total, handle.work_done, step, k)
+        return k
+
+    def fold_ticks(
+        self, dt_s: float, times: list[float], work: dict[str, float], powers: dict[str, float]
+    ) -> list[float]:
+        """What steady :meth:`tick` calls from each of ``times[:-1]`` leave;
+        returns the psys counter after each."""
+        k = len(times) - 1
+        for name, step in work.items():
+            handle = self._handles[name]
+            handle.work_done = _seq_add_final(handle.work_done, step, k)
+        self._heartbeats.fold_emits(times, work)
+        self._now_s = times[-1]
+        return self._rapl.fold_advance(powers, dt_s, k)
 
     # ------------------------------------------------------------ utilities
 

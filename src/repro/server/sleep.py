@@ -57,6 +57,11 @@ class SleepController:
         """``True`` while the package is in PC6 (``P_cm == 0``)."""
         return self._state is SleepState.PC6
 
+    @property
+    def waking(self) -> bool:
+        """Whether wake latency is still queued against the coming ticks."""
+        return self._pending_wake_penalty_s != 0.0
+
     def state_dict(self) -> dict:
         """Snapshot the sleep state machine for checkpointing."""
         return {

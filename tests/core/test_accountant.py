@@ -166,3 +166,29 @@ class TestPhaseChange:
         for i in range(5):
             events += accountant.poll(tick(i * 0.1, {"kmeans": 25.0}))
         assert events == []
+
+
+class TestSteadyFold:
+    """``fold_polls`` leaves exactly what ``k`` E4-free polls leave."""
+
+    deviating, close = {"a": 22.0, "b": 15.0}, {"a": 15.5, "b": 14.9}
+
+    @pytest.mark.parametrize(("k", "draws"), [(1, deviating), (3, deviating), (500, close)])
+    def test_fold_polls_equals_k_polls(self, server, k, draws):
+        fast, ref = Accountant(server), Accountant(server)
+        for accountant in (fast, ref):
+            accountant.adopt_plan(space_plan({"a": 15.0, "b": 15.0}))
+            # "b" enters on a one-poll streak that the folded polls reset.
+            accountant.poll(tick(0.1, {"a": 15.0, "b": 22.0}))
+        assert fast.steady_polls(draws) >= k
+        fast.fold_polls(draws, k)
+        for i in range(k):
+            assert ref.poll(tick(0.2 + i * 0.1, draws)) == []
+        assert fast.state_dict() == ref.state_dict()
+
+    def test_a_deviating_streak_bounds_the_steady_polls(self, accountant):
+        accountant.adopt_plan(space_plan({"a": 15.0, "b": 15.0}))
+        accountant.poll(tick(0.1, {"a": 22.0, "b": 15.0}))
+        # One deviating poll seen; E4 fires on the fifth: 3 more, less 2.
+        assert accountant.steady_polls({"a": 22.0, "b": 15.0}) == DEVIATION_POLLS - 1 - 2
+        assert accountant.steady_polls({"a": 15.0, "b": 15.0}) == float("inf")

@@ -11,7 +11,7 @@ from repro.core.coordinator import (
     TimeSlot,
 )
 from repro.esd.battery import LeadAcidBattery
-from repro.esd.controller import EsdController, compute_duty_cycle
+from repro.esd.controller import DutyCycle, EsdController, compute_duty_cycle
 from repro.server.config import KnobSetting
 from repro.server.server import SimulatedServer
 
@@ -228,3 +228,61 @@ class TestIdleMode:
         assert action.deep_sleep
         result = loaded_server.tick(0.1, deep_sleep=True)
         assert result.breakdown.wall_w == pytest.approx(50.0)
+
+
+class TestSteadyFold:
+    """``fold_steps`` leaves exactly what ``k`` steady ``step`` calls leave."""
+
+    def coordinators(self, config, kmeans, stream, mode):
+        knob = config.max_knob
+        if mode is CoordinationMode.TIME:
+            plan = TestTimeMode().make_plan(config, duration=70.0)
+            esd = None
+        else:
+            cycle = DutyCycle(off_s=0.25, on_s=60.0, charge_w=30.0, discharge_w=40.0)
+            plan = AllocationPlan(
+                mode=mode,
+                p_cap_w=80.0,
+                allocation=record_for(["kmeans", "stream"], knob, power=20.0),
+                knobs={"kmeans": knob, "stream": knob},
+                duty_cycle=cycle,
+            )
+        pairs = []
+        for _ in range(2):
+            server = SimulatedServer(config)
+            server.admit(kmeans)
+            server.admit(stream)
+            if mode is CoordinationMode.ESD:
+                battery = LeadAcidBattery(
+                    capacity_j=1e6, max_discharge_w=200.0, initial_soc=0.5
+                )
+                esd = EsdController(battery, plan.duty_cycle)
+            coordinator = Coordinator(server)
+            coordinator.adopt(plan, esd_controller=esd)
+            for _ in range(4):  # past the OFF phase: running and boosting
+                action = coordinator.step(0.1)
+                server.tick(
+                    0.1,
+                    esd_charge_w=action.esd_charge_w,
+                    esd_discharge_w=action.esd_discharge_w,
+                    deep_sleep=action.deep_sleep,
+                )
+            pairs.append((coordinator, esd))
+        return pairs
+
+    @pytest.mark.parametrize("mode", [CoordinationMode.TIME, CoordinationMode.ESD])
+    @pytest.mark.parametrize("k", [1, 3, 500])
+    def test_fold_steps_equals_k_steps(self, config, kmeans, stream, mode, k):
+        (fast, fast_esd), (ref, ref_esd) = self.coordinators(config, kmeans, stream, mode)
+        reason, action, ticks = fast.steady_step(0.1)
+        assert reason == "" and ticks >= k
+        socs = fast.fold_steps(0.1, k)
+        expected = []
+        for _ in range(k):
+            assert ref.step(0.1) == action
+            expected.append(None if ref_esd is None else ref_esd.battery.soc)
+        assert (socs or [None] * k) == expected
+        assert fast.state_dict() == ref.state_dict()
+        if fast_esd is not None:
+            assert fast_esd.state_dict() == ref_esd.state_dict()
+            assert fast_esd.battery.state_dict() == ref_esd.battery.state_dict()

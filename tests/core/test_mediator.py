@@ -11,6 +11,9 @@ from repro.errors import ConfigurationError, SchedulingError
 from repro.core.coordinator import CoordinationMode
 from repro.core.mediator import PowerMediator
 from repro.core.policies import make_policy
+from repro.core.simulation import default_battery
+from repro.engine import planner
+from repro.observability.trace import TraceBus
 from repro.server.server import SimulatedServer
 from repro.workloads.catalog import CATALOG
 from repro.workloads.generator import PhasedProfile
@@ -220,3 +223,57 @@ class TestLearningPath:
             m.add_application(kmeans)
             m.run_for(5.0)
         assert learned.server_objective() > 0.85 * oracle.server_objective()
+
+
+class TestSteadyFold:
+    """One fast segment of ``k`` ticks leaves exactly what ``k`` ``step()``
+    calls leave: the mediator's own fold (sensor readback, watchdog, retry
+    loop, timeline, trace, metrics) together with every component's."""
+
+    @pytest.mark.parametrize(
+        ("policy", "cap", "k"),
+        [
+            ("app+res-aware", 100.0, 1),
+            ("app+res-aware", 100.0, 3),
+            ("app+res-aware", 100.0, 400),
+            ("app+res+esd-aware", 80.0, 1),
+            ("app+res+esd-aware", 80.0, 3),
+        ],
+    )
+    def test_a_segment_equals_k_steps(
+        self, monkeypatch, config, kmeans, pagerank, policy, cap, k
+    ):
+        monkeypatch.setattr(planner, "MIN_FAST_TICKS", 1)
+        pair = []
+        for bus in (TraceBus(), TraceBus()):
+            mediator = PowerMediator(
+                SimulatedServer(config, engine="vector"),
+                make_policy(policy),
+                cap,
+                battery=default_battery() if "esd" in policy else None,
+                use_oracle_estimates=True,
+                trace_bus=bus,
+            )
+            mediator.add_application(pagerank)
+            mediator.add_application(kmeans)
+            pair.append(mediator)
+        fast, ref = pair
+        dt = fast.dt_s
+        # Step both until the coordinator can repeat its step k times.
+        while not (
+            fast.steady_reason() == ""
+            and fast.coordinator.steady_step(dt)[0] == ""
+            and fast.coordinator.steady_step(dt)[2] >= k
+        ):
+            fast.step()
+            ref.step()
+        fast.run_for(k * dt)
+        for _ in range(k):
+            ref.step()
+        assert (fast.fast_path.segments, fast.fast_path.fast_ticks) == (1, k)
+        assert fast.state_dict() == ref.state_dict()
+        assert fast.trace_bus.events == ref.trace_bus.events
+        fast_metrics, ref_metrics = fast.export_metrics(), ref.export_metrics()
+        fast_metrics.pop("profile")
+        ref_metrics.pop("profile")
+        assert fast_metrics == ref_metrics

@@ -209,3 +209,32 @@ class TestPersistence:
         a = drive(scorer, obs(), 50, start=40)
         b = drive(restored, obs(), 50, start=40)
         assert a == b
+
+
+class TestSteadyFold:
+    """``fold_clean`` leaves exactly what ``k`` quiet ``observe`` calls leave."""
+
+    @pytest.mark.parametrize("k", [1, 3, 300])
+    @pytest.mark.parametrize("fingerprint", [FP, ("new knob", True)])
+    def test_fold_clean_equals_k_quiet_ticks(self, k, fingerprint):
+        fast, ref = (TrustScorer(DefenseConfig(cooldown_ticks=7)) for _ in "ab")
+        for scorer in (fast, ref):
+            # One efficiency violation: a decaying score to fold.
+            scorer.observe(0, [obs(claimed_rate=20.0), obs("b", running=False)])
+        quiet = [obs(fingerprint=fingerprint), obs("b", running=False)]
+        reason, horizon = fast.steady_observe(quiet)
+        assert reason == "" and horizon >= k
+        fast.fold_clean(quiet, k)
+        for tick in range(1, k + 1):
+            assert ref.observe(tick, quiet) == []
+        assert fast.state_dict() == ref.state_dict()
+
+    def test_the_cooldown_bounds_a_fold_that_could_trip_the_efficiency_check(self):
+        scorer = TrustScorer(DefenseConfig(cooldown_ticks=7))
+        scorer.observe(0, [obs()])
+        changed = obs(claimed_rate=12.6, fingerprint=("new knob", True))
+        # A new operating point restarts the cooldown at 7 on the first
+        # tick: 7 quiet ticks at most, then the check may fire.
+        assert scorer.steady_observe([changed]) == ("", 7)
+        assert scorer.steady_observe([obs(claimed_rate=12.6)])[0] == "trust-efficiency"
+        assert scorer.steady_observe([obs("new")])[0] == "trust-cold"

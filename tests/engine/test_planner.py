@@ -48,18 +48,18 @@ from repro.core.policies import make_policy
 from repro.core.simulation import default_battery, run_mix_experiment
 from repro.core.trust import DefenseConfig
 from repro.engine import planner
-from repro.engine.planner import (
-    MediatedFleet,
+from repro.engine.planner import MediatedFleet
+from repro.errors import ConfigurationError
+from repro.observability.trace import TraceBus, trace_hash
+from repro.server.config import DEFAULT_SERVER_CONFIG
+from repro.server.server import SimulatedServer
+from repro.util.folds import (
     _clean_work_ticks,
     _rapl_march,
     _seq_add,
     _seq_add_final,
     _seq_mul_final,
 )
-from repro.errors import ConfigurationError
-from repro.observability.trace import TraceBus, trace_hash
-from repro.server.config import DEFAULT_SERVER_CONFIG
-from repro.server.server import SimulatedServer
 from repro.workloads.mixes import get_mix
 
 # ------------------------------------------------------------------ kernels
@@ -266,13 +266,17 @@ def test_fleet_equals_loop_when_apps_complete():
 
 
 def _segment_spy(monkeypatch) -> list[tuple[int, int, list]]:
-    """Record ``(first tick index, k, trust_flush)`` of every flush."""
+    """Record ``(first tick index, k, trust fingerprints)`` of every flush."""
     flushed: list[tuple[int, int, list]] = []
     flush = planner._flush_segment
 
     def spy(m, k, **kwargs):
-        # Read before the flush writes: (record, cooldown0, new fingerprint).
-        trust = [(r, r.fingerprint, fp) for r, _, fp in kwargs["trust_flush"]]
+        # Read before the flush writes: (app, old fingerprint, new one).
+        records = m.trust._records
+        trust = [
+            (obs.app, records[obs.app].fingerprint, obs.fingerprint)
+            for obs in kwargs["observations"]
+        ]
         flushed.append((len(m.timeline), k, trust))
         flush(m, k, **kwargs)
 
@@ -370,7 +374,7 @@ def test_composed_fleet_equals_loop_through_calibration_slots_and_debt(
             handle.resume_debt_s > 0.0 and name not in active
             for name, handle in server._handles.items()
         )
-        flushed.append((kwargs["mode"], frozen_debt))
+        flushed.append((m.coordinator.plan.mode, frozen_debt))
         flush(m, k, **kwargs)
 
     monkeypatch.setattr(planner, "_flush_segment", spy)

@@ -136,3 +136,42 @@ class TestStats:
             make().charge(10.0, 0.0)
         with pytest.raises(BatteryError):
             make(initial_soc=1.0).discharge(10.0, -1.0)
+
+
+class TestSteadyFolds:
+    """A fold leaves exactly what ``k`` scalar calls leave, float for float."""
+
+    @pytest.mark.parametrize("k", [1, 3, 997])
+    def test_fold_charge_equals_k_charges(self, k):
+        fast, ref = (make(capacity_j=1e6, efficiency=0.7, initial_soc=0.1) for _ in "ab")
+        reason, drawn_w, ticks = fast.steady_charge(37.3, 0.1)
+        assert reason == "" and ticks >= k
+        socs = fast.fold_charge(37.3, 0.1, k)
+        expected = []
+        for _ in range(k):
+            assert ref.charge(37.3, 0.1) == drawn_w
+            expected.append(ref.soc)
+        assert socs == expected
+        assert fast.state_dict() == ref.state_dict()
+
+    @pytest.mark.parametrize("k", [1, 3, 997])
+    def test_fold_discharge_equals_k_discharges(self, k):
+        fast, ref = (make(capacity_j=1e6, initial_soc=0.9) for _ in "ab")
+        reason, delivered_w, ticks = fast.steady_discharge(41.7, 0.1)
+        assert reason == "" and ticks >= k
+        socs = fast.fold_discharge(41.7, 0.1, k)
+        expected = []
+        for _ in range(k):
+            assert ref.discharge(41.7, 0.1) == delivered_w
+            expected.append(ref.soc)
+        assert socs == expected
+        assert fast.state_dict() == ref.state_dict()
+
+    def test_steady_queries_name_the_clip_and_bank_nothing_when_full(self):
+        assert make(initial_soc=0.9999).steady_charge(50.0, 1.0)[0] == "battery-clip"
+        assert make(initial_soc=0.0001).steady_discharge(50.0, 1.0)[0] == "battery-clip"
+        full = make(initial_soc=1.0)
+        assert full.steady_charge(50.0, 1.0) == ("", 0.0, float("inf"))
+        before = full.state_dict()
+        assert full.fold_charge(50.0, 1.0, 3) == [1.0] * 3
+        assert full.state_dict() == before

@@ -1,10 +1,13 @@
 """ESD controller: Eq. (5) duty cycles and the tick protocol."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError, PowerBudgetError
 from repro.esd.battery import LeadAcidBattery
 from repro.esd.controller import DutyCycle, EsdController, Phase, compute_duty_cycle
+from repro.util.folds import HORIZON_MARGIN
 
 
 class TestEquationFive:
@@ -209,3 +212,56 @@ class TestController:
         cycle = DutyCycle(off_s=0.0, on_s=10.0, charge_w=0.0, discharge_w=0.0)
         controller = EsdController(battery, cycle)
         assert controller.begin_tick(0.1) is Phase.ON
+
+
+class TestSteadyFolds:
+    """A fold leaves exactly what ``k`` scalar ticks of the phase leave."""
+
+    def pair(self, phase):
+        cycle = DutyCycle(off_s=70.0, on_s=60.0, charge_w=30.0, discharge_w=40.0)
+        controllers = []
+        for _ in range(2):
+            battery = LeadAcidBattery(capacity_j=1e6, efficiency=0.7, initial_soc=0.5)
+            controller = EsdController(battery, cycle)
+            state = controller.state_dict()
+            controller.load_state_dict({**state, "phase": phase, "phase_elapsed_s": 0.3})
+            controllers.append(controller)
+        return controllers
+
+    @pytest.mark.parametrize("k", [1, 3, 600])
+    def test_fold_bank_equals_k_banks(self, k):
+        fast, ref = self.pair("off")
+        reason, drawn_w, ticks = fast.steady_bank(0.1)
+        assert reason == "" and ticks >= k
+        socs = fast.fold_bank(0.1, k)
+        expected = []
+        for _ in range(k):
+            assert ref.begin_tick(0.1) is Phase.OFF
+            assert ref.bank(0.1) == drawn_w
+            expected.append(ref.battery.soc)
+        assert socs == expected
+        assert fast.state_dict() == ref.state_dict()
+        assert fast.battery.state_dict() == ref.battery.state_dict()
+
+    @pytest.mark.parametrize("k", [1, 3, 500])
+    def test_fold_boost_equals_k_boosts(self, k):
+        fast, ref = self.pair("on")
+        reason, delivered_w, ticks = fast.steady_boost(0.1, 33.3)
+        assert reason == "" and ticks >= k
+        socs = fast.fold_boost(0.1, k, 33.3)
+        expected = []
+        for _ in range(k):
+            assert ref.begin_tick(0.1) is Phase.ON
+            assert ref.boost(0.1, required_w=33.3) == delivered_w
+            expected.append(ref.battery.soc)
+        assert socs == expected
+        assert fast.state_dict() == ref.state_dict()
+        assert fast.battery.state_dict() == ref.battery.state_dict()
+
+    def test_phase_edges_bound_the_steady_ticks(self):
+        off, _ = self.pair("off")
+        on, _ = self.pair("on")
+        # The ticks to the phase edge, less the margin: the battery allows more.
+        assert off.steady_bank(0.1)[2] == math.floor((70.0 - 0.3) / 0.1) - HORIZON_MARGIN
+        assert on.steady_boost(0.1, 33.3)[2] == math.floor((60.0 - 0.3) / 0.1) - HORIZON_MARGIN
+        assert on.steady_boost(0.1, 61.0)[0] == "esd-underpowered"

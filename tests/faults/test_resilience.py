@@ -153,3 +153,32 @@ class TestActuationRetrier:
         retrier.service(stats)
         retrier.forget("kmeans")
         assert retrier.state_dict()["pending"] == {}
+
+
+class TestSteadyFolds:
+    """The idle folds leave exactly what ``k`` healthy scalar ticks leave."""
+
+    @pytest.mark.parametrize("k", [1, 3, 1000])
+    def test_fold_fresh_equals_k_fresh_samples(self, k):
+        fast, ref = TelemetryWatchdog(), TelemetryWatchdog()
+        for watchdog in (fast, ref):
+            watchdog.observe(False)
+            watchdog.observe(True)
+        fast.fold_fresh(k)
+        for _ in range(k):
+            assert ref.observe(True) is None
+        assert fast.state_dict() == ref.state_dict()
+
+    @pytest.mark.parametrize("k", [1, 3, 1000])
+    def test_fold_idle_equals_k_idle_services(self, k):
+        server = SimulatedServer()
+        server.admit(CATALOG["kmeans"].with_total_work(float("inf")))
+        fast, ref = ActuationRetrier(server.knobs), ActuationRetrier(server.knobs)
+        stats = FaultStats()
+        for retrier in (fast, ref):
+            retrier.service(stats)
+        assert fast.idle
+        fast.fold_idle(k)
+        for _ in range(k):
+            assert ref.service(stats) == ([], [])
+        assert fast.state_dict() == ref.state_dict()

@@ -152,3 +152,16 @@ class TestPhaseProfiler:
             with profiler.phase("boom"):
                 raise ValueError("x")
         assert profiler.report()["boom"]["calls"] == 1
+
+
+class TestSteadyFold:
+    @pytest.mark.parametrize("k", [1, 3, 2000])
+    def test_observe_repeated_equals_k_observations(self, k):
+        fast, ref = Histogram("h"), Histogram("h")
+        for hist in (fast, ref):
+            for value in (3.3, 0.7, 12.1):
+                hist.observe(value)
+        fast.observe_repeated(79.83, k)
+        for _ in range(k):
+            ref.observe(79.83)
+        assert fast.snapshot() == ref.snapshot()

@@ -112,3 +112,36 @@ class TestNoise:
     def test_invalid_noise_rejected(self):
         with pytest.raises(ConfigurationError):
             HeartbeatMonitor(noise_relative_std=-0.1)
+
+
+class TestSteadyFold:
+    """``fold_emits`` leaves exactly what ``emit`` at each time leaves."""
+
+    @pytest.mark.parametrize("k", [1, 3, 400])
+    def test_fold_emits_equals_emitting_each_tick(self, k):
+        fast, ref = HeartbeatMonitor(), HeartbeatMonitor()
+        for monitor in (fast, ref):
+            for app in ("a", "b", "idle"):
+                monitor.register(app)
+            t = 0.0
+            for _ in range(7):
+                t += 0.1
+                for app, beats in (("a", 0.31), ("b", 2.7), ("idle", 0.0)):
+                    monitor.emit(app, t, beats)
+        times = [t]
+        for _ in range(k):
+            times.append(times[-1] + 0.1)
+        beats = {"a": 1.17, "b": 0.093}
+        assert fast.all_reported()
+        fast.fold_emits(times, beats)
+        for time_s in times[1:]:
+            for app in ("a", "b", "idle"):
+                ref.emit(app, time_s, beats.get(app, 0.0))
+        assert fast.state_dict() == ref.state_dict()
+        assert fast.peak_beats("b") == max(r[1] for r in ref.state_dict()["histories"]["b"])
+
+    def test_an_app_that_never_emitted_is_not_reported(self, monitor):
+        monitor.register("a")
+        assert not monitor.all_reported()
+        monitor.emit("a", 0.1, 1.0)
+        assert monitor.all_reported()

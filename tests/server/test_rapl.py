@@ -130,3 +130,26 @@ class TestWraparound:
         dom.advance(40.0, 1.0)  # +40 J, wraps
         assert dom.energy_j < before  # raw subtraction would go negative
         assert energy_delta_j(dom.energy_j, before) == pytest.approx(40.0)
+
+
+class TestSteadyFold:
+    """``fold_advance`` leaves exactly what ``k`` ``advance`` calls leave."""
+
+    @pytest.mark.parametrize("k", [1, 3, 5000])
+    def test_fold_advance_equals_k_advances(self, k):
+        fast, ref = RaplInterface(sockets=2), RaplInterface(sockets=2)
+        for interface in (fast, ref):
+            interface.domain("psys").energy_j = ENERGY_WRAP_J - 7.3  # wraps on the way
+            interface.domain("package-1").energy_j = 123.456
+        powers = {"psys": 93.7, "package-0": 31.1, "dram-0": 4.2, "package-1": 0.0}
+        assert fast.steady_advance(powers)
+        psys = fast.fold_advance(powers, 0.1, k)
+        expected = []
+        for _ in range(k):
+            ref.advance(powers, 0.1)
+            expected.append(ref.read_energy_j("psys"))
+        assert psys == expected
+        assert fast.state_dict() == ref.state_dict()
+
+    def test_a_negative_power_is_not_steady(self, rapl):
+        assert not rapl.steady_advance({"psys": 80.0, "dram-1": -0.1})

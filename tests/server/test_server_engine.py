@@ -169,3 +169,51 @@ class TestDeepSleep:
         full = server.perf_model.rate(kmeans, server.config.max_knob) * 0.1
         # Both the PC6 wake latency and the resume refill are charged.
         assert result.progressed["kmeans"] < full
+
+
+class TestSteadyFold:
+    """``fold_ticks`` leaves exactly what ``k`` steady ``tick`` calls leave."""
+
+    def steady_pair(self, config, kmeans, stream):
+        servers = []
+        for _ in range(2):
+            server = SimulatedServer(config, engine="vector")
+            server.admit(kmeans)
+            server.admit(stream, start_suspended=True)
+            server.tick(0.1)
+            servers.append(server)
+        return servers
+
+    @pytest.mark.parametrize("k", [1, 3, 500])
+    def test_fold_ticks_equals_k_ticks(self, config, kmeans, stream, k):
+        fast, ref = self.steady_pair(config, kmeans, stream)
+        assert fast.steady_tick_reason() == ""
+        work, breakdown, powers = fast.steady_tick(0.1, 0.0, 0.0, False)
+        assert fast.clean_ticks(work, k) == k
+        times = [fast.now_s]
+        for _ in range(k):
+            times.append(times[-1] + 0.1)
+        psys = fast.fold_ticks(0.1, times, work, powers)
+        expected = []
+        for _ in range(k):
+            result = ref.tick(0.1)
+            assert result.breakdown == breakdown and result.progressed == work
+            expected.append(ref.rapl.read_energy_j("psys"))
+        assert psys == expected
+        assert fast.state_dict() == ref.state_dict()
+
+    def test_clean_ticks_stop_before_the_completion_tick(self, config, kmeans):
+        server = SimulatedServer(config)
+        server.admit(kmeans.with_total_work(50.0))
+        work, _, _ = server.steady_tick(0.1, 0.0, 0.0, False)
+        clean = server.clean_ticks(work, 10_000)
+        for _ in range(clean):
+            assert not server.tick(0.1).completed
+        assert server.tick(0.1).completed == ("kmeans",)
+
+    def test_resume_debt_on_a_running_app_is_not_steady(self, server, kmeans):
+        server.admit(kmeans, start_suspended=True)
+        server.tick(0.1)
+        assert server.steady_tick_reason() == ""  # frozen while suspended
+        server.resume("kmeans")
+        assert server.steady_tick_reason() == "resume-debt"

@@ -68,3 +68,13 @@ class TestWakePenalty:
         with pytest.raises(ConfigurationError):
             sleep.consume_wake_penalty(0.0)
 
+
+class TestSteadyGate:
+    def test_queued_wake_latency_is_not_steady(self, sleep):
+        assert not sleep.waking
+        sleep.enter_pc6(runnable_apps=0)
+        sleep.wake()
+        assert sleep.waking
+        while sleep.consume_wake_penalty(1e-4) < 1.0:
+            pass
+        assert not sleep.waking

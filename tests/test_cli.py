@@ -598,11 +598,18 @@ class TestObservabilityFlags:
             paths[engine] = trace_path, metrics_path
         capsys.readouterr()
         trace_path, metrics_path = paths["vector"]  # the default engine
-        fast = json.loads(metrics_path.read_text())["profile"]["fast_path"]
+        profile = json.loads(metrics_path.read_text())["profile"]
+        fast = profile["fast_path"]
         assert main(
             ["trace", "summarize", str(trace_path), "--metrics", str(metrics_path)]
         ) == 0
-        line = next(l for l in capsys.readouterr().out.splitlines() if "fast path" in l)
+        out = capsys.readouterr().out
+        # Every attempt at a segment is timed, replayed or not: one call
+        # per segment and one per demoted tick.
+        attempts = fast["segments"] + sum(fast["demotions"].values())
+        assert profile["segments"]["calls"] == attempts
+        assert re.search(rf"^  segments: [0-9.]+ s over {attempts} calls ", out, re.M), out
+        line = next(l for l in out.splitlines() if "fast path" in l)
         match = re.fullmatch(
             r"fast path: (\d+) of 60 ticks in (\d+) segments; demotions: (.+)", line
         )

@@ -69,7 +69,7 @@ DUCK_TYPED = {
     "VectorPerformanceModel.surface_of": "src/repro/core/utility.py:92",
     "VectorPowerModel.surface_of": "src/repro/core/utility.py:92",
     "NetStats.to_dict": "src/repro/hierarchy/runner.py:448",
-    "Histogram.observe": "src/repro/core/mediator.py:1187",
+    "Histogram.observe": "src/repro/core/mediator.py:1267",
     "JournalWriter.close": "src/repro/persistence/supervisor.py:262",
 }
 
